@@ -186,19 +186,30 @@ def _parse_selection(text: str | None) -> tuple[TestId, ...]:
         raise errors.InvalidConfig(str(exc)) from exc
 
 
-def _probe_backend(text: str | None) -> ProbeBackend:
-    if text is None:
-        return ProbeBackend.RAPL
+def _probe_settings(args, cfg) -> tuple[ProbeBackend, Path | None, Path | None, int | None]:
+    """Backend, scenario, powercap root and update interval, in create_probe order."""
+    backend = _setting(args, cfg, "probe", "probe", "backend", ProbeBackend.RAPL.value)
+    scenario = _setting(args, cfg, "scenario", "probe", "scenario")
+    powercap_root = cfg.get("probe", {}).get("powercap_root")
+    update_interval = _setting(args, cfg, "update_interval_ns", "probe", "update_interval_ns")
     try:
-        return ProbeBackend(text)
+        backend = ProbeBackend(backend)
     except ValueError:
-        raise errors.InvalidConfig(f"unknown probe backend {text!r}") from None
+        raise errors.InvalidConfig(f"unknown probe backend {backend!r}") from None
+    try:
+        update_interval_ns = int(update_interval) if update_interval else None
+    except ValueError as exc:
+        raise errors.InvalidConfig(f"bad numeric option: {exc}") from exc
+    return (
+        backend,
+        Path(scenario) if scenario else None,
+        Path(powercap_root) if powercap_root else None,
+        update_interval_ns,
+    )
 
 
 def _build_experiment_config(args, cfg) -> ExperimentConfig:
-    backend = _probe_backend(_setting(args, cfg, "probe", "probe", "backend"))
-    scenario = _setting(args, cfg, "scenario", "probe", "scenario")
-    update_interval = _setting(args, cfg, "update_interval_ns", "probe", "update_interval_ns")
+    backend, scenario_path, powercap_root, update_interval_ns = _probe_settings(args, cfg)
     rate = _setting(args, cfg, "rate", "experiment", "rate_hz", "100")
     iterations = _setting(args, cfg, "iterations", "experiment", "iterations", "1")
     timeout = _setting(args, cfg, "timeout", "harness", "timeout_s", "120")
@@ -206,7 +217,6 @@ def _build_experiment_config(args, cfg) -> ExperimentConfig:
         rate_hz = float(rate)
         iterations = int(iterations)
         timeout_s = float(timeout) if str(timeout) not in ("none", "") else None
-        update_interval_ns = int(update_interval) if update_interval else None
     except ValueError as exc:
         raise errors.InvalidConfig(f"bad numeric option: {exc}") from exc
 
@@ -219,10 +229,11 @@ def _build_experiment_config(args, cfg) -> ExperimentConfig:
         ),
         selection=_parse_selection(_setting(args, cfg, "select", "experiment", "select")),
         probe_backend=backend,
-        scenario_path=Path(scenario) if scenario else None,
+        scenario_path=scenario_path,
         baseline=_parse_baseline(_setting(args, cfg, "baseline", "experiment", "baseline")),
         update_interval_ns=update_interval_ns,
         test_timeout_s=timeout_s,
+        powercap_root=powercap_root,
     )
 
 
@@ -232,15 +243,7 @@ def _build_experiment_config(args, cfg) -> ExperimentConfig:
 
 
 def _cmd_probe_check(args, cfg) -> int:
-    backend = _probe_backend(_setting(args, cfg, "probe", "probe", "backend"))
-    scenario = _setting(args, cfg, "scenario", "probe", "scenario")
-    update_interval = _setting(args, cfg, "update_interval_ns", "probe", "update_interval_ns")
-    probe = create_probe(
-        backend,
-        scenario_path=Path(scenario) if scenario else None,
-        powercap_root=cfg.get("probe", {}).get("powercap_root"),
-        update_interval_ns=int(update_interval) if update_interval else None,
-    )
+    probe = create_probe(*_probe_settings(args, cfg))
     descriptor = probe.describe()
     print(f"backend: {descriptor.backend.value}")
     print(f"update interval: {descriptor.update_interval_ns} ns")
@@ -346,13 +349,7 @@ def _cmd_compare(args, cfg) -> int:
 
 
 def _cmd_baseline(args, cfg) -> int:
-    backend = _probe_backend(_setting(args, cfg, "probe", "probe", "backend"))
-    scenario = _setting(args, cfg, "scenario", "probe", "scenario")
-    probe = create_probe(
-        backend,
-        scenario_path=Path(scenario) if scenario else None,
-        powercap_root=cfg.get("probe", {}).get("powercap_root"),
-    )
+    probe = create_probe(*_probe_settings(args, cfg))
     print(
         f"calibrating idle baseline for {args.duration:.1f} s; "
         "keep the machine quiescent",

@@ -18,13 +18,6 @@ import time
 _SLEEP_SLICE_S = 0.02
 
 
-class StopSignal:
-    """Minimal stop-signal interface; ``threading.Event`` satisfies it."""
-
-    def is_set(self) -> bool:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-
 class DeadlineStop:
     """Stop signal that trips once a clock reaches a fixed deadline."""
 

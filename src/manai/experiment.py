@@ -12,11 +12,15 @@ Execution timing depends on the probe backend:
 * Simulated: the child still runs for real (its status and measured
   duration are real), but samples are then generated on a virtual clock
   over the scenario, with the window anchored at the scenario origin and
-  the duration floored to the counter refresh grid. Re-running the same
+  the duration snapped to the counter refresh grid. Re-running the same
   configuration therefore reproduces every stored number bit-exactly, as
-  long as test durations exceed the refresh interval and scheduling
-  jitter stays below it. Sub-interval durations are kept as measured
-  (they are low-confidence either way).
+  long as test durations exceed the refresh interval and marker timing
+  is at most a quarter interval early or three quarters late.
+  Sub-interval durations are kept as measured (they are low-confidence
+  either way).
+
+The probe comes from :func:`manai.probe.create_probe`, which also
+resolves the powercap root a live run reads.
 
 Exactly one experiment may run per data directory; a lock file holding
 the owner's process id enforces that. Note that RAPL counters are
@@ -50,20 +54,17 @@ from manai.probe import (
     Probe,
     ProbeBackend,
     ProbeDescriptor,
-    RaplProbe,
     SimulatedProbe,
     SimulationScenario,
-    load_scenario,
+    create_probe,
 )
-from manai.results import TestExecutionResult, TestSummary, attribute, summarize
+from manai.results import TestExecutionResult, TestSummary, summarize
 from manai.sampler import BaselineProfile, SamplerConfig, calibrate_baseline, sample_stream
 from manai.store import RevisionRecord, Store
 
 __all__ = [
     "BaselineSetting",
     "ExperimentConfig",
-    "attribute",
-    "summarize",
     "resolve_revision_label",
     "run_experiment",
 ]
@@ -114,6 +115,9 @@ class ExperimentConfig:
     baseline: BaselineSetting = field(default_factory=BaselineSetting)
     update_interval_ns: int | None = None
     test_timeout_s: float | None = 120.0
+    # Like the data directory, a location that does not alter the experiment:
+    # it stays out of the config digest and the stored config.
+    powercap_root: Path | None = None
 
     def __post_init__(self):
         if self.sampling_rate_hz <= 0:
@@ -239,58 +243,39 @@ class _DataDirLock:
 def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:
     """Snap a measured duration onto the counter refresh grid.
 
-    Durations shorter than one interval are kept as measured; flooring
-    them would collapse the window entirely.
+    A duration in ``[k*I - I/4, k*I + 3*I/4)`` maps to ``k*I``. Marker
+    timing lags the child's real window by a one-sided, long-tailed
+    amount (sleep overshoot plus wake-up latency), while an early reading
+    is rare and tiny, so the tolerance is a quarter interval early and
+    three quarters late. Durations shorter than one interval are kept as
+    measured; snapping them would collapse the window entirely.
     """
     if duration_ns < update_interval_ns:
         return max(duration_ns, 1)
-    return (duration_ns // update_interval_ns) * update_interval_ns
+    return (duration_ns + update_interval_ns // 4) // update_interval_ns * update_interval_ns
 
 
-def _run_simulated_iteration(
-    scenario: SimulationScenario,
-    config: ExperimentConfig,
-    descriptor: ProbeDescriptor,
-    baseline_w: Mapping | None,
-    test: TestId,
-    iteration: int,
-) -> TestExecutionResult:
-    outcome_error = None
-    crashed = False
+def _execute(config: ExperimentConfig, test: TestId) -> tuple[int, int, TestStatus, str | None]:
+    """Run one test: ``(begin_ns, end_ns, status, crash_message)``.
+
+    A crash becomes a failed run bounded by the observed lifetime of the
+    attempt, so energy can still be attributed to it.
+    """
     try:
         run = run_one(config.harness, test, timeout_s=config.test_timeout_s)
-        duration_ns = max(1, run.end_ns - run.begin_ns)
-        status = run.status
     except TestCrashed as exc:
-        crashed = True
-        outcome_error = str(exc)
-        status = TestStatus.FAIL
-        duration_ns = max(1, (exc.end_ns or 0) - (exc.begin_ns or exc.end_ns or 0))
+        begin_ns = exc.begin_ns if exc.begin_ns is not None else exc.end_ns - 1
+        return begin_ns, exc.end_ns, TestStatus.FAIL, str(exc)
+    return run.begin_ns, run.end_ns, run.status, None
 
-    duration_ns = _quantize_duration_ns(duration_ns, scenario.update_interval_ns)
 
+def _replay(scenario: SimulationScenario) -> tuple[SimulatedProbe, VirtualScheduler]:
+    """A fresh simulated probe on a virtual clock starting at the scenario origin."""
     scheduler = VirtualScheduler()
-    probe = SimulatedProbe(scenario, clock=scheduler.now)
-    stop = DeadlineStop(scheduler.now, duration_ns)
-    samples = sample_stream(
-        probe, SamplerConfig(config.sampling_rate_hz, baseline_w), stop, scheduler
-    )
-    return TestExecutionResult.build(
-        test=test,
-        iteration=iteration,
-        samples=samples,
-        begin_ns=0,
-        end_ns=duration_ns,
-        status=status,
-        update_interval_ns=scenario.update_interval_ns,
-        baseline_applied=baseline_w is not None,
-        crashed=crashed,
-        error=outcome_error,
-        domains=descriptor.domains,
-    )
+    return SimulatedProbe(scenario, clock=scheduler.now), scheduler
 
 
-def _run_live_iteration(
+def _run_iteration(
     probe: Probe,
     config: ExperimentConfig,
     descriptor: ProbeDescriptor,
@@ -298,54 +283,56 @@ def _run_live_iteration(
     test: TestId,
     iteration: int,
 ) -> TestExecutionResult:
-    stop = threading.Event()
-    collected: dict = {}
+    sampler_config = SamplerConfig(config.sampling_rate_hz, baseline_w)
+    if isinstance(probe, SimulatedProbe):
+        # The child runs for real; its samples are replayed on a virtual
+        # clock over a grid-snapped window, which makes them replicable.
+        begin_ns, end_ns, status, error = _execute(config, test)
+        end_ns = _quantize_duration_ns(end_ns - begin_ns, descriptor.update_interval_ns)
+        begin_ns = 0
+        replay_probe, scheduler = _replay(probe.scenario)
+        samples = sample_stream(
+            replay_probe, sampler_config, DeadlineStop(scheduler.now, end_ns), scheduler
+        )
+    else:
+        stop = threading.Event()
+        collected: dict = {}
 
-    def _sampling_task():
+        def _sampling_task():
+            try:
+                collected["samples"] = sample_stream(probe, sampler_config, stop)
+            except ProbeLost as exc:
+                collected["error"] = exc
+
+        sampler_thread = threading.Thread(target=_sampling_task, name="manai-sampler")
+        sampler_thread.start()
         try:
-            collected["samples"] = sample_stream(
-                probe, SamplerConfig(config.sampling_rate_hz, baseline_w), stop
-            )
-        except ProbeLost as exc:
-            collected["error"] = exc
+            begin_ns, end_ns, status, error = _execute(config, test)
+        finally:
+            stop.set()
+            sampler_thread.join()
+        if "error" in collected:
+            raise collected["error"]
+        samples = collected.get("samples", [])
 
-    sampler_thread = threading.Thread(target=_sampling_task, name="manai-sampler")
-    sampler_thread.start()
-    outcome_error = None
-    crashed = False
-    try:
-        run = run_one(config.harness, test, timeout_s=config.test_timeout_s)
-        begin_ns, end_ns, status = run.begin_ns, run.end_ns, run.status
-    except TestCrashed as exc:
-        crashed = True
-        outcome_error = str(exc)
-        status = TestStatus.FAIL
-        end_ns = exc.end_ns
-        begin_ns = exc.begin_ns if exc.begin_ns is not None else end_ns - 1
-    finally:
-        stop.set()
-        sampler_thread.join()
-
-    if "error" in collected:
-        raise collected["error"]
-    samples = collected.get("samples", [])
-
-    # Rebase onto the sampling origin so stored times are run-relative.
-    origin_ns = samples[0].start_ns if samples else begin_ns
-    rebased = [
-        type(s)(s.start_ns - origin_ns, s.end_ns - origin_ns, s.energy_uj) for s in samples
-    ]
+        # Rebase onto the sampling origin so stored times are run-relative.
+        origin_ns = samples[0].start_ns if samples else begin_ns
+        samples = [
+            type(s)(s.start_ns - origin_ns, s.end_ns - origin_ns, s.energy_uj) for s in samples
+        ]
+        begin_ns -= origin_ns
+        end_ns = max(end_ns - origin_ns, begin_ns + 1)
     return TestExecutionResult.build(
         test=test,
         iteration=iteration,
-        samples=rebased,
-        begin_ns=begin_ns - origin_ns,
-        end_ns=max(end_ns - origin_ns, begin_ns - origin_ns + 1),
+        samples=samples,
+        begin_ns=begin_ns,
+        end_ns=end_ns,
         status=status,
         update_interval_ns=descriptor.update_interval_ns,
         baseline_applied=baseline_w is not None,
-        crashed=crashed,
-        error=outcome_error,
+        crashed=error is not None,
+        error=error,
         domains=descriptor.domains,
     )
 
@@ -396,17 +383,10 @@ def run_experiment(
         HarnessSpawnFailed, ProbeLost, LockHeld, StorageError.
     """
     data_dir = Path(data_dir)
-    scenario: SimulationScenario | None = None
-    live_probe: Probe | None = None
-    if config.probe_backend is ProbeBackend.SIMULATED:
-        scenario = load_scenario(config.scenario_path)
-        descriptor = SimulatedProbe(scenario).describe()
-    else:
-        live_probe = RaplProbe(
-            powercap_root=os.environ.get("MANAI_POWERCAP_ROOT", "/sys/class/powercap"),
-            update_interval_ns=config.update_interval_ns or 1_000_000,
-        )
-        descriptor = live_probe.describe()
+    probe = create_probe(
+        config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
+    )
+    descriptor = probe.describe()
 
     lock = _DataDirLock(data_dir)
     lock.acquire()
@@ -421,16 +401,11 @@ def run_experiment(
         if config.baseline.mode == "fixed":
             baseline_w = dict(config.baseline.profile.powers_w)
         elif config.baseline.mode == "calibrate":
-            if scenario is not None:
-                sched = VirtualScheduler()
-                cal_probe = SimulatedProbe(scenario, clock=sched.now)
-                baseline_w = dict(
-                    calibrate_baseline(cal_probe, config.baseline.calibrate_duration_s, sched).powers_w
-                )
-            else:
-                baseline_w = dict(
-                    calibrate_baseline(live_probe, config.baseline.calibrate_duration_s).powers_w
-                )
+            cal_probe, scheduler = (
+                _replay(probe.scenario) if isinstance(probe, SimulatedProbe) else (probe, None)
+            )
+            profile = calibrate_baseline(cal_probe, config.baseline.calibrate_duration_s, scheduler)
+            baseline_w = dict(profile.powers_w)
 
         summaries: dict[TestId, TestSummary] = {}
         results: dict[TestId, tuple[TestExecutionResult, ...]] = {}
@@ -438,14 +413,7 @@ def run_experiment(
             iteration_results: list[TestExecutionResult] = []
             for iteration in range(config.iterations):
                 try:
-                    if scenario is not None:
-                        result = _run_simulated_iteration(
-                            scenario, config, descriptor, baseline_w, test, iteration
-                        )
-                    else:
-                        result = _run_live_iteration(
-                            live_probe, config, descriptor, baseline_w, test, iteration
-                        )
+                    result = _run_iteration(probe, config, descriptor, baseline_w, test, iteration)
                 except ProtocolViolation as exc:
                     logger.warning("test %s violated the protocol: %s", test, exc)
                     iteration_results.append(

@@ -112,7 +112,6 @@ class HarnessRun:
     begin_ns: int
     end_ns: int
     status: TestStatus
-    crashed: bool = False
 
 
 def _parse_marker(line: str, timestamp_ns: int) -> TestEvent | None:
@@ -324,7 +323,6 @@ def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -
         begin_ns=begin_ns,
         end_ns=end_event.timestamp_ns,
         status=end_event.status,
-        crashed=False,
     )
 
 

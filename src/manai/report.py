@@ -495,30 +495,6 @@ def _evolution_term_line(
     )
 
 
-def render_evolution(
-    store: Store,
-    test: TestId,
-    limit: int | None = None,
-    fmt: ReportFormat = ReportFormat.TERM,
-    no_color: bool = False,
-    trend_threshold: float = DEFAULT_TREND_THRESHOLD,
-) -> str:
-    """Evolution fragment for one test: sparkline, trend, last-step change.
-
-    Raises:
-        NoHistory: No stored record contains the test.
-    """
-    series = store.history(test, limit)
-    if not series.points:
-        raise NoHistory(f"no stored history for {test}")
-    domain = sorted(series.points[-1].summary.energy_stats, key=domain_sort_key)[0]
-    energies = _series_energies(series, domain)
-    glyph = EvolutionGlyph.from_series(test, energies, threshold=trend_threshold)
-    if fmt is ReportFormat.HTML:
-        return _evolution_svg(series, energies)
-    return _evolution_term_line(series, glyph, no_color) + "\n"
-
-
 def _evolution_svg(series: HistorySeries, energies: tuple[float, ...]) -> str:
     width, height, pad = 320, 64, 6
     lo, hi = min(energies), max(energies)

@@ -32,7 +32,7 @@ from manai.probe import (
     SimulatedProbe,
     SimulationScenario,
 )
-from manai.report import render_evolution, render_summary, ReportRequest
+from manai.report import render_history, render_summary, ReportRequest
 from manai.results import attribute
 from manai.sampler import SamplerConfig, sample_stream, wrap_delta
 from manai.store import Store, record_to_doc, render_record
@@ -230,7 +230,9 @@ def test_criterion_06_evolution_view(tmp_path):
         change_pct = (energies[2] - energies[1]) / energies[1] * 100
         assert -34.33 <= change_pct <= -32.33  # -33% within one point
 
-        line = render_evolution(store, test, no_color=True)
+        line = render_history(
+            store, ReportRequest(scope="history", tests=(test,), no_color=True)
+        )
         assert "↓" in line
         assert re.search(r"-3[34]% last step", line)
         glyphs = [c for c in line if c in "▁▂▃▄▅▆▇█"]

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
 from manai.cli import main
+from manai.harness import TestId, TestStatus
 from manai.store import Store
 
-from conftest import write_plan, write_scenario
+from conftest import CORE, PKG, make_powercap_tree, write_plan, write_scenario
 
 NS = 10**9
 
@@ -101,6 +104,97 @@ class TestRun:
         code = main(["run", "--config", str(config), "--revision", "rev-env"])
         assert code == 0
         assert Store(env_dir).load("rev-env")
+
+
+class TestLiveRun:
+    def test_run_honours_configured_powercap_root(self, tmp_path, monkeypatch, capsys):
+        # Counters start just below their range and a writer thread advances
+        # them through one wrap while the test runs. The writer adds far less
+        # than one range in total, so a misread wrap (about max_range in one
+        # sample) cannot hide below the bound asserted at the end.
+        monkeypatch.delenv("MANAI_POWERCAP_ROOT", raising=False)
+        monkeypatch.delenv("MANAI_DATA_DIR", raising=False)
+        max_range = 5_000_000
+        steps = {PKG: 1000, CORE: 400}
+        start = {domain: max_range - 50 * step for domain, step in steps.items()}
+        root = make_powercap_tree(
+            tmp_path / "powercap",
+            {
+                "intel-rapl:0": {
+                    "name": "package-0",
+                    "energy_uj": start[PKG],
+                    "max_energy_range_uj": max_range,
+                },
+                "intel-rapl:0:0": {
+                    "name": "core",
+                    "energy_uj": start[CORE],
+                    "max_energy_range_uj": max_range,
+                },
+            },
+        )
+        paths = {
+            PKG: root / "intel-rapl:0" / "energy_uj",
+            CORE: root / "intel-rapl:0" / "intel-rapl:0:0" / "energy_uj",
+        }
+        added = {domain: 0 for domain in steps}
+        wraps = {domain: 0 for domain in steps}
+        stop = threading.Event()
+
+        def write_counters():
+            values = dict(start)
+            while not stop.wait(0.001) and added[PKG] < max_range // 2:
+                for domain, step in steps.items():
+                    values[domain] += step
+                    if values[domain] >= max_range:
+                        values[domain] -= max_range
+                        wraps[domain] += 1
+                    scratch = paths[domain].with_name("energy_uj.next")
+                    scratch.write_text(f"{values[domain]}\n")
+                    os.replace(scratch, paths[domain])
+                    added[domain] += step
+
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::live sleep_ms=150"])
+        harness_args = f"-m manai.fixture_harness --plan {plan}"
+        config = tmp_path / "live.cfg"
+        config.write_text(
+            "[harness]\n"
+            f"program = {sys.executable}\n"
+            f"args = {harness_args}\n"
+            f"list_args = {harness_args} --list\n"
+            "timeout_s = 30\n"
+            "\n"
+            "[probe]\n"
+            "backend = rapl\n"
+            f"powercap_root = {root}\n"
+            "\n"
+            "[experiment]\n"
+            "rate_hz = 1000\n"
+            "iterations = 3\n"
+            "select = demo::live\n"
+            "revision = rev-live\n"
+            f"data_dir = {tmp_path / 'data'}\n"
+        )
+
+        writer = threading.Thread(target=write_counters, name="counter-writer")
+        writer.start()
+        try:
+            code = main(["run", "--config", str(config)])
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 0, capsys.readouterr().err
+        assert wraps[PKG] >= 1 and wraps[CORE] >= 1
+
+        results = Store(tmp_path / "data").latest("rev-live").results[TestId("demo", "live")]
+        assert len(results) == 3
+        assert all(r.status is TestStatus.PASS for r in results)
+        for result in results:
+            assert result.samples
+            assert all(a.end_ns == b.start_ns for a, b in zip(result.samples, result.samples[1:]))
+            for sample in result.samples:
+                for domain, energy_uj in sample.energy_uj.items():
+                    assert energy_uj <= added[domain]
 
 
 class TestExitCodes:

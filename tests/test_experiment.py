@@ -16,6 +16,7 @@ from manai.errors import EmptyInput, InvalidConfig, LockHeld
 from manai.experiment import (
     BaselineSetting,
     ExperimentConfig,
+    _quantize_duration_ns,
     config_digest,
     run_experiment,
 )
@@ -207,6 +208,23 @@ def sim_experiment(tmp_path):
         return ExperimentConfig(**kwargs)
 
     return tmp_path, plan, scenario, build
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval=st.integers(1, 10**8), k=st.integers(1, 10**4), data=st.data())
+def test_quantize_snaps_jitter_window_to_grid_point(interval, k, data):
+    # Integers in [max(I, kI - I/4), kI + 3I/4): a quarter interval early
+    # and three quarters late around the grid point, clipped at one interval.
+    low = max(interval, k * interval - interval // 4)
+    high = k * interval + interval - interval // 4 - 1
+    duration = data.draw(st.integers(low, high))
+    assert _quantize_duration_ns(duration, interval) == k * interval
+
+
+@given(interval=st.integers(2, 10**8), data=st.data())
+def test_quantize_keeps_sub_interval_durations(interval, data):
+    duration = data.draw(st.integers(1, interval - 1))
+    assert _quantize_duration_ns(duration, interval) == duration
 
 
 class TestRunExperiment:

@@ -85,7 +85,6 @@ class TestRunOne:
         run = run_one(fixture_harness_command(plan), TestId("demo", "quick"), timeout_s=20)
         assert run.status is TestStatus.PASS
         assert run.end_ns > run.begin_ns
-        assert not run.crashed
 
     def test_failing_status_reported(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::bad sleep_ms=1 status=FAIL"])

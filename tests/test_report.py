@@ -19,7 +19,7 @@ from manai.report import (
     Trend,
     export,
     render_compare,
-    render_evolution,
+    render_history,
     render_report,
     render_summary,
     sparkline,
@@ -49,6 +49,12 @@ def store_three_revisions(tmp_path):
     for i, (label, uj) in enumerate([("r1", 4_000_000), ("r2", 3_000_000), ("r3", 2_000_000)]):
         store.save(make_record(label, ts(i), {"demo::t": uj}))
     return store
+
+
+def history_request(limit=None, no_color=False):
+    return ReportRequest(
+        scope="history", tests=(TestId("demo", "t"),), limit=limit, no_color=no_color
+    )
 
 
 def summary_request(revision="rev-a", **overrides):
@@ -153,20 +159,20 @@ class TestEvolution:
         store = Store(tmp_path)
         store.save(make_record("r1", ts(0), {"demo::t": 4_000_000}))
         store.save(make_record("r2", ts(1), {"demo::t": 2_000_000}))
-        line = render_evolution(store, TestId("demo", "t"), no_color=True)
+        line = render_history(store, history_request(no_color=True))
         assert "-50% last step" in line
         assert "↓" in line
 
     def test_single_point_is_flat_without_percentage(self, tmp_path):
         store = Store(tmp_path)
         store.save(make_record("r1", ts(0), {"demo::t": 4_000_000}))
-        line = render_evolution(store, TestId("demo", "t"), no_color=True)
+        line = render_history(store, history_request(no_color=True))
         assert "single point" in line
         assert "→" in line
         assert "%" not in line
 
     def test_three_revision_descent_is_monotone(self, store_three_revisions):
-        line = render_evolution(store_three_revisions, TestId("demo", "t"), no_color=True)
+        line = render_history(store_three_revisions, history_request(no_color=True))
         glyphs = [c for c in line if c in "▁▂▃▄▅▆▇█"]
         levels = ["▁▂▃▄▅▆▇█".index(c) for c in glyphs]
         assert len(levels) == 3
@@ -174,10 +180,12 @@ class TestEvolution:
 
     def test_no_history_raises(self, tmp_path):
         with pytest.raises(NoHistory):
-            render_evolution(Store(tmp_path), TestId("demo", "ghost"))
+            render_history(
+                Store(tmp_path), ReportRequest(scope="history", tests=(TestId("demo", "ghost"),))
+            )
 
     def test_limit_respected(self, store_three_revisions):
-        line = render_evolution(store_three_revisions, TestId("demo", "t"), limit=2)
+        line = render_history(store_three_revisions, history_request(limit=2))
         assert "r1" not in line
         assert "r2" in line and "r3" in line
 

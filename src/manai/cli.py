@@ -296,56 +296,36 @@ def _parse_domains(text: str | None) -> tuple[EnergyDomain, ...] | None:
         raise errors.InvalidConfig(str(exc)) from exc
 
 
-def _cmd_report(args, cfg) -> int:
-    data_dir = _data_dir(args, cfg)
-    fmt = _report_format(args.format)
-    out = Path(args.out) if args.out else None
-    if args.evolution:
-        request = ReportRequest(
-            scope="history",
-            tests=_parse_selection(args.evolution),
-            limit=args.limit,
-            domains=_parse_domains(args.domains),
-            fmt=fmt,
-            output_path=out,
-            no_color=args.no_color,
-            width=args.width,
-        )
-    elif args.revision:
-        request = ReportRequest(
-            scope="revision",
-            revisions=(args.revision,),
-            domains=_parse_domains(args.domains),
-            fmt=fmt,
-            output_path=out,
-            no_color=args.no_color,
-            width=args.width,
-        )
-    else:
-        raise _UsageError("report needs --revision or --evolution")
-    text = export(Store(data_dir), request)
-    if out is None:
-        print(text, end="")
-    else:
-        log.info("wrote %s", out)
-    return EXIT_OK
-
-
-def _cmd_compare(args, cfg) -> int:
-    data_dir = _data_dir(args, cfg)
+def _export_report(args, cfg, **scope) -> int:
+    """Render one report request built from ``scope`` and the output flags."""
     request = ReportRequest(
-        scope="compare",
-        revisions=(args.revision_a, args.revision_b),
+        **scope,
         domains=_parse_domains(args.domains),
         fmt=_report_format(args.format),
         output_path=Path(args.out) if args.out else None,
         no_color=args.no_color,
         width=args.width,
     )
-    text = export(Store(data_dir), request)
+    text = export(Store(_data_dir(args, cfg)), request)
     if request.output_path is None:
         print(text, end="")
+    else:
+        log.info("wrote %s", request.output_path)
     return EXIT_OK
+
+
+def _cmd_report(args, cfg) -> int:
+    if args.evolution:
+        tests = _parse_selection(args.evolution)
+        return _export_report(args, cfg, scope="history", tests=tests, limit=args.limit)
+    if args.revision:
+        return _export_report(args, cfg, scope="revision", revisions=(args.revision,))
+    raise _UsageError("report needs --revision or --evolution")
+
+
+def _cmd_compare(args, cfg) -> int:
+    revisions = (args.revision_a, args.revision_b)
+    return _export_report(args, cfg, scope="compare", revisions=revisions)
 
 
 def _cmd_baseline(args, cfg) -> int:

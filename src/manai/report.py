@@ -1,15 +1,20 @@
 """Render stored results: summary tables, comparisons, evolution views.
 
-Four output formats share the same data: a terminal view with block-bar
-charts and sparklines, a self-contained static HTML page with inline SVG,
-CSV for spreadsheets, and a machine-readable JSON export that mirrors the
-record schema verbatim.
+Each scope builds its rows once: the ``(test, domain, statistic, value,
+unit)`` tuples of the CSV export. CSV prints them at full precision; the
+terminal and HTML tables pivot them by ``(test, domain)`` and show three
+significant digits. The terminal adds block-bar charts and sparklines,
+HTML pages are self-contained with inline SVG, and the machine-readable
+JSON export mirrors the record schema verbatim.
 
-Display rule: terminal and HTML show numbers at three significant digits;
-CSV and machine output carry full precision. Rendering is a pure function
-of store content and the request, so identical inputs produce identical
-bytes (the HTML generation timestamp lives in a single metadata comment
-line).
+Domains: ``ReportRequest.domains`` selects among a record's domains (all
+when unset); a filter that selects none raises ``EmptyScope``. Charts and
+evolution views follow the lead domain, the first selected domain in
+``domain_sort_key`` order.
+
+Rendering is a pure function of store content and the request, so
+identical inputs produce identical bytes (the HTML generation timestamp
+lives in a single metadata comment line).
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 import html
 import json
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from manai.errors import EmptyScope, NoHistory
 from manai.harness import TestId
@@ -62,7 +68,6 @@ class ReportRequest:
     output_path: Path | None = None
     no_color: bool = False
     width: int | None = None
-    trend_threshold: float = DEFAULT_TREND_THRESHOLD
 
     def __post_init__(self):
         if self.scope == "revision" and len(self.revisions) != 1:
@@ -72,6 +77,24 @@ class ReportRequest:
                 raise ValueError("compare scope needs two distinct revisions")
         if self.scope == "history" and not self.tests:
             raise ValueError("history scope needs at least one test")
+
+
+def _quintile(rank: int, population: int) -> int:
+    """Colour bucket of a rank: its quintile, 0 (lowest value) to 4."""
+    return min(4, rank * 5 // max(population, 1))
+
+
+def _ranks(values: list[float]) -> list[int]:
+    """Ascending rank of each value; equal values keep their input order."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [order.index(i) for i in range(len(values))]
+
+
+def _last_change(series: tuple[float, ...]) -> float | None:
+    """Relative change of the last step; None without a nonzero previous point."""
+    if len(series) >= 2 and series[-2] != 0:
+        return (series[-1] - series[-2]) / series[-2]
+    return None
 
 
 @dataclass(frozen=True)
@@ -85,22 +108,15 @@ class EvolutionGlyph:
 
     @classmethod
     def from_series(
-        cls,
-        test: TestId,
-        series: tuple[float, ...],
-        rank: int = 0,
-        population: int = 1,
-        threshold: float = DEFAULT_TREND_THRESHOLD,
+        cls, test: TestId, series: tuple[float, ...], rank: int = 0, population: int = 1
     ) -> "EvolutionGlyph":
+        change = _last_change(series) or 0.0
         trend = Trend.FLAT
-        if len(series) >= 2 and series[-2] != 0:
-            change = (series[-1] - series[-2]) / series[-2]
-            if change > threshold:
-                trend = Trend.INCREASE
-            elif change < -threshold:
-                trend = Trend.DECREASE
-        bucket = min(4, rank * 5 // max(population, 1))
-        return cls(test=test, series=series, trend=trend, color_bucket=bucket)
+        if change > DEFAULT_TREND_THRESHOLD:
+            trend = Trend.INCREASE
+        elif change < -DEFAULT_TREND_THRESHOLD:
+            trend = Trend.DECREASE
+        return cls(test=test, series=series, trend=trend, color_bucket=_quintile(rank, population))
 
 
 def sparkline_levels(values: list[float]) -> list[int]:
@@ -124,30 +140,30 @@ def format_sig(value: float) -> str:
 
 def format_full(value) -> str:
     """Full-precision round-trip form for CSV and machine output."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
-def _colorize(text: str, code: str, no_color: bool) -> str:
-    if no_color:
+def _colorize(text: str, code: str | None, no_color: bool) -> str:
+    if no_color or code is None:
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _lead_domain(record: RevisionRecord) -> EnergyDomain:
-    return record.probe_domains[0]
+def _select_domains(
+    available: Iterable[EnergyDomain], request: ReportRequest, where: str
+) -> list[EnergyDomain]:
+    """The requested domains among ``available`` in ``domain_sort_key`` order;
+    the first is the lead domain.
 
-
-def _select_domains(record: RevisionRecord, request: ReportRequest) -> list[EnergyDomain]:
-    domains = list(record.probe_domains)
-    if request.domains:
-        domains = [d for d in domains if d in request.domains]
-    return sorted(domains, key=domain_sort_key)
-
-
-def _sorted_tests(record: RevisionRecord) -> list[TestId]:
-    return sorted(record.summaries, key=str)
+    Raises:
+        EmptyScope: ``request.domains`` selects none of ``available``.
+    """
+    available = sorted(available, key=domain_sort_key)
+    domains = [d for d in available if not request.domains or d in request.domains]
+    if not domains:
+        names = ", ".join(map(str, available))
+        raise EmptyScope(f"no selected domain in {where} (it has {names})")
+    return domains
 
 
 def _latest_record(store: Store, revision: str) -> RevisionRecord:
@@ -157,79 +173,88 @@ def _latest_record(store: Store, revision: str) -> RevisionRecord:
     return record
 
 
-# --------------------------------------------------------------------------
-# summary (one revision)
-# --------------------------------------------------------------------------
+class _Row(NamedTuple):
+    """One CSV line; ``domain`` is None for a statistic of the whole test."""
+
+    test: TestId
+    domain: EnergyDomain | None
+    statistic: str
+    value: float
+    unit: str
 
 
-def _bar(value: float, scale: float, width: int) -> str:
-    if scale <= 0:
-        return ""
-    return "█" * max(1, round(value / scale * width)) if value > 0 else ""
-
-
-def _summary_term(record: RevisionRecord, request: ReportRequest) -> str:
-    domains = _select_domains(record, request)
-    width = request.width or shutil.get_terminal_size(fallback=(100, 24)).columns
+def _as_csv(rows: list[_Row]) -> str:
     lines = [
-        f"revision {record.revision_label}  ({record.created_at})",
-        f"probe {record.probe_backend}, update interval "
-        f"{record.probe_update_interval_ns / 1e6:g} ms, "
-        f"config {record.config_digest.split(':', 1)[1][:12]}",
-        "",
+        f"{r.test},{'' if r.domain is None else r.domain},{r.statistic},"
+        f"{format_full(r.value)},{r.unit}"
+        for r in rows
     ]
-    header = (
-        f"{'test':<28} {'domain':<10} {'iter':>4} {'P/F/S':>6} "
-        f"{'E mean':>9} {'E median':>9} {'E stddev':>9} {'P mean':>9} "
-        f"{'dur mean':>9}  conf"
-    )
-    lines.append(header)
-    lines.append("-" * min(len(header), width))
-    for test in _sorted_tests(record):
-        summary = record.summaries[test]
-        statuses = f"{summary.pass_count}/{summary.fail_count}/{summary.skip_count}"
-        for index, domain in enumerate(domains):
-            energy = summary.energy_stats.get(domain)
-            power = summary.power_stats.get(domain)
-            if energy is None or power is None:
-                continue
-            marker = ""
-            if index == 0 and summary.any_low_confidence:
-                marker = "< update interval"
-            lines.append(
-                f"{str(test) if index == 0 else '':<28} {str(domain):<10} "
-                f"{summary.iterations if index == 0 else '':>4} "
-                f"{statuses if index == 0 else '':>6} "
-                f"{format_sig(energy.mean) + ' J':>9} "
-                f"{format_sig(energy.median) + ' J':>9} "
-                f"{format_sig(energy.stddev) + ' J':>9} "
-                f"{format_sig(power.mean) + ' W':>9} "
-                f"{format_sig(summary.mean_duration_s) + ' s' if index == 0 else '':>9}"
-                f"  {marker}"
-            )
-    lines.append("")
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
-    # Block-bar chart of mean lead-domain energy across tests.
-    lead = _lead_domain(record)
-    means = {
-        t: record.summaries[t].energy_stats[lead].mean
-        for t in _sorted_tests(record)
-        if lead in record.summaries[t].energy_stats
-    }
-    if means:
-        lines.append(f"mean {lead} energy per test:")
-        scale = max(means.values())
-        bar_width = max(10, min(48, width - 45))
-        ranked = sorted(means, key=lambda t: means[t])
-        for test in _sorted_tests(record):
-            if test not in means:
-                continue
-            bucket = min(4, ranked.index(test) * 5 // max(len(ranked), 1))
-            bar = _colorize(
-                _bar(means[test], scale, bar_width), _BUCKET_COLORS[bucket], request.no_color
-            )
-            lines.append(f"  {str(test):<28} {bar} {format_sig(means[test])} J")
-    return "\n".join(lines) + "\n"
+
+class _Column(NamedTuple):
+    """A table column: its headings, terminal layout and HTML class."""
+
+    term: str
+    html: str
+    spec: str  # format spec of the terminal cell, unit included
+    unit: str = ""  # terminal suffix of a non-empty cell
+    gap: str = " "  # terminal separator before the cell
+    span: str = ""  # class of an HTML span around a non-empty cell
+
+
+def _table_lines(rows: list[_Row], cells: Callable[..., list]) -> list[list]:
+    """Pivot rows by (test, domain) into one line of cells per domain.
+
+    ``cells(test, domain, stats, test_stats, first)`` gets the domain's
+    statistics, the test's domainless ones and whether the line is the
+    test's first. A cell is text, or (text, ANSI colour) for the terminal.
+    """
+    groups: dict[tuple, dict[str, float]] = {}
+    for row in rows:
+        groups.setdefault((row.test, row.domain), {})[row.statistic] = row.value
+    lines, previous = [], None
+    for (test, domain), stats in groups.items():
+        if domain is not None:
+            lines.append(cells(test, domain, stats, groups[test, None], test != previous))
+            previous = test
+    return lines
+
+
+def _width(request: ReportRequest) -> int:
+    return request.width or shutil.get_terminal_size(fallback=(100, 24)).columns
+
+
+def _term_table(
+    columns: tuple[_Column, ...], lines: list[list], request: ReportRequest
+) -> list[str]:
+    header = "".join(column.gap + format(column.term, column.spec) for column in columns)
+    out = [header, "-" * min(len(header), _width(request))]
+    for cells in lines:
+        text = ""
+        for column, cell in zip(columns, cells):
+            value, code = cell if isinstance(cell, tuple) else (cell, None)
+            padded = format(value + column.unit if value else "", column.spec)
+            text += column.gap + _colorize(padded, code, request.no_color)
+        out.append(text)
+    return out
+
+
+def _html_table(columns: tuple[_Column, ...], lines: list[list]) -> str:
+    heads = [f'<th class="name">{columns[0].html}</th>']
+    heads += [f"<th>{column.html}</th>" for column in columns[1:]]
+    # Four heading cells to a source line keep the markup readable.
+    header = "\n".join("".join(heads[i:i + 4]) for i in range(0, len(heads), 4))
+    body = []
+    for cells in lines:
+        tds = []
+        for column, cell in zip(columns, cells):
+            text = html.escape(cell[0] if isinstance(cell, tuple) else cell)
+            if text and column.span:
+                text = f'<span class="{column.span}">{text}</span>'
+            tds.append(text)
+        body.append("<tr><td class='name'>" + "</td><td>".join(tds) + "</td></tr>")
+    return f"<table>\n<tr>{header}</tr>\n{''.join(body)}\n</table>"
 
 
 _HTML_STYLE = """
@@ -242,92 +267,51 @@ td.name, th.name { text-align: left; font-family: monospace; }
 svg { margin: 0.5em 0; }
 """
 
-_SVG_BUCKET_FILLS = ("#2e7d32", "#00838f", "#f9a825", "#ad1457", "#c62828")
+
+def _generated() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _summary_html(record: RevisionRecord, request: ReportRequest) -> str:
-    domains = _select_domains(record, request)
-    rows = []
-    for test in _sorted_tests(record):
-        summary = record.summaries[test]
-        for index, domain in enumerate(domains):
-            energy = summary.energy_stats.get(domain)
-            power = summary.power_stats.get(domain)
-            if energy is None or power is None:
-                continue
-            conf = ""
-            if index == 0 and summary.any_low_confidence:
-                conf = '<span class="low-confidence">&lt; update interval</span>'
-            first = index == 0
-            name = html.escape(str(test)) if first else ""
-            statuses = f"{summary.pass_count}/{summary.fail_count}/{summary.skip_count}"
-            rows.append(
-                f"<tr><td class='name'>{name}</td><td>{html.escape(str(domain))}</td>"
-                f"<td>{summary.iterations if first else ''}</td>"
-                f"<td>{statuses if first else ''}</td>"
-                f"<td>{format_sig(energy.mean)}</td><td>{format_sig(energy.median)}</td>"
-                f"<td>{format_sig(energy.stddev)}</td><td>{format_sig(power.mean)}</td>"
-                f"<td>{format_sig(summary.mean_duration_s) if first else ''}</td>"
-                f"<td>{conf}</td></tr>"
-            )
-
-    lead = _lead_domain(record)
-    tests = [t for t in _sorted_tests(record) if lead in record.summaries[t].energy_stats]
-    means = [record.summaries[t].energy_stats[lead].mean for t in tests]
-    bars = []
-    if means:
-        scale = max(means) or 1.0
-        ranked = sorted(range(len(tests)), key=lambda i: means[i])
-        bucket_of = {i: min(4, ranked.index(i) * 5 // len(tests)) for i in range(len(tests))}
-        for i, (test, mean) in enumerate(zip(tests, means)):
-            bar_w = max(1, round(mean / scale * 420))
-            y = 8 + i * 26
-            bars.append(
-                f"<text x='0' y='{y + 13}' font-size='12' font-family='monospace'>"
-                f"{html.escape(str(test))}</text>"
-                f"<rect x='240' y='{y}' width='{bar_w}' height='16' "
-                f"fill='{_SVG_BUCKET_FILLS[bucket_of[i]]}' />"
-                f"<text x='{244 + bar_w}' y='{y + 13}' font-size='12'>"
-                f"{format_sig(mean)} J</text>"
-            )
-    svg = (
-        f"<svg width='760' height='{12 + 26 * max(len(tests), 1)}' "
-        f"xmlns='http://www.w3.org/2000/svg'>{''.join(bars)}</svg>"
-    )
-
-    generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _html_page(title: str, body: str) -> str:
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>energy summary: {html.escape(record.revision_label)}</title>
+<title>{html.escape(title)}</title>
 <style>{_HTML_STYLE}</style>
 </head>
 <body>
-<!-- generated {generated} -->
-<h1>Energy summary for revision {html.escape(record.revision_label)}</h1>
-<p>probe {record.probe_backend}, update interval {record.probe_update_interval_ns / 1e6:g} ms,
-created {record.created_at}, config {record.config_digest}</p>
-<table>
-<tr><th class="name">test</th><th>domain</th><th>iterations</th><th>P/F/S</th>
-<th>E mean [J]</th><th>E median [J]</th><th>E stddev [J]</th><th>P mean [W]</th>
-<th>duration [s]</th><th>confidence</th></tr>
-{''.join(rows)}
-</table>
-<h2>Mean {html.escape(str(lead))} energy per test</h2>
-{svg}
+<!-- generated {_generated()} -->
+{body}
 </body>
 </html>
 """
 
 
+# --------------------------------------------------------------------------
+# summary (one revision)
+# --------------------------------------------------------------------------
+
+
 _SUMMARY_STATISTICS = ("mean", "median", "min", "max", "stddev")
 
+_SUMMARY_COLUMNS = (
+    _Column("test", "test", "<28", gap=""),
+    _Column("domain", "domain", "<10"),
+    _Column("iter", "iterations", ">4"),
+    _Column("P/F/S", "P/F/S", ">6"),
+    _Column("E mean", "E mean [J]", ">9", " J"),
+    _Column("E median", "E median [J]", ">9", " J"),
+    _Column("E stddev", "E stddev [J]", ">9", " J"),
+    _Column("P mean", "P mean [W]", ">9", " W"),
+    _Column("dur mean", "duration [s]", ">9", " s"),
+    _Column("conf", "confidence", "", gap="  ", span="low-confidence"),
+)
 
-def _summary_csv_rows(record: RevisionRecord, request: ReportRequest) -> list[str]:
+
+def _summary_rows(record: RevisionRecord, domains: list[EnergyDomain]) -> list[_Row]:
     rows = []
-    domains = _select_domains(record, request)
-    for test in _sorted_tests(record):
+    for test in sorted(record.summaries, key=str):
         summary = record.summaries[test]
         for domain in domains:
             energy = summary.energy_stats.get(domain)
@@ -335,20 +319,107 @@ def _summary_csv_rows(record: RevisionRecord, request: ReportRequest) -> list[st
             if energy is None or power is None:
                 continue
             for stat in _SUMMARY_STATISTICS:
-                rows.append(f"{test},{domain},energy_{stat},{format_full(getattr(energy, stat))},J")
+                rows.append(_Row(test, domain, f"energy_{stat}", getattr(energy, stat), "J"))
             for stat in _SUMMARY_STATISTICS:
-                rows.append(f"{test},{domain},power_{stat},{format_full(getattr(power, stat))},W")
-        rows.append(f"{test},,duration_mean,{format_full(summary.mean_duration_s)},s")
-        rows.append(f"{test},,iterations,{summary.iterations},count")
-        rows.append(f"{test},,pass_count,{summary.pass_count},count")
-        rows.append(f"{test},,fail_count,{summary.fail_count},count")
-        rows.append(f"{test},,skip_count,{summary.skip_count},count")
-        rows.append(f"{test},,low_confidence,{int(summary.any_low_confidence)},flag")
+                rows.append(_Row(test, domain, f"power_{stat}", getattr(power, stat), "W"))
+        rows += [
+            _Row(test, None, "duration_mean", summary.mean_duration_s, "s"),
+            _Row(test, None, "iterations", summary.iterations, "count"),
+            _Row(test, None, "pass_count", summary.pass_count, "count"),
+            _Row(test, None, "fail_count", summary.fail_count, "count"),
+            _Row(test, None, "skip_count", summary.skip_count, "count"),
+            _Row(test, None, "low_confidence", int(summary.any_low_confidence), "flag"),
+        ]
     return rows
 
 
-def _as_csv(rows: list[str]) -> str:
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+def _summary_cells(test, domain, stats, test_stats, first) -> list:
+    def once(text: str) -> str:
+        """Cells about the whole test show on its first line only."""
+        return text if first else ""
+
+    statuses = f"{test_stats['pass_count']}/{test_stats['fail_count']}/{test_stats['skip_count']}"
+    return [
+        once(str(test)),
+        str(domain),
+        once(str(test_stats["iterations"])),
+        once(statuses),
+        format_sig(stats["energy_mean"]),
+        format_sig(stats["energy_median"]),
+        format_sig(stats["energy_stddev"]),
+        format_sig(stats["power_mean"]),
+        once(format_sig(test_stats["duration_mean"])),
+        once("< update interval" if test_stats["low_confidence"] else ""),
+    ]
+
+
+def _chart(rows: list[_Row], lead: EnergyDomain) -> list[tuple[TestId, float, int]]:
+    """(test, mean lead-domain energy, colour bucket) of each charted test."""
+    means = [(r.test, r.value) for r in rows if r.domain == lead and r.statistic == "energy_mean"]
+    ranks = _ranks([mean for _, mean in means])
+    return [(test, mean, _quintile(rank, len(means))) for (test, mean), rank in zip(means, ranks)]
+
+
+def _bar(value: float, scale: float, width: int) -> str:
+    if scale <= 0:
+        return ""
+    return "█" * max(1, round(value / scale * width)) if value > 0 else ""
+
+
+def _summary_term(
+    record: RevisionRecord, rows: list[_Row], lead: EnergyDomain, request: ReportRequest
+) -> str:
+    lines = [
+        f"revision {record.revision_label}  ({record.created_at})",
+        f"probe {record.probe_backend}, update interval "
+        f"{record.probe_update_interval_ns / 1e6:g} ms, "
+        f"config {record.config_digest.split(':', 1)[1][:12]}",
+        "",
+        *_term_table(_SUMMARY_COLUMNS, _table_lines(rows, _summary_cells), request),
+        "",
+    ]
+    chart = _chart(rows, lead)
+    if chart:
+        lines.append(f"mean {lead} energy per test:")
+        scale = max(mean for _, mean, _ in chart)
+        bar_width = max(10, min(48, _width(request) - 45))
+        for test, mean, bucket in chart:
+            bar = _colorize(_bar(mean, scale, bar_width), _BUCKET_COLORS[bucket], request.no_color)
+            lines.append(f"  {str(test):<28} {bar} {format_sig(mean)} J")
+    return "\n".join(lines) + "\n"
+
+
+_SVG_BUCKET_FILLS = ("#2e7d32", "#00838f", "#f9a825", "#ad1457", "#c62828")
+
+
+def _summary_html(record: RevisionRecord, rows: list[_Row], lead: EnergyDomain) -> str:
+    chart = _chart(rows, lead)
+    scale = max((mean for _, mean, _ in chart), default=0.0) or 1.0
+    bars = []
+    for i, (test, mean, bucket) in enumerate(chart):
+        bar_w = max(1, round(mean / scale * 420))
+        y = 8 + i * 26
+        bars.append(
+            f"<text x='0' y='{y + 13}' font-size='12' font-family='monospace'>"
+            f"{html.escape(str(test))}</text>"
+            f"<rect x='240' y='{y}' width='{bar_w}' height='16' "
+            f"fill='{_SVG_BUCKET_FILLS[bucket]}' />"
+            f"<text x='{244 + bar_w}' y='{y + 13}' font-size='12'>"
+            f"{format_sig(mean)} J</text>"
+        )
+    svg = (
+        f"<svg width='760' height='{12 + 26 * max(len(chart), 1)}' "
+        f"xmlns='http://www.w3.org/2000/svg'>{''.join(bars)}</svg>"
+    )
+    return _html_page(
+        f"energy summary: {record.revision_label}",
+        f"<h1>Energy summary for revision {html.escape(record.revision_label)}</h1>\n"
+        f"<p>probe {record.probe_backend}, update interval "
+        f"{record.probe_update_interval_ns / 1e6:g} ms,\n"
+        f"created {record.created_at}, config {record.config_digest}</p>\n"
+        f"{_html_table(_SUMMARY_COLUMNS, _table_lines(rows, _summary_cells))}\n"
+        f"<h2>Mean {html.escape(str(lead))} energy per test</h2>\n{svg}",
+    )
 
 
 def render_summary(store: Store, request: ReportRequest) -> str:
@@ -356,16 +427,19 @@ def render_summary(store: Store, request: ReportRequest) -> str:
 
     Raises:
         UnknownRevision: Nothing stored under that label.
-        EmptyScope: The revision exists but holds no test data.
+        EmptyScope: The revision holds no test data, or the domain filter
+            selects none of its domains.
     """
     record = _latest_record(store, request.revisions[0])
-    if request.fmt is ReportFormat.TERM:
-        return _summary_term(record, request)
-    if request.fmt is ReportFormat.HTML:
-        return _summary_html(record, request)
+    domains = _select_domains(record.probe_domains, request, f"revision {record.revision_label!r}")
+    if request.fmt is ReportFormat.MACHINE:
+        return render_record(record)
+    rows = _summary_rows(record, domains)
     if request.fmt is ReportFormat.CSV:
-        return _as_csv(_summary_csv_rows(record, request))
-    return render_record(record)
+        return _as_csv(rows)
+    if request.fmt is ReportFormat.HTML:
+        return _summary_html(record, rows, domains[0])
+    return _summary_term(record, rows, domains[0], request)
 
 
 # --------------------------------------------------------------------------
@@ -373,86 +447,82 @@ def render_summary(store: Store, request: ReportRequest) -> str:
 # --------------------------------------------------------------------------
 
 
-def _compare_term(a: RevisionRecord, b: RevisionRecord, request: ReportRequest) -> str:
-    lines = [
-        f"compare {a.revision_label} -> {b.revision_label}",
-        "",
-        f"{'test':<28} {'domain':<10} {'A mean':>10} {'B mean':>10} "
-        f"{'delta':>10} {'change':>8}",
-    ]
-    lines.append("-" * len(lines[-1]))
-    common = sorted(set(a.summaries) & set(b.summaries), key=str)
-    for test in common:
-        for domain in _select_domains(b, request):
-            stats_a = a.summaries[test].energy_stats.get(domain)
-            stats_b = b.summaries[test].energy_stats.get(domain)
-            if stats_a is None or stats_b is None:
-                continue
-            delta = stats_b.mean - stats_a.mean
-            change = f"{delta / stats_a.mean * 100:+.1f}%" if stats_a.mean else "n/a"
-            arrow_code = "31" if delta > 0 else "32" if delta < 0 else "0"
-            lines.append(
-                f"{str(test):<28} {str(domain):<10} "
-                f"{format_sig(stats_a.mean) + ' J':>10} "
-                f"{format_sig(stats_b.mean) + ' J':>10} "
-                f"{format_sig(delta) + ' J':>10} "
-                f"{_colorize(f'{change:>8}', arrow_code, request.no_color)}"
-            )
-    skipped_a = sorted(set(a.summaries) - set(b.summaries), key=str)
-    skipped_b = sorted(set(b.summaries) - set(a.summaries), key=str)
-    if skipped_a:
-        lines.append(f"only in {a.revision_label}: {', '.join(map(str, skipped_a))}")
-    if skipped_b:
-        lines.append(f"only in {b.revision_label}: {', '.join(map(str, skipped_b))}")
-    return "\n".join(lines) + "\n"
+_COMPARE_COLUMNS = (
+    _Column("test", "test", "<28", gap=""),
+    _Column("domain", "domain", "<10"),
+    _Column("A mean", "A mean [J]", ">10", " J"),
+    _Column("B mean", "B mean [J]", ">10", " J"),
+    _Column("delta", "delta [J]", ">10", " J"),
+    _Column("change", "change", ">8"),
+)
 
 
-def _compare_csv_rows(a: RevisionRecord, b: RevisionRecord, request: ReportRequest) -> list[str]:
+_COMPARED = ("energy_mean", "power_mean", "duration_mean")
+
+
+def _compare_rows(a: RevisionRecord, b: RevisionRecord, domains: list[EnergyDomain]) -> list[_Row]:
+    """B's summary rows of the compared statistics, joined with A's on
+    (test, domain, statistic) and split into ``_a``, ``_b`` and ``_delta``."""
+    rows_a = {(r.test, r.domain, r.statistic): r.value for r in _summary_rows(a, domains)}
     rows = []
-    common = sorted(set(a.summaries) & set(b.summaries), key=str)
-    for test in common:
-        for domain in _select_domains(b, request):
-            stats_a = a.summaries[test].energy_stats.get(domain)
-            stats_b = b.summaries[test].energy_stats.get(domain)
-            if stats_a is None or stats_b is None:
-                continue
-            p_a = a.summaries[test].power_stats[domain]
-            p_b = b.summaries[test].power_stats[domain]
-            rows.append(f"{test},{domain},energy_mean_a,{format_full(stats_a.mean)},J")
-            rows.append(f"{test},{domain},energy_mean_b,{format_full(stats_b.mean)},J")
-            rows.append(
-                f"{test},{domain},energy_mean_delta,{format_full(stats_b.mean - stats_a.mean)},J"
-            )
-            rows.append(f"{test},{domain},power_mean_a,{format_full(p_a.mean)},W")
-            rows.append(f"{test},{domain},power_mean_b,{format_full(p_b.mean)},W")
-            rows.append(f"{test},{domain},power_mean_delta,{format_full(p_b.mean - p_a.mean)},W")
-        dur_a = a.summaries[test].mean_duration_s
-        dur_b = b.summaries[test].mean_duration_s
-        rows.append(f"{test},,duration_mean_a,{format_full(dur_a)},s")
-        rows.append(f"{test},,duration_mean_b,{format_full(dur_b)},s")
-        rows.append(f"{test},,duration_mean_delta,{format_full(dur_b - dur_a)},s")
+    for row in _summary_rows(b, domains):
+        value_a = rows_a.get((row.test, row.domain, row.statistic))
+        if value_a is None or row.statistic not in _COMPARED:
+            continue
+        for suffix, value in (("a", value_a), ("b", row.value), ("delta", row.value - value_a)):
+            rows.append(row._replace(statistic=f"{row.statistic}_{suffix}", value=value))
     return rows
 
 
+def _compare_cells(test, domain, stats, test_stats, first) -> list:
+    mean_a, delta = stats["energy_mean_a"], stats["energy_mean_delta"]
+    change = f"{delta / mean_a * 100:+.1f}%" if mean_a else "n/a"
+    arrow_code = "31" if delta > 0 else "32" if delta < 0 else "0"
+    return [
+        str(test),
+        str(domain),
+        format_sig(mean_a),
+        format_sig(stats["energy_mean_b"]),
+        format_sig(delta),
+        (change, arrow_code),
+    ]
+
+
+def _only_in(a: RevisionRecord, b: RevisionRecord) -> list[str]:
+    """A line for each revision that holds tests the other one lacks."""
+    lines = []
+    for this, other in ((a, b), (b, a)):
+        only = sorted(set(this.summaries) - set(other.summaries), key=str)
+        if only:
+            lines.append(f"only in {this.revision_label}: {', '.join(map(str, only))}")
+    return lines
+
+
 def render_compare(store: Store, request: ReportRequest) -> str:
-    """Comparison of two stored revisions (latest record of each)."""
-    record_a = _latest_record(store, request.revisions[0])
-    record_b = _latest_record(store, request.revisions[1])
-    if request.fmt is ReportFormat.CSV:
-        return _as_csv(_compare_csv_rows(record_a, record_b, request))
+    """Comparison of two stored revisions (latest record of each).
+
+    Raises:
+        EmptyScope: A revision holds no test data, or the domain filter
+            selects none of a revision's domains.
+    """
+    a, b = (_latest_record(store, revision) for revision in request.revisions)
+    # The filter must select a domain of each record; the rows follow B's.
+    _select_domains(a.probe_domains, request, f"revision {a.revision_label!r}")
+    domains = _select_domains(b.probe_domains, request, f"revision {b.revision_label!r}")
     if request.fmt is ReportFormat.MACHINE:
-        doc = {"a": record_to_doc(record_a), "b": record_to_doc(record_b)}
+        doc = {"a": record_to_doc(a), "b": record_to_doc(b)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rows = _compare_rows(a, b, domains)
+    if request.fmt is ReportFormat.CSV:
+        return _as_csv(rows)
+    lines = _table_lines(rows, _compare_cells)
+    title = f"compare {a.revision_label} -> {b.revision_label}"
     if request.fmt is ReportFormat.HTML:
-        plain = replace(request, no_color=True)
-        body = html.escape(_compare_term(record_a, record_b, plain))
-        generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        return (
-            "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-            f"<title>energy compare</title><style>{_HTML_STYLE}</style></head>\n"
-            f"<body>\n<!-- generated {generated} -->\n<pre>{body}</pre>\n</body></html>\n"
-        )
-    return _compare_term(record_a, record_b, request)
+        notes = "".join(f"\n<p>{html.escape(line)}</p>" for line in _only_in(a, b))
+        table = _html_table(_COMPARE_COLUMNS, lines)
+        return _html_page(f"energy {title}", f"<h1>{html.escape(title)}</h1>\n{table}{notes}")
+    text = [title, "", *_term_table(_COMPARE_COLUMNS, lines, request), *_only_in(a, b)]
+    return "\n".join(text) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -460,38 +530,27 @@ def render_compare(store: Store, request: ReportRequest) -> str:
 # --------------------------------------------------------------------------
 
 
-def _series_energies(series: HistorySeries, domain: EnergyDomain) -> tuple[float, ...]:
-    return tuple(
-        p.summary.energy_stats[domain].mean
-        for p in series.points
-        if domain in p.summary.energy_stats
-    )
+def _history_rows(series: HistorySeries, domain: EnergyDomain) -> list[_Row]:
+    return [
+        _Row(series.test, domain, f"energy_mean@{point.revision_label}",
+             point.summary.energy_stats[domain].mean, "J")
+        for point in series.points
+        if domain in point.summary.energy_stats
+    ]
 
 
-def _trend_arrow(glyph: EvolutionGlyph, no_color: bool) -> str:
-    if glyph.trend is Trend.INCREASE:
-        return _colorize("↑", "31", no_color)
-    if glyph.trend is Trend.DECREASE:
-        return _colorize("↓", "32", no_color)
-    return "→"
+_ARROWS = {Trend.INCREASE: ("↑", "31"), Trend.DECREASE: ("↓", "32"), Trend.FLAT: ("→", None)}
 
 
-def _evolution_term_line(
-    series: HistorySeries, glyph: EvolutionGlyph, no_color: bool
-) -> str:
-    energies = list(glyph.series)
-    spark = _colorize(sparkline(energies), _BUCKET_COLORS[glyph.color_bucket], no_color)
-    arrow = _trend_arrow(glyph, no_color)
+def _evolution_term_line(series: HistorySeries, glyph: EvolutionGlyph, no_color: bool) -> str:
+    spark = _colorize(sparkline(list(glyph.series)), _BUCKET_COLORS[glyph.color_bucket], no_color)
+    arrow = _colorize(*_ARROWS[glyph.trend], no_color)
+    change = _last_change(glyph.series)
+    step = "single point" if change is None else f"{change * 100:+.0f}% last step"
     revisions = " -> ".join(p.revision_label for p in series.points)
-    if len(energies) >= 2 and energies[-2] != 0:
-        change = (energies[-1] - energies[-2]) / energies[-2] * 100
-        step = f"{change:+.0f}% last step"
-    else:
-        step = "single point"
-    latest = format_sig(energies[-1]) if energies else "n/a"
     return (
         f"{str(series.test):<28} {spark:<12} {arrow}  {step:<16} "
-        f"latest {latest} J  ({revisions})"
+        f"latest {format_sig(glyph.series[-1])} J  ({revisions})"
     )
 
 
@@ -512,50 +571,33 @@ def _evolution_svg(series: HistorySeries, energies: tuple[float, ...]) -> str:
     )
 
 
-def _history_series(store: Store, request: ReportRequest) -> list[HistorySeries]:
-    series_list = []
+def _history_series(
+    store: Store, request: ReportRequest
+) -> tuple[list[HistorySeries], list[list[_Row]]]:
+    """Each requested test's history, and its rows in the test's lead domain."""
+    series_list, rows = [], []
     for test in request.tests:
         series = store.history(test, request.limit)
         if not series.points:
             raise NoHistory(f"no stored history for {test}")
+        latest = series.points[-1].summary.energy_stats
+        lead = _select_domains(latest, request, f"the latest record of {test}")[0]
         series_list.append(series)
-    return series_list
+        rows.append(_history_rows(series, lead))
+    return series_list, rows
 
 
 def render_history(store: Store, request: ReportRequest) -> str:
-    """Evolution view of the selected tests."""
-    series_list = _history_series(store, request)
-    lead_domains = [
-        sorted(s.points[-1].summary.energy_stats, key=domain_sort_key)[0]
-        for s in series_list
-    ]
-    energies = [
-        _series_energies(s, d) for s, d in zip(series_list, lead_domains)
-    ]
-    order = sorted(
-        range(len(series_list)), key=lambda i: energies[i][-1] if energies[i] else 0.0
-    )
-    ranks = {i: order.index(i) for i in range(len(series_list))}
-    glyphs = [
-        EvolutionGlyph.from_series(
-            s.test, e, rank=ranks[i], population=len(series_list),
-            threshold=request.trend_threshold,
-        )
-        for i, (s, e) in enumerate(zip(series_list, energies))
-    ]
+    """Evolution view of the selected tests, each in its lead domain.
 
+    Raises:
+        NoHistory: A test has no stored history.
+        EmptyScope: The domain filter selects none of the domains of a
+            test's latest record.
+    """
+    series_list, rows = _history_series(store, request)
     if request.fmt is ReportFormat.CSV:
-        rows = []
-        for series, domain in zip(series_list, lead_domains):
-            for point in series.points:
-                stats = point.summary.energy_stats.get(domain)
-                if stats is None:
-                    continue
-                rows.append(
-                    f"{series.test},{domain},energy_mean@{point.revision_label},"
-                    f"{format_full(stats.mean)},J"
-                )
-        return _as_csv(rows)
+        return _as_csv([row for series_rows in rows for row in series_rows])
     if request.fmt is ReportFormat.MACHINE:
         doc = [
             {
@@ -565,9 +607,7 @@ def render_history(store: Store, request: ReportRequest) -> str:
                         "revision_label": p.revision_label,
                         "created_at": p.created_at,
                         "energy_mean_j": {
-                            str(d): s.mean for d, s in sorted(
-                                p.summary.energy_stats.items(), key=lambda kv: str(kv[0])
-                            )
+                            str(d): s.mean for d, s in p.summary.energy_stats.items()
                         },
                     }
                     for p in series.points
@@ -576,21 +616,24 @@ def render_history(store: Store, request: ReportRequest) -> str:
             for series in series_list
         ]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    energies = [tuple(row.value for row in series_rows) for series_rows in rows]
     if request.fmt is ReportFormat.HTML:
         fragments = "".join(
             f"<h2>{html.escape(str(s.test))}</h2>{_evolution_svg(s, e)}"
             for s, e in zip(series_list, energies)
         )
-        generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        # A compact shell of its own: tests/golden/history.html pins these bytes.
         return (
             "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
             f"<title>energy evolution</title><style>{_HTML_STYLE}</style></head>\n"
-            f"<body>\n<!-- generated {generated} -->\n{fragments}\n</body></html>\n"
+            f"<body>\n<!-- generated {_generated()} -->\n{fragments}\n</body></html>\n"
         )
-    lines = [
-        _evolution_term_line(series, glyph, request.no_color)
-        for series, glyph in zip(series_list, glyphs)
+    ranks = _ranks([e[-1] for e in energies])
+    glyphs = [
+        EvolutionGlyph.from_series(s.test, e, rank=rank, population=len(series_list))
+        for s, e, rank in zip(series_list, energies, ranks)
     ]
+    lines = [_evolution_term_line(s, g, request.no_color) for s, g in zip(series_list, glyphs)]
     return "\n".join(lines) + "\n"
 
 

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 from manai.probe import DomainKind, EnergyDomain
+
+# Harness children run ``python -m manai.fixture_harness``; let them import
+# manai from this checkout like the test process does (pyproject's pytest
+# ``pythonpath`` only reaches this process).
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 PKG = EnergyDomain(DomainKind.PACKAGE, 0)
 CORE = EnergyDomain(DomainKind.CORE, 0)

@@ -290,6 +290,14 @@ class TestReportCommands:
         assert "demo::alpha" in out
         assert "r1" in out and "r2" in out
 
+    def test_domain_filter_selecting_nothing_exits_1(self, populated, capsys):
+        _, config = populated
+        code = main([
+            "report", "--config", str(config), "--revision", "r1", "--domains", "dram:0",
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
     def test_compare(self, populated, capsys):
         _, config = populated
         code = main(["compare", "r1", "r2", "--config", str(config), "--no-color"])

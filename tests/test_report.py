@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from manai.report import (
 )
 from manai.store import Store, record_to_doc
 
-from conftest import make_record
+from conftest import DRAM, PKG, make_record
 
 
 def ts(i: int) -> str:
@@ -273,3 +275,159 @@ class TestCompare:
     def test_same_revision_rejected(self):
         with pytest.raises(ValueError):
             ReportRequest(scope="compare", revisions=("A", "A"))
+
+
+def make_two_domain_record(label, created_at, tests, iterations=2):
+    """A package:0 + dram:0 record.
+
+    ``tests`` maps a test id to ``(package_uj, dram_uj, duration_ns)``;
+    iteration ``i`` adds ``i * 123_457`` µJ to both domains and
+    ``i * 7`` ms to the duration.
+    """
+    from manai.harness import TestStatus
+    from manai.results import TestExecutionResult, summarize
+    from manai.sampler import EnergySample
+    from manai.store import RevisionRecord
+
+    summaries, results = {}, {}
+    for test_text, (package_uj, dram_uj, duration_ns) in tests.items():
+        test = TestId.parse(test_text)
+        runs = []
+        for i in range(iterations):
+            end_ns = duration_ns + i * 7_000_000
+            sample = EnergySample(
+                0, end_ns, {PKG: package_uj + i * 123_457, DRAM: dram_uj + i * 123_457}
+            )
+            runs.append(TestExecutionResult.build(
+                test=test, iteration=i, samples=[sample], begin_ns=0, end_ns=end_ns,
+                status=TestStatus.PASS, update_interval_ns=1_000_000,
+                baseline_applied=False, domains=(PKG, DRAM),
+            ))
+        summaries[test] = summarize(runs)
+        results[test] = tuple(runs)
+    return RevisionRecord(
+        revision_label=label,
+        created_at=created_at,
+        config_digest="sha256:0123456789abcdef0123456789abcdef",
+        probe_backend="simulated",
+        probe_update_interval_ns=1_000_000,
+        probe_domains=(PKG, DRAM),
+        config={"experiment.rate_hz": "100.0"},
+        summaries=summaries,
+        results=results,
+    )
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_TESTS = (TestId("demo", "heavy"), TestId("demo", "light"))
+
+# Every format of every scope whose bytes must not change. HTML is compared
+# without its one generated-timestamp comment line. After an intended output
+# change, rewrite a file from ``render_golden(build_golden_store(tmp), name)``.
+GOLDEN_CASES = {
+    "revision.csv": dict(scope="revision", revisions=("r2",), fmt=ReportFormat.CSV),
+    "revision.machine": dict(scope="revision", revisions=("r2",), fmt=ReportFormat.MACHINE),
+    "revision.term": dict(scope="revision", revisions=("r2",), no_color=True),
+    "revision.term-color": dict(scope="revision", revisions=("r2",)),
+    "revision.html": dict(scope="revision", revisions=("r2",), fmt=ReportFormat.HTML),
+    "compare.csv": dict(scope="compare", revisions=("r1", "r2"), fmt=ReportFormat.CSV),
+    "compare.machine": dict(scope="compare", revisions=("r1", "r2"), fmt=ReportFormat.MACHINE),
+    "compare.term": dict(scope="compare", revisions=("r1", "r2"), no_color=True),
+    "compare.term-color": dict(scope="compare", revisions=("r1", "r2")),
+    "history.csv": dict(scope="history", tests=GOLDEN_TESTS, fmt=ReportFormat.CSV),
+    "history.machine": dict(scope="history", tests=GOLDEN_TESTS, fmt=ReportFormat.MACHINE),
+    "history.term": dict(scope="history", tests=GOLDEN_TESTS, no_color=True),
+    "history.term-color": dict(scope="history", tests=GOLDEN_TESTS),
+    "history.html": dict(scope="history", tests=GOLDEN_TESTS, fmt=ReportFormat.HTML),
+}
+
+
+def build_golden_store(path) -> Store:
+    """Two revisions of two tests over package:0 and dram:0.
+
+    ``demo::light`` runs below the 1 ms update interval in r2, so the
+    low-confidence marker is part of the golden revision views.
+    """
+    store = Store(path)
+    store.save(make_two_domain_record("r1", ts(0), {
+        "demo::heavy": (5_000_000, 1_200_000, 500_000_000),
+        "demo::light": (2_500_000, 400_000, 250_000_000),
+    }))
+    store.save(make_two_domain_record("r2", ts(1), {
+        "demo::heavy": (6_100_000, 900_000, 520_000_000),
+        "demo::light": (2_000_000, 400_000, 600_000),
+    }))
+    return store
+
+
+def render_golden(store: Store, name: str) -> str:
+    text = render_report(store, ReportRequest(width=120, **GOLDEN_CASES[name]))
+    return re.sub(r"<!-- generated [^\n]* -->\n", "", text)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_is_byte_identical_to_golden(tmp_path, name):
+    expected = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
+    assert render_golden(build_golden_store(tmp_path), name) == expected
+
+
+class TestDomainFilter:
+    @pytest.fixture
+    def store_dram_rising(self, tmp_path):
+        """package:0 falls from 4 J to 2 J while dram:0 rises from 1 J to 3 J."""
+        store = Store(tmp_path)
+        store.save(make_two_domain_record(
+            "r1", ts(0), {"demo::t": (4_000_000, 1_000_000, 500_000_000)}, iterations=1
+        ))
+        store.save(make_two_domain_record(
+            "r2", ts(1), {"demo::t": (2_000_000, 3_000_000, 500_000_000)}, iterations=1
+        ))
+        return store
+
+    def test_history_follows_selected_domain(self, store_dram_rising):
+        request = ReportRequest(
+            scope="history", tests=(TestId("demo", "t"),), domains=(DRAM,), no_color=True
+        )
+        csv = render_history(store_dram_rising, replace(request, fmt=ReportFormat.CSV))
+        assert csv.splitlines()[1:] == [
+            "demo::t,dram:0,energy_mean@r1,1.0,J",
+            "demo::t,dram:0,energy_mean@r2,3.0,J",
+        ]
+        line = render_history(store_dram_rising, request)
+        assert "↑" in line
+        assert "+200% last step" in line
+        assert "latest 3 J" in line
+
+    def test_summary_chart_follows_selected_domain(self, store_dram_rising):
+        term = render_summary(store_dram_rising, summary_request("r2", domains=(DRAM,)))
+        assert "mean dram:0 energy per test:" in term
+        assert re.search(r"^  demo::t\s+█+ 3 J$", term, re.MULTILINE)
+        assert "package:0" not in term
+        page = render_summary(
+            store_dram_rising, summary_request("r2", domains=(DRAM,), fmt=ReportFormat.HTML)
+        )
+        assert "<h2>Mean dram:0 energy per test</h2>" in page
+        assert ">3 J</text>" in page
+        assert "package:0" not in page
+
+    @pytest.mark.parametrize("fmt", list(ReportFormat))
+    @pytest.mark.parametrize("scope", [
+        dict(scope="revision", revisions=("r1",)),
+        dict(scope="compare", revisions=("r1", "r2")),
+        dict(scope="history", tests=(TestId("demo", "t"),)),
+    ], ids=["revision", "compare", "history"])
+    def test_filter_selecting_no_domain_is_empty_scope(self, store_three_revisions, scope, fmt):
+        request = ReportRequest(domains=(DRAM,), fmt=fmt, **scope)
+        with pytest.raises(EmptyScope, match="no selected domain"):
+            render_report(store_three_revisions, request)
+
+
+def test_compare_html_is_a_table(store_three_revisions):
+    request = ReportRequest(scope="compare", revisions=("r1", "r3"), fmt=ReportFormat.HTML)
+    page = render_compare(store_three_revisions, request)
+    assert "<pre>" not in page
+    assert "<th>delta [J]</th>" in page
+    assert (
+        "<tr><td class='name'>demo::t</td><td>package:0</td>"
+        "<td>4</td><td>2</td><td>-2</td><td>-50.0%</td></tr>"
+    ) in page

@@ -575,14 +575,13 @@ def _history_series(
     store: Store, request: ReportRequest
 ) -> tuple[list[HistorySeries], list[list[_Row]]]:
     """Each requested test's history, and its rows in the test's lead domain."""
-    series_list, rows = [], []
-    for test in request.tests:
-        series = store.history(test, request.limit)
+    series_list = list(store.history(request.tests, request.limit))
+    rows = []
+    for series in series_list:
         if not series.points:
-            raise NoHistory(f"no stored history for {test}")
+            raise NoHistory(f"no stored history for {series.test}")
         latest = series.points[-1].summary.energy_stats
-        lead = _select_domains(latest, request, f"the latest record of {test}")[0]
-        series_list.append(series)
+        lead = _select_domains(latest, request, f"the latest record of {series.test}")[0]
         rows.append(_history_rows(series, lead))
     return series_list, rows
 
@@ -608,6 +607,7 @@ def render_history(store: Store, request: ReportRequest) -> str:
                         "created_at": p.created_at,
                         "energy_mean_j": {
                             str(d): s.mean for d, s in p.summary.energy_stats.items()
+                            if not request.domains or d in request.domains
                         },
                     }
                     for p in series.points

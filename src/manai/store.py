@@ -4,9 +4,17 @@ Records live as one JSON document per file under
 ``<data_dir>/revisions/<label>/<created_at>.record``; the layout is
 human-browsable and diff-friendly, with no database dependency.
 Re-running a revision appends a new timestamped record instead of
-overwriting. Writes go to a dot-prefixed temporary and are renamed into
-place, so readers never observe a partial record; they simply skip
-temporaries.
+overwriting; a record saved with the same timestamp gets a ``-<n>``
+suffix and sorts after the ones before it. Writes go to a dot-prefixed
+temporary and are renamed into place, so readers never observe a
+partial record; they simply skip temporaries.
+
+Each query reads only what it returns. ``load`` and ``latest`` list the
+one directory their label sanitizes to and keep the records of exactly
+that label (two labels can share a directory); ``latest`` decodes only
+the record it returns. ``history`` reads every record once per call,
+for any number of tests, and decodes only the label, the timestamp and
+the requested summaries, never results or samples.
 
 Floating-point fields are serialized in shortest round-trip decimal form
 (standard JSON float text), so save followed by load reproduces every
@@ -22,7 +30,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
@@ -70,6 +78,15 @@ class HistorySeries:
 
     test: TestId
     points: tuple[HistoryPoint, ...]
+
+
+class Histories(tuple):
+    """The series one ``Store.history`` query returned, in request order."""
+
+    @property
+    def points(self) -> tuple[HistoryPoint, ...]:
+        """Every point of every series."""
+        return tuple(p for series in self for p in series.points)
 
 
 # --- document (de)serialization -------------------------------------------
@@ -194,10 +211,14 @@ def record_to_doc(record: RevisionRecord) -> dict:
     }
 
 
-def record_from_doc(doc: dict) -> RevisionRecord:
+def _check_version(doc: dict) -> None:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise StorageError(f"unsupported record format_version {version!r}")
+
+
+def record_from_doc(doc: dict) -> RevisionRecord:
+    _check_version(doc)
     summaries = {
         TestId.parse(t): _summary_from_doc(TestId.parse(t), s)
         for t, s in doc["summaries"].items()
@@ -216,7 +237,7 @@ def record_from_doc(doc: dict) -> RevisionRecord:
         config=doc["config"],
         summaries=summaries,
         results=results,
-        format_version=version,
+        format_version=doc["format_version"],
     )
 
 
@@ -237,11 +258,21 @@ def _file_stamp(created_at: str) -> str:
     return re.sub(r"[^0-9TZ.]", "", created_at.replace("+00:00", "Z"))
 
 
+def _save_order(path: Path) -> tuple[str, int]:
+    """Sort key of ``<stamp>[-<n>].record``: same-stamp records keep save order."""
+    stamp, _, counter = path.stem.partition("-")
+    return stamp, int(counter) if counter.isdigit() else 0
+
+
 class Store:
     """File-backed record storage under one data directory.
 
     Single writer (the experiment lock enforces that), any number of
     readers. Stored records are never mutated.
+
+    ``load`` and ``latest`` read only the directory of their label, so an
+    unreadable record under another label does not affect them;
+    ``history`` reads every record and raises ``StorageError`` on any.
     """
 
     def __init__(self, data_dir: Path | str):
@@ -290,29 +321,49 @@ class Store:
             raise StorageError(f"cannot save record: {exc}") from exc
         return target
 
+    def _record_files(self, label_dir: Path) -> list[Path]:
+        """The records of one label directory, oldest save first."""
+        if not label_dir.is_dir():
+            return []
+        # Dot-prefixed files are in-flight temporaries.
+        paths = [
+            p for p in label_dir.iterdir()
+            if not p.name.startswith(".") and p.suffix == _RECORD_SUFFIX
+        ]
+        return sorted(paths, key=_save_order)
+
     def _iter_record_files(self) -> Iterator[Path]:
         root = self.revisions_dir
         if not root.is_dir():
             return
         for label_dir in sorted(root.iterdir()):
-            if not label_dir.is_dir():
-                continue
-            for path in sorted(label_dir.iterdir()):
-                # Dot-prefixed files are in-flight temporaries.
-                if path.name.startswith(".") or path.suffix != _RECORD_SUFFIX:
-                    continue
-                yield path
+            yield from self._record_files(label_dir)
 
-    def _read_record(self, path: Path) -> RevisionRecord:
+    def _read_doc(self, path: Path) -> dict:
+        """The parsed JSON document of one record file, version-checked."""
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
-        return record_from_doc(doc)
+        _check_version(doc)
+        return doc
 
     def iter_records(self) -> Iterator[RevisionRecord]:
         for path in self._iter_record_files():
-            yield self._read_record(path)
+            yield record_from_doc(self._read_doc(path))
+
+    def _label_docs(self, revision_label: str) -> list[dict]:
+        """The documents stored under ``revision_label``, oldest first."""
+        label_dir = self.revisions_dir / _sanitize_label(revision_label)
+        # Labels that sanitize alike share a directory; keep the exact one.
+        docs = [
+            doc for doc in map(self._read_doc, self._record_files(label_dir))
+            if doc["revision_label"] == revision_label
+        ]
+        if not docs:
+            raise UnknownRevision(f"no records for revision {revision_label!r}")
+        docs.sort(key=lambda doc: doc["created_at"])
+        return docs
 
     def load(self, revision_label: str) -> list[RevisionRecord]:
         """All records stored under ``revision_label``, oldest first.
@@ -320,29 +371,38 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        records = [
-            r for r in self.iter_records() if r.revision_label == revision_label
-        ]
-        if not records:
-            raise UnknownRevision(f"no records for revision {revision_label!r}")
-        records.sort(key=lambda r: r.created_at)
-        return records
+        return [record_from_doc(doc) for doc in self._label_docs(revision_label)]
 
     def latest(self, revision_label: str) -> RevisionRecord:
-        return self.load(revision_label)[-1]
+        """The newest record under ``revision_label``; the last saved on a tie.
 
-    def history(self, test: TestId, limit: int | None = None) -> HistorySeries:
-        """Evolution of ``test`` across all records, newest last.
-
-        Unknown tests yield an empty series. ``limit`` keeps only the
-        most recent points.
+        Raises:
+            UnknownRevision: Nothing is stored under that label.
         """
-        points = [
-            HistoryPoint(r.revision_label, r.created_at, r.summaries[test])
-            for r in self.iter_records()
-            if test in r.summaries
-        ]
-        points.sort(key=lambda p: p.created_at)
-        if limit is not None:
-            points = points[-limit:]
-        return HistorySeries(test=test, points=tuple(points))
+        return record_from_doc(self._label_docs(revision_label)[-1])
+
+    def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:
+        """Evolution of each of ``tests`` across all records, newest last.
+
+        One series per test, in the order given; a test that no record
+        holds yields an empty series. ``limit`` keeps only the most recent
+        points of each series.
+        """
+        points: dict[TestId, list[HistoryPoint]] = {test: [] for test in tests}
+        for path in self._iter_record_files():
+            doc = self._read_doc(path)
+            summaries = doc["summaries"]
+            for test, test_points in points.items():
+                summary = summaries.get(str(test))
+                if summary is not None:
+                    test_points.append(HistoryPoint(
+                        doc["revision_label"], doc["created_at"],
+                        _summary_from_doc(test, summary),
+                    ))
+        series = []
+        for test in tests:
+            ordered = sorted(points[test], key=lambda p: p.created_at)
+            if limit is not None:
+                ordered = ordered[-limit:]
+            series.append(HistorySeries(test=test, points=tuple(ordered)))
+        return Histories(series)

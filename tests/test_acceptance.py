@@ -220,7 +220,7 @@ def test_criterion_06_evolution_view(tmp_path):
 
         store = Store(data_dir)
         test = TestId("acc", "evolve")
-        series = store.history(test)
+        series = store.history((test,))[0]
         assert [p.revision_label for p in series.points] == ["r1", "r2", "r3"]
         energies = [p.summary.energy_stats[PKG].mean for p in series.points]
         assert energies[0] > energies[1] > energies[2]

@@ -398,6 +398,16 @@ class TestDomainFilter:
         assert "+200% last step" in line
         assert "latest 3 J" in line
 
+    def test_history_machine_lists_selected_domains(self, store_dram_rising):
+        request = ReportRequest(
+            scope="history", tests=(TestId("demo", "t"),), domains=(DRAM,),
+            fmt=ReportFormat.MACHINE,
+        )
+        doc = json.loads(render_history(store_dram_rising, request))
+        assert [p["energy_mean_j"] for p in doc[0]["points"]] == [
+            {"dram:0": 1.0}, {"dram:0": 3.0},
+        ]
+
     def test_summary_chart_follows_selected_domain(self, store_dram_rising):
         term = render_summary(store_dram_rising, summary_request("r2", domains=(DRAM,)))
         assert "mean dram:0 energy per test:" in term

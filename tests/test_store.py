@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
+from manai.report import ReportRequest, render_history
 from manai.results import Stats, TestExecutionResult, TestSummary
 from manai.sampler import EnergySample
 from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc
@@ -41,6 +43,9 @@ class TestSaveLoad:
         store.save(make_record("abc", ts(0), {"demo::a": 1_000_000}))
         store.save(make_record("abc", ts(0), {"demo::a": 2_000_000}))
         assert len(store.load("abc")) == 2
+        # The later save is the newer record, although its file sorts first by name.
+        latest = store.latest("abc").summaries[TestId("demo", "a")]
+        assert latest.energy_stats[PKG].mean == 2.0
 
     def test_unknown_revision_raises(self, tmp_path):
         with pytest.raises(UnknownRevision):
@@ -60,7 +65,7 @@ class TestSaveLoad:
         path = store.save(make_record("abc", ts(0), {"demo::a": 1_000_000}))
         before = path.read_bytes()
         store.load("abc")
-        store.history(TestId("demo", "a"))
+        store.history((TestId("demo", "a"),))[0]
         store.save(make_record("abc", ts(1), {"demo::a": 2_000_000}))
         assert path.read_bytes() == before
 
@@ -71,6 +76,40 @@ class TestSaveLoad:
             path.write_text("{ not json")
         with pytest.raises(StorageError):
             store.load("abc")
+
+    def test_unsupported_format_version_is_reported(self, tmp_path):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
+        for query in (store.load, store.latest):
+            with pytest.raises(StorageError, match="format_version 2"):
+                query("abc")
+        with pytest.raises(StorageError, match="format_version 2"):
+            store.history((TestId("demo", "a"),))
+
+    def test_labels_sharing_a_directory_stay_apart(self, tmp_path):
+        store = Store(tmp_path)
+        store.save(make_record("a/b", ts(0), {"demo::a": 1_000_000}))
+        store.save(make_record("a_b", ts(1), {"demo::a": 2_000_000}))
+        store.save(make_record("a/b", ts(2), {"demo::a": 3_000_000}))
+        assert [d.name for d in store.revisions_dir.iterdir()] == ["a_b"]
+        assert [(r.revision_label, r.created_at) for r in store.load("a/b")] == [
+            ("a/b", ts(0)), ("a/b", ts(2)),
+        ]
+        assert [(r.revision_label, r.created_at) for r in store.load("a_b")] == [
+            ("a_b", ts(1)),
+        ]
+        assert store.latest("a_b").created_at == ts(1)
+
+    def test_unreadable_record_of_another_label_is_isolated(self, tmp_path):
+        store = Store(tmp_path)
+        store.save(make_record("good", ts(0), {"demo::a": 1_000_000}))
+        store.save(make_record("bad", ts(1), {"demo::a": 2_000_000})).write_text("{ not json")
+        assert [r.created_at for r in store.load("good")] == [ts(0)]
+        assert store.latest("good").created_at == ts(0)
+        # history reads every record, so it still reports the damage.
+        with pytest.raises(StorageError, match="unreadable record"):
+            store.history((TestId("demo", "a"),))
 
     def test_awkward_labels_are_stored_and_found(self, tmp_path):
         store = Store(tmp_path)
@@ -154,22 +193,23 @@ class TestHistory:
         store = Store(tmp_path)
         for i, label in enumerate(["r1", "r2", "r3"]):
             store.save(make_record(label, ts(i), {"demo::t": (i + 1) * 1_000_000}))
-        series = store.history(TestId("demo", "t"))
+        series = store.history((TestId("demo", "t"),))[0]
         assert [p.revision_label for p in series.points] == ["r1", "r2", "r3"]
-        limited = store.history(TestId("demo", "t"), limit=2)
+        limited = store.history((TestId("demo", "t"),), limit=2)[0]
         assert [p.revision_label for p in limited.points] == ["r2", "r3"]
 
     def test_unknown_test_is_empty_series(self, tmp_path):
-        series = Store(tmp_path).history(TestId("no", "where"))
+        series = Store(tmp_path).history((TestId("no", "where"),))[0]
         assert series.points == ()
 
     def test_matches_full_scan_oracle(self, tmp_path):
         rng = random.Random(7)
         store = Store(tmp_path)
         saved: list[RevisionRecord] = []
+        paths = {}
         for index in range(20):
             record = random_record(rng, index)
-            store.save(record)
+            paths[record.created_at] = store.save(record)
             saved.append(record)
 
         all_tests = {t for r in saved for t in r.summaries}
@@ -182,5 +222,52 @@ class TestHistory:
                 ),
                 key=lambda pair: pair[0],
             )
-            series = store.history(test)
+            series = store.history((test,))[0]
             assert [(p.created_at, p.revision_label) for p in series.points] == expected
+            for p in series.points:
+                stored = record_from_doc(json.loads(paths[p.created_at].read_text()))
+                assert p.summary == stored.summaries[test]
+
+        tests = sorted(all_tests, key=str)
+        assert list(store.history(tests)) == [store.history((t,))[0] for t in tests]
+
+
+class TestReadScope:
+    """Each query reads only the record files its answer needs."""
+
+    TESTS = tuple(TestId("demo", f"t{i}") for i in range(4))
+
+    @pytest.fixture
+    def store_twelve_labels(self, tmp_path):
+        store = Store(tmp_path)
+        energies = {str(t): (i + 1) * 1_000_000 for i, t in enumerate(self.TESTS)}
+        for index in range(12):
+            store.save(make_record(f"r{index}", ts(index), energies))
+        store.save(make_record("r3", ts(12), energies))
+        return store
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts: Counter = Counter()
+        read_doc = Store._read_doc
+
+        def counting(self, path):
+            counts[path] += 1
+            return read_doc(self, path)
+
+        monkeypatch.setattr(Store, "_read_doc", counting)
+        return counts
+
+    def test_latest_reads_only_its_label(self, store_twelve_labels, reads):
+        assert store_twelve_labels.latest("r3").created_at == ts(12)
+        own = set((store_twelve_labels.revisions_dir / "r3").glob("*.record"))
+        assert len(own) == 2
+        assert set(reads) == own
+        assert set(reads.values()) == {1}
+
+    def test_evolution_reads_each_record_once(self, store_twelve_labels, reads):
+        request = ReportRequest(scope="history", tests=self.TESTS, no_color=True)
+        assert len(render_history(store_twelve_labels, request).splitlines()) == 4
+        assert set(reads) == set(store_twelve_labels.revisions_dir.glob("*/*.record"))
+        assert len(reads) == 13
+        assert set(reads.values()) == {1}

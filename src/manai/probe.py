@@ -16,6 +16,7 @@ import logging
 import os
 import re
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -347,41 +348,47 @@ class SimulationScenario:
             raise ValueError("max_range_uj must be positive")
         if self.update_interval_ns <= 0:
             raise ValueError("update_interval_ns must be positive")
+        # Segment i spans [starts[i], starts[i + 1]); the extra last entry
+        # opens the unbounded tail that holds the final power level.
+        starts = [0]
+        for segment in self.segments:
+            starts.append(starts[-1] + segment.duration_ns)
+        seen = {domain for segment in self.segments for domain in segment.powers_uw}
+        integrals: dict[EnergyDomain, tuple[list[int], list[int]]] = {}
+        for domain in sorted(seen, key=domain_sort_key):
+            powers_uw = [segment.powers_uw.get(domain, 0) for segment in self.segments]
+            powers_uw.append(powers_uw[-1])
+            cumulative_fj = [0]
+            for segment, power_uw in zip(self.segments, powers_uw):
+                cumulative_fj.append(cumulative_fj[-1] + power_uw * segment.duration_ns)
+            integrals[domain] = (cumulative_fj, powers_uw)
+        object.__setattr__(self, "_starts_ns", starts)
+        object.__setattr__(self, "_integrals", integrals)
 
     @property
     def domains(self) -> tuple[EnergyDomain, ...]:
-        seen: set[EnergyDomain] = set()
-        for segment in self.segments:
-            seen.update(segment.powers_uw)
-        return tuple(sorted(seen, key=domain_sort_key))
+        return tuple(self._integrals)
 
     @property
     def total_duration_ns(self) -> int:
-        return sum(segment.duration_ns for segment in self.segments)
+        return self._starts_ns[-1]
 
     def energy_fj(self, domain: EnergyDomain, until_ns: int) -> int:
         """Exact integral of ``domain`` power over ``[0, until_ns]``.
 
         Returned in femtojoules (microwatt-nanoseconds) so the arithmetic
         stays in integers; a step-by-step accumulation over counter ticks
-        produces the identical value.
+        produces the identical value. The scenario keeps each domain's
+        integral up to every segment start (0 W where a segment omits the
+        domain), so a read is one ``bisect`` for the segment holding
+        ``until_ns`` plus that segment's power times the time into it.
         """
-        if until_ns <= 0:
+        integral = self._integrals.get(domain)
+        if until_ns <= 0 or integral is None:
             return 0
-        total_fj = 0
-        cursor_ns = 0
-        for segment in self.segments:
-            seg_end_ns = cursor_ns + segment.duration_ns
-            overlap_ns = min(until_ns, seg_end_ns) - cursor_ns
-            if overlap_ns > 0:
-                total_fj += segment.powers_uw.get(domain, 0) * overlap_ns
-            cursor_ns = seg_end_ns
-            if cursor_ns >= until_ns:
-                break
-        if until_ns > cursor_ns:
-            # Hold the last power level beyond the scripted duration.
-            total_fj += self.segments[-1].powers_uw.get(domain, 0) * (until_ns - cursor_ns)
-        return total_fj
+        cumulative_fj, powers_uw = integral
+        index = bisect_right(self._starts_ns, until_ns) - 1
+        return cumulative_fj[index] + powers_uw[index] * (until_ns - self._starts_ns[index])
 
     def counter_uj(self, domain: EnergyDomain, elapsed_ns: int) -> int:
         """Counter value after ``elapsed_ns``, quantized and wrapped."""

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 from manai.errors import EmptyScope, NoHistory
 from manai.harness import TestId
 from manai.probe import EnergyDomain, domain_sort_key
-from manai.store import HistorySeries, RevisionRecord, Store, record_to_doc, render_record
+from manai.store import HistorySeries, RevisionRecord, Store, record_to_doc
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 CSV_HEADER = "test,domain,statistic,value,unit"
@@ -166,10 +166,14 @@ def _select_domains(
     return domains
 
 
+def _require_tests(summaries, revision: str) -> None:
+    if not summaries:
+        raise EmptyScope(f"revision {revision!r} holds no test data")
+
+
 def _latest_record(store: Store, revision: str) -> RevisionRecord:
     record = store.latest(revision)
-    if not record.summaries:
-        raise EmptyScope(f"revision {revision!r} holds no test data")
+    _require_tests(record.summaries, revision)
     return record
 
 
@@ -430,10 +434,16 @@ def render_summary(store: Store, request: ReportRequest) -> str:
         EmptyScope: The revision holds no test data, or the domain filter
             selects none of its domains.
     """
-    record = _latest_record(store, request.revisions[0])
-    domains = _select_domains(record.probe_domains, request, f"revision {record.revision_label!r}")
+    revision = request.revisions[0]
     if request.fmt is ReportFormat.MACHINE:
-        return render_record(record)
+        # The stored file is the export; check it without decoding it.
+        doc, text = store.latest_text(revision)
+        _require_tests(doc["summaries"], revision)
+        probe_domains = map(EnergyDomain.parse, doc["probe"]["domains"])
+        _select_domains(probe_domains, request, f"revision {revision!r}")
+        return text
+    record = _latest_record(store, revision)
+    domains = _select_domains(record.probe_domains, request, f"revision {revision!r}")
     rows = _summary_rows(record, domains)
     if request.fmt is ReportFormat.CSV:
         return _as_csv(rows)

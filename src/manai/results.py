@@ -2,7 +2,10 @@
 
 Attribution distributes sample energy over a test's execution window
 pro-rata: a sample half inside the window contributes half its energy.
-The arithmetic runs on exact rationals so that attributing over any
+Samples wholly inside the window add their integer microjoules to a
+per-domain integer sum; only the at most two boundary samples a window
+cuts become exact rationals, ``Fraction(energy * overlap, length)``.
+Each total is one exact rational in joules, so attributing over any
 partition of a window telescopes to the whole-window result exactly;
 values become floats only when a result is materialized.
 """
@@ -30,9 +33,11 @@ def attribute(
 ) -> dict[EnergyDomain, Fraction]:
     """Energy attributable to the window ``[begin_ns, end_ns]``.
 
-    Each sample contributes ``energy * overlap / sample_length``. Partial
-    boundary samples contribute pro-rata; samples outside the window
-    contribute nothing. The values are exact rationals in joules.
+    Each sample contributes ``energy * overlap / sample_length``. Samples
+    wholly inside the window contribute their whole integer microjoules;
+    partial boundary samples contribute pro-rata as exact rationals;
+    samples outside the window contribute nothing. The values are exact
+    rationals in joules.
 
     Args:
         samples: Ordered, non-overlapping samples.
@@ -40,22 +45,31 @@ def attribute(
         end_ns: Window end, strictly greater than ``begin_ns``.
 
     Returns:
-        Joules per domain; an all-zero map when ``samples`` is empty
-        (callers warn about the missing coverage).
+        Joules per domain of any sample (0 for a domain no sample in the
+        window covers); an empty map when ``samples`` is empty (callers
+        warn about the missing coverage).
     """
     if end_ns <= begin_ns:
         raise ValueError("attribution window must have positive length")
-    totals: dict[EnergyDomain, Fraction] = {}
+    interior_uj: dict[EnergyDomain, int] = {}
+    boundary_uj: dict[EnergyDomain, Fraction] = {}
     for sample in samples:
+        if begin_ns <= sample.start_ns and sample.end_ns <= end_ns:
+            for domain, energy_uj in sample.energy_uj.items():
+                interior_uj[domain] = interior_uj.get(domain, 0) + energy_uj
+            continue
         for domain in sample.energy_uj:
-            totals.setdefault(domain, Fraction(0))
+            interior_uj.setdefault(domain, 0)
         overlap_ns = min(end_ns, sample.end_ns) - max(begin_ns, sample.start_ns)
         if overlap_ns <= 0:
             continue
         for domain, energy_uj in sample.energy_uj.items():
-            share = Fraction(energy_uj * overlap_ns, sample.duration_ns * _UJ_PER_J)
-            totals[domain] += share
-    return totals
+            share = Fraction(energy_uj * overlap_ns, sample.duration_ns)
+            boundary_uj[domain] = boundary_uj.get(domain, 0) + share
+    return {
+        domain: Fraction(energy_uj + boundary_uj.get(domain, 0), _UJ_PER_J)
+        for domain, energy_uj in interior_uj.items()
+    }
 
 
 @dataclass(frozen=True)

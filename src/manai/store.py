@@ -2,19 +2,24 @@
 
 Records live as one JSON document per file under
 ``<data_dir>/revisions/<label>/<created_at>.record``; the layout is
-human-browsable and diff-friendly, with no database dependency.
+human-browsable and diff-friendly, with no database dependency. The
+directory name is the label with every character outside
+``[A-Za-z0-9._-]`` replaced by ``_``; the labels ``.`` and ``..`` become
+``_`` and ``__``, so every record lies under ``revisions/<label>/``.
 Re-running a revision appends a new timestamped record instead of
 overwriting; a record saved with the same timestamp gets a ``-<n>``
 suffix and sorts after the ones before it. Writes go to a dot-prefixed
 temporary and are renamed into place, so readers never observe a
 partial record; they simply skip temporaries.
 
-Each query reads only what it returns. ``load`` and ``latest`` list the
-one directory their label sanitizes to and keep the records of exactly
-that label (two labels can share a directory); ``latest`` decodes only
-the record it returns. ``history`` reads every record once per call,
-for any number of tests, and decodes only the label, the timestamp and
-the requested summaries, never results or samples.
+Each query reads only what it returns. ``load``, ``latest`` and
+``latest_text`` list the one directory their label sanitizes to and keep
+the records of exactly that label (two labels can share a directory);
+``latest`` decodes only the record it returns, and ``latest_text``
+returns that record's file text without decoding it. ``history`` reads
+every record once per call, for any number of tests, and decodes only
+the label, the timestamp and the requested summaries, never results or
+samples.
 
 Floating-point fields are serialized in shortest round-trip decimal form
 (standard JSON float text), so save followed by load reproduces every
@@ -251,7 +256,10 @@ def render_record(record: RevisionRecord) -> str:
 
 def _sanitize_label(label: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", label)
-    return safe or "_"
+    # "." and ".." would name the revisions directory or the data directory.
+    if safe in ("", ".", ".."):
+        return safe.replace(".", "_") or "_"
+    return safe
 
 
 def _file_stamp(created_at: str) -> str:
@@ -352,17 +360,18 @@ class Store:
         for path in self._iter_record_files():
             yield record_from_doc(self._read_doc(path))
 
-    def _label_docs(self, revision_label: str) -> list[dict]:
-        """The documents stored under ``revision_label``, oldest first."""
+    def _label_docs(self, revision_label: str) -> list[tuple[dict, Path]]:
+        """The documents stored under ``revision_label`` and their files,
+        oldest first."""
         label_dir = self.revisions_dir / _sanitize_label(revision_label)
         # Labels that sanitize alike share a directory; keep the exact one.
         docs = [
-            doc for doc in map(self._read_doc, self._record_files(label_dir))
-            if doc["revision_label"] == revision_label
+            (doc, path) for path in self._record_files(label_dir)
+            if (doc := self._read_doc(path))["revision_label"] == revision_label
         ]
         if not docs:
             raise UnknownRevision(f"no records for revision {revision_label!r}")
-        docs.sort(key=lambda doc: doc["created_at"])
+        docs.sort(key=lambda entry: entry[0]["created_at"])
         return docs
 
     def load(self, revision_label: str) -> list[RevisionRecord]:
@@ -371,7 +380,7 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        return [record_from_doc(doc) for doc in self._label_docs(revision_label)]
+        return [record_from_doc(doc) for doc, _ in self._label_docs(revision_label)]
 
     def latest(self, revision_label: str) -> RevisionRecord:
         """The newest record under ``revision_label``; the last saved on a tie.
@@ -379,7 +388,21 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        return record_from_doc(self._label_docs(revision_label)[-1])
+        return record_from_doc(self._label_docs(revision_label)[-1][0])
+
+    def latest_text(self, revision_label: str) -> tuple[dict, str]:
+        """The document of the record ``latest`` returns and its file's
+        exact text, which is the machine export of that record.
+
+        Raises:
+            UnknownRevision: Nothing is stored under that label.
+            StorageError: The record file cannot be read.
+        """
+        doc, path = self._label_docs(revision_label)[-1]
+        try:
+            return doc, path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise StorageError(f"unreadable record {path}: {exc}") from exc
 
     def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:
         """Evolution of each of ``tests`` across all records, newest last.

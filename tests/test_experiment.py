@@ -26,7 +26,7 @@ from manai.results import attribute, compute_stats, summarize
 from manai.sampler import EnergySample, SamplerConfig, sample_stream
 from manai.store import Store
 
-from conftest import PKG, fixture_harness_command, make_result, write_plan, write_scenario
+from conftest import DRAM, PKG, fixture_harness_command, make_result, write_plan, write_scenario
 
 NS = 10**9
 
@@ -124,6 +124,65 @@ def test_attribution_against_reintegration_oracle(power_uw, window):
     ) / 1e15
     quantum_j = (power_uw / 1e6) * (scenario.update_interval_ns / 1e9)
     assert attributed == pytest.approx(oracle_j, abs=quantum_j + 1e-12)
+
+
+def reference_attribution(samples, begin_ns, end_ns):
+    """Per-sample rational shares in joules, every sample a ``Fraction``."""
+    totals = {}
+    for sample in samples:
+        for domain in sample.energy_uj:
+            totals.setdefault(domain, Fraction(0))
+        overlap_ns = min(end_ns, sample.end_ns) - max(begin_ns, sample.start_ns)
+        for domain, energy_uj in sample.energy_uj.items():
+            if overlap_ns > 0:
+                totals[domain] += Fraction(energy_uj * overlap_ns, sample.duration_ns * 10**6)
+    return totals
+
+
+@st.composite
+def two_domain_runs(draw):
+    """Adjacent samples of at least 1 us; DRAM is missing from some samples."""
+    edges = sorted(draw(st.lists(st.integers(1, 10_000), min_size=3, max_size=12, unique=True)))
+    samples = []
+    for lo, hi in zip(edges, edges[1:]):
+        energy = {PKG: draw(st.integers(0, 10_000_000))}
+        if draw(st.booleans()):
+            energy[DRAM] = draw(st.integers(0, 10_000_000))
+        samples.append(EnergySample(lo * 1000, hi * 1000, energy))
+    return samples
+
+
+def assert_exact_fractions(got, expected):
+    assert got == expected
+    assert all(type(value) is Fraction for value in got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=two_domain_runs(), data=st.data())
+def test_attribution_on_sample_edges_is_exact(samples, data):
+    # No boundary sample: every sample lies wholly inside or outside.
+    first, last = sorted(data.draw(st.lists(
+        st.integers(0, len(samples)), min_size=2, max_size=2, unique=True
+    )))
+    edges = [s.start_ns for s in samples] + [samples[-1].end_ns]
+    begin_ns, end_ns = edges[first], edges[last]
+    assert_exact_fractions(
+        attribute(samples, begin_ns, end_ns), reference_attribution(samples, begin_ns, end_ns)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=two_domain_runs(), data=st.data())
+def test_attribution_with_two_boundary_samples_is_exact(samples, data):
+    # The window starts inside one sample and ends inside a later one.
+    first, last = sorted(data.draw(st.lists(
+        st.integers(0, len(samples) - 1), min_size=2, max_size=2, unique=True
+    )))
+    begin_ns = data.draw(st.integers(samples[first].start_ns + 1, samples[first].end_ns - 1))
+    end_ns = data.draw(st.integers(samples[last].start_ns + 1, samples[last].end_ns - 1))
+    assert_exact_fractions(
+        attribute(samples, begin_ns, end_ns), reference_attribution(samples, begin_ns, end_ns)
+    )
 
 
 class TestSummarize:

@@ -21,7 +21,7 @@ from manai.probe import (
     load_scenario,
 )
 
-from conftest import CORE, PKG, make_powercap_tree, write_scenario
+from conftest import CORE, DRAM, PKG, make_powercap_tree, write_scenario
 
 
 def constant_scenario(watts_uw: int, max_range_uj: int = 10**12, update_ns: int = 1_000_000):
@@ -192,6 +192,48 @@ def test_closed_form_counter_matches_tick_oracle(scenario, elapsed_ns):
     got = scenario.counter_uj(PKG, elapsed_ns)
     assert got == oracle_counter_uj(scenario, PKG, elapsed_ns)
     assert 0 <= got < scenario.max_range_uj
+
+
+def oracle_energy_fj(segments, domain, until_ns: int) -> int:
+    """Independent linear walk of the scenario integral, last level held."""
+    total_fj = cursor = 0
+    for segment in segments:
+        overlap_ns = min(until_ns, cursor + segment.duration_ns) - cursor
+        if overlap_ns > 0:
+            total_fj += segment.powers_uw.get(domain, 0) * overlap_ns
+        cursor += segment.duration_ns
+    if until_ns > cursor:
+        total_fj += segments[-1].powers_uw.get(domain, 0) * (until_ns - cursor)
+    return total_fj
+
+
+@st.composite
+def sparse_scenarios(draw):
+    """Up to 64 segments over two or three domains; DRAM skips some segments."""
+    others = draw(st.sampled_from([(DRAM,), (CORE, DRAM)]))
+    segments = []
+    for _ in range(draw(st.integers(1, 64))):
+        powers = {PKG: draw(st.integers(0, 50_000_000))}
+        for domain in others:
+            if domain is not DRAM or draw(st.booleans()):
+                powers[domain] = draw(st.integers(0, 50_000_000))
+        segments.append(ScenarioSegment(draw(st.integers(1, 10_000_000)), powers))
+    return SimulationScenario(tuple(segments), max_range_uj=10**9, update_interval_ns=1_000_000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=sparse_scenarios(), data=st.data())
+def test_energy_fj_matches_linear_walk_at_segment_edges(scenario, data):
+    ends = [0]
+    for segment in scenario.segments:
+        ends.append(ends[-1] + segment.duration_ns)
+    edge = st.tuples(st.sampled_from(ends), st.sampled_from([-1, 0, 1])).map(sum)
+    past_end = st.integers(1, 10**10).map(lambda extra: ends[-1] + extra)
+    untils = data.draw(st.lists(st.one_of(edge, past_end), min_size=1, max_size=20))
+    for domain in (PKG, CORE, DRAM):
+        for until_ns in untils:
+            expected = oracle_energy_fj(scenario.segments, domain, until_ns)
+            assert scenario.energy_fj(domain, until_ns) == expected
 
 
 class TestScenarioFile:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import manai.store
 from manai.errors import EmptyScope, NoHistory, UnknownRevision
 from manai.harness import TestId
 from manai.report import (
@@ -138,6 +139,17 @@ class TestSummaryFormats:
         text = render_summary(store_one_revision, summary_request(fmt=ReportFormat.MACHINE))
         doc = json.loads(text)
         assert doc == record_to_doc(store_one_revision.latest("rev-a"))
+
+    def test_machine_is_the_stored_file_without_decoding(self, store_one_revision, monkeypatch):
+        (path,) = store_one_revision.revisions_dir.glob("rev-a/*.record")
+
+        def refuse(*args):
+            raise AssertionError("the machine export must not decode or re-render")
+
+        monkeypatch.setattr(manai.store, "record_from_doc", refuse)
+        monkeypatch.setattr(manai.store, "render_record", refuse)
+        text = render_summary(store_one_revision, summary_request(fmt=ReportFormat.MACHINE))
+        assert text.encode("utf-8") == path.read_bytes()
 
     def test_html_is_self_contained(self, store_one_revision):
         text = render_summary(store_one_revision, summary_request(fmt=ReportFormat.HTML))

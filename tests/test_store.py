@@ -101,6 +101,17 @@ class TestSaveLoad:
         ]
         assert store.latest("a_b").created_at == ts(1)
 
+    @pytest.mark.parametrize("label", [".", ".."])
+    def test_dot_labels_stay_under_revisions(self, tmp_path, label):
+        store = Store(tmp_path / "data")
+        path = store.save(make_record(label, ts(0), {"demo::a": 1_000_000}))
+        assert path.resolve().parent.parent == store.revisions_dir.resolve()
+        assert [r.revision_label for r in store.iter_records()] == [label]
+        (series,) = store.history((TestId("demo", "a"),))
+        assert [p.revision_label for p in series.points] == [label]
+        assert store.latest(label).created_at == ts(0)
+        assert [r.revision_label for r in store.load(label)] == [label]
+
     def test_unreadable_record_of_another_label_is_isolated(self, tmp_path):
         store = Store(tmp_path)
         store.save(make_record("good", ts(0), {"demo::a": 1_000_000}))

@@ -22,14 +22,20 @@ Execution timing depends on the probe backend:
 The probe comes from :func:`manai.probe.create_probe`, which also
 resolves the powercap root a live run reads.
 
-Exactly one experiment may run per data directory; a lock file holding
-the owner's process id enforces that. Note that RAPL counters are
-machine-wide: anything else running on the host during an experiment
-contaminates the readings, so results carry the probe backend used.
+Exactly one experiment may run per data directory. The runner holds an
+exclusive, non-blocking ``flock`` on the persistent file
+``<data_dir>/lock`` for the whole experiment; the kernel releases it when
+the runner exits, even on SIGKILL, so there is no stale-lock recovery and
+no runner ever deletes another's lock. The holder's process id is written
+into the file only to name it in the refusal message. Note that RAPL
+counters are machine-wide: anything else running on the host during an
+experiment contaminates the readings, so results carry the probe backend
+used.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import logging
 import os
@@ -194,50 +200,38 @@ def resolve_revision_label(explicit: str | None, cwd: Path | None = None) -> str
 
 
 class _DataDirLock:
-    """Pid-stamped lock file allowing one experiment per data directory."""
+    """An exclusive ``flock`` on ``data_dir/lock``: one experiment per data directory.
+
+    The kernel drops the lock when the holding process exits, however it
+    exits, so a killed runner leaves nothing stale behind and no runner
+    ever deletes the file. The pid written into it only names the holder
+    in the :class:`LockHeld` message.
+    """
 
     def __init__(self, data_dir: Path):
         self.path = data_dir / "lock"
+        self._fd: int | None = None
 
     def acquire(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for _ in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(str(os.getpid()))
-                return
-            except FileExistsError:
-                if self._holder_alive():
-                    raise LockHeld(
-                        f"another experiment holds {self.path} "
-                        f"(pid {self.path.read_text().strip() or '?'})"
-                    ) from None
-                logger.warning("removing stale lock %s", self.path)
-                try:
-                    self.path.unlink()
-                except FileNotFoundError:
-                    pass
-        raise LockHeld(f"could not acquire {self.path}")
-
-    def _holder_alive(self) -> bool:
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            pid = int(self.path.read_text().strip())
-        except (OSError, ValueError):
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.ftruncate(fd, 0)
+            os.write(fd, str(os.getpid()).encode())
+        except BlockingIOError:
+            holder = os.pread(fd, 32, 0).decode(errors="replace").strip() or "?"
+            os.close(fd)
+            raise LockHeld(f"another experiment holds {self.path} (pid {holder})") from None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
 
     def release(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        # Closing the only descriptor of the open file drops the flock.
+        os.close(self._fd)
+        self._fd = None
 
 
 def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:

@@ -7,6 +7,13 @@ readable energy counters.
 
 Counters are cumulative microjoule values that wrap at a per-domain maximum,
 exactly like the kernel interface reports them.
+
+The live reader opens every zone's ``energy_uj`` once, when it discovers
+the zones, and holds the file descriptors for its whole lifetime. A read
+is one ``os.pread`` at offset 0 per held descriptor: sysfs regenerates an
+attribute's text on every read at offset 0, so no reopen or seek is
+needed. The descriptors are non-inheritable (Python's default), so a
+harness child never receives them.
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ import logging
 import os
 import re
 import time
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from manai.errors import (
@@ -168,20 +177,32 @@ _ZONE_NAME_KINDS = {
 }
 
 
+# Bytes read per counter: room for a u64 in decimal (20 digits) and a newline.
+_COUNTER_READ_BYTES = 32
+
+
 @dataclass(frozen=True)
 class _RaplZone:
     domain: EnergyDomain
-    energy_path: Path
+    fd: int
     max_range_uj: int
+
+
+def _close_fds(fds: list[int]) -> None:
+    for fd in fds:
+        os.close(fd)
 
 
 class RaplProbe(Probe):
     """Reads cumulative energy counters from the powercap sysfs tree.
 
-    Zones are discovered once at construction. Per-domain reads are
-    sequential in a fixed order (package, core, uncore, dram, psys); the
-    interface offers no multi-domain snapshot, so the skew of one pass is
-    accepted and bounded by read latency.
+    Zones are discovered once at construction, and each zone's
+    ``energy_uj`` is opened then and held until the probe is garbage
+    collected (a ``weakref.finalize`` closes the descriptors). A read is
+    one ``os.pread(fd, 32, 0)`` per zone, sequential in a fixed order
+    (package, core, uncore, dram, psys); the interface offers no
+    multi-domain snapshot, so the skew of one pass is accepted and bounded
+    by read latency.
 
     Args:
         powercap_root: Root of the powercap class directory. Overridable
@@ -201,7 +222,14 @@ class RaplProbe(Probe):
     ):
         self._root = Path(powercap_root)
         self._update_interval_ns = update_interval_ns
+        # Registered before discovery opens anything, so descriptors opened
+        # by a constructor that then raises are closed as well.
+        self._fds: list[int] = []
+        weakref.finalize(self, _close_fds, self._fds)
         self._zones = self._discover()
+        self._max_range = MappingProxyType(
+            {zone.domain: zone.max_range_uj for zone in self._zones}
+        )
 
     def _discover(self) -> list[_RaplZone]:
         zone_dirs: list[Path] = []
@@ -246,18 +274,19 @@ class RaplProbe(Probe):
 
             energy_path = zone_dir / "energy_uj"
             try:
-                energy_path.read_text()
+                fd = os.open(energy_path, os.O_RDONLY)
             except PermissionError:
                 logger.warning("no read permission for %s", energy_path)
                 unreadable += 1
                 continue
-            except (OSError, ValueError):
+            except OSError:
                 continue
+            self._fds.append(fd)
 
             zones.append(
                 _RaplZone(
                     domain=EnergyDomain(kind, socket),
-                    energy_path=energy_path,
+                    fd=fd,
                     max_range_uj=self._read_max_range(zone_dir),
                 )
             )
@@ -297,15 +326,12 @@ class RaplProbe(Probe):
     def read(self) -> ProbeReading:
         timestamp_ns = time.monotonic_ns()
         counters: dict[EnergyDomain, int] = {}
-        max_range: dict[EnergyDomain, int] = {}
         for zone in self._zones:
             try:
-                raw = zone.energy_path.read_text()
-                counters[zone.domain] = int(raw.strip())
+                counters[zone.domain] = int(os.pread(zone.fd, _COUNTER_READ_BYTES, 0))
             except (OSError, ValueError) as exc:
                 raise ReadFailed(zone.domain, str(exc)) from exc
-            max_range[zone.domain] = zone.max_range_uj
-        return ProbeReading(timestamp_ns, counters, max_range)
+        return ProbeReading(timestamp_ns, counters, self._max_range)
 
 
 # --------------------------------------------------------------------------

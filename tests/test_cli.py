@@ -111,10 +111,14 @@ class TestLiveRun:
         # Counters start just below their range and a writer thread advances
         # them through one wrap while the test runs. The writer adds far less
         # than one range in total, so a misread wrap (about max_range in one
-        # sample) cannot hide below the bound asserted at the end.
+        # sample) cannot hide below the bound asserted at the end. The probe
+        # holds its counter fds open, so the writer rewrites each file in
+        # place at a fixed width, as sysfs presents a changing attribute;
+        # replacing the file would leave the probe reading the old inode.
         monkeypatch.delenv("MANAI_POWERCAP_ROOT", raising=False)
         monkeypatch.delenv("MANAI_DATA_DIR", raising=False)
         max_range = 5_000_000
+        width = len(str(max_range - 1))
         steps = {PKG: 1000, CORE: 400}
         start = {domain: max_range - 50 * step for domain, step in steps.items()}
         root = make_powercap_tree(
@@ -122,12 +126,12 @@ class TestLiveRun:
             {
                 "intel-rapl:0": {
                     "name": "package-0",
-                    "energy_uj": start[PKG],
+                    "energy_uj": f"{start[PKG]:0{width}d}",
                     "max_energy_range_uj": max_range,
                 },
                 "intel-rapl:0:0": {
                     "name": "core",
-                    "energy_uj": start[CORE],
+                    "energy_uj": f"{start[CORE]:0{width}d}",
                     "max_energy_range_uj": max_range,
                 },
             },
@@ -142,16 +146,19 @@ class TestLiveRun:
 
         def write_counters():
             values = dict(start)
-            while not stop.wait(0.001) and added[PKG] < max_range // 2:
-                for domain, step in steps.items():
-                    values[domain] += step
-                    if values[domain] >= max_range:
-                        values[domain] -= max_range
-                        wraps[domain] += 1
-                    scratch = paths[domain].with_name("energy_uj.next")
-                    scratch.write_text(f"{values[domain]}\n")
-                    os.replace(scratch, paths[domain])
-                    added[domain] += step
+            fds = {domain: os.open(path, os.O_WRONLY) for domain, path in paths.items()}
+            try:
+                while not stop.wait(0.001) and added[PKG] < max_range // 2:
+                    for domain, step in steps.items():
+                        values[domain] += step
+                        if values[domain] >= max_range:
+                            values[domain] -= max_range
+                            wraps[domain] += 1
+                        os.pwrite(fds[domain], f"{values[domain]:0{width}d}\n".encode(), 0)
+                        added[domain] += step
+            finally:
+                for fd in fds.values():
+                    os.close(fd)
 
         plan = write_plan(tmp_path / "plan.txt", ["test demo::live sleep_ms=150"])
         harness_args = f"-m manai.fixture_harness --plan {plan}"
@@ -195,6 +202,9 @@ class TestLiveRun:
             for sample in result.samples:
                 for domain, energy_uj in sample.energy_uj.items():
                     assert energy_uj <= added[domain]
+        for domain in steps:
+            seen = sum(s.energy_uj[domain] for r in results for s in r.samples)
+            assert seen > 0, f"the probe never saw {domain} advance"
 
 
 class TestExitCodes:

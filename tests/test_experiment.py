@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import fcntl
 import math
-import os
 import random
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,16 @@ from manai.store import Store
 from conftest import DRAM, PKG, fixture_harness_command, make_result, write_plan, write_scenario
 
 NS = 10**9
+
+
+def _lock_is_free(path) -> bool:
+    """Whether a non-blocking exclusive ``flock`` on ``path`` succeeds now."""
+    with open(path) as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
 
 
 class TestAttribute:
@@ -411,9 +424,10 @@ class TestRunExperiment:
         tmp_path, _, _, build = sim_experiment
         data_dir = tmp_path / "data"
         data_dir.mkdir()
-        (data_dir / "lock").write_text(str(os.getpid()))
-        with pytest.raises(LockHeld):
-            run_experiment(build(), data_dir=data_dir)
+        with open(data_dir / "lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(LockHeld):
+                run_experiment(build(), data_dir=data_dir)
 
     def test_stale_lock_is_replaced(self, sim_experiment):
         tmp_path, _, _, build = sim_experiment
@@ -422,7 +436,37 @@ class TestRunExperiment:
         (data_dir / "lock").write_text("999999999")
         record = run_experiment(build(iterations=1), data_dir=data_dir)
         assert record.summaries
-        assert not (data_dir / "lock").exists()
+        assert _lock_is_free(data_dir / "lock")
+
+    def test_lock_of_killed_runner_is_released(self, sim_experiment):
+        tmp_path, _, _, build = sim_experiment
+        data_dir = tmp_path / "data"
+        holder = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys, time\n"
+                "from pathlib import Path\n"
+                "from manai.experiment import _DataDirLock\n"
+                "_DataDirLock(Path(sys.argv[1])).acquire()\n"
+                "print('locked', flush=True)\n"
+                "time.sleep(60)\n",
+                str(data_dir),
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            with pytest.raises(LockHeld, match=f"pid {holder.pid}"):
+                run_experiment(build(iterations=1), data_dir=data_dir)
+        finally:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        record = run_experiment(build(iterations=1), data_dir=data_dir)
+        assert record.summaries
+        assert _lock_is_free(data_dir / "lock")
 
     def test_spawn_failure_aborts_without_persisting(self, sim_experiment):
         tmp_path, _, scenario, build = sim_experiment
@@ -437,7 +481,7 @@ class TestRunExperiment:
         with pytest.raises(HarnessSpawnFailed):
             run_experiment(config, data_dir=data_dir)
         assert not (data_dir / "revisions").exists()
-        assert not (data_dir / "lock").exists()
+        assert _lock_is_free(data_dir / "lock")
 
     def test_empty_selection_rejected(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["# no tests declared"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import gc
+import os
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,19 @@ def constant_scenario(watts_uw: int, max_range_uj: int = 10**12, update_ns: int 
     )
 
 
+def _pread_failing_on(counter: Path):
+    """An ``os.pread`` that fails like a removed sysfs zone on the fd of ``counter``."""
+    real_pread = os.pread
+    removed = os.stat(counter)
+
+    def pread(fd, length, offset):
+        if os.path.samestat(os.fstat(fd), removed):
+            raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+        return real_pread(fd, length, offset)
+
+    return pread
+
+
 class TestRaplDiscovery:
     def test_maps_zone_names_to_domains(self, powercap_two_domains):
         probe = RaplProbe(powercap_root=powercap_two_domains)
@@ -57,14 +73,14 @@ class TestRaplDiscovery:
             root,
             {"intel-rapl:0": {"name": "package-0", "energy_uj": 1, "max_energy_range_uj": 10}},
         )
-        real_read_text = Path.read_text
+        real_open = os.open
 
-        def deny_energy(self, *args, **kwargs):
-            if self.name == "energy_uj":
-                raise PermissionError(f"denied: {self}")
-            return real_read_text(self, *args, **kwargs)
+        def deny_energy(path, *args, **kwargs):
+            if Path(path).name == "energy_uj":
+                raise PermissionError(errno.EACCES, "denied", str(path))
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", deny_energy)
+        monkeypatch.setattr(os, "open", deny_energy)
         with pytest.raises(PermissionDenied):
             RaplProbe(powercap_root=root)
 
@@ -72,11 +88,36 @@ class TestRaplDiscovery:
         probe = RaplProbe(powercap_root=powercap_two_domains)
         assert probe.read().timestamp_ns < probe.read().timestamp_ns
 
-    def test_vanished_counter_fails_whole_reading(self, powercap_two_domains):
+    def test_vanished_counter_fails_whole_reading(self, powercap_two_domains, monkeypatch):
         probe = RaplProbe(powercap_root=powercap_two_domains)
-        (powercap_two_domains / "intel-rapl:0" / "energy_uj").unlink()
+        # sysfs answers a read on the held fd of a removed zone with ENODEV.
+        package_counter = powercap_two_domains / "intel-rapl:0" / "energy_uj"
+        monkeypatch.setattr(os, "pread", _pread_failing_on(package_counter))
         with pytest.raises(ReadFailed):
             probe.read()
+
+    def test_failure_names_the_failing_zone(self, powercap_two_domains, monkeypatch):
+        probe = RaplProbe(powercap_root=powercap_two_domains)
+        core_counter = powercap_two_domains / "intel-rapl:0" / "intel-rapl:0:0" / "energy_uj"
+        monkeypatch.setattr(os, "pread", _pread_failing_on(core_counter))
+        with pytest.raises(ReadFailed) as failure:
+            probe.read()
+        assert failure.value.domain == CORE
+
+    def test_held_fds_are_closed_and_not_inherited(self, powercap_two_domains):
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc/self/fd")
+        gc.collect()
+        before = len(os.listdir(fd_dir))
+        for _ in range(100):
+            probe = RaplProbe(powercap_root=powercap_two_domains)
+            held = [zone.fd for zone in probe._zones]
+            assert len(held) == 2
+            assert all(os.get_inheritable(fd) is False for fd in held)
+            del probe
+        gc.collect()
+        assert len(os.listdir(fd_dir)) == before
 
     def test_multi_socket_and_psys(self, tmp_path):
         root = tmp_path / "powercap"

@@ -201,7 +201,8 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
 
 
 class _StdoutReader(threading.Thread):
-    """Feeds (timestamp, line) pairs from the child into a queue."""
+    """Feeds (timestamp, line) pairs from the child into a queue, and
+    closes the stream at its end."""
 
     def __init__(self, stream):
         super().__init__(daemon=True)
@@ -212,9 +213,8 @@ class _StdoutReader(threading.Thread):
         try:
             for line in self._stream:
                 self.events.put((time.monotonic_ns(), line))
-        except ValueError:
-            pass  # stream closed underneath us after a kill
         finally:
+            self._stream.close()
             self.events.put((time.monotonic_ns(), None))
 
 
@@ -307,6 +307,8 @@ def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -
                 end_event = event
     finally:
         _reap(proc, deadline_ns)
+        # The pipe reaches EOF once the child is gone; the reader closes it.
+        reader.join(_EXIT_GRACE_S)
 
     exit_ns = time.monotonic_ns()
     if end_event is None:

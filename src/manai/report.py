@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 from manai.errors import EmptyScope, NoHistory
 from manai.harness import TestId
 from manai.probe import EnergyDomain, domain_sort_key
-from manai.store import HistorySeries, RevisionRecord, Store, record_to_doc
+from manai.store import HistorySeries, RevisionRecord, Store, record_from_doc, record_to_doc
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 CSV_HEADER = "test,domain,statistic,value,unit"
@@ -172,7 +172,9 @@ def _require_tests(summaries, revision: str) -> None:
 
 
 def _latest_record(store: Store, revision: str) -> RevisionRecord:
-    record = store.latest(revision)
+    """The newest record of ``revision`` decoded from its head file alone;
+    views need no samples, so no sidecar is read."""
+    record = record_from_doc(store.latest_text(revision)[0])
     _require_tests(record.summaries, revision)
     return record
 

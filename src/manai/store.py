@@ -1,25 +1,43 @@
 """Revision-keyed persistence of experiment outcomes.
 
-Records live as one JSON document per file under
-``<data_dir>/revisions/<label>/<created_at>.record``; the layout is
-human-browsable and diff-friendly, with no database dependency. The
-directory name is the label with every character outside
+Each record is a pair of files under ``<data_dir>/revisions/<label>/``:
+
+* ``<created_at>.record``, the head: an indented, key-sorted JSON
+  document with the config, the probe, the summaries and each
+  iteration's result fields (energy and power per domain, duration,
+  status, flags). It holds no samples, stays human-browsable and
+  diff-friendly, and is the machine export of the record.
+* ``<created_at>.samples``, the sidecar: every iteration's samples as one
+  compact columnar JSON block. ``start_ns`` holds each sample's start;
+  adjacent samples share their edges, so ``end_ns`` holds only the end
+  of each stretch of adjacent samples, and ``stretches`` gives, per test
+  and iteration, the lengths of those stretches in sample order.
+  ``energy_uj`` holds one integer array per domain, with ``null`` where
+  a sample lacks that domain.
+
+The directory name is the label with every character outside
 ``[A-Za-z0-9._-]`` replaced by ``_``; the labels ``.`` and ``..`` become
 ``_`` and ``__``, so every record lies under ``revisions/<label>/``.
 Re-running a revision appends a new timestamped record instead of
 overwriting; a record saved with the same timestamp gets a ``-<n>``
-suffix and sorts after the ones before it. Writes go to a dot-prefixed
-temporary and are renamed into place, so readers never observe a
-partial record; they simply skip temporaries.
+suffix and sorts after the ones before it. Each file is written to a
+dot-prefixed temporary, fsynced and renamed into place, the sidecar
+before the head, so a visible head always has its samples and readers
+never observe a partial record; they skip temporaries, and a sidecar
+without its head is not a record.
 
 Each query reads only what it returns. ``load``, ``latest`` and
 ``latest_text`` list the one directory their label sanitizes to and keep
-the records of exactly that label (two labels can share a directory);
-``latest`` decodes only the record it returns, and ``latest_text``
-returns that record's file text without decoding it. ``history`` reads
-every record once per call, for any number of tests, and decodes only
-the label, the timestamp and the requested summaries, never results or
-samples.
+the records of exactly that label (two labels can share a directory).
+``load`` and ``latest`` read the sidecars of the records they return;
+``latest_text`` returns the newest head's document and file text, and
+never opens a sidecar. ``history`` reads every head once per call, for
+any number of tests, and decodes only the label, the timestamp and the
+requested summaries, never results or samples.
+
+Format 1 records, a single document with every sample inline as an
+object, stay readable: they load to the same records, samples included.
+Every save writes format 2.
 
 Floating-point fields are serialized in shortest round-trip decimal form
 (standard JSON float text), so save followed by load reproduces every
@@ -33,9 +51,10 @@ import json
 import os
 import re
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
@@ -43,9 +62,12 @@ from manai.probe import EnergyDomain
 from manai.results import Stats, TestExecutionResult, TestSummary
 from manai.sampler import EnergySample
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Format 1 kept every sample inline in the record; it is read, never written.
+_INLINE_SAMPLES_VERSION = 1
 
 _RECORD_SUFFIX = ".record"
+_SAMPLES_SUFFIX = ".samples"
 
 
 @dataclass(frozen=True)
@@ -61,7 +83,6 @@ class RevisionRecord:
     config: Mapping[str, str]
     summaries: Mapping[TestId, TestSummary]
     results: Mapping[TestId, tuple[TestExecutionResult, ...]]
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if not self.revision_label:
@@ -119,22 +140,6 @@ def _domain_map_from_doc(doc: dict, value_fn=lambda v: v) -> dict:
     return {EnergyDomain.parse(k): value_fn(v) for k, v in doc.items()}
 
 
-def _sample_to_doc(sample: EnergySample) -> dict:
-    return {
-        "start_ns": sample.start_ns,
-        "end_ns": sample.end_ns,
-        "energy_uj": _domain_map_to_doc(sample.energy_uj),
-    }
-
-
-def _sample_from_doc(doc: dict) -> EnergySample:
-    return EnergySample(
-        start_ns=doc["start_ns"],
-        end_ns=doc["end_ns"],
-        energy_uj=_domain_map_from_doc(doc["energy_uj"]),
-    )
-
-
 def _result_to_doc(result: TestExecutionResult) -> dict:
     return {
         "iteration": result.iteration,
@@ -146,18 +151,19 @@ def _result_to_doc(result: TestExecutionResult) -> dict:
         "error": result.error,
         "energy_j": _domain_map_to_doc(result.energy_j),
         "mean_power_w": _domain_map_to_doc(result.mean_power_w),
-        "samples": [_sample_to_doc(s) for s in result.samples],
     }
 
 
-def _result_from_doc(test: TestId, doc: dict) -> TestExecutionResult:
+def _result_from_doc(
+    test: TestId, doc: dict, samples: tuple[EnergySample, ...]
+) -> TestExecutionResult:
     return TestExecutionResult(
         test=test,
         iteration=doc["iteration"],
         duration_ns=doc["duration_ns"],
         energy_j=_domain_map_from_doc(doc["energy_j"]),
         mean_power_w=_domain_map_from_doc(doc["mean_power_w"]),
-        samples=tuple(_sample_from_doc(s) for s in doc["samples"]),
+        samples=samples,
         status=TestStatus(doc["status"]),
         low_confidence=doc["low_confidence"],
         baseline_applied=doc["baseline_applied"],
@@ -193,9 +199,83 @@ def _summary_from_doc(test: TestId, doc: dict) -> TestSummary:
     )
 
 
-def record_to_doc(record: RevisionRecord) -> dict:
+def _columns(runs: Mapping[str, Iterable[Iterable[tuple[int, int, Mapping]]]]) -> dict:
+    """The sidecar document of ``runs``: per test, per iteration, the
+    ``(start_ns, end_ns, energy_uj)`` of each sample in order."""
+    starts: list[int] = []
+    ends: list[int] = []
+    energies: list[Mapping] = []
+    stretches = {}
+    for test, iterations in runs.items():
+        stretches[test] = per_iteration = []
+        for samples in iterations:
+            lengths: list[int] = []
+            previous_end = None
+            for start_ns, end_ns, energy_uj in samples:
+                if start_ns != previous_end:
+                    if lengths:
+                        ends.append(previous_end)
+                    lengths.append(0)
+                lengths[-1] += 1
+                previous_end = end_ns
+                starts.append(start_ns)
+                energies.append(energy_uj)
+            if lengths:
+                ends.append(previous_end)
+            per_iteration.append(lengths)
+    domains = set().union(*energies)
     return {
-        "format_version": record.format_version,
+        "start_ns": starts,
+        "end_ns": ends,
+        "stretches": stretches,
+        "energy_uj": {str(d): [e.get(d) for e in energies] for d in domains},
+    }
+
+
+def _samples_to_doc(record: RevisionRecord) -> dict:
+    # Tests in key order: the dump sorts ``stretches``, and readers take
+    # the columns in that order.
+    return _columns({
+        str(t): [[(s.start_ns, s.end_ns, s.energy_uj) for s in r.samples] for r in rs]
+        for t, rs in sorted(record.results.items(), key=lambda kv: str(kv[0]))
+    })
+
+
+def _inline_samples_to_doc(doc: dict) -> dict:
+    """The sidecar document of a format 1 record's inline samples."""
+    return _columns({
+        t: [[(s["start_ns"], s["end_ns"], s["energy_uj"]) for s in r["samples"]] for r in rs]
+        for t, rs in doc["results"].items()
+    })
+
+
+def _samples_from_doc(doc: dict) -> dict[str, list[tuple[EnergySample, ...]]]:
+    """Per test, each iteration's samples from a sidecar document."""
+    starts, ends = doc["start_ns"], doc["end_ns"]
+    columns = [(EnergyDomain.parse(d), values) for d, values in doc["energy_uj"].items()]
+    index = stretch = 0
+    runs = {}
+    for test, iterations in doc["stretches"].items():
+        runs[test] = per_iteration = []
+        for lengths in iterations:
+            samples = []
+            for length in lengths:
+                stop = index + length
+                stretch_ends = [*starts[index + 1:stop], ends[stretch]]
+                for i, end_ns in zip(range(index, stop), stretch_ends):
+                    energy = {d: values[i] for d, values in columns if values[i] is not None}
+                    samples.append(EnergySample(starts[i], end_ns, energy))
+                index, stretch = stop, stretch + 1
+            per_iteration.append(tuple(samples))
+    if (index, stretch) != (len(starts), len(ends)):
+        raise StorageError("sample columns do not match their stretches")
+    return runs
+
+
+def record_to_doc(record: RevisionRecord) -> dict:
+    """The head document of a record: everything but the samples."""
+    return {
+        "format_version": FORMAT_VERSION,
         "revision_label": record.revision_label,
         "created_at": record.created_at,
         "config_digest": record.config_digest,
@@ -218,18 +298,37 @@ def record_to_doc(record: RevisionRecord) -> dict:
 
 def _check_version(doc: dict) -> None:
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (FORMAT_VERSION, _INLINE_SAMPLES_VERSION):
         raise StorageError(f"unsupported record format_version {version!r}")
 
 
-def record_from_doc(doc: dict) -> RevisionRecord:
+def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
+    """The record a head document describes.
+
+    ``samples`` is the record's sidecar document; without it the results
+    carry no samples. A format 1 document carries its samples inline and
+    always decodes with them.
+
+    Raises:
+        StorageError: The format version is unsupported, or the samples
+            do not match the results.
+    """
     _check_version(doc)
+    if doc["format_version"] == _INLINE_SAMPLES_VERSION:
+        samples = _inline_samples_to_doc(doc)
+    runs = None if samples is None else _samples_from_doc(samples)
+    counts = {t: len(rs) for t, rs in doc["results"].items()}
+    if runs is not None and {t: len(rs) for t, rs in runs.items()} != counts:
+        raise StorageError("samples do not match the record's results")
     summaries = {
         TestId.parse(t): _summary_from_doc(TestId.parse(t), s)
         for t, s in doc["summaries"].items()
     }
     results = {
-        TestId.parse(t): tuple(_result_from_doc(TestId.parse(t), r) for r in rs)
+        TestId.parse(t): tuple(
+            _result_from_doc(TestId.parse(t), r, () if runs is None else runs[t][i])
+            for i, r in enumerate(rs)
+        )
         for t, rs in doc["results"].items()
     }
     return RevisionRecord(
@@ -242,13 +341,17 @@ def record_from_doc(doc: dict) -> RevisionRecord:
         config=doc["config"],
         summaries=summaries,
         results=results,
-        format_version=doc["format_version"],
     )
 
 
 def render_record(record: RevisionRecord) -> str:
-    """The canonical on-disk text of a record (also the machine export)."""
+    """The canonical text of a record's head file (also the machine export)."""
     return json.dumps(record_to_doc(record), indent=2, sort_keys=True) + "\n"
+
+
+def _render_samples(record: RevisionRecord) -> str:
+    """The text of a record's sidecar; compact, so the C encoder renders it."""
+    return json.dumps(_samples_to_doc(record), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # --- the store itself ------------------------------------------------------
@@ -272,6 +375,22 @@ def _save_order(path: Path) -> tuple[str, int]:
     return stamp, int(counter) if counter.isdigit() else 0
 
 
+def _write_file(target: Path, text: str) -> None:
+    """Write ``text`` to a fsynced temporary beside ``target``, then rename
+    it into place."""
+    fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
 class Store:
     """File-backed record storage under one data directory.
 
@@ -291,7 +410,8 @@ class Store:
         return self.data_dir / "revisions"
 
     def save(self, record: RevisionRecord) -> Path:
-        """Atomically persist ``record``; returns the file written.
+        """Atomically persist ``record``: its sidecar first, then its head;
+        returns the head file.
 
         Saving the same revision label again appends a new record.
 
@@ -303,25 +423,22 @@ class Store:
         target_dir = self.revisions_dir / _sanitize_label(record.revision_label)
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
-            text = render_record(record)
+            head = render_record(record)
+            samples = _render_samples(record)
             stamp = _file_stamp(record.created_at)
             target = target_dir / f"{stamp}{_RECORD_SUFFIX}"
             counter = 1
             while target.exists():
                 target = target_dir / f"{stamp}-{counter}{_RECORD_SUFFIX}"
                 counter += 1
-            fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=target_dir)
+            # The sidecar lands first: a visible head always has its samples.
+            sidecar = target.with_suffix(_SAMPLES_SUFFIX)
+            _write_file(sidecar, samples)
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, target)
+                _write_file(target, head)
             except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
+                with suppress(OSError):
+                    os.unlink(sidecar)
                 raise
         except OSError as exc:
             if exc.errno == errno.ENOSPC:
@@ -347,27 +464,43 @@ class Store:
         for label_dir in sorted(root.iterdir()):
             yield from self._record_files(label_dir)
 
-    def _read_doc(self, path: Path) -> dict:
-        """The parsed JSON document of one record file, version-checked."""
+    def _read_doc(self, path: Path) -> tuple[dict, str]:
+        """The version-checked head document of one record file, and the
+        file's text."""
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+            doc = json.loads(text)
         except (OSError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
         _check_version(doc)
-        return doc
+        return doc, text
+
+    def _read_samples(self, path: Path) -> dict:
+        """The sidecar document of the format 2 record file ``path``."""
+        sidecar = path.with_suffix(_SAMPLES_SUFFIX)
+        try:
+            return json.loads(sidecar.read_bytes())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise StorageError(f"unreadable samples {sidecar}: {exc}") from exc
+
+    def _record(self, doc: dict, path: Path) -> RevisionRecord:
+        """The full record whose head ``doc`` was read from ``path``."""
+        if doc["format_version"] == _INLINE_SAMPLES_VERSION:
+            return record_from_doc(doc)
+        return record_from_doc(doc, self._read_samples(path))
 
     def iter_records(self) -> Iterator[RevisionRecord]:
         for path in self._iter_record_files():
-            yield record_from_doc(self._read_doc(path))
+            yield self._record(self._read_doc(path)[0], path)
 
-    def _label_docs(self, revision_label: str) -> list[tuple[dict, Path]]:
-        """The documents stored under ``revision_label`` and their files,
-        oldest first."""
+    def _label_docs(self, revision_label: str) -> list[tuple[dict, str, Path]]:
+        """The head documents stored under ``revision_label``, with their
+        text and file, oldest first."""
         label_dir = self.revisions_dir / _sanitize_label(revision_label)
         # Labels that sanitize alike share a directory; keep the exact one.
         docs = [
-            (doc, path) for path in self._record_files(label_dir)
-            if (doc := self._read_doc(path))["revision_label"] == revision_label
+            (*read, path) for path in self._record_files(label_dir)
+            if (read := self._read_doc(path))[0]["revision_label"] == revision_label
         ]
         if not docs:
             raise UnknownRevision(f"no records for revision {revision_label!r}")
@@ -380,7 +513,7 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        return [record_from_doc(doc) for doc, _ in self._label_docs(revision_label)]
+        return [self._record(doc, path) for doc, _, path in self._label_docs(revision_label)]
 
     def latest(self, revision_label: str) -> RevisionRecord:
         """The newest record under ``revision_label``; the last saved on a tie.
@@ -388,21 +521,19 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        return record_from_doc(self._label_docs(revision_label)[-1][0])
+        doc, _, path = self._label_docs(revision_label)[-1]
+        return self._record(doc, path)
 
     def latest_text(self, revision_label: str) -> tuple[dict, str]:
-        """The document of the record ``latest`` returns and its file's
-        exact text, which is the machine export of that record.
+        """The head document of the record ``latest`` returns and its
+        file's exact text, which is the machine export of that record.
+        Reads no sidecar.
 
         Raises:
             UnknownRevision: Nothing is stored under that label.
-            StorageError: The record file cannot be read.
         """
-        doc, path = self._label_docs(revision_label)[-1]
-        try:
-            return doc, path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise StorageError(f"unreadable record {path}: {exc}") from exc
+        doc, text, _ = self._label_docs(revision_label)[-1]
+        return doc, text
 
     def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:
         """Evolution of each of ``tests`` across all records, newest last.
@@ -413,7 +544,7 @@ class Store:
         """
         points: dict[TestId, list[HistoryPoint]] = {test: [] for test in tests}
         for path in self._iter_record_files():
-            doc = self._read_doc(path)
+            doc, _ = self._read_doc(path)
             summaries = doc["summaries"]
             for test, test_points in points.items():
                 summary = summaries.get(str(test))

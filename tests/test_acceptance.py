@@ -188,6 +188,10 @@ def test_criterion_05_replicability(tmp_path):
         created_a = doc_a.pop("created_at")
         created_b = doc_b.pop("created_at")
         assert doc_a == doc_b
+        # Every sample replicates, and each store holds its run bit-exactly.
+        assert record_a.results == record_b.results
+        assert Store(tmp_path / "data-a").latest("acc") == record_a
+        assert Store(tmp_path / "data-b").latest("acc") == record_b
 
         # Machine exports may differ only in the created_at line.
         lines_a = render_record(record_a).splitlines()
@@ -370,9 +374,10 @@ def test_criterion_09_store_integrity(tmp_path):
             loaded_count += 1
         assert loaded_count == 1000
 
-        # Reads through the store API skip the injected temporary.
-        all_records = list(store.iter_records())
-        assert len(all_records) == 1000
+        # Reads through the store API skip the injected temporary and
+        # return every record bit-exactly, samples included.
+        all_records = sorted(store.iter_records(), key=lambda r: r.created_at)
+        assert all_records == [record for _, record in saved]
 
 
 _rapl_readable = False

@@ -316,6 +316,30 @@ class TestReportCommands:
         assert "demo::alpha" in out
         assert "compare r1 -> r2" in out
 
+    def test_views_never_read_samples(self, workspace, monkeypatch, capsys):
+        """run's summary, every format of report, compare and evolution read
+        the head files only."""
+        _, _, _, config, _ = workspace
+
+        def refuse(self, path):
+            raise AssertionError(f"read the samples of {path}")
+
+        monkeypatch.setattr(Store, "_read_samples", refuse)
+        for revision in ("r1", "r2"):
+            assert main(["run", "--config", str(config), "--revision", revision]) == 0
+            assert "mean package:0 energy per test" in capsys.readouterr().out
+        views = (
+            ["report", "--revision", "r2"],
+            ["compare", "r1", "r2"],
+            ["report", "--evolution", "demo::alpha,demo::beta"],
+        )
+        for view in views:
+            for fmt in ("term", "html", "csv", "machine"):
+                assert main([*view, "--config", str(config), "--format", fmt, "--no-color"]) == 0
+                assert "demo::beta" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="read the samples"):
+            Store(workspace[0] / "data").latest("r2")
+
 
 class TestBaselineCommand:
     def test_writes_profile(self, workspace, capsys, tmp_path):

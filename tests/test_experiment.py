@@ -378,6 +378,10 @@ class TestRunExperiment:
         assert doc_a.pop("created_at") != ""
         assert doc_b.pop("created_at") != ""
         assert doc_a == doc_b
+        # Every sample replicates, and each store holds its run bit-exactly.
+        assert record_a.results == record_b.results
+        assert Store(tmp_path / "data-a").latest("rev-repl") == record_a
+        assert Store(tmp_path / "data-b").latest("rev-repl") == record_b
 
     def test_protocol_violation_recorded_and_run_continues(self, sim_experiment):
         tmp_path, plan, scenario, build = sim_experiment

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +137,39 @@ class TestRunOne:
         )
         run = run_one(fixture_harness_command(plan), TestId("demo", "noisy"), timeout_s=20)
         assert run.status is TestStatus.PASS
+
+    def test_no_descriptor_outlives_its_run(self, tmp_path):
+        """The child's stdout pipe is closed on every path: normal exit,
+        protocol abort, crash and timeout."""
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc/self/fd on this platform")
+        plan = write_plan(tmp_path / "plan.txt", [
+            "test demo::quick sleep_ms=1",
+            "test demo::twice begin_twice=1",
+            "test demo::boom crash_after_begin=1",
+            "test demo::stuck hang_after_begin=1",
+        ])
+        cmd = fixture_harness_command(plan)
+        outcomes = [("twice", ProtocolViolation), ("boom", TestCrashed), ("stuck", TestCrashed)]
+        outcomes += [("quick", None)] * 17
+        # Callers keep errors, and with them the frames of run_one; collecting
+        # a cycle would close a leaked pipe and hide the leak.
+        kept = []
+        gc.disable()
+        try:
+            before = len(os.listdir(fd_dir))
+            for name, error in outcomes:
+                if error is None:
+                    kept.append(run_one(cmd, TestId("demo", name), timeout_s=20))
+                else:
+                    with pytest.raises(error) as exc_info:
+                        run_one(cmd, TestId("demo", name), timeout_s=0.5)
+                    kept.append(exc_info.value)
+            after = len(os.listdir(fd_dir))
+        finally:
+            gc.enable()
+        assert after == before
 
 
 def _noise_lines():

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import random
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import manai.store
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
-from manai.report import ReportRequest, render_history
-from manai.results import Stats, TestExecutionResult, TestSummary
+from manai.report import ReportFormat, ReportRequest, render_history, render_summary
+from manai.results import Stats, TestExecutionResult, TestSummary, summarize
 from manai.sampler import EnergySample
 from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc
 
-from conftest import PKG, make_record
+from conftest import DRAM, PKG, make_record
+
+V1_DIR = Path(__file__).parent / "v1"
 
 
 def ts(i: int) -> str:
@@ -30,6 +37,7 @@ class TestSaveLoad:
         loaded = store.load("abc123")
         assert len(loaded) == 1
         assert record_to_doc(loaded[0]) == record_to_doc(record)
+        assert loaded == [record]  # samples included
 
     def test_same_label_appends(self, tmp_path):
         store = Store(tmp_path)
@@ -80,11 +88,11 @@ class TestSaveLoad:
     def test_unsupported_format_version_is_reported(self, tmp_path):
         store = Store(tmp_path)
         path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
-        path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
+        path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 3'))
         for query in (store.load, store.latest):
-            with pytest.raises(StorageError, match="format_version 2"):
+            with pytest.raises(StorageError, match="format_version 3"):
                 query("abc")
-        with pytest.raises(StorageError, match="format_version 2"):
+        with pytest.raises(StorageError, match="format_version 3"):
             store.history((TestId("demo", "a"),))
 
     def test_labels_sharing_a_directory_stay_apart(self, tmp_path):
@@ -142,13 +150,17 @@ def random_float(rng: random.Random) -> float:
 
 
 def random_record(rng: random.Random, index: int) -> RevisionRecord:
+    """Up to three samples; a sample may follow a gap or lack a domain."""
     test = TestId("suite", f"case_{rng.randint(0, 5)}")
     n_samples = rng.randint(0, 3)
     samples = []
     cursor = 0
     for _ in range(n_samples):
+        cursor += rng.choice([0, 0, rng.randint(1, 10**6)])
         length = rng.randint(1, 10**9)
-        samples.append(EnergySample(cursor, cursor + length, {PKG: rng.randint(0, 10**9)}))
+        domains = rng.choice([(PKG,), (PKG,), (PKG, DRAM), (DRAM,)])
+        energy = {d: rng.randint(0, 10**9) for d in domains}
+        samples.append(EnergySample(cursor, cursor + length, energy))
         cursor += length
     result = TestExecutionResult(
         test=test,
@@ -197,6 +209,8 @@ def test_randomized_round_trip_is_bit_exact(tmp_path):
         loaded_doc = json.loads(path.read_text())
         assert loaded_doc == record_to_doc(record)
         assert record_to_doc(record_from_doc(loaded_doc)) == record_to_doc(record)
+        samples_doc = json.loads(path.with_suffix(".samples").read_text())
+        assert record_from_doc(loaded_doc, samples_doc) == record
 
 
 class TestHistory:
@@ -282,3 +296,230 @@ class TestReadScope:
         assert set(reads) == set(store_twelve_labels.revisions_dir.glob("*/*.record"))
         assert len(reads) == 13
         assert set(reads.values()) == {1}
+
+
+def sampled_record(label: str, iterations: list[list[EnergySample]]) -> RevisionRecord:
+    """A record of one test whose iterations carry ``iterations``' samples."""
+    test = TestId("demo", "sampled")
+    results = tuple(
+        TestExecutionResult(
+            test=test, iteration=i, duration_ns=6_000_000,
+            energy_j={PKG: 0.5, DRAM: 0.25}, mean_power_w={PKG: 1 / 3, DRAM: 0.1},
+            samples=tuple(samples), status=TestStatus.PASS, low_confidence=False,
+            baseline_applied=False,
+        )
+        for i, samples in enumerate(iterations)
+    )
+    return RevisionRecord(
+        revision_label=label,
+        created_at=ts(0),
+        config_digest="sha256:test",
+        probe_backend="simulated",
+        probe_update_interval_ns=1_000_000,
+        probe_domains=(PKG, DRAM),
+        config={},
+        summaries={test: summarize(results)},
+        results={test: results},
+    )
+
+
+MS = 1_000_000
+SAMPLE_CASES = {
+    "non-adjacent": [
+        [
+            EnergySample(0, MS, {PKG: 5, DRAM: 1}),
+            EnergySample(2 * MS, 3 * MS, {PKG: 7, DRAM: 2}),
+            EnergySample(3 * MS, 5 * MS, {PKG: 9, DRAM: 3}),
+        ],
+        # Starts where the previous iteration ended, yet is a stretch of its own.
+        [EnergySample(5 * MS, 6 * MS, {PKG: 11, DRAM: 4})],
+    ],
+    "domain sets differ": [[
+        EnergySample(0, MS, {PKG: 1, DRAM: 2}),
+        EnergySample(MS, 2 * MS, {PKG: 3}),
+        EnergySample(2 * MS, 3 * MS, {DRAM: 0}),
+        EnergySample(3 * MS, 4 * MS, {}),
+    ]],
+    "some iterations without samples": [[], [EnergySample(0, MS, {PKG: 1})], []],
+    "no samples at all": [[], []],
+}
+
+
+class TestSampleSidecar:
+    @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+    def test_round_trip_is_bit_exact(self, tmp_path, case):
+        store = Store(tmp_path)
+        record = sampled_record("abc", SAMPLE_CASES[case])
+        path = store.save(record)
+        assert store.load("abc") == [record]
+        assert store.latest("abc") == record
+        assert list(store.iter_records()) == [record]
+        assert "samples" not in path.read_text()
+
+    def test_layout_is_columnar(self, tmp_path):
+        path = Store(tmp_path).save(sampled_record("abc", SAMPLE_CASES["non-adjacent"]))
+        sidecar = path.with_suffix(".samples")
+        assert sidecar.read_text() == json.dumps({
+            "end_ns": [MS, 5 * MS, 6 * MS],
+            "energy_uj": {"dram:0": [1, 2, 3, 4], "package:0": [5, 7, 9, 11]},
+            "start_ns": [0, 2 * MS, 3 * MS, 5 * MS],
+            "stretches": {"demo::sampled": [[1, 2], [1]]},
+        }, separators=(",", ":")) + "\n"
+
+    def test_failed_head_rename_leaves_no_record(self, tmp_path, monkeypatch):
+        store = Store(tmp_path)
+        renamed = []
+        replace = os.replace
+
+        def fail_on_head(src, dst):
+            renamed.append(Path(dst).suffix)
+            if Path(dst).suffix == ".record":
+                raise OSError("injected failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(manai.store.os, "replace", fail_on_head)
+        with pytest.raises(StorageError, match="injected failure"):
+            store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        assert renamed == [".samples", ".record"]
+        assert list((store.revisions_dir / "abc").iterdir()) == []
+        with pytest.raises(UnknownRevision):
+            store.load("abc")
+        assert store.history((TestId("demo", "a"),))[0].points == ()
+
+    def test_sidecar_without_head_is_not_a_record(self, tmp_path):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        # A writer killed between the two renames leaves only the sidecar.
+        path.unlink()
+        with pytest.raises(UnknownRevision):
+            store.load("abc")
+        assert list(store.iter_records()) == []
+        record = make_record("abc", ts(0), {"demo::a": 2})
+        assert store.save(record) == path
+        assert store.load("abc") == [record]
+
+    def test_missing_sidecar_is_reported(self, tmp_path):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        path.with_suffix(".samples").unlink()
+        for query in (store.load, store.latest):
+            with pytest.raises(StorageError, match="unreadable samples"):
+                query("abc")
+        # The head alone still serves the views.
+        assert store.latest_text("abc")[1] == path.read_text()
+        assert len(store.history((TestId("demo", "a"),))[0].points) == 1
+
+
+V1_LABEL = "v1/fixture"
+V1_RECORD = V1_DIR / "20260809T090000.123456Z.record"
+
+
+def v1_fixture_record() -> RevisionRecord:
+    """The record that ``V1_RECORD`` was saved from by the format 1 writer:
+    adjacent, non-adjacent and partial-domain samples, and a result with no
+    samples."""
+
+    def result(test, iteration, samples, begin_ns, end_ns):
+        return TestExecutionResult.build(
+            test=test, iteration=iteration, samples=samples, begin_ns=begin_ns,
+            end_ns=end_ns, status=TestStatus.PASS, update_interval_ns=MS,
+            baseline_applied=False, domains=(PKG, DRAM),
+        )
+
+    steady, gappy, broken = (TestId("demo", n) for n in ("steady", "gappy", "broken"))
+    results = {
+        steady: tuple(
+            result(steady, i, [
+                EnergySample(k * MS, (k + 1) * MS, {PKG: 10_003 + 7 * k + i, DRAM: 1_201 + k})
+                for k in range(4)
+            ], MS // 3, 4 * MS - MS // 7)
+            for i in range(2)
+        ),
+        gappy: (
+            result(gappy, 0, [
+                EnergySample(0, 2 * MS, {PKG: 20_000, DRAM: 2_500}),
+                EnergySample(2 * MS, 3 * MS, {PKG: 9_999}),
+                EnergySample(5 * MS, 6 * MS, {PKG: 10_001, DRAM: 0}),
+            ], 0, 6 * MS),
+        ),
+        broken: (
+            TestExecutionResult(
+                test=broken, iteration=0, duration_ns=0,
+                energy_j={PKG: 0.0, DRAM: 0.0}, mean_power_w={PKG: 0.0, DRAM: 0.0},
+                samples=(), status=TestStatus.FAIL, low_confidence=True,
+                baseline_applied=False, error="protocol violation: END without BEGIN",
+            ),
+        ),
+    }
+    return RevisionRecord(
+        revision_label=V1_LABEL,
+        created_at="2026-08-09T09:00:00.123456+00:00",
+        config_digest="sha256:fedcba9876543210fedcba9876543210",
+        probe_backend="simulated",
+        probe_update_interval_ns=MS,
+        probe_domains=(PKG, DRAM),
+        config={"experiment.rate_hz": "1000.0", "probe.backend": "simulated"},
+        summaries={test: summarize(rs) for test, rs in results.items()},
+        results=results,
+    )
+
+
+def format1_text(record: RevisionRecord) -> str:
+    """``record`` as the format 1 writer rendered it: samples inline."""
+    doc = record_to_doc(record)
+    doc["format_version"] = 1
+    for test, results in record.results.items():
+        for result_doc, result in zip(doc["results"][str(test)], results):
+            result_doc["samples"] = [
+                {
+                    "start_ns": s.start_ns,
+                    "end_ns": s.end_ns,
+                    "energy_uj": {str(d): uj for d, uj in s.energy_uj.items()},
+                }
+                for s in result.samples
+            ]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestFormatVersion1:
+    """``tests/v1`` holds a record saved by the format 1 writer, with that
+    writer's CSV and term reports of it."""
+
+    @pytest.fixture
+    def v1_store(self, tmp_path):
+        store = Store(tmp_path)
+        label_dir = store.revisions_dir / "v1_fixture"
+        label_dir.mkdir(parents=True)
+        shutil.copy(V1_RECORD, label_dir)
+        return store
+
+    def test_loads_bit_exactly(self, v1_store):
+        (loaded,) = v1_store.load(V1_LABEL)
+        assert loaded == v1_fixture_record()
+        assert format1_text(loaded) == V1_RECORD.read_text()
+        assert v1_store.latest(V1_LABEL) == loaded
+        assert list(v1_store.iter_records()) == [loaded]
+
+    @pytest.mark.parametrize("fmt", [ReportFormat.CSV, ReportFormat.TERM])
+    def test_reports_are_byte_identical(self, v1_store, fmt):
+        request = ReportRequest(
+            scope="revision", revisions=(V1_LABEL,), fmt=fmt, no_color=True, width=120
+        )
+        expected = (V1_DIR / f"revision.{fmt.value}").read_text()
+        assert render_summary(v1_store, request) == expected
+
+    def test_machine_export_is_the_file(self, v1_store):
+        request = ReportRequest(scope="revision", revisions=(V1_LABEL,), fmt=ReportFormat.MACHINE)
+        assert render_summary(v1_store, request) == V1_RECORD.read_text()
+
+    def test_evolution_lists_both_formats(self, v1_store):
+        record = dataclasses.replace(v1_fixture_record(), revision_label="v2", created_at=ts(0))
+        path = v1_store.save(record)
+        assert json.loads(path.read_text())["format_version"] == 2
+        assert v1_store.load("v2") == [record]
+        test = TestId("demo", "steady")
+        (series,) = v1_store.history((test,))
+        assert [p.revision_label for p in series.points] == [V1_LABEL, "v2"]
+        assert series.points[0].summary == series.points[1].summary == record.summaries[test]
+        text = render_history(v1_store, ReportRequest(scope="history", tests=(test,), no_color=True))
+        assert "(v1/fixture -> v2)" in text

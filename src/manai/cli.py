@@ -19,12 +19,12 @@ import sys
 from pathlib import Path
 
 from manai import errors
-from manai.clock import RealScheduler
 from manai.experiment import (
     DEFAULT_DATA_DIR,
     BaselineSetting,
     ExperimentConfig,
     effective_config_items,
+    replay,
     resolve_revision_label,
     run_experiment,
 )
@@ -57,6 +57,7 @@ _ENV_ERRORS = (
     errors.ReadFailed,
     errors.ProbeLost,
     errors.HarnessSpawnFailed,
+    errors.ProtocolViolation,
     errors.LockHeld,
     errors.StorageError,
 )
@@ -200,6 +201,8 @@ def _probe_settings(args, cfg) -> tuple[ProbeBackend, Path | None, Path | None, 
         update_interval_ns = int(update_interval) if update_interval else None
     except ValueError as exc:
         raise errors.InvalidConfig(f"bad numeric option: {exc}") from exc
+    if update_interval_ns is not None and update_interval_ns <= 0:
+        raise errors.InvalidConfig(f"update_interval_ns must be positive, got {update_interval_ns}")
     return (
         backend,
         Path(scenario) if scenario else None,
@@ -243,7 +246,7 @@ def _build_experiment_config(args, cfg) -> ExperimentConfig:
 
 
 def _cmd_probe_check(args, cfg) -> int:
-    probe = create_probe(*_probe_settings(args, cfg))
+    probe, _ = replay(create_probe(*_probe_settings(args, cfg)))
     descriptor = probe.describe()
     print(f"backend: {descriptor.backend.value}")
     print(f"update interval: {descriptor.update_interval_ns} ns")
@@ -251,7 +254,7 @@ def _cmd_probe_check(args, cfg) -> int:
     for domain in descriptor.domains:
         print(
             f"domain {domain}: counter {reading.counters[domain]} uJ, "
-            f"range {reading.max_range[domain]} uJ, read permission ok"
+            f"range {descriptor.max_range_uj[domain]} uJ, read permission ok"
         )
     return EXIT_OK
 
@@ -280,13 +283,6 @@ def _cmd_run(args, cfg) -> int:
     return EXIT_OK
 
 
-def _report_format(text: str) -> ReportFormat:
-    try:
-        return ReportFormat(text)
-    except ValueError:
-        raise errors.InvalidConfig(f"unknown format {text!r}") from None
-
-
 def _parse_domains(text: str | None) -> tuple[EnergyDomain, ...] | None:
     if not text:
         return None
@@ -301,7 +297,7 @@ def _export_report(args, cfg, **scope) -> int:
     request = ReportRequest(
         **scope,
         domains=_parse_domains(args.domains),
-        fmt=_report_format(args.format),
+        fmt=ReportFormat(args.format),
         output_path=Path(args.out) if args.out else None,
         no_color=args.no_color,
         width=args.width,
@@ -329,13 +325,13 @@ def _cmd_compare(args, cfg) -> int:
 
 
 def _cmd_baseline(args, cfg) -> int:
-    probe = create_probe(*_probe_settings(args, cfg))
+    probe, scheduler = replay(create_probe(*_probe_settings(args, cfg)))
     print(
         f"calibrating idle baseline for {args.duration:.1f} s; "
         "keep the machine quiescent",
         file=sys.stderr,
     )
-    profile = calibrate_baseline(probe, args.duration, RealScheduler())
+    profile = calibrate_baseline(probe, args.duration, scheduler)
     doc = {
         "powers_w": {str(d): w for d, w in sorted(profile.powers_w.items(), key=lambda kv: str(kv[0]))},
         "duration_s": profile.duration_s,

@@ -65,18 +65,16 @@ class ReadFailed(ManaiError):
 
 
 class ProbeLost(ManaiError):
-    """The probe failed mid-stream.
-
-    Carries the samples collected before the failure in ``partial``.
-    """
-
-    def __init__(self, message: str, partial: list | None = None):
-        self.partial = partial if partial is not None else []
-        super().__init__(message)
+    """The probe failed mid-stream; the samples of that stream are discarded."""
 
 
 class HarnessSpawnFailed(ManaiError):
     """The harness executable could not be launched."""
+
+
+class ProtocolViolation(ManaiError):
+    """The harness emitted a malformed marker line, or marker lines
+    inconsistent with the run contract. A test run records it as a failure."""
 
 
 class LockHeld(ManaiError):
@@ -87,15 +85,7 @@ class StorageError(ManaiError):
     """The data directory is not writable or the device is full."""
 
 
-# --- protocol outcomes (handled by the experiment runner, not the CLI) ---
-
-
-class HarnessProtocolError(ManaiError):
-    """A ``##MANAI:`` marker line from the harness could not be parsed."""
-
-
-class ProtocolViolation(ManaiError):
-    """The harness emitted marker lines inconsistent with the run contract."""
+# --- test outcomes (handled by the experiment runner, not the CLI) ---
 
 
 class TestCrashed(ManaiError):

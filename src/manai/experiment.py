@@ -51,7 +51,6 @@ from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import (
     InvalidConfig,
     LockHeld,
-    ProbeLost,
     ProtocolViolation,
     TestCrashed,
 )
@@ -61,7 +60,6 @@ from manai.probe import (
     ProbeBackend,
     ProbeDescriptor,
     SimulatedProbe,
-    SimulationScenario,
     create_probe,
 )
 from manai.results import TestExecutionResult, TestSummary, summarize
@@ -71,6 +69,7 @@ from manai.store import RevisionRecord, Store
 __all__ = [
     "BaselineSetting",
     "ExperimentConfig",
+    "replay",
     "resolve_revision_label",
     "run_experiment",
 ]
@@ -263,10 +262,17 @@ def _execute(config: ExperimentConfig, test: TestId) -> tuple[int, int, TestStat
     return run.begin_ns, run.end_ns, run.status, None
 
 
-def _replay(scenario: SimulationScenario) -> tuple[SimulatedProbe, VirtualScheduler]:
-    """A fresh simulated probe on a virtual clock starting at the scenario origin."""
+def replay(probe: Probe) -> tuple[Probe, VirtualScheduler | None]:
+    """The probe a measurement reads, and the virtual scheduler it runs on.
+
+    A simulated probe is replaced by a fresh one on a virtual clock that
+    starts at the scenario origin, so what it measures is exact and takes
+    no wall time. A live probe is read as it is, in real time (``None``).
+    """
+    if not isinstance(probe, SimulatedProbe):
+        return probe, None
     scheduler = VirtualScheduler()
-    return SimulatedProbe(scenario, clock=scheduler.now), scheduler
+    return SimulatedProbe(probe.scenario, clock=scheduler.now), scheduler
 
 
 def _run_iteration(
@@ -278,13 +284,13 @@ def _run_iteration(
     iteration: int,
 ) -> TestExecutionResult:
     sampler_config = SamplerConfig(config.sampling_rate_hz, baseline_w)
-    if isinstance(probe, SimulatedProbe):
+    replay_probe, scheduler = replay(probe)
+    if scheduler is not None:
         # The child runs for real; its samples are replayed on a virtual
         # clock over a grid-snapped window, which makes them replicable.
         begin_ns, end_ns, status, error = _execute(config, test)
         end_ns = _quantize_duration_ns(end_ns - begin_ns, descriptor.update_interval_ns)
         begin_ns = 0
-        replay_probe, scheduler = _replay(probe.scenario)
         samples = sample_stream(
             replay_probe, sampler_config, DeadlineStop(scheduler.now, end_ns), scheduler
         )
@@ -293,9 +299,10 @@ def _run_iteration(
         collected: dict = {}
 
         def _sampling_task():
+            # Every failure, not only a lost probe, is re-raised after the test.
             try:
                 collected["samples"] = sample_stream(probe, sampler_config, stop)
-            except ProbeLost as exc:
+            except Exception as exc:  # noqa: BLE001
                 collected["error"] = exc
 
         sampler_thread = threading.Thread(target=_sampling_task, name="manai-sampler")
@@ -363,8 +370,9 @@ def run_experiment(
     Tests run strictly sequentially in selection order; the iterations of
     one test are consecutive. A protocol-violating test is recorded as a
     failure and skipped for its remaining iterations; the experiment
-    continues with the next test. Spawn failures and probe loss abort the
-    whole experiment without persisting anything.
+    continues with the next test. Spawn failures, a malformed discovery
+    marker and any failure of the probe or the sampler abort the whole
+    experiment without persisting anything.
 
     Args:
         config: The experiment definition.
@@ -374,7 +382,7 @@ def run_experiment(
 
     Raises:
         InvalidConfig, NoProbeAvailable, PermissionDenied,
-        HarnessSpawnFailed, ProbeLost, LockHeld, StorageError.
+        HarnessSpawnFailed, ProtocolViolation, ProbeLost, LockHeld, StorageError.
     """
     data_dir = Path(data_dir)
     probe = create_probe(
@@ -395,9 +403,7 @@ def run_experiment(
         if config.baseline.mode == "fixed":
             baseline_w = dict(config.baseline.profile.powers_w)
         elif config.baseline.mode == "calibrate":
-            cal_probe, scheduler = (
-                _replay(probe.scenario) if isinstance(probe, SimulatedProbe) else (probe, None)
-            )
+            cal_probe, scheduler = replay(probe)
             profile = calibrate_baseline(cal_probe, config.baseline.calibrate_duration_s, scheduler)
             baseline_w = dict(profile.powers_w)
 

@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from manai.errors import HarnessProtocolError, HarnessSpawnFailed, ProtocolViolation, TestCrashed
+from manai.errors import HarnessSpawnFailed, ProtocolViolation, TestCrashed
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +118,8 @@ def _parse_marker(line: str, timestamp_ns: int) -> TestEvent | None:
     """Parse one stdout line; None for non-protocol lines.
 
     Raises:
-        HarnessProtocolError: The line carries the marker prefix but does
-            not parse as a valid marker.
+        ProtocolViolation: The line carries the marker prefix but does not
+            parse as a valid marker.
     """
     if not line.startswith(MARKER_PREFIX):
         return None
@@ -135,8 +135,8 @@ def _parse_marker(line: str, timestamp_ns: int) -> TestEvent | None:
             status = TestStatus(status_text)
             return TestEvent(EventKind.END, TestId.parse(id_text), timestamp_ns, status)
     except ValueError as exc:
-        raise HarnessProtocolError(f"bad marker line {line!r}: {exc}") from exc
-    raise HarnessProtocolError(f"unknown marker line {line!r}")
+        raise ProtocolViolation(f"bad marker line {line!r}: {exc}") from exc
+    raise ProtocolViolation(f"unknown marker line {line!r}")
 
 
 def _spawn(cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str, str]):
@@ -167,7 +167,7 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
 
     Raises:
         HarnessSpawnFailed: The process could not start or timed out.
-        HarnessProtocolError: A marker-prefixed line failed to parse.
+        ProtocolViolation: A marker-prefixed line failed to parse.
     """
     proc = _spawn(cmd, cmd.list_args, {})
     try:
@@ -284,7 +284,7 @@ def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -
                 break
             try:
                 event = _parse_marker(line, timestamp_ns)
-            except HarnessProtocolError as exc:
+            except ProtocolViolation as exc:
                 raise _abort(str(exc)) from exc
             if event is None or event.kind is EventKind.DECLARED:
                 continue

@@ -13,7 +13,8 @@ the zones, and holds the file descriptors for its whole lifetime. A read
 is one ``os.pread`` at offset 0 per held descriptor: sysfs regenerates an
 attribute's text on every read at offset 0, so no reopen or seek is
 needed. The descriptors are non-inheritable (Python's default), so a
-harness child never receives them.
+harness child never receives them. A live counter outside its range
+fails the read; simulated counters are in range by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from manai.errors import (
     MalformedScenario,
@@ -66,14 +67,8 @@ class DomainKind(Enum):
     PSYS = "psys"
 
 
-# Fixed read order: package first, platform-wide last.
-_KIND_ORDER = {
-    DomainKind.PACKAGE: 0,
-    DomainKind.CORE: 1,
-    DomainKind.UNCORE: 2,
-    DomainKind.DRAM: 3,
-    DomainKind.PSYS: 4,
-}
+# Fixed read order, the declaration order: package first, platform-wide last.
+_KIND_ORDER = {kind: index for index, kind in enumerate(DomainKind)}
 
 
 class ProbeBackend(Enum):
@@ -110,32 +105,25 @@ def domain_sort_key(domain: EnergyDomain) -> tuple[int, int]:
     return (_KIND_ORDER[domain.kind], domain.socket_index)
 
 
-@dataclass(frozen=True)
-class ProbeReading:
-    """One back-to-back snapshot of all domain counters.
+class ProbeReading(NamedTuple):
+    """One back-to-back snapshot of all domain counters, in microjoules.
 
-    ``counters`` and ``max_range`` are in microjoules and share key sets;
-    every counter lies in ``[0, max_range)``.
+    Every counter lies in ``[0, max_range_uj)`` of its domain's
+    :class:`ProbeDescriptor`; the probe checks that when it reads.
     """
 
     timestamp_ns: int
     counters: Mapping[EnergyDomain, int]
-    max_range: Mapping[EnergyDomain, int]
-
-    def __post_init__(self):
-        if set(self.counters) != set(self.max_range):
-            raise ValueError("counters and max_range must have identical key sets")
-        for domain, value in self.counters.items():
-            limit = self.max_range[domain]
-            if not 0 <= value < limit:
-                raise ValueError(f"counter {value} out of [0, {limit}) for {domain}")
 
 
 @dataclass(frozen=True)
 class ProbeDescriptor:
+    """What a probe measures: its domains, refresh interval and counter ranges."""
+
     backend: ProbeBackend
     domains: tuple[EnergyDomain, ...]
     update_interval_ns: int
+    max_range_uj: Mapping[EnergyDomain, int]
 
     def __post_init__(self):
         if not self.domains:
@@ -153,14 +141,11 @@ class Probe(abc.ABC):
 
     @abc.abstractmethod
     def describe(self) -> ProbeDescriptor:
-        """Enumerate available domains and the counter refresh interval."""
+        """Enumerate available domains, the counter refresh interval and ranges."""
 
     @abc.abstractmethod
     def read(self) -> ProbeReading:
         """Take one snapshot of all domains, with a monotonic timestamp."""
-
-    def begin_session(self) -> None:
-        """Hook called when a sampling session starts. Default: no-op."""
 
 
 # --------------------------------------------------------------------------
@@ -213,6 +198,8 @@ class RaplProbe(Probe):
     Raises:
         NoProbeAvailable: No ``intel-rapl:*`` zones exist under the root.
         PermissionDenied: Zones exist but no counter is readable.
+        ReadFailed: From :meth:`read`, naming the zone whose counter could
+            not be read or lies outside ``[0, max_energy_range_uj)``.
     """
 
     def __init__(
@@ -221,14 +208,16 @@ class RaplProbe(Probe):
         update_interval_ns: int = DEFAULT_RAPL_UPDATE_INTERVAL_NS,
     ):
         self._root = Path(powercap_root)
-        self._update_interval_ns = update_interval_ns
         # Registered before discovery opens anything, so descriptors opened
         # by a constructor that then raises are closed as well.
         self._fds: list[int] = []
         weakref.finalize(self, _close_fds, self._fds)
         self._zones = self._discover()
-        self._max_range = MappingProxyType(
-            {zone.domain: zone.max_range_uj for zone in self._zones}
+        self._descriptor = ProbeDescriptor(
+            backend=ProbeBackend.RAPL,
+            domains=tuple(zone.domain for zone in self._zones),
+            update_interval_ns=update_interval_ns,
+            max_range_uj=MappingProxyType({zone.domain: zone.max_range_uj for zone in self._zones}),
         )
 
     def _discover(self) -> list[_RaplZone]:
@@ -317,21 +306,20 @@ class RaplProbe(Probe):
             return _FALLBACK_MAX_RANGE_UJ
 
     def describe(self) -> ProbeDescriptor:
-        return ProbeDescriptor(
-            backend=ProbeBackend.RAPL,
-            domains=tuple(zone.domain for zone in self._zones),
-            update_interval_ns=self._update_interval_ns,
-        )
+        return self._descriptor
 
     def read(self) -> ProbeReading:
         timestamp_ns = time.monotonic_ns()
         counters: dict[EnergyDomain, int] = {}
         for zone in self._zones:
             try:
-                counters[zone.domain] = int(os.pread(zone.fd, _COUNTER_READ_BYTES, 0))
+                value = int(os.pread(zone.fd, _COUNTER_READ_BYTES, 0))
             except (OSError, ValueError) as exc:
                 raise ReadFailed(zone.domain, str(exc)) from exc
-        return ProbeReading(timestamp_ns, counters, self._max_range)
+            if not 0 <= value < zone.max_range_uj:
+                raise ReadFailed(zone.domain, f"counter {value} outside [0, {zone.max_range_uj})")
+            counters[zone.domain] = value
+        return ProbeReading(timestamp_ns, counters)
 
 
 # --------------------------------------------------------------------------
@@ -427,10 +415,10 @@ class SimulationScenario:
 class SimulatedProbe(Probe):
     """Deterministic probe that replays a :class:`SimulationScenario`.
 
-    Elapsed time is measured on an injected clock from the moment a
-    session begins (or the first read, if no session was opened), so a
-    virtual clock makes reads bit-reproducible and a monotonic clock lets
-    the same scenario track real test executions.
+    Elapsed time is measured on an injected clock from the moment the
+    probe is constructed, so a virtual clock makes reads bit-reproducible
+    and a monotonic clock lets the same scenario track real test
+    executions.
     """
 
     def __init__(
@@ -440,35 +428,30 @@ class SimulatedProbe(Probe):
     ):
         self._scenario = scenario
         self._clock = clock
-        self._epoch_ns: int | None = None
+        self._epoch_ns = clock()
         self._domains = scenario.domains
+        self._descriptor = ProbeDescriptor(
+            backend=ProbeBackend.SIMULATED,
+            domains=self._domains,
+            update_interval_ns=scenario.update_interval_ns,
+            max_range_uj=MappingProxyType({d: scenario.max_range_uj for d in self._domains}),
+        )
 
     @property
     def scenario(self) -> SimulationScenario:
         return self._scenario
 
-    def begin_session(self) -> None:
-        """Re-anchor the scenario timeline at the current clock value."""
-        self._epoch_ns = self._clock()
-
     def describe(self) -> ProbeDescriptor:
-        return ProbeDescriptor(
-            backend=ProbeBackend.SIMULATED,
-            domains=self._domains,
-            update_interval_ns=self._scenario.update_interval_ns,
-        )
+        return self._descriptor
 
     def read(self) -> ProbeReading:
         now_ns = self._clock()
-        if self._epoch_ns is None:
-            self._epoch_ns = now_ns
         elapsed_ns = now_ns - self._epoch_ns
         counters = {
             domain: self._scenario.counter_uj(domain, elapsed_ns)
             for domain in self._domains
         }
-        max_range = {domain: self._scenario.max_range_uj for domain in self._domains}
-        return ProbeReading(now_ns, counters, max_range)
+        return ProbeReading(now_ns, counters)
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +558,6 @@ def create_probe(
     scenario_path: Path | str | None = None,
     powercap_root: Path | str | None = None,
     update_interval_ns: int | None = None,
-    clock: Callable[[], int] = time.monotonic_ns,
 ) -> Probe:
     """Build the configured probe.
 
@@ -587,7 +569,7 @@ def create_probe(
     if backend is ProbeBackend.SIMULATED:
         if scenario_path is None:
             raise NoProbeAvailable("simulated probe requires a scenario file")
-        return SimulatedProbe(load_scenario(scenario_path), clock=clock)
+        return SimulatedProbe(load_scenario(scenario_path))
 
     root = powercap_root or os.environ.get("MANAI_POWERCAP_ROOT") or DEFAULT_POWERCAP_ROOT
     return RaplProbe(

@@ -2,7 +2,8 @@
 
 The sampling loop polls a probe at a configured rate against absolute
 deadlines, converts adjacent readings into per-domain energy deltas with
-wrap correction, and optionally subtracts a calibrated idle baseline.
+wrap correction against the counter ranges of ``probe.describe()``, and
+optionally subtracts a calibrated idle baseline.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -47,12 +48,7 @@ def wrap_delta(before_uj: int, after_uj: int, max_range_uj: int) -> int:
 
 @dataclass(frozen=True)
 class EnergySample:
-    """Energy consumed per domain over one sampling interval.
-
-    ``energy_uj`` is the canonical integer representation; the ``energy``
-    and ``power`` views derive joules and watts from it, so power equals
-    energy divided by the interval length by construction.
-    """
+    """Energy consumed per domain over one sampling interval, in integer microjoules."""
 
     start_ns: int
     end_ns: int
@@ -67,17 +63,6 @@ class EnergySample:
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
-
-    @property
-    def energy(self) -> dict[EnergyDomain, float]:
-        """Joules per domain."""
-        return {d: uj / _UJ_PER_J for d, uj in self.energy_uj.items()}
-
-    @property
-    def power(self) -> dict[EnergyDomain, float]:
-        """Watts per domain: energy over interval length."""
-        seconds = self.duration_ns / _NS_PER_S
-        return {d: (uj / _UJ_PER_J) / seconds for d, uj in self.energy_uj.items()}
 
 
 @dataclass(frozen=True)
@@ -123,6 +108,7 @@ def _baseline_uj(power_w: float, duration_ns: int) -> int:
 def _make_sample(
     previous: ProbeReading,
     current: ProbeReading,
+    max_range_uj: Mapping[EnergyDomain, int],
     baseline_w: Mapping[EnergyDomain, float] | None,
 ) -> EnergySample | None:
     duration_ns = current.timestamp_ns - previous.timestamp_ns
@@ -130,16 +116,16 @@ def _make_sample(
         return None
     energy_uj: dict[EnergyDomain, int] = {}
     for domain, before in previous.counters.items():
-        delta = wrap_delta(before, current.counters[domain], previous.max_range[domain])
+        delta = wrap_delta(before, current.counters[domain], max_range_uj[domain])
         if baseline_w is not None:
             delta = max(0, delta - _baseline_uj(baseline_w.get(domain, 0.0), duration_ns))
         energy_uj[domain] = delta
     return EnergySample(previous.timestamp_ns, current.timestamp_ns, energy_uj)
 
 
-def _check_single_wrap(reading: ProbeReading, interval_ns: int) -> None:
+def _check_single_wrap(max_range: Mapping[EnergyDomain, int], interval_ns: int) -> None:
     interval_s = interval_ns / _NS_PER_S
-    for domain, max_range_uj in reading.max_range.items():
+    for domain, max_range_uj in max_range.items():
         wrap_horizon_s = (max_range_uj / _UJ_PER_J) / MAX_PLAUSIBLE_POWER_W
         if interval_s > wrap_horizon_s:
             raise InvalidConfig(
@@ -164,7 +150,7 @@ def sample_stream(
     covers the full window.
 
     Args:
-        probe: Counter source; its session is (re)anchored here.
+        probe: Counter source; its descriptor supplies the counter ranges.
         config: Rate and optional per-domain baseline to subtract.
         stop: Object with ``is_set()``; ``threading.Event`` works.
         scheduler: Time source override; defaults to the real clock.
@@ -174,20 +160,19 @@ def sample_stream(
         interval elapsed.
 
     Raises:
-        ProbeLost: A reading failed mid-stream. Samples collected before
-            the failure ride on the exception's ``partial`` attribute.
+        InvalidConfig: The interval could span more than one counter wrap.
+        ProbeLost: A reading failed; the samples collected so far are lost.
     """
     sched = scheduler or RealScheduler()
     interval_ns = config.interval_ns
+    max_range_uj = probe.describe().max_range_uj
+    _check_single_wrap(max_range_uj, interval_ns)
 
-    probe.begin_session()
     samples: list[EnergySample] = []
     try:
         previous = probe.read()
     except ReadFailed as exc:
-        raise ProbeLost(f"probe failed at session start: {exc}", []) from exc
-
-    _check_single_wrap(previous, interval_ns)
+        raise ProbeLost(f"probe failed at session start: {exc}") from exc
 
     origin_ns = previous.timestamp_ns
     tick = 1
@@ -199,7 +184,7 @@ def sample_stream(
                 # Woken early by the stop signal.
                 break
             current = probe.read()
-            sample = _make_sample(previous, current, config.baseline_w)
+            sample = _make_sample(previous, current, max_range_uj, config.baseline_w)
             if sample is not None:
                 samples.append(sample)
                 previous = current
@@ -208,11 +193,11 @@ def sample_stream(
         if tick > 1:
             # Closing reading so energy up to the stop instant is captured.
             final = probe.read()
-            sample = _make_sample(previous, final, config.baseline_w)
+            sample = _make_sample(previous, final, max_range_uj, config.baseline_w)
             if sample is not None:
                 samples.append(sample)
     except ReadFailed as exc:
-        raise ProbeLost(f"probe lost mid-stream: {exc}", samples) from exc
+        raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
     return samples
 
 
@@ -241,7 +226,7 @@ def calibrate_baseline(
     stop = DeadlineStop(sched.now, sched.now() + round(duration_s * _NS_PER_S))
     samples = sample_stream(probe, SamplerConfig(rate_hz=_CALIBRATION_RATE_HZ), stop, sched)
     if not samples:
-        raise ProbeLost("calibration produced no samples", [])
+        raise ProbeLost("calibration produced no samples")
 
     totals_uj: dict[EnergyDomain, int] = {}
     for sample in samples:

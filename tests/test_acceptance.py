@@ -398,5 +398,5 @@ def test_criterion_10_live_rapl_smoke():
         time.sleep(0.1)
         second = probe.read()
         for domain, before in first.counters.items():
-            delta = wrap_delta(before, second.counters[domain], first.max_range[domain])
+            delta = wrap_delta(before, second.counters[domain], descriptor.max_range_uj[domain])
             assert delta >= 0

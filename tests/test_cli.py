@@ -206,6 +206,41 @@ class TestLiveRun:
             seen = sum(s.energy_uj[domain] for r in results for s in r.samples)
             assert seen > 0, f"the probe never saw {domain} advance"
 
+    @staticmethod
+    def _run_live(tmp_path, monkeypatch, zones: dict, rate_hz: int) -> int:
+        """``manai run`` of one short test over a static fake powercap tree."""
+        monkeypatch.delenv("MANAI_DATA_DIR", raising=False)
+        root = make_powercap_tree(tmp_path / "powercap", zones)
+        monkeypatch.setenv("MANAI_POWERCAP_ROOT", str(root))
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a sleep_ms=30"])
+        harness = f"{sys.executable} -m manai.fixture_harness --plan {plan}"
+        return main([
+            "run", "--harness", harness, "--probe", "rapl", "--rate", str(rate_hz),
+            "--select", "demo::a", "--revision", "rev-live", "--data-dir", str(tmp_path / "data"),
+        ])
+
+    def test_wrap_ambiguous_rate_exits_1_and_saves_nothing(self, tmp_path, monkeypatch, capsys):
+        # A 1 J range at up to 1 kW wraps within 1 ms, so a 100 Hz poll
+        # cannot tell one wrap from several; the sampler thread's refusal
+        # must reach the exit code.
+        zones = {
+            "intel-rapl:0": {"name": "package-0", "energy_uj": 10, "max_energy_range_uj": 10**6},
+        }
+        code = self._run_live(tmp_path, monkeypatch, zones, rate_hz=100)
+        assert code == 1
+        assert "increase the sampling rate" in capsys.readouterr().err
+        assert not (tmp_path / "data" / "revisions").exists()
+
+    def test_counter_outside_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        zones = {
+            "intel-rapl:0": {"name": "package-0", "energy_uj": 10, "max_energy_range_uj": 10**9},
+            "intel-rapl:0:0": {"name": "core", "energy_uj": 10**9, "max_energy_range_uj": 10**9},
+        }
+        code = self._run_live(tmp_path, monkeypatch, zones, rate_hz=1000)
+        assert code == 2
+        assert "reading core:0 failed: counter 1000000000 outside" in capsys.readouterr().err
+        assert not (tmp_path / "data" / "revisions").exists()
+
 
 class TestExitCodes:
     def test_unknown_revision_is_user_error(self, workspace, capsys):
@@ -239,6 +274,30 @@ class TestExitCodes:
     def test_unlaunchable_harness_is_env_error(self, tmp_path, capsys):
         code = main(["list", "--harness", "/nonexistent/prog"])
         assert code == 2
+
+    def test_malformed_discovery_marker_is_env_error(self, tmp_path, capsys):
+        # The fixture harness declares the plan's id verbatim: ##MANAI:TEST broken
+        plan = write_plan(tmp_path / "plan.txt", ["test broken"])
+        harness = f"{sys.executable} -m manai.fixture_harness --plan {plan}"
+        list_args = f"-m manai.fixture_harness --plan {plan} --list"
+        code = main(["list", "--harness", harness, "--list-args", list_args])
+        assert code == 2
+        assert "bad marker line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["-5", "0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_positive_update_interval_is_user_error(
+        self, powercap_two_domains, tmp_path, monkeypatch, capsys, interval, source
+    ):
+        monkeypatch.setenv("MANAI_POWERCAP_ROOT", str(powercap_two_domains))
+        if source == "flag":
+            argv = ["probe-check", f"--update-interval-ns={interval}"]
+        else:
+            config = tmp_path / "probe.cfg"
+            config.write_text(f"[probe]\nupdate_interval_ns = {interval}\n")
+            argv = ["probe-check", "--config", str(config)]
+        assert main(argv) == 1
+        assert "update_interval_ns must be positive" in capsys.readouterr().err
 
 
 class TestProbeCheck:
@@ -352,3 +411,16 @@ class TestBaselineCommand:
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert doc["powers_w"]["package:0"] == pytest.approx(10.0, abs=0.5)
+
+    def test_simulated_calibration_is_exact(self, workspace, capsys, tmp_path):
+        # Replayed on a virtual clock: exactly ten 100 ms polls of 10 W.
+        _, _, scenario, _, _ = workspace
+        out_file = tmp_path / "baseline.json"
+        code = main([
+            "baseline", "--probe", "simulated", "--scenario", str(scenario),
+            "--duration", "1.0", "--out", str(out_file),
+        ])
+        assert code == 0
+        doc = json.loads(out_file.read_text())
+        assert doc["powers_w"]["package:0"] == 10.0
+        assert doc["duration_s"] == 1.0

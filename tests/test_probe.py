@@ -61,7 +61,7 @@ class TestRaplDiscovery:
         reading = probe.read()
         assert reading.counters[PKG] == 1000
         assert reading.counters[CORE] == 500
-        assert reading.max_range[PKG] == 262143328850
+        assert probe.describe().max_range_uj[PKG] == 262143328850
 
     def test_empty_tree_is_no_probe(self, tmp_path):
         with pytest.raises(NoProbeAvailable):
@@ -101,6 +101,15 @@ class TestRaplDiscovery:
         core_counter = powercap_two_domains / "intel-rapl:0" / "intel-rapl:0:0" / "energy_uj"
         monkeypatch.setattr(os, "pread", _pread_failing_on(core_counter))
         with pytest.raises(ReadFailed) as failure:
+            probe.read()
+        assert failure.value.domain == CORE
+
+    @pytest.mark.parametrize("energy_uj", [262143328850, 262143328851])
+    def test_counter_outside_range_fails_naming_the_zone(self, powercap_two_domains, energy_uj):
+        core_counter = powercap_two_domains / "intel-rapl:0" / "intel-rapl:0:0" / "energy_uj"
+        core_counter.write_text(f"{energy_uj}\n")
+        probe = RaplProbe(powercap_root=powercap_two_domains)
+        with pytest.raises(ReadFailed, match=r"outside \[0, 262143328850\)") as failure:
             probe.read()
         assert failure.value.domain == CORE
 
@@ -152,7 +161,6 @@ class TestSimulatedProbe:
         # 10 W for 2 s = 20 J = 20,000,000 uJ, exact on the 1 ms grid.
         clock = VirtualScheduler()
         probe = SimulatedProbe(constant_scenario(10_000_000), clock=clock.now)
-        probe.begin_session()
         clock.advance(2 * 10**9)
         assert probe.read().counters[PKG] == 20_000_000
 
@@ -162,7 +170,6 @@ class TestSimulatedProbe:
         probe = SimulatedProbe(
             constant_scenario(10_000_000, max_range_uj=50_000_000), clock=clock.now
         )
-        probe.begin_session()
         clock.advance(6 * 10**9)
         assert probe.read().counters[PKG] == 10_000_000
 
@@ -180,7 +187,6 @@ class TestSimulatedProbe:
         for _ in range(2):
             clock = VirtualScheduler()
             probe = SimulatedProbe(scenario, clock=clock.now)
-            probe.begin_session()
             clock.advance(1_234_567_890)
             readings.append(probe.read().counters[PKG])
         assert readings[0] == readings[1]

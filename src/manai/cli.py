@@ -43,27 +43,8 @@ EXIT_INTERNAL = 3
 
 DATA_DIR_ENV = "MANAI_DATA_DIR"
 
-_USER_ERRORS = (
-    errors.InvalidConfig,
-    errors.MalformedScenario,
-    errors.UnknownRevision,
-    errors.EmptyScope,
-    errors.NoHistory,
-    errors.EmptyInput,
-)
-_ENV_ERRORS = (
-    errors.NoProbeAvailable,
-    errors.PermissionDenied,
-    errors.ReadFailed,
-    errors.ProbeLost,
-    errors.HarnessSpawnFailed,
-    errors.ProtocolViolation,
-    errors.LockHeld,
-    errors.StorageError,
-)
 
-
-class _UsageError(Exception):
+class _UsageError(errors.UserError):
     pass
 
 
@@ -435,13 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
         return _COMMANDS[args.command](args, cfg)
-    except _UsageError as exc:
+    except errors.UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except _ENV_ERRORS as exc:
+    except errors.EnvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV
     except KeyboardInterrupt:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the profiler.
 
-Every error raised by this package derives from :class:`ManaiError` so the
-command line layer can map failures onto its exit-code contract
-(1 = user/config error, 2 = environment error, 3 = internal error).
+Every error raised by this package derives from :class:`ManaiError`. The
+command line layer maps failures onto its exit-code contract by base class:
+:class:`UserError` exits 1, :class:`EnvError` exits 2, anything else is an
+internal error (3).
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ class ManaiError(Exception):
 # --- user / configuration errors (CLI exit code 1) ---
 
 
-class InvalidConfig(ManaiError):
+class UserError(ManaiError):
+    """Base of the errors that a change of command, config or input fixes."""
+
+
+class InvalidConfig(UserError):
     """A configuration value violates its documented constraints."""
 
 
-class MalformedScenario(ManaiError):
+class MalformedScenario(UserError):
     """A simulation scenario file failed to parse or violates an invariant."""
 
     def __init__(self, message: str, line_no: int | None = None):
@@ -29,34 +34,38 @@ class MalformedScenario(ManaiError):
         super().__init__(message)
 
 
-class UnknownRevision(ManaiError):
+class UnknownRevision(UserError):
     """The requested revision label has no stored records."""
 
 
-class EmptyScope(ManaiError):
+class EmptyScope(UserError):
     """A report request resolved to no data."""
 
 
-class NoHistory(ManaiError):
+class NoHistory(UserError):
     """An evolution view was requested for a test with no stored history."""
 
 
-class EmptyInput(ManaiError):
+class EmptyInput(UserError):
     """An aggregation was asked to summarize zero results."""
 
 
 # --- environment errors (CLI exit code 2) ---
 
 
-class NoProbeAvailable(ManaiError):
+class EnvError(ManaiError):
+    """Base of the errors that come from the machine: probe, harness, storage."""
+
+
+class NoProbeAvailable(EnvError):
     """Neither a powercap tree nor a simulation scenario is available."""
 
 
-class PermissionDenied(ManaiError):
+class PermissionDenied(EnvError):
     """Energy counters exist but are not readable by this process."""
 
 
-class ReadFailed(ManaiError):
+class ReadFailed(EnvError):
     """A single counter read failed; the whole reading is discarded."""
 
     def __init__(self, domain: object, reason: str):
@@ -64,24 +73,24 @@ class ReadFailed(ManaiError):
         super().__init__(f"reading {domain} failed: {reason}")
 
 
-class ProbeLost(ManaiError):
+class ProbeLost(EnvError):
     """The probe failed mid-stream; the samples of that stream are discarded."""
 
 
-class HarnessSpawnFailed(ManaiError):
+class HarnessSpawnFailed(EnvError):
     """The harness executable could not be launched."""
 
 
-class ProtocolViolation(ManaiError):
+class ProtocolViolation(EnvError):
     """The harness emitted a malformed marker line, or marker lines
     inconsistent with the run contract. A test run records it as a failure."""
 
 
-class LockHeld(ManaiError):
+class LockHeld(EnvError):
     """Another experiment currently holds the data directory lock."""
 
 
-class StorageError(ManaiError):
+class StorageError(EnvError):
     """The data directory is not writable or the device is full."""
 
 

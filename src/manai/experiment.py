@@ -63,7 +63,13 @@ from manai.probe import (
     create_probe,
 )
 from manai.results import TestExecutionResult, TestSummary, summarize
-from manai.sampler import BaselineProfile, SamplerConfig, calibrate_baseline, sample_stream
+from manai.sampler import (
+    BaselineProfile,
+    SamplerConfig,
+    _check_single_wrap,
+    calibrate_baseline,
+    sample_stream,
+)
 from manai.store import RevisionRecord, Store
 
 __all__ = [
@@ -389,6 +395,9 @@ def run_experiment(
         config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
     )
     descriptor = probe.describe()
+    # Refuse a wrap-ambiguous rate before the data directory is touched
+    # or any test runs.
+    _check_single_wrap(descriptor.max_range_uj, SamplerConfig(config.sampling_rate_hz).interval_ns)
 
     lock = _DataDirLock(data_dir)
     lock.acquire()

@@ -4,8 +4,9 @@ Each scope builds its rows once: the ``(test, domain, statistic, value,
 unit)`` tuples of the CSV export. CSV prints them at full precision; the
 terminal and HTML tables pivot them by ``(test, domain)`` and show three
 significant digits. The terminal adds block-bar charts and sparklines,
-HTML pages are self-contained with inline SVG, and the machine-readable
-JSON export mirrors the record schema verbatim.
+both coloured by rank quintile (``_buckets``); every HTML page shares one
+self-contained shell with inline SVG; and the machine-readable JSON
+export mirrors the record schema verbatim.
 
 Domains: ``ReportRequest.domains`` selects among a record's domains (all
 when unset); a filter that selects none raises ``EmptyScope``. Charts and
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 import shutil
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -49,12 +51,6 @@ class ReportFormat(Enum):
     MACHINE = "machine"
 
 
-class Trend(Enum):
-    INCREASE = "increase"
-    DECREASE = "decrease"
-    FLAT = "flat"
-
-
 @dataclass(frozen=True)
 class ReportRequest:
     """What to render: one revision, a pair to compare, or test histories."""
@@ -79,15 +75,13 @@ class ReportRequest:
             raise ValueError("history scope needs at least one test")
 
 
-def _quintile(rank: int, population: int) -> int:
-    """Colour bucket of a rank: its quintile, 0 (lowest value) to 4."""
-    return min(4, rank * 5 // max(population, 1))
-
-
-def _ranks(values: list[float]) -> list[int]:
-    """Ascending rank of each value; equal values keep their input order."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    return [order.index(i) for i in range(len(values))]
+def _buckets(values: list[float]) -> list[int]:
+    """Colour bucket of each value: its rank quintile, 0 (lowest) to 4.
+    Equal values keep their input order."""
+    buckets = [0] * len(values)
+    for rank, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        buckets[i] = rank * 5 // len(values)
+    return buckets
 
 
 def _last_change(series: tuple[float, ...]) -> float | None:
@@ -97,26 +91,17 @@ def _last_change(series: tuple[float, ...]) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
-class EvolutionGlyph:
-    """Compact evolution indicator for one test within a rendered view."""
-
-    test: TestId
-    series: tuple[float, ...]
-    trend: Trend
-    color_bucket: int
-
-    @classmethod
-    def from_series(
-        cls, test: TestId, series: tuple[float, ...], rank: int = 0, population: int = 1
-    ) -> "EvolutionGlyph":
-        change = _last_change(series) or 0.0
-        trend = Trend.FLAT
-        if change > DEFAULT_TREND_THRESHOLD:
-            trend = Trend.INCREASE
-        elif change < -DEFAULT_TREND_THRESHOLD:
-            trend = Trend.DECREASE
-        return cls(test=test, series=series, trend=trend, color_bucket=_quintile(rank, population))
+def _arrow(series: tuple[float, ...]) -> tuple[str, str | None]:
+    """Trend glyph and ANSI colour of the last step of an energy series.
+    A step from 0 J has no relative change; its arrow follows its sign."""
+    change = _last_change(series)
+    if change is None:
+        change = math.copysign(1.0, series[-1]) if len(series) > 1 and series[-1] else 0.0
+    if change > DEFAULT_TREND_THRESHOLD:
+        return "↑", "31"
+    if change < -DEFAULT_TREND_THRESHOLD:
+        return "↓", "32"
+    return "→", None
 
 
 def sparkline_levels(values: list[float]) -> list[int]:
@@ -136,11 +121,6 @@ def sparkline(values: list[float]) -> str:
 def format_sig(value: float) -> str:
     """Three-significant-digit display form."""
     return f"{value:.3g}"
-
-
-def format_full(value) -> str:
-    """Full-precision round-trip form for CSV and machine output."""
-    return repr(value)
 
 
 def _colorize(text: str, code: str | None, no_color: bool) -> str:
@@ -192,7 +172,7 @@ class _Row(NamedTuple):
 def _as_csv(rows: list[_Row]) -> str:
     lines = [
         f"{r.test},{'' if r.domain is None else r.domain},{r.statistic},"
-        f"{format_full(r.value)},{r.unit}"
+        f"{r.value!r},{r.unit}"
         for r in rows
     ]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
@@ -274,10 +254,6 @@ svg { margin: 0.5em 0; }
 """
 
 
-def _generated() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _html_page(title: str, body: str) -> str:
     return f"""<!DOCTYPE html>
 <html lang="en">
@@ -287,7 +263,7 @@ def _html_page(title: str, body: str) -> str:
 <style>{_HTML_STYLE}</style>
 </head>
 <body>
-<!-- generated {_generated()} -->
+<!-- generated {datetime.now(timezone.utc).isoformat(timespec="seconds")} -->
 {body}
 </body>
 </html>
@@ -362,8 +338,8 @@ def _summary_cells(test, domain, stats, test_stats, first) -> list:
 def _chart(rows: list[_Row], lead: EnergyDomain) -> list[tuple[TestId, float, int]]:
     """(test, mean lead-domain energy, colour bucket) of each charted test."""
     means = [(r.test, r.value) for r in rows if r.domain == lead and r.statistic == "energy_mean"]
-    ranks = _ranks([mean for _, mean in means])
-    return [(test, mean, _quintile(rank, len(means))) for (test, mean), rank in zip(means, ranks)]
+    buckets = _buckets([mean for _, mean in means])
+    return [(test, mean, bucket) for (test, mean), bucket in zip(means, buckets)]
 
 
 def _bar(value: float, scale: float, width: int) -> str:
@@ -542,27 +518,22 @@ def render_compare(store: Store, request: ReportRequest) -> str:
 # --------------------------------------------------------------------------
 
 
-def _history_rows(series: HistorySeries, domain: EnergyDomain) -> list[_Row]:
-    return [
-        _Row(series.test, domain, f"energy_mean@{point.revision_label}",
-             point.summary.energy_stats[domain].mean, "J")
-        for point in series.points
-        if domain in point.summary.energy_stats
-    ]
-
-
-_ARROWS = {Trend.INCREASE: ("↑", "31"), Trend.DECREASE: ("↓", "32"), Trend.FLAT: ("→", None)}
-
-
-def _evolution_term_line(series: HistorySeries, glyph: EvolutionGlyph, no_color: bool) -> str:
-    spark = _colorize(sparkline(list(glyph.series)), _BUCKET_COLORS[glyph.color_bucket], no_color)
-    arrow = _colorize(*_ARROWS[glyph.trend], no_color)
-    change = _last_change(glyph.series)
-    step = "single point" if change is None else f"{change * 100:+.0f}% last step"
+def _evolution_term_line(
+    series: HistorySeries, energies: tuple[float, ...], bucket: int, no_color: bool
+) -> str:
+    spark = _colorize(sparkline(list(energies)), _BUCKET_COLORS[bucket], no_color)
+    arrow = _colorize(*_arrow(energies), no_color)
+    change = _last_change(energies)
+    if len(energies) == 1:
+        step = "single point"
+    elif change is None:
+        step = "n/a last step"  # a step from 0 J has no relative change
+    else:
+        step = f"{change * 100:+.0f}% last step"
     revisions = " -> ".join(p.revision_label for p in series.points)
     return (
         f"{str(series.test):<28} {spark:<12} {arrow}  {step:<16} "
-        f"latest {format_sig(glyph.series[-1])} J  ({revisions})"
+        f"latest {format_sig(energies[-1])} J  ({revisions})"
     )
 
 
@@ -594,7 +565,12 @@ def _history_series(
             raise NoHistory(f"no stored history for {series.test}")
         latest = series.points[-1].summary.energy_stats
         lead = _select_domains(latest, request, f"the latest record of {series.test}")[0]
-        rows.append(_history_rows(series, lead))
+        rows.append([
+            _Row(series.test, lead, f"energy_mean@{point.revision_label}",
+                 point.summary.energy_stats[lead].mean, "J")
+            for point in series.points
+            if lead in point.summary.energy_stats
+        ])
     return series_list, rows
 
 
@@ -634,18 +610,12 @@ def render_history(store: Store, request: ReportRequest) -> str:
             f"<h2>{html.escape(str(s.test))}</h2>{_evolution_svg(s, e)}"
             for s, e in zip(series_list, energies)
         )
-        # A compact shell of its own: tests/golden/history.html pins these bytes.
-        return (
-            "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-            f"<title>energy evolution</title><style>{_HTML_STYLE}</style></head>\n"
-            f"<body>\n<!-- generated {_generated()} -->\n{fragments}\n</body></html>\n"
-        )
-    ranks = _ranks([e[-1] for e in energies])
-    glyphs = [
-        EvolutionGlyph.from_series(s.test, e, rank=rank, population=len(series_list))
-        for s, e, rank in zip(series_list, energies, ranks)
+        return _html_page("energy evolution", fragments)
+    buckets = _buckets([e[-1] for e in energies])
+    lines = [
+        _evolution_term_line(s, e, bucket, request.no_color)
+        for s, e, bucket in zip(series_list, energies, buckets)
     ]
-    lines = [_evolution_term_line(s, g, request.no_color) for s, g in zip(series_list, glyphs)]
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from manai import errors
 from manai.cli import main
 from manai.harness import TestId, TestStatus
 from manai.store import Store
@@ -231,6 +232,22 @@ class TestLiveRun:
         assert "increase the sampling rate" in capsys.readouterr().err
         assert not (tmp_path / "data" / "revisions").exists()
 
+    def test_wrap_ambiguous_rate_is_refused_before_anything_runs(self, tmp_path, capsys):
+        # The harness cannot be launched: a refusal that came only after
+        # discovery or a spawn would exit 2 instead.
+        scenario = write_scenario(
+            tmp_path / "scenario.txt", [(NS, {"package": "10"})], max_range_uj=10**6
+        )
+        data_dir = tmp_path / "data"
+        code = main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), "--rate", "100",
+            "--harness", "/nonexistent/prog", "--select", "demo::a", "--revision", "rev",
+            "--data-dir", str(data_dir),
+        ])
+        assert code == 1
+        assert "increase the sampling rate" in capsys.readouterr().err
+        assert not data_dir.exists()
+
     def test_counter_outside_range_exits_2(self, tmp_path, monkeypatch, capsys):
         zones = {
             "intel-rapl:0": {"name": "package-0", "energy_uj": 10, "max_energy_range_uj": 10**9},
@@ -243,6 +260,18 @@ class TestLiveRun:
 
 
 class TestExitCodes:
+    def test_every_error_has_one_exit_class(self):
+        bases = (errors.UserError, errors.EnvError)
+        skipped = {errors.ManaiError, *bases, errors.TestCrashed}
+        classes = [
+            value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+            and value.__module__ == errors.__name__ and value not in skipped
+        ]
+        assert classes
+        for cls in classes:
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
+
     def test_unknown_revision_is_user_error(self, workspace, capsys):
         tmp_path, _, _, config, _ = workspace
         code = main(["report", "--config", str(config), "--revision", "nope"])

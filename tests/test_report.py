@@ -16,10 +16,10 @@ from manai.errors import EmptyScope, NoHistory, UnknownRevision
 from manai.harness import TestId
 from manai.report import (
     CSV_HEADER,
-    EvolutionGlyph,
     ReportFormat,
     ReportRequest,
-    Trend,
+    _arrow,
+    _buckets,
     export,
     render_compare,
     render_history,
@@ -185,6 +185,15 @@ class TestEvolution:
         assert "→" in line
         assert "%" not in line
 
+    def test_step_from_zero_has_no_percentage(self, tmp_path):
+        store = Store(tmp_path)
+        store.save(make_record("r1", ts(0), {"demo::t": 0}))
+        store.save(make_record("r2", ts(1), {"demo::t": 3_000_000}))
+        line = render_history(store, history_request(no_color=True))
+        assert "↑  n/a last step" in line
+        assert "single point" not in line
+        assert "latest 3 J  (r1 -> r2)" in line
+
     def test_three_revision_descent_is_monotone(self, store_three_revisions):
         line = render_history(store_three_revisions, history_request(no_color=True))
         glyphs = [c for c in line if c in "▁▂▃▄▅▆▇█"]
@@ -219,38 +228,22 @@ class TestEvolution:
 
 class TestGlyph:
     def test_trend_thresholds(self):
-        test = TestId("demo", "t")
-        flat = EvolutionGlyph.from_series(test, (1.0, 1.005))
-        up = EvolutionGlyph.from_series(test, (1.0, 1.02))
-        down = EvolutionGlyph.from_series(test, (1.0, 0.98))
-        assert flat.trend is Trend.FLAT
-        assert up.trend is Trend.INCREASE
-        assert down.trend is Trend.DECREASE
+        assert _arrow((1.0, 1.005)) == ("→", None)
+        assert _arrow((1.0, 1.02)) == ("↑", "31")
+        assert _arrow((1.0, 0.98)) == ("↓", "32")
 
     def test_bucket_is_rank_quintile(self):
-        test = TestId("demo", "t")
-        population = 10
-        buckets = [
-            EvolutionGlyph.from_series(test, (1.0,), rank=r, population=population).color_bucket
-            for r in range(population)
-        ]
-        assert buckets == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert _buckets([float(v) for v in range(10)]) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_equal_values_keep_input_order(self):
+        assert _buckets([2.0, 1.0, 2.0, 2.0, 1.0]) == [2, 0, 3, 4, 1]
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_bucket_invariant_under_uniform_scaling(self, scale):
         # Rank-based buckets cannot move when all energies scale together.
-        test = TestId("demo", "t")
-        energies = [1.0, 2.0, 5.0, 9.0]
-        base = [
-            EvolutionGlyph.from_series(test, (e,), rank=i, population=4).color_bucket
-            for i, e in enumerate(sorted(energies))
-        ]
-        scaled = [
-            EvolutionGlyph.from_series(test, (e * scale,), rank=i, population=4).color_bucket
-            for i, e in enumerate(sorted(energies))
-        ]
-        assert base == scaled
+        energies = [5.0, 1.0, 9.0, 2.0]
+        assert _buckets([e * scale for e in energies]) == _buckets(energies)
 
 
 class TestSparkline:

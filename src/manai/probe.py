@@ -27,11 +27,13 @@ import time
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from manai.errors import (
     MalformedScenario,
@@ -67,8 +69,11 @@ class DomainKind(Enum):
     PSYS = "psys"
 
 
-# Fixed read order, the declaration order: package first, platform-wide last.
-_KIND_ORDER = {kind: index for index, kind in enumerate(DomainKind)}
+# Fixed read order, the declaration order: package first, platform-wide
+# last. Both maps are keyed by value: a ``str`` hashes in C, an ``Enum``
+# member in Python.
+_KIND_ORDER = {kind.value: index for index, kind in enumerate(DomainKind)}
+_KINDS_BY_VALUE = {kind.value: kind for kind in DomainKind}
 
 
 class ProbeBackend(Enum):
@@ -78,7 +83,13 @@ class ProbeBackend(Enum):
 
 @dataclass(frozen=True)
 class EnergyDomain:
-    """Identity of one measurement scope: a domain kind on one socket."""
+    """Identity of one measurement scope: a domain kind on one socket.
+
+    Domains key every per-domain map, so the hash is computed once, from
+    the ints of :func:`domain_sort_key`: ``Enum.__hash__`` runs in Python
+    on every call, and a ``str`` hash is salted per process. A copied or
+    unpickled domain carries the same hash and stays a valid key.
+    """
 
     kind: DomainKind
     socket_index: int = 0
@@ -86,6 +97,10 @@ class EnergyDomain:
     def __post_init__(self):
         if self.socket_index < 0:
             raise ValueError("socket_index must be non-negative")
+        object.__setattr__(self, "_hash", hash(domain_sort_key(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.socket_index}"
@@ -94,15 +109,14 @@ class EnergyDomain:
     def parse(cls, text: str) -> "EnergyDomain":
         kind_name, _, index = text.partition(":")
         try:
-            kind = DomainKind(kind_name)
-            return cls(kind, int(index))
+            return cls(_KINDS_BY_VALUE[kind_name], int(index))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"not an energy domain: {text!r}") from exc
 
 
 def domain_sort_key(domain: EnergyDomain) -> tuple[int, int]:
     """Fixed ordering used everywhere domains are iterated or rendered."""
-    return (_KIND_ORDER[domain.kind], domain.socket_index)
+    return (_KIND_ORDER[domain.kind._value_], domain.socket_index)
 
 
 class ProbeReading(NamedTuple):
@@ -327,89 +341,119 @@ class RaplProbe(Probe):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioSegment:
+class ScenarioSegment(NamedTuple):
     """A stretch of constant per-domain power."""
 
     duration_ns: int
     powers_uw: Mapping[EnergyDomain, int]
-
-    def __post_init__(self):
-        if self.duration_ns <= 0:
-            raise ValueError("segment duration must be positive")
-        if any(p < 0 for p in self.powers_uw.values()):
-            raise ValueError("segment power must be non-negative")
 
 
 @dataclass(frozen=True)
 class SimulationScenario:
     """A piecewise-constant power profile the simulated probe integrates.
 
-    The counter value at elapsed time ``t`` is the energy integral over
+    Segment ``i`` lasts ``durations_ns[i]``, and in it each domain draws
+    ``powers_uw[domain][i]`` microwatts. The counter value at elapsed time
+    ``t`` is the energy integral over
     ``[0, floor(t / update_interval) * update_interval]``, in microjoules,
     reduced modulo ``max_range_uj``. Past the last segment the final
     segment's power level holds, so constant scenarios run forever.
     """
 
-    segments: tuple[ScenarioSegment, ...]
+    durations_ns: tuple[int, ...]
+    powers_uw: Mapping[EnergyDomain, tuple[int, ...]]
     max_range_uj: int
     update_interval_ns: int
 
     def __post_init__(self):
-        if not self.segments:
+        if not self.durations_ns:
             raise ValueError("scenario needs at least one segment")
         if self.max_range_uj <= 0:
             raise ValueError("max_range_uj must be positive")
         if self.update_interval_ns <= 0:
             raise ValueError("update_interval_ns must be positive")
+        if min(self.durations_ns) <= 0:
+            raise ValueError("segment duration must be positive")
         # Segment i spans [starts[i], starts[i + 1]); the extra last entry
         # opens the unbounded tail that holds the final power level.
-        starts = [0]
-        for segment in self.segments:
-            starts.append(starts[-1] + segment.duration_ns)
-        seen = {domain for segment in self.segments for domain in segment.powers_uw}
-        integrals: dict[EnergyDomain, tuple[list[int], list[int]]] = {}
-        for domain in sorted(seen, key=domain_sort_key):
-            powers_uw = [segment.powers_uw.get(domain, 0) for segment in self.segments]
+        starts = list(accumulate(self.durations_ns, initial=0))
+        domains = tuple(sorted(self.powers_uw, key=domain_sort_key))
+        # One column pair per domain, in ``domains`` order: the power of
+        # every segment plus the tail, and the integral up to every
+        # segment start.
+        integrals = []
+        for domain in domains:
+            powers_uw = list(self.powers_uw[domain])
+            if len(powers_uw) != len(self.durations_ns):
+                raise ValueError(f"{domain} needs one power per segment")
+            if min(powers_uw) < 0:
+                raise ValueError("segment power must be non-negative")
             powers_uw.append(powers_uw[-1])
-            cumulative_fj = [0]
-            for segment, power_uw in zip(self.segments, powers_uw):
-                cumulative_fj.append(cumulative_fj[-1] + power_uw * segment.duration_ns)
-            integrals[domain] = (cumulative_fj, powers_uw)
+            cumulative_fj = list(accumulate(map(mul, powers_uw, self.durations_ns), initial=0))
+            integrals.append((cumulative_fj, powers_uw))
         object.__setattr__(self, "_starts_ns", starts)
+        object.__setattr__(self, "_domains", domains)
+        object.__setattr__(self, "_positions", {d: i for i, d in enumerate(domains)})
         object.__setattr__(self, "_integrals", integrals)
+
+    @classmethod
+    def from_segments(
+        cls, segments: Sequence[ScenarioSegment], max_range_uj: int, update_interval_ns: int
+    ) -> SimulationScenario:
+        """The scenario of ``segments``; a domain a segment leaves out draws 0 W there."""
+        domains = {domain for _, powers_uw in segments for domain in powers_uw}
+        return cls(
+            durations_ns=tuple(duration_ns for duration_ns, _ in segments),
+            powers_uw={
+                domain: tuple(powers_uw.get(domain, 0) for _, powers_uw in segments)
+                for domain in domains
+            },
+            max_range_uj=max_range_uj,
+            update_interval_ns=update_interval_ns,
+        )
 
     @property
     def domains(self) -> tuple[EnergyDomain, ...]:
-        return tuple(self._integrals)
+        return self._domains
 
     @property
     def total_duration_ns(self) -> int:
         return self._starts_ns[-1]
+
+    def _energies_fj(self, until_ns: int) -> list[int]:
+        """Every domain's integral over ``[0, until_ns]``, in ``domains`` order."""
+        if until_ns <= 0:
+            return [0] * len(self._integrals)
+        index = bisect_right(self._starts_ns, until_ns) - 1
+        into_ns = until_ns - self._starts_ns[index]
+        return [cumulative_fj[index] + powers_uw[index] * into_ns
+                for cumulative_fj, powers_uw in self._integrals]
+
+    def _counters_uj(self, elapsed_ns: int) -> list[int]:
+        """Every domain's counter after ``elapsed_ns``, in ``domains`` order."""
+        boundary_ns = elapsed_ns // self.update_interval_ns * self.update_interval_ns
+        return [energy_fj // _FEMTOJOULE_PER_MICROJOULE % self.max_range_uj
+                for energy_fj in self._energies_fj(boundary_ns)]
 
     def energy_fj(self, domain: EnergyDomain, until_ns: int) -> int:
         """Exact integral of ``domain`` power over ``[0, until_ns]``.
 
         Returned in femtojoules (microwatt-nanoseconds) so the arithmetic
         stays in integers; a step-by-step accumulation over counter ticks
-        produces the identical value. The scenario keeps each domain's
-        integral up to every segment start (0 W where a segment omits the
-        domain), so a read is one ``bisect`` for the segment holding
-        ``until_ns`` plus that segment's power times the time into it.
+        produces the identical value. The scenario keeps every domain's
+        integral up to every segment start, so one ``bisect`` finds the
+        segment holding ``until_ns`` for all domains at once; each integral
+        is then its prefix sum plus that segment's power times the time
+        into it. :meth:`counter_uj` and :meth:`SimulatedProbe.read` use
+        this same computation. A domain the scenario does not define reads 0.
         """
-        integral = self._integrals.get(domain)
-        if until_ns <= 0 or integral is None:
-            return 0
-        cumulative_fj, powers_uw = integral
-        index = bisect_right(self._starts_ns, until_ns) - 1
-        return cumulative_fj[index] + powers_uw[index] * (until_ns - self._starts_ns[index])
+        position = self._positions.get(domain)
+        return 0 if position is None else self._energies_fj(until_ns)[position]
 
     def counter_uj(self, domain: EnergyDomain, elapsed_ns: int) -> int:
         """Counter value after ``elapsed_ns``, quantized and wrapped."""
-        ticks = elapsed_ns // self.update_interval_ns
-        boundary_ns = ticks * self.update_interval_ns
-        energy_uj = self.energy_fj(domain, boundary_ns) // _FEMTOJOULE_PER_MICROJOULE
-        return energy_uj % self.max_range_uj
+        position = self._positions.get(domain)
+        return 0 if position is None else self._counters_uj(elapsed_ns)[position]
 
 
 class SimulatedProbe(Probe):
@@ -445,13 +489,14 @@ class SimulatedProbe(Probe):
         return self._descriptor
 
     def read(self) -> ProbeReading:
+        """Every domain's :meth:`SimulationScenario.counter_uj` at the clock's time.
+
+        All domains share the scenario's segment starts, so one read is a
+        single ``bisect`` however many domains the scenario defines.
+        """
         now_ns = self._clock()
-        elapsed_ns = now_ns - self._epoch_ns
-        counters = {
-            domain: self._scenario.counter_uj(domain, elapsed_ns)
-            for domain in self._domains
-        }
-        return ProbeReading(now_ns, counters)
+        counters = self._scenario._counters_uj(now_ns - self._epoch_ns)
+        return ProbeReading(now_ns, dict(zip(self._domains, counters)))
 
 
 # --------------------------------------------------------------------------
@@ -463,14 +508,35 @@ _HEADER_KEYS = {"update_interval_ns", "max_range_uj"}
 _SCENARIO_DOMAIN_KEYS = {kind.value: EnergyDomain(kind, 0) for kind in DomainKind}
 
 
+# Plain decimal watts (ASCII digits, then optionally "." and more digits)
+# of at most 28 characters: within the default decimal context's 28-digit
+# precision, so ``Decimal(text) * 10**6`` is exact and its integer part is
+# the whole digits followed by the first six fractional digits, padded.
+_PLAIN_WATTS_MAX_CHARS = 28
+_MICROWATT_DIGITS = 6
+_MICROWATT_PADDING = "0" * _MICROWATT_DIGITS
+
+
 def _parse_watts_uw(text: str, line_no: int) -> int:
+    """Watts text to microwatts, truncated like ``int(Decimal(text) * 10**6)``.
+
+    Raises:
+        MalformedScenario: A negative value, or one that is not a finite
+            number within the default decimal context's exponent range.
+    """
+    whole, _, fraction = text.partition(".")
+    if (len(text) <= _PLAIN_WATTS_MAX_CHARS and whole.isdigit()
+            and (fraction.isdigit() or not fraction) and text.isascii()):
+        return int(whole + (fraction + _MICROWATT_PADDING)[:_MICROWATT_DIGITS])
     try:
         watts = Decimal(text)
-    except InvalidOperation:
+        # A NaN fails the comparison, infinity the conversion to int and a
+        # huge exponent the multiplication, each with an ArithmeticError.
+        if watts < 0:
+            raise MalformedScenario(f"negative power {text!r}", line_no)
+        return int(watts * _MICROWATT_PER_WATT)
+    except ArithmeticError:
         raise MalformedScenario(f"bad power value {text!r}", line_no) from None
-    if watts < 0:
-        raise MalformedScenario(f"negative power {text!r}", line_no)
-    return int(watts * _MICROWATT_PER_WATT)
 
 
 def _parse_int(text: str, key: str, line_no: int) -> int:
@@ -499,47 +565,62 @@ def load_scenario(path: Path | str) -> SimulationScenario:
         raise MalformedScenario(f"cannot read {path}: {exc}") from exc
 
     header: dict[str, int] = {}
-    segments: list[ScenarioSegment] = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+    durations_ns: list[int] = []
+    # Power of every segment so far, per domain key; 0 W before a domain's
+    # first segment and in segments that leave it out.
+    powers_uw: dict[str, list[int]] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        pairs = [token.partition("=") for token in line.split()]
+        if not pairs:
             continue
-        pairs = []
-        for token in line.split():
-            key, sep, value = token.partition("=")
-            if not sep or not key or not value:
-                raise MalformedScenario(f"expected key=value, got {token!r}", line_no)
-            pairs.append((key, value))
-
-        if pairs[0][0] == "duration_ns":
-            duration_ns = _parse_int(pairs[0][1], "duration_ns", line_no)
-            if duration_ns <= 0:
-                raise MalformedScenario("segment duration must be positive", line_no)
-            powers: dict[EnergyDomain, int] = {}
-            for key, value in pairs[1:]:
-                domain = _SCENARIO_DOMAIN_KEYS.get(key)
-                if domain is None:
-                    raise MalformedScenario(f"unknown key {key!r}", line_no)
-                if domain in powers:
-                    raise MalformedScenario(f"duplicate domain {key!r}", line_no)
-                powers[domain] = _parse_watts_uw(value, line_no)
-            if not powers:
-                raise MalformedScenario("segment defines no domain power", line_no)
-            segments.append(ScenarioSegment(duration_ns, powers))
-        else:
-            if segments:
+        # A token without a key or a value fails below as an unknown key or
+        # a bad number, so its shape is checked only once the line fails.
+        try:
+            key, _, value = pairs[0]
+            if key == "duration_ns":
+                duration_ns = _parse_int(value, key, line_no)
+                if duration_ns <= 0:
+                    raise MalformedScenario("segment duration must be positive", line_no)
+                if len(pairs) == 1:
+                    raise MalformedScenario("segment defines no domain power", line_no)
+                segment = len(durations_ns)
+                for key, _, value in pairs[1:]:
+                    column = powers_uw.get(key)
+                    if column is None:
+                        if key not in _SCENARIO_DOMAIN_KEYS:
+                            raise MalformedScenario(f"unknown key {key!r}", line_no)
+                        column = powers_uw[key] = [0] * segment
+                    elif len(column) > segment:
+                        raise MalformedScenario(f"duplicate domain {key!r}", line_no)
+                    column.append(_parse_watts_uw(value, line_no))
+                durations_ns.append(duration_ns)
+                if len(pairs) <= len(powers_uw):
+                    for column in powers_uw.values():
+                        if len(column) == segment:
+                            column.append(0)
+            elif durations_ns:
                 raise MalformedScenario("header line after first segment", line_no)
-            for key, value in pairs:
-                if key not in _HEADER_KEYS:
-                    raise MalformedScenario(f"unknown key {key!r}", line_no)
-                if key in header:
-                    raise MalformedScenario(f"duplicate header key {key!r}", line_no)
-                header[key] = _parse_int(value, key, line_no)
+            else:
+                for key, _, value in pairs:
+                    if key not in _HEADER_KEYS:
+                        raise MalformedScenario(f"unknown key {key!r}", line_no)
+                    if key in header:
+                        raise MalformedScenario(f"duplicate header key {key!r}", line_no)
+                    header[key] = _parse_int(value, key, line_no)
+        except MalformedScenario:
+            for key, sep, value in pairs:
+                if not (key and sep and value):
+                    raise MalformedScenario(
+                        f"expected key=value, got {key + sep + value!r}", line_no
+                    ) from None
+            raise
 
     missing = _HEADER_KEYS - set(header)
     if missing:
         raise MalformedScenario(f"missing header key(s): {', '.join(sorted(missing))}")
-    if not segments:
+    if not durations_ns:
         raise MalformedScenario("scenario has no segments")
     if header["update_interval_ns"] <= 0:
         raise MalformedScenario("update_interval_ns must be positive")
@@ -547,7 +628,8 @@ def load_scenario(path: Path | str) -> SimulationScenario:
         raise MalformedScenario("max_range_uj must be positive")
 
     return SimulationScenario(
-        segments=tuple(segments),
+        durations_ns=tuple(durations_ns),
+        powers_uw={_SCENARIO_DOMAIN_KEYS[key]: tuple(column) for key, column in powers_uw.items()},
         max_range_uj=header["max_range_uj"],
         update_interval_ns=header["update_interval_ns"],
     )

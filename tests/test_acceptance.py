@@ -95,7 +95,7 @@ def test_criterion_02_conservation(tmp_path):
                 )
                 for _ in range(rng.randint(1, 3))
             )
-            scenario = SimulationScenario(
+            scenario = SimulationScenario.from_segments(
                 segments=segments,
                 max_range_uj=10**12,
                 update_interval_ns=rng.choice([500_000, 1_000_000, 2_000_000]),

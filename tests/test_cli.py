@@ -296,6 +296,16 @@ class TestExitCodes:
         code = main(["probe-check", "--probe", "simulated", "--scenario", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("power", ["NaN", "sNaN", "inf", "1e400000000"])
+    def test_non_finite_scenario_power_is_user_error(self, tmp_path, capsys, power):
+        bad = tmp_path / "nan.txt"
+        bad.write_text(f"update_interval_ns=1000 max_range_uj=10\nduration_ns=5 package={power}\n")
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line 2: bad power value {power!r}" in err
+        assert "internal error" not in err
+
     def test_missing_harness_is_user_error(self, tmp_path, capsys):
         code = main(["list", "--data-dir", str(tmp_path)])
         assert code == 1

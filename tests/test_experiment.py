@@ -115,7 +115,7 @@ def test_attribution_against_reintegration_oracle(power_uw, window):
     # Stream a constant-power scenario on an update-aligned grid, then
     # attribute an arbitrary interior window; re-integrating the power
     # function over that window must agree within one update quantum.
-    scenario = SimulationScenario(
+    scenario = SimulationScenario.from_segments(
         segments=(ScenarioSegment(3600 * NS, {PKG: power_uw}),),
         max_range_uj=10**12,
         update_interval_ns=1_000_000,

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import errno
 import gc
 import os
+import pickle
+import random
+import subprocess
+import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
@@ -21,6 +27,7 @@ from manai.probe import (
     ScenarioSegment,
     SimulatedProbe,
     SimulationScenario,
+    _parse_watts_uw,
     load_scenario,
 )
 
@@ -28,7 +35,7 @@ from conftest import CORE, DRAM, PKG, make_powercap_tree, write_scenario
 
 
 def constant_scenario(watts_uw: int, max_range_uj: int = 10**12, update_ns: int = 1_000_000):
-    return SimulationScenario(
+    return SimulationScenario.from_segments(
         segments=(ScenarioSegment(10**10, {PKG: watts_uw}),),
         max_range_uj=max_range_uj,
         update_interval_ns=update_ns,
@@ -198,10 +205,11 @@ def oracle_counter_uj(scenario: SimulationScenario, domain, elapsed_ns: int) -> 
     total_fj = 0
     bounds = []
     cursor = 0
-    for segment in scenario.segments:
-        bounds.append((cursor, cursor + segment.duration_ns, segment.powers_uw.get(domain, 0)))
-        cursor += segment.duration_ns
-    tail_power = scenario.segments[-1].powers_uw.get(domain, 0)
+    powers_uw = scenario.powers_uw[domain]
+    for duration_ns, power_uw in zip(scenario.durations_ns, powers_uw):
+        bounds.append((cursor, cursor + duration_ns, power_uw))
+        cursor += duration_ns
+    tail_power = powers_uw[-1]
 
     for k in range(elapsed_ns // q):
         lo, hi = k * q, (k + 1) * q
@@ -226,7 +234,7 @@ def scenarios(draw):
         )
         for _ in range(n_segments)
     )
-    return SimulationScenario(
+    return SimulationScenario.from_segments(
         segments=segments,
         max_range_uj=draw(st.integers(1_000, 10**9)),
         update_interval_ns=draw(st.sampled_from([500_000, 1_000_000, 7_000_000])),
@@ -256,7 +264,10 @@ def oracle_energy_fj(segments, domain, until_ns: int) -> int:
 
 @st.composite
 def sparse_scenarios(draw):
-    """Up to 64 segments over two or three domains; DRAM skips some segments."""
+    """Up to 64 segments over two or three domains; DRAM skips some segments.
+
+    Yields ``(segments, scenario)``, so oracles can walk the segments as drawn.
+    """
     others = draw(st.sampled_from([(DRAM,), (CORE, DRAM)]))
     segments = []
     for _ in range(draw(st.integers(1, 64))):
@@ -265,22 +276,83 @@ def sparse_scenarios(draw):
             if domain is not DRAM or draw(st.booleans()):
                 powers[domain] = draw(st.integers(0, 50_000_000))
         segments.append(ScenarioSegment(draw(st.integers(1, 10_000_000)), powers))
-    return SimulationScenario(tuple(segments), max_range_uj=10**9, update_interval_ns=1_000_000)
+    scenario = SimulationScenario.from_segments(
+        segments, max_range_uj=10**9, update_interval_ns=1_000_000
+    )
+    return segments, scenario
+
+
+def _segment_edges(segments) -> list[int]:
+    ends = [0]
+    for segment in segments:
+        ends.append(ends[-1] + segment.duration_ns)
+    return ends
 
 
 @settings(max_examples=100, deadline=None)
-@given(scenario=sparse_scenarios(), data=st.data())
-def test_energy_fj_matches_linear_walk_at_segment_edges(scenario, data):
-    ends = [0]
-    for segment in scenario.segments:
-        ends.append(ends[-1] + segment.duration_ns)
+@given(drawn=sparse_scenarios(), data=st.data())
+def test_energy_fj_matches_linear_walk_at_segment_edges(drawn, data):
+    segments, scenario = drawn
+    ends = _segment_edges(segments)
     edge = st.tuples(st.sampled_from(ends), st.sampled_from([-1, 0, 1])).map(sum)
     past_end = st.integers(1, 10**10).map(lambda extra: ends[-1] + extra)
     untils = data.draw(st.lists(st.one_of(edge, past_end), min_size=1, max_size=20))
     for domain in (PKG, CORE, DRAM):
         for until_ns in untils:
-            expected = oracle_energy_fj(scenario.segments, domain, until_ns)
+            expected = oracle_energy_fj(segments, domain, until_ns)
             assert scenario.energy_fj(domain, until_ns) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=sparse_scenarios(), data=st.data())
+def test_read_equals_counter_uj_for_every_domain(drawn, data):
+    segments, scenario = drawn
+    ends = _segment_edges(segments)
+    before_start = st.integers(-10**9, -1)
+    on_start = st.sampled_from(ends)
+    inside = st.integers(0, len(segments) - 1).flatmap(
+        lambda i: st.integers(ends[i] + 1, ends[i + 1] - 1) if ends[i + 1] - ends[i] > 1
+        else st.just(ends[i])
+    )
+    past_end = st.integers(1, 10**10).map(lambda extra: ends[-1] + extra)
+    elapsed = data.draw(
+        st.lists(st.one_of(before_start, on_start, inside, past_end), min_size=1, max_size=20)
+    )
+    epoch_ns = 5 * 10**9
+    now = [epoch_ns]
+    probe = SimulatedProbe(scenario, clock=lambda: now[0])
+    for elapsed_ns in elapsed:
+        now[0] = epoch_ns + elapsed_ns
+        reading = probe.read()
+        assert reading.timestamp_ns == now[0]
+        assert tuple(reading.counters) == scenario.domains
+        for domain in scenario.domains:
+            assert reading.counters[domain] == scenario.counter_uj(domain, elapsed_ns)
+
+
+class TestScenarioColumns:
+    def test_from_segments_fills_left_out_domains_with_zero(self):
+        scenario = SimulationScenario.from_segments(
+            [ScenarioSegment(5, {PKG: 1}), ScenarioSegment(7, {DRAM: 2, PKG: 3})],
+            max_range_uj=10,
+            update_interval_ns=1,
+        )
+        assert scenario.durations_ns == (5, 7)
+        assert scenario.powers_uw == {PKG: (1, 3), DRAM: (0, 2)}
+        assert scenario.domains == (PKG, DRAM)
+
+    @pytest.mark.parametrize(
+        "durations_ns, powers_uw, message",
+        [
+            ((), {}, "scenario needs at least one segment"),
+            ((5, 0), {PKG: (1, 1)}, "segment duration must be positive"),
+            ((5, 5), {PKG: (1, -1)}, "segment power must be non-negative"),
+            ((5, 5), {PKG: (1,)}, "package:0 needs one power per segment"),
+        ],
+    )
+    def test_invalid_columns_rejected(self, durations_ns, powers_uw, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationScenario(durations_ns, powers_uw, max_range_uj=10, update_interval_ns=1)
 
 
 class TestScenarioFile:
@@ -295,7 +367,7 @@ class TestScenarioFile:
         assert scenario.total_duration_ns == 10**9
         assert scenario.update_interval_ns == 1_000_000
         assert scenario.max_range_uj == 10**9
-        assert scenario.segments[0].powers_uw == {PKG: 5_000_000}
+        assert scenario.powers_uw == {PKG: (5_000_000,)}
 
     def test_negative_power_rejected(self, tmp_path):
         path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "-1"})])
@@ -325,7 +397,7 @@ class TestScenarioFile:
     def test_fractional_watts_parse_exactly(self, tmp_path):
         path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "2.5", "dram": "0.125"})])
         scenario = load_scenario(path)
-        assert scenario.segments[0].powers_uw[PKG] == 2_500_000
+        assert scenario.powers_uw == {PKG: (2_500_000,), DRAM: (125_000,)}
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -340,3 +412,265 @@ class TestScenarioFile:
         )
         scenario = load_scenario(path)
         assert set(scenario.domains) == {PKG, CORE}
+
+    @pytest.mark.parametrize("power", ["NaN", "nan", "-NaN", "sNaN", "inf", "Infinity", "1e400000000"])
+    def test_non_finite_power_rejected(self, tmp_path, power):
+        path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "1", "core": power})])
+        with pytest.raises(MalformedScenario, match=f"bad power value {power!r}") as exc_info:
+            load_scenario(path)
+        assert exc_info.value.line_no == 3
+
+    def test_duplicate_domain_precedes_its_bad_value(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text(
+            "update_interval_ns=1000 max_range_uj=100\n"
+            "duration_ns=5 package=1\n"
+            "duration_ns=5 core=1 package=2 core=x\n"
+        )
+        with pytest.raises(MalformedScenario, match="line 3: duplicate domain 'core'"):
+            load_scenario(path)
+
+    def test_negative_infinity_is_negative_power(self, tmp_path):
+        path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "-inf"})])
+        with pytest.raises(MalformedScenario, match="negative power '-inf'") as exc_info:
+            load_scenario(path)
+        assert exc_info.value.line_no == 3
+
+
+# --------------------------------------------------------------------------
+# The integer parse against the Decimal parse it replaces
+# --------------------------------------------------------------------------
+
+
+class _NegativePower(Exception):
+    pass
+
+
+def reference_watts_uw(text: str) -> int:
+    """``int(Decimal(text) * 10**6)``, with negative values refused.
+
+    Raises ``_NegativePower``, or an ``ArithmeticError`` or ``ValueError``
+    for a text that is not a finite number in the default decimal context.
+    """
+    watts = Decimal(text)
+    if not watts.is_nan() and watts < 0:
+        raise _NegativePower
+    return int(watts * 10**6)
+
+
+@st.composite
+def watts_texts(draw):
+    """Decimal-like texts: leading zeros, trailing ".", long fractions,
+    exponents, underscores and signs."""
+    text = "0" * draw(st.integers(0, 3)) + draw(st.text("0123456789", max_size=30))
+    if draw(st.booleans()):
+        text += "." + draw(st.text("0123456789", max_size=30))
+    if len(text) > 1 and draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "_" + text[cut:]
+    if draw(st.integers(0, 4)) == 0:
+        text += draw(st.sampled_from("eE")) + str(draw(st.integers(-40, 40)))
+    return draw(st.sampled_from(["", "", "+", "-"])) + text
+
+
+_ODD_WATTS = [
+    "NaN", "-nan", "sNaN", "inf", "-Infinity", "1e400000000", "-1e400000000", ".5", "5.",
+    "-0", "1_000", "1__0", "١٢.٥", "²", " 5", "0x10", "",
+    "9" * 28, "9" * 29, "0." + "9" * 40, "1" * 27 + ".9",
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.one_of(
+    watts_texts(),
+    st.text("0123456789.-+_eEnaifINFAs ", max_size=12),
+    st.sampled_from(_ODD_WATTS),
+))
+def test_parse_watts_matches_decimal_reference(text):
+    try:
+        expected = reference_watts_uw(text)
+    except _NegativePower:
+        message = f"negative power {text!r}"
+    except (ArithmeticError, ValueError):
+        message = f"bad power value {text!r}"
+    else:
+        assert _parse_watts_uw(text, 7) == expected
+        return
+    with pytest.raises(MalformedScenario) as failure:
+        _parse_watts_uw(text, 7)
+    assert str(failure.value) == f"line 7: {message}"
+
+
+def previous_load(text: str):
+    """The line-by-line parser this module replaced, kept as an oracle.
+
+    Returns ``(header, segments)`` with each segment ``(duration_ns,
+    {domain: uW})`` as written; raises its ``MalformedScenario``.
+    """
+
+    def parse_watts_uw(text, line_no):
+        try:
+            watts = Decimal(text)
+        except InvalidOperation:
+            raise MalformedScenario(f"bad power value {text!r}", line_no) from None
+        if watts < 0:
+            raise MalformedScenario(f"negative power {text!r}", line_no)
+        return int(watts * 10**6)
+
+    def parse_int(text, key, line_no):
+        try:
+            return int(text)
+        except ValueError:
+            raise MalformedScenario(f"bad integer for {key}: {text!r}", line_no) from None
+
+    header_keys = {"update_interval_ns", "max_range_uj"}
+    domain_keys = {kind.value: EnergyDomain(kind, 0) for kind in DomainKind}
+    header, segments = {}, []
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        pairs = []
+        for token in line.split():
+            key, sep, value = token.partition("=")
+            if not sep or not key or not value:
+                raise MalformedScenario(f"expected key=value, got {token!r}", line_no)
+            pairs.append((key, value))
+        if pairs[0][0] == "duration_ns":
+            duration_ns = parse_int(pairs[0][1], "duration_ns", line_no)
+            if duration_ns <= 0:
+                raise MalformedScenario("segment duration must be positive", line_no)
+            powers = {}
+            for key, value in pairs[1:]:
+                domain = domain_keys.get(key)
+                if domain is None:
+                    raise MalformedScenario(f"unknown key {key!r}", line_no)
+                if domain in powers:
+                    raise MalformedScenario(f"duplicate domain {key!r}", line_no)
+                powers[domain] = parse_watts_uw(value, line_no)
+            if not powers:
+                raise MalformedScenario("segment defines no domain power", line_no)
+            segments.append((duration_ns, powers))
+        else:
+            if segments:
+                raise MalformedScenario("header line after first segment", line_no)
+            for key, value in pairs:
+                if key not in header_keys:
+                    raise MalformedScenario(f"unknown key {key!r}", line_no)
+                if key in header:
+                    raise MalformedScenario(f"duplicate header key {key!r}", line_no)
+                header[key] = parse_int(value, key, line_no)
+    missing = header_keys - set(header)
+    if missing:
+        raise MalformedScenario(f"missing header key(s): {', '.join(sorted(missing))}")
+    if not segments:
+        raise MalformedScenario("scenario has no segments")
+    if header["update_interval_ns"] <= 0:
+        raise MalformedScenario("update_interval_ns must be positive")
+    if header["max_range_uj"] <= 0:
+        raise MalformedScenario("max_range_uj must be positive")
+    return header, segments
+
+
+def assert_same_scenario(scenario: SimulationScenario, header, segments) -> None:
+    assert scenario.update_interval_ns == header["update_interval_ns"]
+    assert scenario.max_range_uj == header["max_range_uj"]
+    assert set(scenario.domains) == {d for _, powers in segments for d in powers}
+    assert len(scenario.durations_ns) == len(segments)
+    for index, (duration_ns, powers) in enumerate(segments):
+        assert scenario.durations_ns[index] == duration_ns
+        for domain in scenario.domains:
+            assert scenario.powers_uw[domain][index] == powers.get(domain, 0)
+
+
+def test_long_scenario_matches_previous_parser(tmp_path):
+    rng = random.Random(11)
+    spellings = [
+        lambda uw: f"{uw // 10**6}.{uw % 10**6:06d}",
+        lambda uw: f"00{uw // 10**6}.{uw % 10**6:06d}{rng.randrange(10**4)}",
+        lambda uw: f"{uw // 10**6}.",
+        lambda uw: f"{uw // 10**6}",
+        lambda uw: f"{uw}e-6",
+        lambda uw: f"{uw // 10**6}_0.5",
+        lambda uw: f".{uw % 10**6:06d}",
+    ]
+    lines = ["# header, then 1500 segments", "update_interval_ns=1000000", "", "max_range_uj=10000000000"]
+    for _ in range(1500):
+        keys = rng.sample(["package", "core", "uncore", "dram", "psys"], rng.randint(1, 5))
+        fields = " ".join(
+            f"{key}={rng.choice(spellings)(rng.randrange(50 * 10**6))}" for key in keys
+        )
+        comment = "  # note" if rng.random() < 0.05 else ""
+        lines.append(f"duration_ns={rng.randint(1, 5 * 10**6)}\t{fields}{comment}")
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert_same_scenario(load_scenario(path), *previous_load(text))
+
+
+_TOKENS = [
+    "duration_ns=5", "duration_ns=0", "duration_ns=x", "duration_ns", "package=1.5",
+    "package=2", "core=0.25", "dram=-1", "core=x", "psys=1e2", "gpu=1", "package", "=3",
+    "dram=", "=", "a=b=c", "update_interval_ns=1000", "max_range_uj=10", "max_range_uj=0",
+    "max_range_uj=a", "#", "package=1#2",
+]
+
+
+_LINES = st.tuples(
+    st.sampled_from(["duration_ns=5 ", "duration_ns=5 ", ""]),
+    st.lists(st.sampled_from(_TOKENS), max_size=4).map(" ".join),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(_LINES, max_size=6))
+def test_rejections_match_previous_parser(tmp_path_factory, lines):
+    text = "\n".join(["update_interval_ns=1000 max_range_uj=100", *lines]) + "\n"
+    path = tmp_path_factory.mktemp("scenario") / "s.txt"
+    path.write_text(text)
+    try:
+        expected = previous_load(text)
+    except MalformedScenario as previous:
+        with pytest.raises(MalformedScenario) as failure:
+            load_scenario(path)
+        assert str(failure.value) == str(previous)
+        assert failure.value.line_no == previous.line_no
+    else:
+        assert_same_scenario(load_scenario(path), *expected)
+
+
+# --------------------------------------------------------------------------
+# Domain keys
+# --------------------------------------------------------------------------
+
+
+class TestDomainKeys:
+    @pytest.mark.parametrize("kind", list(DomainKind))
+    def test_every_spelling_of_a_domain_is_one_key(self, kind):
+        built = EnergyDomain(kind, 1)
+        spellings = [
+            EnergyDomain.parse(f"{kind.value}:1"),
+            copy.deepcopy(built),
+            copy.copy(built),
+            pickle.loads(pickle.dumps(built)),
+        ]
+        table = {built: "entry"}
+        for domain in spellings:
+            assert domain == built
+            assert hash(domain) == hash(built)
+            assert table[domain] == "entry"
+        assert str(spellings[-1]) == f"{kind.value}:1"
+
+    def test_hash_does_not_depend_on_the_hash_seed(self):
+        domain = EnergyDomain(DomainKind.DRAM, 3)
+        code = (
+            "from manai.probe import DomainKind, EnergyDomain; "
+            "print(hash(EnergyDomain(DomainKind.DRAM, 3)))"
+        )
+        for seed in ("1", "4242"):
+            child = subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            )
+            assert int(child.stdout) == hash(domain)

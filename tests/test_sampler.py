@@ -23,7 +23,7 @@ NS = 10**9
 
 def constant_probe(watts: float, sched: VirtualScheduler, max_range_uj: int = 10**12,
                    update_ns: int = 1_000_000) -> SimulatedProbe:
-    scenario = SimulationScenario(
+    scenario = SimulationScenario.from_segments(
         segments=(ScenarioSegment(3600 * NS, {PKG: round(watts * 1e6)}),),
         max_range_uj=max_range_uj,
         update_interval_ns=update_ns,
@@ -163,7 +163,7 @@ def stream_cases(draw):
         )
         for _ in range(draw(st.integers(1, 3)))
     )
-    scenario = SimulationScenario(
+    scenario = SimulationScenario.from_segments(
         segments=segments,
         max_range_uj=10**12,  # large enough that the run never wraps fully
         update_interval_ns=draw(st.sampled_from([500_000, 1_000_000])),

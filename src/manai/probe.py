@@ -33,7 +33,7 @@ from itertools import accumulate
 from operator import mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from manai.errors import (
     MalformedScenario,
@@ -69,11 +69,8 @@ class DomainKind(Enum):
     PSYS = "psys"
 
 
-# Fixed read order, the declaration order: package first, platform-wide
-# last. Both maps are keyed by value: a ``str`` hashes in C, an ``Enum``
-# member in Python.
-_KIND_ORDER = {kind.value: index for index, kind in enumerate(DomainKind)}
-_KINDS_BY_VALUE = {kind.value: kind for kind in DomainKind}
+# Fixed read order, the declaration order: package first, platform-wide last.
+_KIND_ORDER = {kind: index for index, kind in enumerate(DomainKind)}
 
 
 class ProbeBackend(Enum):
@@ -109,14 +106,15 @@ class EnergyDomain:
     def parse(cls, text: str) -> "EnergyDomain":
         kind_name, _, index = text.partition(":")
         try:
-            return cls(_KINDS_BY_VALUE[kind_name], int(index))
+            kind = DomainKind(kind_name)
+            return cls(kind, int(index))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"not an energy domain: {text!r}") from exc
 
 
 def domain_sort_key(domain: EnergyDomain) -> tuple[int, int]:
     """Fixed ordering used everywhere domains are iterated or rendered."""
-    return (_KIND_ORDER[domain.kind._value_], domain.socket_index)
+    return (_KIND_ORDER[domain.kind], domain.socket_index)
 
 
 class ProbeReading(NamedTuple):
@@ -341,13 +339,6 @@ class RaplProbe(Probe):
 # --------------------------------------------------------------------------
 
 
-class ScenarioSegment(NamedTuple):
-    """A stretch of constant per-domain power."""
-
-    duration_ns: int
-    powers_uw: Mapping[EnergyDomain, int]
-
-
 @dataclass(frozen=True)
 class SimulationScenario:
     """A piecewise-constant power profile the simulated probe integrates.
@@ -395,22 +386,6 @@ class SimulationScenario:
         object.__setattr__(self, "_domains", domains)
         object.__setattr__(self, "_positions", {d: i for i, d in enumerate(domains)})
         object.__setattr__(self, "_integrals", integrals)
-
-    @classmethod
-    def from_segments(
-        cls, segments: Sequence[ScenarioSegment], max_range_uj: int, update_interval_ns: int
-    ) -> SimulationScenario:
-        """The scenario of ``segments``; a domain a segment leaves out draws 0 W there."""
-        domains = {domain for _, powers_uw in segments for domain in powers_uw}
-        return cls(
-            durations_ns=tuple(duration_ns for duration_ns, _ in segments),
-            powers_uw={
-                domain: tuple(powers_uw.get(domain, 0) for _, powers_uw in segments)
-                for domain in domains
-            },
-            max_range_uj=max_range_uj,
-            update_interval_ns=update_interval_ns,
-        )
 
     @property
     def domains(self) -> tuple[EnergyDomain, ...]:
@@ -508,15 +483,6 @@ _HEADER_KEYS = {"update_interval_ns", "max_range_uj"}
 _SCENARIO_DOMAIN_KEYS = {kind.value: EnergyDomain(kind, 0) for kind in DomainKind}
 
 
-# Plain decimal watts (ASCII digits, then optionally "." and more digits)
-# of at most 28 characters: within the default decimal context's 28-digit
-# precision, so ``Decimal(text) * 10**6`` is exact and its integer part is
-# the whole digits followed by the first six fractional digits, padded.
-_PLAIN_WATTS_MAX_CHARS = 28
-_MICROWATT_DIGITS = 6
-_MICROWATT_PADDING = "0" * _MICROWATT_DIGITS
-
-
 def _parse_watts_uw(text: str, line_no: int) -> int:
     """Watts text to microwatts, truncated like ``int(Decimal(text) * 10**6)``.
 
@@ -524,10 +490,6 @@ def _parse_watts_uw(text: str, line_no: int) -> int:
         MalformedScenario: A negative value, or one that is not a finite
             number within the default decimal context's exponent range.
     """
-    whole, _, fraction = text.partition(".")
-    if (len(text) <= _PLAIN_WATTS_MAX_CHARS and whole.isdigit()
-            and (fraction.isdigit() or not fraction) and text.isascii()):
-        return int(whole + (fraction + _MICROWATT_PADDING)[:_MICROWATT_DIGITS])
     try:
         watts = Decimal(text)
         # A NaN fails the comparison, infinity the conversion to int and a
@@ -575,47 +537,40 @@ def load_scenario(path: Path | str) -> SimulationScenario:
         pairs = [token.partition("=") for token in line.split()]
         if not pairs:
             continue
-        # A token without a key or a value fails below as an unknown key or
-        # a bad number, so its shape is checked only once the line fails.
-        try:
-            key, _, value = pairs[0]
-            if key == "duration_ns":
-                duration_ns = _parse_int(value, key, line_no)
-                if duration_ns <= 0:
-                    raise MalformedScenario("segment duration must be positive", line_no)
-                if len(pairs) == 1:
-                    raise MalformedScenario("segment defines no domain power", line_no)
-                segment = len(durations_ns)
-                for key, _, value in pairs[1:]:
-                    column = powers_uw.get(key)
-                    if column is None:
-                        if key not in _SCENARIO_DOMAIN_KEYS:
-                            raise MalformedScenario(f"unknown key {key!r}", line_no)
-                        column = powers_uw[key] = [0] * segment
-                    elif len(column) > segment:
-                        raise MalformedScenario(f"duplicate domain {key!r}", line_no)
-                    column.append(_parse_watts_uw(value, line_no))
-                durations_ns.append(duration_ns)
-                if len(pairs) <= len(powers_uw):
-                    for column in powers_uw.values():
-                        if len(column) == segment:
-                            column.append(0)
-            elif durations_ns:
-                raise MalformedScenario("header line after first segment", line_no)
-            else:
-                for key, _, value in pairs:
-                    if key not in _HEADER_KEYS:
+        for key, sep, value in pairs:
+            if not (key and sep and value):
+                raise MalformedScenario(f"expected key=value, got {key + sep + value!r}", line_no)
+        key, _, value = pairs[0]
+        if key == "duration_ns":
+            duration_ns = _parse_int(value, key, line_no)
+            if duration_ns <= 0:
+                raise MalformedScenario("segment duration must be positive", line_no)
+            if len(pairs) == 1:
+                raise MalformedScenario("segment defines no domain power", line_no)
+            segment = len(durations_ns)
+            for key, _, value in pairs[1:]:
+                column = powers_uw.get(key)
+                if column is None:
+                    if key not in _SCENARIO_DOMAIN_KEYS:
                         raise MalformedScenario(f"unknown key {key!r}", line_no)
-                    if key in header:
-                        raise MalformedScenario(f"duplicate header key {key!r}", line_no)
-                    header[key] = _parse_int(value, key, line_no)
-        except MalformedScenario:
-            for key, sep, value in pairs:
-                if not (key and sep and value):
-                    raise MalformedScenario(
-                        f"expected key=value, got {key + sep + value!r}", line_no
-                    ) from None
-            raise
+                    column = powers_uw[key] = [0] * segment
+                elif len(column) > segment:
+                    raise MalformedScenario(f"duplicate domain {key!r}", line_no)
+                column.append(_parse_watts_uw(value, line_no))
+            durations_ns.append(duration_ns)
+            if len(pairs) <= len(powers_uw):
+                for column in powers_uw.values():
+                    if len(column) == segment:
+                        column.append(0)
+        elif durations_ns:
+            raise MalformedScenario("header line after first segment", line_no)
+        else:
+            for key, _, value in pairs:
+                if key not in _HEADER_KEYS:
+                    raise MalformedScenario(f"unknown key {key!r}", line_no)
+                if key in header:
+                    raise MalformedScenario(f"duplicate header key {key!r}", line_no)
+                header[key] = _parse_int(value, key, line_no)
 
     missing = _HEADER_KEYS - set(header)
     if missing:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import pytest
 
-from manai.probe import DomainKind, EnergyDomain
+from manai.probe import DomainKind, EnergyDomain, SimulationScenario
 
 # Harness children run ``python -m manai.fixture_harness``; let them import
 # manai from this checkout like the test process does (pyproject's pytest
@@ -78,6 +79,27 @@ def write_scenario(
         lines.append(f"duration_ns={duration_ns} {fields}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+class ScenarioSegment(NamedTuple):
+    """A stretch of constant per-domain power, as a test draws it."""
+
+    duration_ns: int
+    powers_uw: Mapping[EnergyDomain, int]
+
+
+def scenario_of(segments, max_range_uj: int, update_interval_ns: int) -> SimulationScenario:
+    """The scenario of ``segments``; a domain a segment leaves out draws 0 W there."""
+    domains = {domain for segment in segments for domain in segment.powers_uw}
+    return SimulationScenario(
+        durations_ns=tuple(segment.duration_ns for segment in segments),
+        powers_uw={
+            domain: tuple(segment.powers_uw.get(domain, 0) for segment in segments)
+            for domain in domains
+        },
+        max_range_uj=max_range_uj,
+        update_interval_ns=update_interval_ns,
+    )
 
 
 def write_plan(path: Path, lines: list[str]) -> Path:

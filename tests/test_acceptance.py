@@ -25,19 +25,21 @@ from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import TestCrashed
 from manai.experiment import ExperimentConfig, run_experiment
 from manai.harness import HarnessCommand, TestId, discover, run_one
-from manai.probe import (
-    ProbeBackend,
-    RaplProbe,
-    ScenarioSegment,
-    SimulatedProbe,
-    SimulationScenario,
-)
+from manai.probe import ProbeBackend, RaplProbe, SimulatedProbe
 from manai.report import render_history, render_summary, ReportRequest
 from manai.results import attribute
 from manai.sampler import SamplerConfig, sample_stream, wrap_delta
 from manai.store import Store, record_to_doc, render_record
 
-from conftest import DRAM, PKG, fixture_harness_command, write_plan, write_scenario
+from conftest import (
+    DRAM,
+    PKG,
+    ScenarioSegment,
+    fixture_harness_command,
+    scenario_of,
+    write_plan,
+    write_scenario,
+)
 from test_store import random_record
 
 NS = 10**9
@@ -95,7 +97,7 @@ def test_criterion_02_conservation(tmp_path):
                 )
                 for _ in range(rng.randint(1, 3))
             )
-            scenario = SimulationScenario.from_segments(
+            scenario = scenario_of(
                 segments=segments,
                 max_range_uj=10**12,
                 update_interval_ns=rng.choice([500_000, 1_000_000, 2_000_000]),

@@ -24,12 +24,21 @@ from manai.experiment import (
     run_experiment,
 )
 from manai.harness import TestId, TestStatus
-from manai.probe import ProbeBackend, ScenarioSegment, SimulatedProbe, SimulationScenario
+from manai.probe import ProbeBackend, SimulatedProbe
 from manai.results import attribute, compute_stats, summarize
 from manai.sampler import EnergySample, SamplerConfig, sample_stream
 from manai.store import Store
 
-from conftest import DRAM, PKG, fixture_harness_command, make_result, write_plan, write_scenario
+from conftest import (
+    DRAM,
+    PKG,
+    ScenarioSegment,
+    fixture_harness_command,
+    make_result,
+    scenario_of,
+    write_plan,
+    write_scenario,
+)
 
 NS = 10**9
 
@@ -115,7 +124,7 @@ def test_attribution_against_reintegration_oracle(power_uw, window):
     # Stream a constant-power scenario on an update-aligned grid, then
     # attribute an arbitrary interior window; re-integrating the power
     # function over that window must agree within one update quantum.
-    scenario = SimulationScenario.from_segments(
+    scenario = scenario_of(
         segments=(ScenarioSegment(3600 * NS, {PKG: power_uw}),),
         max_range_uj=10**12,
         update_interval_ns=1_000_000,

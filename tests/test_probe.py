@@ -24,18 +24,25 @@ from manai.probe import (
     EnergyDomain,
     ProbeBackend,
     RaplProbe,
-    ScenarioSegment,
     SimulatedProbe,
     SimulationScenario,
     _parse_watts_uw,
     load_scenario,
 )
 
-from conftest import CORE, DRAM, PKG, make_powercap_tree, write_scenario
+from conftest import (
+    CORE,
+    DRAM,
+    PKG,
+    ScenarioSegment,
+    make_powercap_tree,
+    scenario_of,
+    write_scenario,
+)
 
 
 def constant_scenario(watts_uw: int, max_range_uj: int = 10**12, update_ns: int = 1_000_000):
-    return SimulationScenario.from_segments(
+    return scenario_of(
         segments=(ScenarioSegment(10**10, {PKG: watts_uw}),),
         max_range_uj=max_range_uj,
         update_interval_ns=update_ns,
@@ -234,7 +241,7 @@ def scenarios(draw):
         )
         for _ in range(n_segments)
     )
-    return SimulationScenario.from_segments(
+    return scenario_of(
         segments=segments,
         max_range_uj=draw(st.integers(1_000, 10**9)),
         update_interval_ns=draw(st.sampled_from([500_000, 1_000_000, 7_000_000])),
@@ -276,7 +283,7 @@ def sparse_scenarios(draw):
             if domain is not DRAM or draw(st.booleans()):
                 powers[domain] = draw(st.integers(0, 50_000_000))
         segments.append(ScenarioSegment(draw(st.integers(1, 10_000_000)), powers))
-    scenario = SimulationScenario.from_segments(
+    scenario = scenario_of(
         segments, max_range_uj=10**9, update_interval_ns=1_000_000
     )
     return segments, scenario
@@ -331,14 +338,17 @@ def test_read_equals_counter_uj_for_every_domain(drawn, data):
 
 
 class TestScenarioColumns:
-    def test_from_segments_fills_left_out_domains_with_zero(self):
-        scenario = SimulationScenario.from_segments(
-            [ScenarioSegment(5, {PKG: 1}), ScenarioSegment(7, {DRAM: 2, PKG: 3})],
-            max_range_uj=10,
-            update_interval_ns=1,
+    def test_load_fills_left_out_domains_with_zero(self, tmp_path):
+        path = write_scenario(
+            tmp_path / "s.txt",
+            [(5, {"package": "1"}), (7, {"dram": "2", "package": "3"}), (9, {"package": "4"})],
         )
-        assert scenario.durations_ns == (5, 7)
-        assert scenario.powers_uw == {PKG: (1, 3), DRAM: (0, 2)}
+        scenario = load_scenario(path)
+        assert scenario.durations_ns == (5, 7, 9)
+        assert scenario.powers_uw == {
+            PKG: (1_000_000, 3_000_000, 4_000_000),
+            DRAM: (0, 2_000_000, 0),
+        }
         assert scenario.domains == (PKG, DRAM)
 
     @pytest.mark.parametrize(
@@ -438,7 +448,7 @@ class TestScenarioFile:
 
 
 # --------------------------------------------------------------------------
-# The integer parse against the Decimal parse it replaces
+# Scenario parsing against a Decimal reference and the previous parser
 # --------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
-from manai.probe import ScenarioSegment, SimulatedProbe, SimulationScenario
+from manai.probe import SimulatedProbe
 from manai.sampler import (
     SamplerConfig,
     calibrate_baseline,
@@ -16,14 +16,14 @@ from manai.sampler import (
     wrap_delta,
 )
 
-from conftest import PKG
+from conftest import PKG, ScenarioSegment, scenario_of
 
 NS = 10**9
 
 
 def constant_probe(watts: float, sched: VirtualScheduler, max_range_uj: int = 10**12,
                    update_ns: int = 1_000_000) -> SimulatedProbe:
-    scenario = SimulationScenario.from_segments(
+    scenario = scenario_of(
         segments=(ScenarioSegment(3600 * NS, {PKG: round(watts * 1e6)}),),
         max_range_uj=max_range_uj,
         update_interval_ns=update_ns,
@@ -163,7 +163,7 @@ def stream_cases(draw):
         )
         for _ in range(draw(st.integers(1, 3)))
     )
-    scenario = SimulationScenario.from_segments(
+    scenario = scenario_of(
         segments=segments,
         max_range_uj=10**12,  # large enough that the run never wraps fully
         update_interval_ns=draw(st.sampled_from([500_000, 1_000_000])),

@@ -232,9 +232,9 @@ def _cmd_probe_check(args, cfg) -> int:
     print(f"backend: {descriptor.backend.value}")
     print(f"update interval: {descriptor.update_interval_ns} ns")
     reading = probe.read()
-    for domain in descriptor.domains:
+    for domain, counter in zip(descriptor.domains, reading.counters):
         print(
-            f"domain {domain}: counter {reading.counters[domain]} uJ, "
+            f"domain {domain}: counter {counter} uJ, "
             f"range {descriptor.max_range_uj[domain]} uJ, read permission ok"
         )
     return EXIT_OK

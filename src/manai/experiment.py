@@ -65,6 +65,7 @@ from manai.probe import (
 from manai.results import TestExecutionResult, TestSummary, summarize
 from manai.sampler import (
     BaselineProfile,
+    SampleColumns,
     SamplerConfig,
     _check_single_wrap,
     calibrate_baseline,
@@ -320,15 +321,14 @@ def _run_iteration(
             sampler_thread.join()
         if "error" in collected:
             raise collected["error"]
-        samples = collected.get("samples", [])
+        samples = collected.get("samples", SampleColumns())
 
-        # Rebase onto the sampling origin so stored times are run-relative.
-        origin_ns = samples[0].start_ns if samples else begin_ns
-        samples = [
-            type(s)(s.start_ns - origin_ns, s.end_ns - origin_ns, s.energy_uj) for s in samples
-        ]
-        begin_ns -= origin_ns
-        end_ns = max(end_ns - origin_ns, begin_ns + 1)
+    # Rebase onto the first reading so stored times are run-relative. The
+    # virtual clock starts at 0, where a replayed window already begins.
+    origin_ns = samples.starts_ns[0] if samples else begin_ns
+    samples = samples.rebased(origin_ns)
+    begin_ns -= origin_ns
+    end_ns = max(end_ns - origin_ns, begin_ns + 1)
     return TestExecutionResult.build(
         test=test,
         iteration=iteration,

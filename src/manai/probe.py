@@ -58,6 +58,16 @@ _FALLBACK_MAX_RANGE_UJ = 2**60
 _FEMTOJOULE_PER_MICROJOULE = 1_000_000_000
 _MICROWATT_PER_WATT = 1_000_000
 
+# Upper bound on plausible sustained domain power. The sampler relies on
+# it to reject rates so slow that a counter could wrap more than once per
+# interval (multi-wrap is undetectable from interval endpoints).
+MAX_PLAUSIBLE_POWER_W = 1000.0
+
+# Upper bound on a scenario segment's power: far above the plausible bound,
+# which a synthetic trace such as a random walk may pass, but low enough
+# to refuse a huge value before its quadratic conversion to an integer.
+MAX_SCENARIO_POWER_W = 1_000_000
+
 
 class DomainKind(Enum):
     """The five power domains exposed by the powercap interface."""
@@ -120,12 +130,14 @@ def domain_sort_key(domain: EnergyDomain) -> tuple[int, int]:
 class ProbeReading(NamedTuple):
     """One back-to-back snapshot of all domain counters, in microjoules.
 
-    Every counter lies in ``[0, max_range_uj)`` of its domain's
-    :class:`ProbeDescriptor`; the probe checks that when it reads.
+    ``counters`` holds one value per domain, in the order of the probe's
+    ``describe().domains``. Every counter lies in ``[0, max_range_uj)`` of
+    its domain's :class:`ProbeDescriptor`; the probe checks that when it
+    reads.
     """
 
     timestamp_ns: int
-    counters: Mapping[EnergyDomain, int]
+    counters: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -322,7 +334,7 @@ class RaplProbe(Probe):
 
     def read(self) -> ProbeReading:
         timestamp_ns = time.monotonic_ns()
-        counters: dict[EnergyDomain, int] = {}
+        counters = []
         for zone in self._zones:
             try:
                 value = int(os.pread(zone.fd, _COUNTER_READ_BYTES, 0))
@@ -330,8 +342,8 @@ class RaplProbe(Probe):
                 raise ReadFailed(zone.domain, str(exc)) from exc
             if not 0 <= value < zone.max_range_uj:
                 raise ReadFailed(zone.domain, f"counter {value} outside [0, {zone.max_range_uj})")
-            counters[zone.domain] = value
-        return ProbeReading(timestamp_ns, counters)
+            counters.append(value)
+        return ProbeReading(timestamp_ns, tuple(counters))
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +483,7 @@ class SimulatedProbe(Probe):
         """
         now_ns = self._clock()
         counters = self._scenario._counters_uj(now_ns - self._epoch_ns)
-        return ProbeReading(now_ns, dict(zip(self._domains, counters)))
+        return ProbeReading(now_ns, tuple(counters))
 
 
 # --------------------------------------------------------------------------
@@ -487,8 +499,9 @@ def _parse_watts_uw(text: str, line_no: int) -> int:
     """Watts text to microwatts, truncated like ``int(Decimal(text) * 10**6)``.
 
     Raises:
-        MalformedScenario: A negative value, or one that is not a finite
-            number within the default decimal context's exponent range.
+        MalformedScenario: A negative value, one above
+            ``MAX_SCENARIO_POWER_W``, or one that is not a finite number
+            within the default decimal context's exponent range.
     """
     try:
         watts = Decimal(text)
@@ -496,7 +509,10 @@ def _parse_watts_uw(text: str, line_no: int) -> int:
         # huge exponent the multiplication, each with an ArithmeticError.
         if watts < 0:
             raise MalformedScenario(f"negative power {text!r}", line_no)
-        return int(watts * _MICROWATT_PER_WATT)
+        microwatts = watts * _MICROWATT_PER_WATT
+        if watts.is_finite() and watts > MAX_SCENARIO_POWER_W:
+            raise MalformedScenario(f"power above {MAX_SCENARIO_POWER_W} W: {text!r}", line_no)
+        return int(microwatts)
     except ArithmeticError:
         raise MalformedScenario(f"bad power value {text!r}", line_no) from None
 

@@ -2,17 +2,20 @@
 
 Attribution distributes sample energy over a test's execution window
 pro-rata: a sample half inside the window contributes half its energy.
-Samples wholly inside the window add their integer microjoules to a
-per-domain integer sum; only the at most two boundary samples a window
-cuts become exact rationals, ``Fraction(energy * overlap, length)``.
-Each total is one exact rational in joules, so attributing over any
-partition of a window telescopes to the whole-window result exactly;
-values become floats only when a result is materialized.
+It works on :class:`~manai.sampler.SampleColumns`: two ``bisect`` calls
+find the samples wholly inside the window, whose integer microjoules
+each domain's column sums in one slice; only the at most two boundary
+samples a window cuts become exact rationals,
+``Fraction(energy * overlap, length)``. Each total is one exact rational
+in joules, so attributing over any partition of a window telescopes to
+the whole-window result exactly; values become floats only when a result
+is materialized.
 """
 
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -20,14 +23,14 @@ from typing import Mapping, Sequence
 from manai.errors import EmptyInput
 from manai.harness import TestId, TestStatus
 from manai.probe import EnergyDomain, domain_sort_key
-from manai.sampler import EnergySample
+from manai.sampler import EnergySample, SampleColumns
 
 _UJ_PER_J = 1_000_000
 _NS_PER_S = 1_000_000_000
 
 
 def attribute(
-    samples: Sequence[EnergySample],
+    samples: SampleColumns | Sequence[EnergySample],
     begin_ns: int,
     end_ns: int,
 ) -> dict[EnergyDomain, Fraction]:
@@ -40,7 +43,8 @@ def attribute(
     rationals in joules.
 
     Args:
-        samples: Ordered, non-overlapping samples.
+        samples: Ordered, non-overlapping samples; a sequence of
+            :class:`EnergySample` is converted to columns first.
         begin_ns: Window start (inclusive), on the samples' clock.
         end_ns: Window end, strictly greater than ``begin_ns``.
 
@@ -51,25 +55,27 @@ def attribute(
     """
     if end_ns <= begin_ns:
         raise ValueError("attribution window must have positive length")
-    interior_uj: dict[EnergyDomain, int] = {}
-    boundary_uj: dict[EnergyDomain, Fraction] = {}
-    for sample in samples:
-        if begin_ns <= sample.start_ns and sample.end_ns <= end_ns:
-            for domain, energy_uj in sample.energy_uj.items():
-                interior_uj[domain] = interior_uj.get(domain, 0) + energy_uj
-            continue
-        for domain in sample.energy_uj:
-            interior_uj.setdefault(domain, 0)
-        overlap_ns = min(end_ns, sample.end_ns) - max(begin_ns, sample.start_ns)
-        if overlap_ns <= 0:
-            continue
-        for domain, energy_uj in sample.energy_uj.items():
-            share = Fraction(energy_uj * overlap_ns, sample.duration_ns)
-            boundary_uj[domain] = boundary_uj.get(domain, 0) + share
-    return {
-        domain: Fraction(energy_uj + boundary_uj.get(domain, 0), _UJ_PER_J)
-        for domain, energy_uj in interior_uj.items()
-    }
+    samples = SampleColumns.of(samples)
+    starts, ends = samples.starts_ns, samples.ends_ns
+    # Samples first..stop-1 lie wholly inside the window. Only the sample
+    # before them can reach in across begin_ns, and only the sample at
+    # stop across end_ns; they may be one sample.
+    first = bisect_left(starts, begin_ns)
+    stop = bisect_right(ends, end_ns)
+    cuts = []
+    for index in sorted({first - 1, stop}):
+        if 0 <= index < len(starts):
+            overlap_ns = min(end_ns, ends[index]) - max(begin_ns, starts[index])
+            if overlap_ns > 0:
+                cuts.append((index, overlap_ns, ends[index] - starts[index]))
+    energy = {}
+    for domain, column in samples.energy_uj.items():
+        total_uj = sum(filter(None, column[first:stop]))
+        for index, overlap_ns, length_ns in cuts:
+            if column[index] is not None:
+                total_uj += Fraction(column[index] * overlap_ns, length_ns)
+        energy[domain] = Fraction(total_uj, _UJ_PER_J)
+    return energy
 
 
 @dataclass(frozen=True)
@@ -81,19 +87,23 @@ class TestExecutionResult:
     duration_ns: int
     energy_j: Mapping[EnergyDomain, float]
     mean_power_w: Mapping[EnergyDomain, float]
-    samples: tuple[EnergySample, ...]
+    samples: SampleColumns
     status: TestStatus
     low_confidence: bool
     baseline_applied: bool
     crashed: bool = False
     error: str | None = None
 
+    def __post_init__(self):
+        # A sequence of EnergySample becomes columns here, once.
+        object.__setattr__(self, "samples", SampleColumns.of(self.samples))
+
     @classmethod
     def build(
         cls,
         test: TestId,
         iteration: int,
-        samples: Sequence[EnergySample],
+        samples: SampleColumns | Sequence[EnergySample],
         begin_ns: int,
         end_ns: int,
         status: TestStatus,
@@ -110,6 +120,7 @@ class TestExecutionResult:
         entries for domains the samples never covered.
         """
         duration_ns = end_ns - begin_ns
+        samples = SampleColumns.of(samples)
         energy = attribute(samples, begin_ns, end_ns)
         for domain in domains:
             energy.setdefault(domain, Fraction(0))
@@ -123,7 +134,7 @@ class TestExecutionResult:
                 d: float(e / duration_s)
                 for d, e in sorted(energy.items(), key=lambda kv: domain_sort_key(kv[0]))
             },
-            samples=tuple(samples),
+            samples=samples,
             status=status,
             low_confidence=duration_ns < update_interval_ns,
             baseline_applied=baseline_applied,

@@ -1,9 +1,12 @@
 """Turn cumulative counter readings into wrap-corrected interval samples.
 
 The sampling loop polls a probe at a configured rate against absolute
-deadlines, converts adjacent readings into per-domain energy deltas with
-wrap correction against the counter ranges of ``probe.describe()``, and
-optionally subtracts a calibrated idle baseline.
+deadlines and keeps, per tick, only the reading itself: its timestamp
+and its counters in ``probe.describe().domains`` order. After the stop
+signal, one pass per column turns the kept readings into
+:class:`SampleColumns`: the edge times, and per domain the wrap-corrected
+energy between adjacent readings, less a calibrated idle baseline when
+one is configured. No per-sample object is built on the way.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -13,18 +16,15 @@ run consumes less than one full counter range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping
+from operator import le, lt
+from typing import Iterable, Mapping
 
 from manai.clock import DeadlineStop, RealScheduler, Scheduler
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
-from manai.probe import EnergyDomain, Probe, ProbeReading
-
-# Upper bound on plausible sustained domain power, used only to reject
-# sampling rates so slow that a counter could wrap more than once per
-# interval (multi-wrap is undetectable from interval endpoints).
-MAX_PLAUSIBLE_POWER_W = 1000.0
+from manai.probe import MAX_PLAUSIBLE_POWER_W, EnergyDomain, Probe, ProbeDescriptor, ProbeReading
 
 _UJ_PER_J = 1_000_000
 _NS_PER_S = 1_000_000_000
@@ -63,6 +63,75 @@ class EnergySample:
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
+
+
+@dataclass(frozen=True)
+class SampleColumns(Sequence):
+    """Ordered, non-overlapping samples, held as columns.
+
+    Sample ``i`` spans ``[starts_ns[i], ends_ns[i])`` and holds
+    ``energy_uj[domain][i]`` microjoules of each domain, or ``None`` for a
+    domain it lacks; a domain no sample holds has no column. Indexing and
+    iteration build :class:`EnergySample` views; slicing yields columns.
+    Construction checks each column as an :class:`EnergySample` checks
+    its fields.
+    """
+
+    starts_ns: tuple[int, ...] = ()
+    ends_ns: tuple[int, ...] = ()
+    energy_uj: Mapping[EnergyDomain, tuple[int | None, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        starts, ends = tuple(self.starts_ns), tuple(self.ends_ns)
+        columns = {domain: tuple(column) for domain, column in self.energy_uj.items()}
+        count = len(starts)
+        if len(ends) != count or any(len(column) != count for column in columns.values()):
+            raise ValueError("sample columns must have one entry per sample")
+        if not all(map(lt, starts, ends)):
+            raise ValueError("sample end must be after its start")
+        if not all(map(le, ends, starts[1:])):
+            raise ValueError("samples must be ordered and must not overlap")
+        if any(min(filter(None, column), default=0) < 0 for column in columns.values()):
+            raise ValueError("sample energy must be non-negative")
+        object.__setattr__(self, "starts_ns", starts)
+        object.__setattr__(self, "ends_ns", ends)
+        object.__setattr__(self, "energy_uj", {
+            domain: column for domain, column in columns.items() if column.count(None) < count
+        })
+
+    @classmethod
+    def of(cls, samples: Iterable[EnergySample]) -> "SampleColumns":
+        """The columns of ``samples``; columns are returned as they are."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        domains = {domain for sample in samples for domain in sample.energy_uj}
+        return cls(
+            [sample.start_ns for sample in samples],
+            [sample.end_ns for sample in samples],
+            {domain: [sample.energy_uj.get(domain) for sample in samples] for domain in domains},
+        )
+
+    def rebased(self, origin_ns: int) -> "SampleColumns":
+        """These samples with ``origin_ns`` taken off every edge time."""
+        return SampleColumns(
+            [t - origin_ns for t in self.starts_ns],
+            [t - origin_ns for t in self.ends_ns],
+            self.energy_uj,
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts_ns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleColumns(
+                self.starts_ns[index],
+                self.ends_ns[index],
+                {domain: column[index] for domain, column in self.energy_uj.items()},
+            )
+        energy = {d: column[index] for d, column in self.energy_uj.items() if column[index] is not None}
+        return EnergySample(self.starts_ns[index], self.ends_ns[index], energy)
 
 
 @dataclass(frozen=True)
@@ -105,22 +174,27 @@ def _baseline_uj(power_w: float, duration_ns: int) -> int:
     return round(power_w * duration_ns / 1000.0)
 
 
-def _make_sample(
-    previous: ProbeReading,
-    current: ProbeReading,
-    max_range_uj: Mapping[EnergyDomain, int],
+def _columns(
+    readings: list[ProbeReading],
+    descriptor: ProbeDescriptor,
     baseline_w: Mapping[EnergyDomain, float] | None,
-) -> EnergySample | None:
-    duration_ns = current.timestamp_ns - previous.timestamp_ns
-    if duration_ns <= 0:
-        return None
-    energy_uj: dict[EnergyDomain, int] = {}
-    for domain, before in previous.counters.items():
-        delta = wrap_delta(before, current.counters[domain], max_range_uj[domain])
-        if baseline_w is not None:
-            delta = max(0, delta - _baseline_uj(baseline_w.get(domain, 0.0), duration_ns))
-        energy_uj[domain] = delta
-    return EnergySample(previous.timestamp_ns, current.timestamp_ns, energy_uj)
+) -> SampleColumns:
+    """The samples between adjacent ``readings``, built one column at a time."""
+    edges_ns = [timestamp_ns for timestamp_ns, _ in readings]
+    starts_ns, ends_ns = edges_ns[:-1], edges_ns[1:]
+    energy_uj = {}
+    for domain, counters in zip(descriptor.domains, zip(*(c for _, c in readings))):
+        max_range_uj = descriptor.max_range_uj[domain]
+        # ``wrap_delta`` of each adjacent pair: read() keeps counters in range.
+        deltas = [(after - before) % max_range_uj for before, after in zip(counters, counters[1:])]
+        power_w = baseline_w.get(domain, 0.0) if baseline_w else 0.0
+        if power_w:
+            deltas = [
+                max(0, delta - _baseline_uj(power_w, end - start))
+                for delta, start, end in zip(deltas, starts_ns, ends_ns)
+            ]
+        energy_uj[domain] = deltas
+    return SampleColumns(starts_ns, ends_ns, energy_uj)
 
 
 def _check_single_wrap(max_range: Mapping[EnergyDomain, int], interval_ns: int) -> None:
@@ -141,16 +215,19 @@ def sample_stream(
     config: SamplerConfig,
     stop,
     scheduler: Scheduler | None = None,
-) -> list[EnergySample]:
+) -> SampleColumns:
     """Poll ``probe`` every ``1/rate`` seconds until ``stop`` is set.
 
     Deadlines are absolute (``origin + k * interval``) so timer drift does
     not accumulate; sample boundaries use the actual reading timestamps.
     After the stop signal a final closing reading is taken so the stream
-    covers the full window.
+    covers the full window. A tick keeps its reading only; a reading whose
+    timestamp does not advance past the last kept one is dropped. The
+    samples between kept readings are built after the closing reading.
 
     Args:
-        probe: Counter source; its descriptor supplies the counter ranges.
+        probe: Counter source; its descriptor supplies the domains and
+            counter ranges.
         config: Rate and optional per-domain baseline to subtract.
         stop: Object with ``is_set()``; ``threading.Event`` works.
         scheduler: Time source override; defaults to the real clock.
@@ -165,40 +242,42 @@ def sample_stream(
     """
     sched = scheduler or RealScheduler()
     interval_ns = config.interval_ns
-    max_range_uj = probe.describe().max_range_uj
-    _check_single_wrap(max_range_uj, interval_ns)
+    descriptor = probe.describe()
+    _check_single_wrap(descriptor.max_range_uj, interval_ns)
 
-    samples: list[EnergySample] = []
     try:
-        previous = probe.read()
+        first = probe.read()
     except ReadFailed as exc:
         raise ProbeLost(f"probe failed at session start: {exc}") from exc
 
-    origin_ns = previous.timestamp_ns
+    # The loop runs inside the test window, so it does no more than read
+    # and keep; its callables are bound once.
+    readings = [first]
+    keep = readings.append
+    read, sleep_until, now, stopped = probe.read, sched.sleep_until, sched.now, stop.is_set
+    origin_ns = last_ns = first.timestamp_ns
     tick = 1
     try:
-        while not stop.is_set():
+        while not stopped():
             deadline_ns = origin_ns + tick * interval_ns
-            sched.sleep_until(deadline_ns, stop)
-            if sched.now() < deadline_ns:
+            sleep_until(deadline_ns, stop)
+            if now() < deadline_ns:
                 # Woken early by the stop signal.
                 break
-            current = probe.read()
-            sample = _make_sample(previous, current, max_range_uj, config.baseline_w)
-            if sample is not None:
-                samples.append(sample)
-                previous = current
+            reading = read()
+            if reading.timestamp_ns > last_ns:
+                keep(reading)
+                last_ns = reading.timestamp_ns
             tick += 1
 
         if tick > 1:
             # Closing reading so energy up to the stop instant is captured.
-            final = probe.read()
-            sample = _make_sample(previous, final, max_range_uj, config.baseline_w)
-            if sample is not None:
-                samples.append(sample)
+            reading = read()
+            if reading.timestamp_ns > last_ns:
+                keep(reading)
     except ReadFailed as exc:
         raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
-    return samples
+    return _columns(readings, descriptor, config.baseline_w)
 
 
 # Polling rate used while averaging idle power; accuracy comes from the
@@ -228,13 +307,9 @@ def calibrate_baseline(
     if not samples:
         raise ProbeLost("calibration produced no samples")
 
-    totals_uj: dict[EnergyDomain, int] = {}
-    for sample in samples:
-        for domain, uj in sample.energy_uj.items():
-            totals_uj[domain] = totals_uj.get(domain, 0) + uj
-    window_ns = samples[-1].end_ns - samples[0].start_ns
+    window_ns = samples.ends_ns[-1] - samples.starts_ns[0]
     window_s = window_ns / _NS_PER_S
-    powers_w = {d: (uj / _UJ_PER_J) / window_s for d, uj in totals_uj.items()}
+    powers_w = {d: (sum(uj) / _UJ_PER_J) / window_s for d, uj in samples.energy_uj.items()}
     return BaselineProfile(
         powers_w=powers_w,
         duration_s=window_s,

@@ -15,6 +15,10 @@ Each record is a pair of files under ``<data_dir>/revisions/<label>/``:
   ``energy_uj`` holds one integer array per domain, with ``null`` where
   a sample lacks that domain.
 
+A result's samples are already columns (:class:`SampleColumns`), so a
+save concatenates each iteration's columns and a load slices them back
+out, per iteration and per stretch, never per sample.
+
 The directory name is the label with every character outside
 ``[A-Za-z0-9._-]`` replaced by ``_``; the labels ``.`` and ``..`` become
 ``_`` and ``__``, so every record lies under ``revisions/<label>/``.
@@ -53,14 +57,16 @@ import re
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
 from manai.probe import EnergyDomain
 from manai.results import Stats, TestExecutionResult, TestSummary
-from manai.sampler import EnergySample
+from manai.sampler import EnergySample, SampleColumns
 
 FORMAT_VERSION = 2
 # Format 1 kept every sample inline in the record; it is read, never written.
@@ -154,9 +160,7 @@ def _result_to_doc(result: TestExecutionResult) -> dict:
     }
 
 
-def _result_from_doc(
-    test: TestId, doc: dict, samples: tuple[EnergySample, ...]
-) -> TestExecutionResult:
+def _result_from_doc(test: TestId, doc: dict, samples: SampleColumns) -> TestExecutionResult:
     return TestExecutionResult(
         test=test,
         iteration=doc["iteration"],
@@ -199,57 +203,65 @@ def _summary_from_doc(test: TestId, doc: dict) -> TestSummary:
     )
 
 
-def _columns(runs: Mapping[str, Iterable[Iterable[tuple[int, int, Mapping]]]]) -> dict:
-    """The sidecar document of ``runs``: per test, per iteration, the
-    ``(start_ns, end_ns, energy_uj)`` of each sample in order."""
+def _stretches(samples: SampleColumns) -> tuple[list[int], list[int]]:
+    """The lengths of the stretches of adjacent samples, in order, and the
+    end of each stretch."""
+    count = len(samples)
+    if not count:
+        return [], []
+    # A stretch starts at 0 and wherever a sample does not start at the
+    # previous sample's end.
+    cuts = compress(range(1, count), map(ne, samples.ends_ns, samples.starts_ns[1:]))
+    bounds = [0, *cuts, count]
+    return [b - a for a, b in zip(bounds, bounds[1:])], [samples.ends_ns[b - 1] for b in bounds[1:]]
+
+
+def _samples_to_doc(record: RevisionRecord) -> dict:
+    """The sidecar document of ``record``."""
     starts: list[int] = []
     ends: list[int] = []
-    energies: list[Mapping] = []
+    columns: dict[EnergyDomain, list] = {}
     stretches = {}
-    for test, iterations in runs.items():
-        stretches[test] = per_iteration = []
-        for samples in iterations:
-            lengths: list[int] = []
-            previous_end = None
-            for start_ns, end_ns, energy_uj in samples:
-                if start_ns != previous_end:
-                    if lengths:
-                        ends.append(previous_end)
-                    lengths.append(0)
-                lengths[-1] += 1
-                previous_end = end_ns
-                starts.append(start_ns)
-                energies.append(energy_uj)
-            if lengths:
-                ends.append(previous_end)
+    count = 0
+    # Tests in key order: the dump sorts ``stretches``, and readers take
+    # the columns in that order.
+    for test, results in sorted(record.results.items(), key=lambda kv: str(kv[0])):
+        stretches[str(test)] = per_iteration = []
+        for result in results:
+            samples = result.samples
+            lengths, stretch_ends = _stretches(samples)
             per_iteration.append(lengths)
-    domains = set().union(*energies)
+            starts += samples.starts_ns
+            ends += stretch_ends
+            for domain, values in samples.energy_uj.items():
+                column = columns.get(domain)
+                if column is None:
+                    column = columns[domain] = [None] * count
+                column += values
+            count += len(samples)
+            for column in columns.values():
+                if len(column) < count:
+                    column += [None] * (count - len(column))
     return {
         "start_ns": starts,
         "end_ns": ends,
         "stretches": stretches,
-        "energy_uj": {str(d): [e.get(d) for e in energies] for d in domains},
+        "energy_uj": {str(d): values for d, values in columns.items()},
     }
 
 
-def _samples_to_doc(record: RevisionRecord) -> dict:
-    # Tests in key order: the dump sorts ``stretches``, and readers take
-    # the columns in that order.
-    return _columns({
-        str(t): [[(s.start_ns, s.end_ns, s.energy_uj) for s in r.samples] for r in rs]
-        for t, rs in sorted(record.results.items(), key=lambda kv: str(kv[0]))
-    })
+def _inline_samples(doc: dict) -> dict[str, list[SampleColumns]]:
+    """Per test, each iteration's samples from a format 1 document."""
+    return {
+        test: [SampleColumns.of(
+            EnergySample(s["start_ns"], s["end_ns"], _domain_map_from_doc(s["energy_uj"]))
+            for s in result["samples"]
+        ) for result in results]
+        for test, results in doc["results"].items()
+    }
 
 
-def _inline_samples_to_doc(doc: dict) -> dict:
-    """The sidecar document of a format 1 record's inline samples."""
-    return _columns({
-        t: [[(s["start_ns"], s["end_ns"], s["energy_uj"]) for s in r["samples"]] for r in rs]
-        for t, rs in doc["results"].items()
-    })
-
-
-def _samples_from_doc(doc: dict) -> dict[str, list[tuple[EnergySample, ...]]]:
+def _samples_from_doc(doc: dict) -> dict[str, list[SampleColumns]]:
     """Per test, each iteration's samples from a sidecar document."""
     starts, ends = doc["start_ns"], doc["end_ns"]
     columns = [(EnergyDomain.parse(d), values) for d, values in doc["energy_uj"].items()]
@@ -258,15 +270,19 @@ def _samples_from_doc(doc: dict) -> dict[str, list[tuple[EnergySample, ...]]]:
     for test, iterations in doc["stretches"].items():
         runs[test] = per_iteration = []
         for lengths in iterations:
-            samples = []
+            first = index
+            sample_ends: list[int] = []
             for length in lengths:
+                # Within a stretch each sample ends where the next starts.
                 stop = index + length
-                stretch_ends = [*starts[index + 1:stop], ends[stretch]]
-                for i, end_ns in zip(range(index, stop), stretch_ends):
-                    energy = {d: values[i] for d, values in columns if values[i] is not None}
-                    samples.append(EnergySample(starts[i], end_ns, energy))
+                sample_ends += starts[index + 1:stop]
+                sample_ends.append(ends[stretch])
                 index, stretch = stop, stretch + 1
-            per_iteration.append(tuple(samples))
+            per_iteration.append(SampleColumns(
+                starts[first:index],
+                sample_ends,
+                {domain: values[first:index] for domain, values in columns},
+            ))
     if (index, stretch) != (len(starts), len(ends)):
         raise StorageError("sample columns do not match their stretches")
     return runs
@@ -315,8 +331,9 @@ def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
     """
     _check_version(doc)
     if doc["format_version"] == _INLINE_SAMPLES_VERSION:
-        samples = _inline_samples_to_doc(doc)
-    runs = None if samples is None else _samples_from_doc(samples)
+        runs = _inline_samples(doc)
+    else:
+        runs = None if samples is None else _samples_from_doc(samples)
     counts = {t: len(rs) for t, rs in doc["results"].items()}
     if runs is not None and {t: len(rs) for t, rs in runs.items()} != counts:
         raise StorageError("samples do not match the record's results")

@@ -399,6 +399,6 @@ def test_criterion_10_live_rapl_smoke():
         first = probe.read()
         time.sleep(0.1)
         second = probe.read()
-        for domain, before in first.counters.items():
-            delta = wrap_delta(before, second.counters[domain], descriptor.max_range_uj[domain])
+        for domain, before, after in zip(descriptor.domains, first.counters, second.counters):
+            delta = wrap_delta(before, after, descriptor.max_range_uj[domain])
             assert delta >= 0

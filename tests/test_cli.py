@@ -306,6 +306,15 @@ class TestExitCodes:
         assert f"line 2: bad power value {power!r}" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("power", ["1000001", "1e999990"])
+    def test_scenario_power_above_bound_is_user_error(self, tmp_path, capsys, power):
+        bad = tmp_path / "huge.txt"
+        bad.write_text(f"update_interval_ns=1000 max_range_uj=10\nduration_ns=5 package={power}\n")
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line 2: power above 1000000 W: {power!r}" in err
+
     def test_missing_harness_is_user_error(self, tmp_path, capsys):
         code = main(["list", "--data-dir", str(tmp_path)])
         assert code == 1

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from manai.clock import VirtualScheduler
 from manai.errors import MalformedScenario, NoProbeAvailable, PermissionDenied, ReadFailed
 from manai.probe import (
+    MAX_SCENARIO_POWER_W,
     DomainKind,
     EnergyDomain,
     ProbeBackend,
@@ -73,8 +74,8 @@ class TestRaplDiscovery:
     def test_read_returns_counters_and_ranges(self, powercap_two_domains):
         probe = RaplProbe(powercap_root=powercap_two_domains)
         reading = probe.read()
-        assert reading.counters[PKG] == 1000
-        assert reading.counters[CORE] == 500
+        assert probe.describe().domains == (PKG, CORE)
+        assert reading.counters == (1000, 500)
         assert probe.describe().max_range_uj[PKG] == 262143328850
 
     def test_empty_tree_is_no_probe(self, tmp_path):
@@ -176,7 +177,7 @@ class TestSimulatedProbe:
         clock = VirtualScheduler()
         probe = SimulatedProbe(constant_scenario(10_000_000), clock=clock.now)
         clock.advance(2 * 10**9)
-        assert probe.read().counters[PKG] == 20_000_000
+        assert probe.read().counters == (20_000_000,)
 
     def test_counter_wraps_modulo_max_range(self):
         # 10 W for 6 s = 60 MJu, wraps at 50 MJu to 10 MJu.
@@ -185,7 +186,7 @@ class TestSimulatedProbe:
             constant_scenario(10_000_000, max_range_uj=50_000_000), clock=clock.now
         )
         clock.advance(6 * 10**9)
-        assert probe.read().counters[PKG] == 10_000_000
+        assert probe.read().counters == (10_000_000,)
 
     def test_timestamps_strictly_increase(self):
         clock = VirtualScheduler()
@@ -202,7 +203,7 @@ class TestSimulatedProbe:
             clock = VirtualScheduler()
             probe = SimulatedProbe(scenario, clock=clock.now)
             clock.advance(1_234_567_890)
-            readings.append(probe.read().counters[PKG])
+            readings.append(probe.read().counters)
         assert readings[0] == readings[1]
 
 
@@ -332,9 +333,10 @@ def test_read_equals_counter_uj_for_every_domain(drawn, data):
         now[0] = epoch_ns + elapsed_ns
         reading = probe.read()
         assert reading.timestamp_ns == now[0]
-        assert tuple(reading.counters) == scenario.domains
-        for domain in scenario.domains:
-            assert reading.counters[domain] == scenario.counter_uj(domain, elapsed_ns)
+        assert type(reading.counters) is tuple
+        assert reading.counters == tuple(
+            scenario.counter_uj(domain, elapsed_ns) for domain in scenario.domains
+        )
 
 
 class TestScenarioColumns:
@@ -446,6 +448,18 @@ class TestScenarioFile:
             load_scenario(path)
         assert exc_info.value.line_no == 3
 
+    @pytest.mark.parametrize("power", ["1000000.000001", "2e6", "1e99990"])
+    def test_power_above_bound_rejected(self, tmp_path, power):
+        # "1e99990" would otherwise be converted to a 330,000-bit integer.
+        path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "1"}), (10**9, {"core": power})])
+        with pytest.raises(MalformedScenario, match=f"power above 1000000 W: {power!r}") as exc_info:
+            load_scenario(path)
+        assert exc_info.value.line_no == 4
+
+    def test_power_at_bound_accepted(self, tmp_path):
+        path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "1e6"})])
+        assert load_scenario(path).powers_uw[PKG] == (10**12,)
+
 
 # --------------------------------------------------------------------------
 # Scenario parsing against a Decimal reference and the previous parser
@@ -456,16 +470,25 @@ class _NegativePower(Exception):
     pass
 
 
-def reference_watts_uw(text: str) -> int:
-    """``int(Decimal(text) * 10**6)``, with negative values refused.
+class _PowerAbove(Exception):
+    pass
 
-    Raises ``_NegativePower``, or an ``ArithmeticError`` or ``ValueError``
-    for a text that is not a finite number in the default decimal context.
+
+def reference_watts_uw(text: str) -> int:
+    """``int(Decimal(text) * 10**6)``, with negative values and values
+    above ``MAX_SCENARIO_POWER_W`` refused.
+
+    Raises ``_NegativePower``, ``_PowerAbove``, or an ``ArithmeticError``
+    or ``ValueError`` for a text that is not a finite number in the
+    default decimal context.
     """
     watts = Decimal(text)
     if not watts.is_nan() and watts < 0:
         raise _NegativePower
-    return int(watts * 10**6)
+    microwatts = watts * 10**6
+    if watts.is_finite() and watts > MAX_SCENARIO_POWER_W:
+        raise _PowerAbove
+    return int(microwatts)
 
 
 @st.composite
@@ -487,6 +510,7 @@ _ODD_WATTS = [
     "NaN", "-nan", "sNaN", "inf", "-Infinity", "1e400000000", "-1e400000000", ".5", "5.",
     "-0", "1_000", "1__0", "١٢.٥", "²", " 5", "0x10", "",
     "9" * 28, "9" * 29, "0." + "9" * 40, "1" * 27 + ".9",
+    "1e6", "1000000.0000000000000000000000001", "1e999990", "1e999994", "9e999999",
 ]
 
 
@@ -501,6 +525,8 @@ def test_parse_watts_matches_decimal_reference(text):
         expected = reference_watts_uw(text)
     except _NegativePower:
         message = f"negative power {text!r}"
+    except _PowerAbove:
+        message = f"power above 1000000 W: {text!r}"
     except (ArithmeticError, ValueError):
         message = f"bad power value {text!r}"
     else:

@@ -275,14 +275,17 @@ def _parse_domains(text: str | None) -> tuple[EnergyDomain, ...] | None:
 
 def _export_report(args, cfg, **scope) -> int:
     """Render one report request built from ``scope`` and the output flags."""
-    request = ReportRequest(
-        **scope,
-        domains=_parse_domains(args.domains),
-        fmt=ReportFormat(args.format),
-        output_path=Path(args.out) if args.out else None,
-        no_color=args.no_color,
-        width=args.width,
-    )
+    try:
+        request = ReportRequest(
+            **scope,
+            domains=_parse_domains(args.domains),
+            fmt=ReportFormat(args.format),
+            output_path=Path(args.out) if args.out else None,
+            no_color=args.no_color,
+            width=args.width,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     text = export(Store(_data_dir(args, cfg)), request)
     if request.output_path is None:
         print(text, end="")

@@ -93,18 +93,3 @@ class LockHeld(EnvError):
 class StorageError(EnvError):
     """The data directory is not writable or the device is full."""
 
-
-# --- test outcomes (handled by the experiment runner, not the CLI) ---
-
-
-class TestCrashed(ManaiError):
-    """The harness process ended (or timed out) before emitting END.
-
-    ``begin_ns`` and ``end_ns`` bound the observed lifetime of the attempt
-    so energy can still be attributed to it.
-    """
-
-    def __init__(self, message: str, begin_ns: int | None = None, end_ns: int | None = None):
-        self.begin_ns = begin_ns
-        self.end_ns = end_ns
-        super().__init__(message)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import logging
+import math
 import os
 import shlex
 import subprocess
@@ -48,12 +49,7 @@ from pathlib import Path
 from typing import Mapping
 
 from manai.clock import DeadlineStop, VirtualScheduler
-from manai.errors import (
-    InvalidConfig,
-    LockHeld,
-    ProtocolViolation,
-    TestCrashed,
-)
+from manai.errors import InvalidConfig, LockHeld, ProtocolViolation
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import (
     Probe,
@@ -132,8 +128,13 @@ class ExperimentConfig:
     powercap_root: Path | None = None
 
     def __post_init__(self):
-        if self.sampling_rate_hz <= 0:
-            raise InvalidConfig("sampling rate must be positive")
+        try:
+            SamplerConfig(self.sampling_rate_hz)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
+        timeout_s = self.test_timeout_s
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise InvalidConfig(f"test timeout must be positive and finite, or none; got {timeout_s!r}")
         if self.iterations < 1:
             raise InvalidConfig("iterations must be at least 1")
         if not self.revision_label:
@@ -255,20 +256,6 @@ def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:
     return (duration_ns + update_interval_ns // 4) // update_interval_ns * update_interval_ns
 
 
-def _execute(config: ExperimentConfig, test: TestId) -> tuple[int, int, TestStatus, str | None]:
-    """Run one test: ``(begin_ns, end_ns, status, crash_message)``.
-
-    A crash becomes a failed run bounded by the observed lifetime of the
-    attempt, so energy can still be attributed to it.
-    """
-    try:
-        run = run_one(config.harness, test, timeout_s=config.test_timeout_s)
-    except TestCrashed as exc:
-        begin_ns = exc.begin_ns if exc.begin_ns is not None else exc.end_ns - 1
-        return begin_ns, exc.end_ns, TestStatus.FAIL, str(exc)
-    return run.begin_ns, run.end_ns, run.status, None
-
-
 def replay(probe: Probe) -> tuple[Probe, VirtualScheduler | None]:
     """The probe a measurement reads, and the virtual scheduler it runs on.
 
@@ -295,7 +282,7 @@ def _run_iteration(
     if scheduler is not None:
         # The child runs for real; its samples are replayed on a virtual
         # clock over a grid-snapped window, which makes them replicable.
-        begin_ns, end_ns, status, error = _execute(config, test)
+        begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
         end_ns = _quantize_duration_ns(end_ns - begin_ns, descriptor.update_interval_ns)
         begin_ns = 0
         samples = sample_stream(
@@ -315,7 +302,7 @@ def _run_iteration(
         sampler_thread = threading.Thread(target=_sampling_task, name="manai-sampler")
         sampler_thread.start()
         try:
-            begin_ns, end_ns, status, error = _execute(config, test)
+            begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
         finally:
             stop.set()
             sampler_thread.join()

@@ -73,6 +73,8 @@ class ReportRequest:
                 raise ValueError("compare scope needs two distinct revisions")
         if self.scope == "history" and not self.tests:
             raise ValueError("history scope needs at least one test")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 def _buckets(values: list[float]) -> list[int]:

@@ -16,6 +16,7 @@ run consumes less than one full counter range.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -161,6 +162,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.rate_hz <= 0:
             raise ValueError("sampling rate must be positive")
+        # Also rejects NaN, infinity and rates above 2 GHz, whose 0 ns
+        # interval would never advance a virtual clock.
+        if not 0.5 < _NS_PER_S / self.rate_hz < math.inf:
+            raise ValueError(f"sampling rate {self.rate_hz!r} Hz has no finite interval of 1 ns or more")
         if self.baseline_w and any(p < 0 for p in self.baseline_w.values()):
             raise ValueError("baseline power must be non-negative")
 

@@ -22,9 +22,8 @@ from pathlib import Path
 import pytest
 
 from manai.clock import DeadlineStop, VirtualScheduler
-from manai.errors import TestCrashed
 from manai.experiment import ExperimentConfig, run_experiment
-from manai.harness import HarnessCommand, TestId, discover, run_one
+from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import ProbeBackend, RaplProbe, SimulatedProbe
 from manai.report import render_history, render_summary, ReportRequest
 from manai.results import attribute
@@ -349,8 +348,9 @@ def test_criterion_08_harness_robustness(tmp_path):
         # Missing END: bounded by the run timeout, reported as a crash.
         hang_plan = write_plan(tmp_path / "hang.txt", ["test acc::stuck hang_after_begin=1"])
         started = time.monotonic()
-        with pytest.raises(TestCrashed):
-            run_one(fixture_harness_command(hang_plan), TestId("acc", "stuck"), timeout_s=1.5)
+        run = run_one(fixture_harness_command(hang_plan), TestId("acc", "stuck"), timeout_s=1.5)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "test acc::stuck timed out after 1.5 s"
         assert time.monotonic() - started < 10.0
 
 

@@ -262,7 +262,7 @@ class TestLiveRun:
 class TestExitCodes:
     def test_every_error_has_one_exit_class(self):
         bases = (errors.UserError, errors.EnvError)
-        skipped = {errors.ManaiError, *bases, errors.TestCrashed}
+        skipped = {errors.ManaiError, *bases}
         classes = [
             value for value in vars(errors).values()
             if isinstance(value, type) and issubclass(value, Exception)
@@ -331,6 +331,27 @@ class TestExitCodes:
         code = main(["list", "--harness", harness, "--list-args", list_args])
         assert code == 2
         assert "bad marker line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rate", "nan", "sampling rate nan Hz has no finite interval"),
+        ("--timeout", "0", "test timeout must be positive and finite, or none; got 0.0"),
+        ("--timeout", "-1", "test timeout must be positive and finite, or none; got -1.0"),
+        ("--timeout", "nan", "test timeout must be positive and finite, or none; got nan"),
+        ("--timeout", "inf", "test timeout must be positive and finite, or none; got inf"),
+    ])
+    def test_bad_rate_or_timeout_exits_1_and_saves_nothing(self, tmp_path, capsys, flag, value, message):
+        # The harness cannot be launched: a refusal that came only after a
+        # spawn would exit 2 instead.
+        scenario = write_scenario(tmp_path / "scenario.txt", [(NS, {"package": "10"})])
+        data_dir = tmp_path / "data"
+        code = main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), flag, value,
+            "--harness", "/nonexistent/prog", "--select", "demo::a", "--revision", "rev",
+            "--data-dir", str(data_dir),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not data_dir.exists()
 
     @pytest.mark.parametrize("interval", ["-5", "0"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -422,6 +443,19 @@ class TestReportCommands:
         assert code == 0
         assert "demo::alpha" in out
         assert "compare r1 -> r2" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "r1", "r1"], "compare scope needs two distinct revisions"),
+        (["report", "--evolution", ","], "history scope needs at least one test"),
+        (["report", "--evolution", "demo::alpha", "--limit", "0"], "limit must be at least 1, got 0"),
+        (["report", "--evolution", "demo::alpha", "--limit", "-1"], "limit must be at least 1, got -1"),
+    ])
+    def test_bad_report_request_is_user_error(self, populated, capsys, argv, message):
+        _, config = populated
+        assert main([*argv, "--config", str(config), "--no-color"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_views_never_read_samples(self, workspace, monkeypatch, capsys):
         """run's summary, every format of report, compare and evolution read

@@ -534,3 +534,27 @@ class TestConfigValidation:
                 revision_label="r",
                 probe_backend=ProbeBackend.SIMULATED,
             )
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 2e9, 1e12])
+    def test_rate_without_a_nanosecond_interval_rejected(self, tmp_path, rate):
+        cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
+        with pytest.raises(InvalidConfig, match="no finite interval"):
+            ExperimentConfig(harness=cmd, sampling_rate_hz=rate, iterations=1, revision_label="r")
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, timeout_s):
+        cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
+        with pytest.raises(InvalidConfig, match="test timeout must be positive and finite"):
+            ExperimentConfig(
+                harness=cmd, sampling_rate_hz=1, iterations=1, revision_label="r",
+                test_timeout_s=timeout_s,
+            )
+
+    @pytest.mark.parametrize("timeout_s", [None, 1e-3, 30.0])
+    def test_timeout_none_or_positive_accepted(self, tmp_path, timeout_s):
+        cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
+        config = ExperimentConfig(
+            harness=cmd, sampling_rate_hz=1, iterations=1, revision_label="r",
+            test_timeout_s=timeout_s,
+        )
+        assert config.test_timeout_s == timeout_s

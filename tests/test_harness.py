@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manai.errors import HarnessSpawnFailed, ProtocolViolation, TestCrashed
+from manai import harness
+from manai.errors import HarnessSpawnFailed, ProtocolViolation
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 
 from conftest import fixture_harness_command, write_plan
@@ -103,22 +106,22 @@ class TestRunOne:
 
     def test_crash_after_begin(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::boom crash_after_begin=1"])
-        with pytest.raises(TestCrashed) as exc_info:
-            run_one(fixture_harness_command(plan), TestId("demo", "boom"), timeout_s=20)
-        assert exc_info.value.begin_ns is not None
-        assert exc_info.value.end_ns >= exc_info.value.begin_ns
+        run = run_one(fixture_harness_command(plan), TestId("demo", "boom"), timeout_s=20)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "harness exited (status 3) before END for demo::boom"
+        assert run.end_ns >= run.begin_ns
 
     def test_hang_is_bounded_by_timeout(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::stuck hang_after_begin=1"])
-        with pytest.raises(TestCrashed):
-            run_one(fixture_harness_command(plan), TestId("demo", "stuck"), timeout_s=1.0)
+        run = run_one(fixture_harness_command(plan), TestId("demo", "stuck"), timeout_s=1.0)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "test demo::stuck timed out after 1.0 s"
 
     def test_missing_begin_is_protocol_violation(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::silent no_begin=1 sleep_ms=1"])
-        with pytest.raises((ProtocolViolation, TestCrashed)) as exc_info:
-            run_one(fixture_harness_command(plan), TestId("demo", "silent"), timeout_s=20)
         # END without BEGIN is a protocol violation, not a crash.
-        assert isinstance(exc_info.value, ProtocolViolation)
+        with pytest.raises(ProtocolViolation):
+            run_one(fixture_harness_command(plan), TestId("demo", "silent"), timeout_s=20)
 
     def test_duplicate_begin_is_protocol_violation(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::twice begin_twice=1"])
@@ -127,7 +130,7 @@ class TestRunOne:
 
     def test_unknown_filter_is_protocol_violation(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test demo::known"])
-        with pytest.raises((ProtocolViolation, TestCrashed)):
+        with pytest.raises(ProtocolViolation):
             run_one(fixture_harness_command(plan), TestId("demo", "unknown"), timeout_s=20)
 
     def test_noise_around_markers_is_ignored(self, tmp_path):
@@ -151,25 +154,102 @@ class TestRunOne:
             "test demo::stuck hang_after_begin=1",
         ])
         cmd = fixture_harness_command(plan)
-        outcomes = [("twice", ProtocolViolation), ("boom", TestCrashed), ("stuck", TestCrashed)]
-        outcomes += [("quick", None)] * 17
+        outcomes = [("twice", None), ("boom", TestStatus.FAIL), ("stuck", TestStatus.FAIL)]
+        outcomes += [("quick", TestStatus.PASS)] * 17
         # Callers keep errors, and with them the frames of run_one; collecting
         # a cycle would close a leaked pipe and hide the leak.
         kept = []
         gc.disable()
         try:
             before = len(os.listdir(fd_dir))
-            for name, error in outcomes:
-                if error is None:
-                    kept.append(run_one(cmd, TestId("demo", name), timeout_s=20))
-                else:
-                    with pytest.raises(error) as exc_info:
+            for name, status in outcomes:
+                if status is None:
+                    with pytest.raises(ProtocolViolation) as exc_info:
                         run_one(cmd, TestId("demo", name), timeout_s=0.5)
                     kept.append(exc_info.value)
+                else:
+                    timeout_s = 20 if status is TestStatus.PASS else 0.5
+                    kept.append(run_one(cmd, TestId("demo", name), timeout_s=timeout_s))
+                    assert kept[-1].status is status
             after = len(os.listdir(fd_dir))
         finally:
             gc.enable()
         assert after == before
+
+
+def _inline_harness(tmp_path, body: str) -> tuple[HarnessCommand, Path]:
+    """A ``python -c`` harness that records its pid, then runs ``body``
+    with ``m(text)`` printing one marker line."""
+    pid_file = tmp_path / "pid"
+    script = (
+        "import os, sys, time\n"
+        "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+        "def m(text): print('##MANAI:' + text, flush=True)\n"
+        + body
+    )
+    return HarnessCommand(program=sys.executable, args=("-c", script, str(pid_file))), pid_file
+
+
+def _assert_reaped(pid_file: Path) -> None:
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+A = TestId("demo", "a")
+
+
+class TestRunOneOutcomes:
+    """Every outcome of one run: the message it carries, and no child left
+    behind. Children that violate the protocol then sleep, so only a kill
+    ends them in time."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("m('BEGIN demo::a'); m('END demo::b PASS')", "END for demo::b, expected demo::a"),
+        ("m('END demo::a PASS')", "END without BEGIN for demo::a"),
+        ("m('BEGIN demo::a'); m('END demo::a PASS'); m('END demo::a PASS')",
+         "duplicate END for demo::a"),
+        ("m('BEGIN demo::a'); m('END demo::a PASS'); m('BEGIN demo::a')",
+         "duplicate BEGIN for demo::a"),
+        ("m('BEGIN demo::a'); m('BOGUS demo::a')", "unknown marker line '##MANAI:BOGUS demo::a\\n'"),
+        ("m('BEGIN demo::a'); m('END demo::a MAYBE')",
+         "bad marker line '##MANAI:END demo::a MAYBE\\n': 'MAYBE' is not a valid TestStatus"),
+    ])
+    def test_protocol_violation_kills_the_child(self, tmp_path, body, message):
+        cmd, pid_file = _inline_harness(tmp_path, body + "; time.sleep(30)\n")
+        started = time.monotonic()
+        with pytest.raises(ProtocolViolation) as exc_info:
+            run_one(cmd, A, timeout_s=20)
+        assert str(exc_info.value) == message
+        assert time.monotonic() - started < 10.0
+        _assert_reaped(pid_file)
+
+    def test_timeout_before_begin(self, tmp_path):
+        cmd, pid_file = _inline_harness(tmp_path, "time.sleep(30)\n")
+        run = run_one(cmd, A, timeout_s=0.5)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "test demo::a timed out after 0.5 s"
+        assert run.begin_ns == run.end_ns - 1
+        _assert_reaped(pid_file)
+
+    def test_exit_before_end(self, tmp_path):
+        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); sys.exit(3)\n")
+        run = run_one(cmd, A, timeout_s=20)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "harness exited (status 3) before END for demo::a"
+        assert run.end_ns > run.begin_ns
+        _assert_reaped(pid_file)
+
+    def test_lingering_child_is_killed_after_grace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
+        cmd, pid_file = _inline_harness(
+            tmp_path, "m('BEGIN demo::a'); m('END demo::a PASS'); time.sleep(30)\n"
+        )
+        started = time.monotonic()
+        run = run_one(cmd, A, timeout_s=20)
+        assert time.monotonic() - started < 5.0
+        assert run.status is TestStatus.PASS and run.error is None
+        assert run.end_ns > run.begin_ns
+        _assert_reaped(pid_file)
 
 
 def _noise_lines():

@@ -197,6 +197,16 @@ def test_sample_energies_telescope_to_endpoint_delta(case):
     assert total_uj == wrap_delta(first_counter, last_counter, scenario.max_range_uj)
 
 
+class TestSamplerConfig:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), 2e9, 1e12, 5e-324])
+    def test_rate_without_a_nanosecond_interval_rejected(self, rate):
+        with pytest.raises(ValueError):
+            SamplerConfig(rate)
+
+    def test_fastest_rate_samples_every_nanosecond(self):
+        assert SamplerConfig(1.9e9).interval_ns == 1
+
+
 class TestCalibrateBaseline:
     def test_constant_three_watts(self):
         sched = VirtualScheduler()

@@ -59,11 +59,82 @@ class _Parser(argparse.ArgumentParser):
 # config file
 # --------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "harness": {"program", "args", "list_args", "working_dir", "timeout_s"},
-    "probe": {"backend", "scenario", "update_interval_ns", "powercap_root"},
-    "experiment": {"rate_hz", "iterations", "select", "revision", "baseline", "data_dir"},
+
+def _optional_path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
+def _positive_interval(text: str) -> int | None:
+    value = int(text) if text else None
+    if value is not None and value <= 0:
+        raise ValueError(f"update_interval_ns must be positive, got {value}")
+    return value
+
+
+def _parse_baseline(text: str) -> BaselineSetting:
+    if text in ("", "off"):
+        return BaselineSetting()
+    mode, _, value = text.partition(":")
+    if mode == "calibrate":
+        return BaselineSetting(mode="calibrate", calibrate_duration_s=float(value))
+    if mode == "fixed":
+        try:
+            doc = json.loads(Path(value).read_text(encoding="utf-8"))
+            profile = BaselineProfile(
+                powers_w={EnergyDomain.parse(k): float(v) for k, v in doc["powers_w"].items()},
+                duration_s=float(doc["duration_s"]),
+                calibrated_at=str(doc["calibrated_at"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"cannot load baseline profile {value}: {exc}") from exc
+        return BaselineSetting(mode="fixed", profile=profile)
+    raise ValueError("use off, calibrate:<secs> or fixed:<path>")
+
+
+def _parse_selection(text: str) -> tuple[TestId, ...]:
+    return tuple(TestId.parse(part.strip()) for part in text.split(",") if part.strip())
+
+
+# Every config key: _SETTINGS[section][key] = (flag dest or None, default
+# text, parser). A parser raises ValueError, or InvalidConfig from the
+# constructor it calls, on bad text. --harness (program and args in one)
+# and the MANAI_DATA_DIR precedence are resolved outside the table.
+_SETTINGS = {
+    "harness": {
+        "program": (None, "", str),
+        "args": (None, "", shlex.split),
+        "list_args": ("list_args", "", shlex.split),
+        "working_dir": (None, "", _optional_path),
+        "timeout_s": ("timeout", "120", lambda text: None if text in ("", "none") else float(text)),
+    },
+    "probe": {
+        "backend": ("probe", ProbeBackend.RAPL.value, ProbeBackend),
+        "scenario": ("scenario", "", _optional_path),
+        "update_interval_ns": ("update_interval_ns", "", _positive_interval),
+        "powercap_root": (None, "", _optional_path),
+    },
+    "experiment": {
+        "rate_hz": ("rate", "100", float),
+        "iterations": ("iterations", "1", int),
+        "select": ("select", "", _parse_selection),
+        "revision": ("revision", "", resolve_revision_label),
+        "baseline": ("baseline", "off", _parse_baseline),
+        "data_dir": (None, "", _optional_path),
+    },
 }
+
+
+def _setting(args, cfg, section: str, key: str):
+    """The parsed value of one key: from its flag if given, else the config
+    file, else the default."""
+    flag, default, parse = _SETTINGS[section][key]
+    text = getattr(args, flag, None) if flag else None
+    if text is None:
+        text = cfg.get(section, {}).get(key, default)
+    try:
+        return parse(text)
+    except (ValueError, errors.InvalidConfig) as exc:
+        raise errors.InvalidConfig(f"bad [{section}] {key} {text!r}: {exc}") from None
 
 
 def _load_config_file(path: Path) -> dict[str, dict[str, str]]:
@@ -77,146 +148,62 @@ def _load_config_file(path: Path) -> dict[str, dict[str, str]]:
     except configparser.Error as exc:
         raise errors.InvalidConfig(f"malformed config {path}: {exc}") from exc
 
-    sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SETTINGS:
             raise errors.InvalidConfig(f"unknown config section [{section}]")
-        values = dict(parser.items(section))
-        for key in values:
-            if key in _KNOWN_KEYS[section]:
-                continue
-            if section == "harness" and key.startswith("env."):
-                continue
-            raise errors.InvalidConfig(f"unknown config key {key!r} in [{section}]")
-        sections[section] = values
-    return sections
+        for key in parser[section]:
+            if key not in _SETTINGS[section] and not (section == "harness" and key.startswith("env.")):
+                raise errors.InvalidConfig(f"unknown config key {key!r} in [{section}]")
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def _build_harness(cfg: dict[str, dict[str, str]], args) -> HarnessCommand:
-    section = cfg.get("harness", {})
-    program = section.get("program", "")
-    harness_args = shlex.split(section.get("args", ""))
-    list_args = shlex.split(section.get("list_args", ""))
+def _build_harness(args, cfg) -> HarnessCommand:
     if getattr(args, "harness", None):
-        parts = shlex.split(args.harness)
-        program, harness_args = parts[0], parts[1:]
-    if getattr(args, "list_args", None) is not None:
-        list_args = shlex.split(args.list_args)
+        program, *harness_args = shlex.split(args.harness) or [""]
+    else:
+        program = _setting(args, cfg, "harness", "program")
+        harness_args = _setting(args, cfg, "harness", "args")
     if not program:
         raise errors.InvalidConfig("no harness configured; set [harness] program or --harness")
     env = {
         key[len("env."):]: value
-        for key, value in section.items()
+        for key, value in cfg.get("harness", {}).items()
         if key.startswith("env.")
     }
-    working_dir = section.get("working_dir")
     return HarnessCommand(
         program=program,
         args=tuple(harness_args),
-        working_dir=Path(working_dir) if working_dir else None,
+        working_dir=_setting(args, cfg, "harness", "working_dir"),
         env=env,
-        list_args=tuple(list_args),
+        list_args=tuple(_setting(args, cfg, "harness", "list_args")),
     )
-
-
-def _setting(args, cfg, flag: str, section: str, key: str, default=None):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return cfg.get(section, {}).get(key, default)
 
 
 def _data_dir(args, cfg) -> Path:
-    if getattr(args, "data_dir", None):
-        return Path(args.data_dir)
-    env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir:
-        return Path(env_dir)
-    cfg_dir = cfg.get("experiment", {}).get("data_dir")
-    return Path(cfg_dir) if cfg_dir else DEFAULT_DATA_DIR
+    """--data-dir, else MANAI_DATA_DIR, else [experiment] data_dir, else .manai."""
+    flag_or_env = getattr(args, "data_dir", None) or os.environ.get(DATA_DIR_ENV)
+    return Path(flag_or_env or _setting(args, cfg, "experiment", "data_dir") or DEFAULT_DATA_DIR)
 
 
-def _parse_baseline(text: str | None) -> BaselineSetting:
-    if not text or text == "off":
-        return BaselineSetting()
-    if text.startswith("calibrate:"):
-        try:
-            return BaselineSetting(mode="calibrate", calibrate_duration_s=float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise errors.InvalidConfig(f"bad baseline {text!r}: {exc}") from exc
-    if text.startswith("fixed:"):
-        profile_path = Path(text.split(":", 1)[1])
-        try:
-            doc = json.loads(profile_path.read_text(encoding="utf-8"))
-            profile = BaselineProfile(
-                powers_w={EnergyDomain.parse(k): float(v) for k, v in doc["powers_w"].items()},
-                duration_s=float(doc["duration_s"]),
-                calibrated_at=str(doc["calibrated_at"]),
-            )
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise errors.InvalidConfig(f"cannot load baseline profile {profile_path}: {exc}") from exc
-        return BaselineSetting(mode="fixed", profile=profile)
-    raise errors.InvalidConfig(f"bad baseline {text!r}; use off, calibrate:<secs> or fixed:<path>")
-
-
-def _parse_selection(text: str | None) -> tuple[TestId, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(TestId.parse(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise errors.InvalidConfig(str(exc)) from exc
-
-
-def _probe_settings(args, cfg) -> tuple[ProbeBackend, Path | None, Path | None, int | None]:
+def _probe_settings(args, cfg) -> tuple:
     """Backend, scenario, powercap root and update interval, in create_probe order."""
-    backend = _setting(args, cfg, "probe", "probe", "backend", ProbeBackend.RAPL.value)
-    scenario = _setting(args, cfg, "scenario", "probe", "scenario")
-    powercap_root = cfg.get("probe", {}).get("powercap_root")
-    update_interval = _setting(args, cfg, "update_interval_ns", "probe", "update_interval_ns")
-    try:
-        backend = ProbeBackend(backend)
-    except ValueError:
-        raise errors.InvalidConfig(f"unknown probe backend {backend!r}") from None
-    try:
-        update_interval_ns = int(update_interval) if update_interval else None
-    except ValueError as exc:
-        raise errors.InvalidConfig(f"bad numeric option: {exc}") from exc
-    if update_interval_ns is not None and update_interval_ns <= 0:
-        raise errors.InvalidConfig(f"update_interval_ns must be positive, got {update_interval_ns}")
-    return (
-        backend,
-        Path(scenario) if scenario else None,
-        Path(powercap_root) if powercap_root else None,
-        update_interval_ns,
-    )
+    keys = ("backend", "scenario", "powercap_root", "update_interval_ns")
+    return tuple(_setting(args, cfg, "probe", key) for key in keys)
 
 
 def _build_experiment_config(args, cfg) -> ExperimentConfig:
     backend, scenario_path, powercap_root, update_interval_ns = _probe_settings(args, cfg)
-    rate = _setting(args, cfg, "rate", "experiment", "rate_hz", "100")
-    iterations = _setting(args, cfg, "iterations", "experiment", "iterations", "1")
-    timeout = _setting(args, cfg, "timeout", "harness", "timeout_s", "120")
-    try:
-        rate_hz = float(rate)
-        iterations = int(iterations)
-        timeout_s = float(timeout) if str(timeout) not in ("none", "") else None
-    except ValueError as exc:
-        raise errors.InvalidConfig(f"bad numeric option: {exc}") from exc
-
     return ExperimentConfig(
-        harness=_build_harness(cfg, args),
-        sampling_rate_hz=rate_hz,
-        iterations=iterations,
-        revision_label=resolve_revision_label(
-            _setting(args, cfg, "revision", "experiment", "revision")
-        ),
-        selection=_parse_selection(_setting(args, cfg, "select", "experiment", "select")),
+        sampling_rate_hz=_setting(args, cfg, "experiment", "rate_hz"),
+        iterations=_setting(args, cfg, "experiment", "iterations"),
+        test_timeout_s=_setting(args, cfg, "harness", "timeout_s"),
+        harness=_build_harness(args, cfg),
+        revision_label=_setting(args, cfg, "experiment", "revision"),
+        selection=_setting(args, cfg, "experiment", "select"),
         probe_backend=backend,
         scenario_path=scenario_path,
-        baseline=_parse_baseline(_setting(args, cfg, "baseline", "experiment", "baseline")),
+        baseline=_setting(args, cfg, "experiment", "baseline"),
         update_interval_ns=update_interval_ns,
-        test_timeout_s=timeout_s,
         powercap_root=powercap_root,
     )
 
@@ -241,7 +228,7 @@ def _cmd_probe_check(args, cfg) -> int:
 
 
 def _cmd_list(args, cfg) -> int:
-    for test in discover(_build_harness(cfg, args)):
+    for test in discover(_build_harness(args, cfg)):
         print(test)
     return EXIT_OK
 
@@ -267,17 +254,16 @@ def _cmd_run(args, cfg) -> int:
 def _parse_domains(text: str | None) -> tuple[EnergyDomain, ...] | None:
     if not text:
         return None
-    try:
-        return tuple(EnergyDomain.parse(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise errors.InvalidConfig(str(exc)) from exc
+    return tuple(EnergyDomain.parse(part.strip()) for part in text.split(","))
 
 
 def _export_report(args, cfg, **scope) -> int:
-    """Render one report request built from ``scope`` and the output flags."""
+    """Render one report request built from ``scope``, the --evolution ids
+    and the output flags; a bad flag value is a usage error."""
     try:
         request = ReportRequest(
             **scope,
+            tests=_parse_selection(getattr(args, "evolution", None) or ""),
             domains=_parse_domains(args.domains),
             fmt=ReportFormat(args.format),
             output_path=Path(args.out) if args.out else None,
@@ -296,8 +282,7 @@ def _export_report(args, cfg, **scope) -> int:
 
 def _cmd_report(args, cfg) -> int:
     if args.evolution:
-        tests = _parse_selection(args.evolution)
-        return _export_report(args, cfg, scope="history", tests=tests, limit=args.limit)
+        return _export_report(args, cfg, scope="history", limit=args.limit)
     if args.revision:
         return _export_report(args, cfg, scope="revision", revisions=(args.revision,))
     raise _UsageError("report needs --revision or --evolution")
@@ -343,7 +328,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_probe_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--probe", choices=["rapl", "simulated"], default=None)
+    parser.add_argument("--probe", default=None, help="rapl | simulated")
     parser.add_argument("--scenario", help="scenario file for the simulated probe")
     parser.add_argument("--update-interval-ns", dest="update_interval_ns", default=None)
 

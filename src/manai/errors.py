@@ -58,7 +58,7 @@ class EnvError(ManaiError):
 
 
 class NoProbeAvailable(EnvError):
-    """Neither a powercap tree nor a simulation scenario is available."""
+    """No usable RAPL zone exists under the powercap root."""
 
 
 class PermissionDenied(EnvError):

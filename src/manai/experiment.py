@@ -65,6 +65,7 @@ from manai.sampler import (
     SamplerConfig,
     _check_single_wrap,
     calibrate_baseline,
+    check_calibration_window,
     sample_stream,
 )
 from manai.store import RevisionRecord, Store
@@ -93,8 +94,8 @@ class BaselineSetting:
     def __post_init__(self):
         if self.mode not in ("off", "calibrate", "fixed"):
             raise InvalidConfig(f"unknown baseline mode {self.mode!r}")
-        if self.mode == "calibrate" and (self.calibrate_duration_s or 0) < 1.0:
-            raise InvalidConfig("baseline calibration needs a duration of at least 1 s")
+        if self.mode == "calibrate":
+            check_calibration_window(self.calibrate_duration_s or 0.0)
         if self.mode == "fixed" and self.profile is None:
             raise InvalidConfig("fixed baseline requires a profile")
 

@@ -36,6 +36,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from manai.errors import (
+    InvalidConfig,
     MalformedScenario,
     NoProbeAvailable,
     PermissionDenied,
@@ -615,13 +616,13 @@ def create_probe(
     """Build the configured probe.
 
     Raises:
-        NoProbeAvailable: RAPL requested without a powercap tree, or
-            simulated requested without a scenario.
+        InvalidConfig: Simulated requested without a scenario.
+        NoProbeAvailable: RAPL requested without a powercap tree.
         PermissionDenied: RAPL zones exist but cannot be read.
     """
     if backend is ProbeBackend.SIMULATED:
         if scenario_path is None:
-            raise NoProbeAvailable("simulated probe requires a scenario file")
+            raise InvalidConfig("simulated probe requires a scenario file")
         return SimulatedProbe(load_scenario(scenario_path))
 
     root = powercap_root or os.environ.get("MANAI_POWERCAP_ROOT") or DEFAULT_POWERCAP_ROOT

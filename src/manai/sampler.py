@@ -148,10 +148,10 @@ class BaselineProfile:
     calibrated_at: str
 
     def __post_init__(self):
-        if self.duration_s < 1.0:
-            raise ValueError("baseline windows shorter than 1 s are too noisy")
-        if any(p < 0 for p in self.powers_w.values()):
-            raise ValueError("baseline power must be non-negative")
+        if not 1.0 <= self.duration_s < math.inf:
+            raise ValueError(f"baseline window must be finite and at least 1 s, got {self.duration_s!r}")
+        if not all(0 <= p < math.inf for p in self.powers_w.values()):
+            raise ValueError("baseline power must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,12 @@ def sample_stream(
 _CALIBRATION_RATE_HZ = 10.0
 
 
+def check_calibration_window(duration_s: float) -> None:
+    """Refuse a calibration window that is not finite or is shorter than 1 s."""
+    if not 1.0 <= duration_s < math.inf:
+        raise InvalidConfig(f"baseline calibration needs a finite window of at least 1 s, got {duration_s!r}")
+
+
 def calibrate_baseline(
     probe: Probe,
     duration_s: float,
@@ -301,11 +307,10 @@ def calibrate_baseline(
     that is the operator's responsibility.
 
     Raises:
-        InvalidConfig: Window shorter than 1 s.
+        InvalidConfig: Window not finite or shorter than 1 s.
         ProbeLost: The probe failed during calibration.
     """
-    if duration_s < 1.0:
-        raise InvalidConfig("baseline calibration needs a window of at least 1 s")
+    check_calibration_window(duration_s)
     sched = scheduler or RealScheduler()
     stop = DeadlineStop(sched.now, sched.now() + round(duration_s * _NS_PER_S))
     samples = sample_stream(probe, SamplerConfig(rate_hz=_CALIBRATION_RATE_HZ), stop, sched)

@@ -6,11 +6,12 @@ import json
 import os
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from manai import errors
-from manai.cli import main
+from manai.cli import _SETTINGS, main
 from manai.harness import TestId, TestStatus
 from manai.store import Store
 
@@ -338,6 +339,8 @@ class TestExitCodes:
         ("--timeout", "-1", "test timeout must be positive and finite, or none; got -1.0"),
         ("--timeout", "nan", "test timeout must be positive and finite, or none; got nan"),
         ("--timeout", "inf", "test timeout must be positive and finite, or none; got inf"),
+        ("--baseline", "calibrate:nan", "needs a finite window of at least 1 s, got nan"),
+        ("--baseline", "calibrate:inf", "needs a finite window of at least 1 s, got inf"),
     ])
     def test_bad_rate_or_timeout_exits_1_and_saves_nothing(self, tmp_path, capsys, flag, value, message):
         # The harness cannot be launched: a refusal that came only after a
@@ -352,6 +355,101 @@ class TestExitCodes:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not data_dir.exists()
+
+    @staticmethod
+    def _run_with(tmp_path, sections: dict, flags: list[str]) -> int:
+        """``manai run`` from a config file of ``sections`` over a base whose
+        harness cannot be launched: a refusal that came only after a spawn
+        would exit 2 instead."""
+        scenario = write_scenario(tmp_path / "scenario.txt", [(NS, {"package": "10"})])
+        base = {
+            "harness": {"program": "/nonexistent/prog"},
+            "probe": {"backend": "simulated", "scenario": str(scenario)},
+            "experiment": {"select": "demo::a", "revision": "rev", "data_dir": str(tmp_path / "data")},
+        }
+        for section, values in sections.items():
+            base.setdefault(section, {}).update(values)
+        config = tmp_path / "exp.cfg"
+        config.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+            for section, values in base.items()
+        ))
+        return main(["run", "--config", str(config), *flags])
+
+    @pytest.mark.parametrize("sections, flags", [
+        pytest.param({"bogus": {"key": "1"}}, [], id="unknown-section"),
+        pytest.param({"probe": {"colour": "red"}}, [], id="unknown-key"),
+        pytest.param({"experiment": {"iterations": "two"}}, [], id="iterations-not-int"),
+        pytest.param({"experiment": {"rate_hz": "fast"}}, [], id="rate-not-numeric"),
+        pytest.param({}, ["--probe", "quantum"], id="backend-flag"),
+        pytest.param({"probe": {"backend": "quantum"}}, [], id="backend-file"),
+        pytest.param({}, ["--baseline", "sometimes"], id="baseline-text"),
+        pytest.param({}, ["--baseline", "fixed:{tmp}/missing.json"], id="profile-missing"),
+        pytest.param({"harness": {"program": ""}}, [], id="program-empty"),
+        pytest.param({}, ["--select", "nocolon"], id="select-id"),
+    ])
+    def test_bad_setting_exits_1_and_saves_nothing(self, tmp_path, capsys, sections, flags):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        code = self._run_with(tmp_path, sections, flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+        assert "internal error" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("sections, flags, name", [
+        ({"experiment": {"iterations": "two"}}, [], "[experiment] iterations 'two'"),
+        ({"experiment": {"rate_hz": "fast"}}, [], "[experiment] rate_hz 'fast'"),
+        ({"harness": {"timeout_s": "soon"}}, [], "[harness] timeout_s 'soon'"),
+        ({"harness": {"args": "'unclosed"}}, [], "[harness] args \"'unclosed\""),
+        ({}, ["--probe", "quantum"], "[probe] backend 'quantum'"),
+        ({"probe": {"backend": "quantum"}}, [], "[probe] backend 'quantum'"),
+        ({}, ["--baseline", "sometimes"], "[experiment] baseline 'sometimes'"),
+        ({}, ["--baseline", "calibrate:0.5"], "[experiment] baseline 'calibrate:0.5'"),
+        ({}, ["--select", "nocolon"], "[experiment] select 'nocolon'"),
+    ])
+    def test_bad_setting_names_its_key_and_text(self, tmp_path, capsys, sections, flags, name):
+        assert self._run_with(tmp_path, sections, flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad {name}: ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"powers_w": {"package:0": NaN}, "duration_s": 2.0, "calibrated_at": "t"}',
+         "baseline power must be finite and non-negative"),
+        ('{"powers_w": {"package:0": 1.0}, "duration_s": Infinity, "calibrated_at": "t"}',
+         "baseline window must be finite and at least 1 s, got inf"),
+        ("[]", "cannot load baseline profile"),
+        ('{"powers_w": [1.0], "duration_s": 2.0, "calibrated_at": "t"}', "cannot load baseline profile"),
+    ])
+    def test_bad_fixed_profile_exits_1_before_the_test_runs(self, tmp_path, capsys, doc, message):
+        # The fixture harness would run the test: a non-finite power
+        # accepted here would fail only later, in the sampler.
+        profile = tmp_path / "idle.json"
+        profile.write_text(doc)
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a sleep_ms=10"])
+        harness = f"{sys.executable} -m manai.fixture_harness --plan {plan}"
+        code = self._run_with(tmp_path, {}, ["--harness", harness, "--baseline", f"fixed:{profile}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "internal error" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["probe-check", "baseline", "run"])
+    def test_simulated_probe_without_scenario_exits_1(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        argv = [command, "--probe", "simulated", "--data-dir", str(data_dir)]
+        if command == "run":
+            argv += ["--harness", "/nonexistent/prog", "--select", "demo::a", "--revision", "rev"]
+        assert main(argv) == 1
+        assert "simulated probe requires a scenario" in capsys.readouterr().err
+        assert not data_dir.exists()
+
+    def test_bad_evolution_id_is_user_error(self, tmp_path, capsys):
+        code = main(["report", "--evolution", "nocolon", "--data-dir", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "internal error" not in err
 
     @pytest.mark.parametrize("interval", ["-5", "0"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -506,3 +604,32 @@ class TestBaselineCommand:
         doc = json.loads(out_file.read_text())
         assert doc["powers_w"]["package:0"] == 10.0
         assert doc["duration_s"] == 1.0
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0.5"])
+    def test_window_not_finite_or_below_1_s_exits_1(self, workspace, capsys, tmp_path, duration):
+        _, _, scenario, _, _ = workspace
+        out_file = tmp_path / "baseline.json"
+        code = main([
+            "baseline", "--probe", "simulated", "--scenario", str(scenario),
+            "--duration", duration, "--out", str(out_file),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"needs a finite window of at least 1 s, got {float(duration)!r}" in err
+        assert not out_file.exists()
+
+
+class TestDocs:
+    def test_readme_config_block_lists_every_key(self):
+        """The README's config file block and the settings table name the same keys."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```", 2)[1]
+        documented, section = set(), None
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                documented.add((section, line.split("=", 1)[0].strip()))
+        table = {(section, key) for section, keys in _SETTINGS.items() for key in keys}
+        assert documented == table | {("harness", "env.NAME")}

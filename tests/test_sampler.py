@@ -13,6 +13,7 @@ from manai.errors import InvalidConfig, ProbeLost, ReadFailed
 from manai.probe import ProbeBackend, ProbeDescriptor, ProbeReading, SimulatedProbe
 from manai.results import attribute
 from manai.sampler import (
+    BaselineProfile,
     EnergySample,
     SampleColumns,
     SamplerConfig,
@@ -221,11 +222,25 @@ class TestCalibrateBaseline:
         profile = calibrate_baseline(probe, 1.5, sched)
         assert profile.powers_w[PKG] == 0.0
 
-    def test_too_short_window_rejected(self):
+    @pytest.mark.parametrize("duration_s", [0.0, 0.999, float("nan"), float("inf")])
+    def test_window_not_finite_or_below_1_s_rejected(self, duration_s):
         sched = VirtualScheduler()
         probe = constant_probe(3.0, sched)
-        with pytest.raises(InvalidConfig):
-            calibrate_baseline(probe, 0.0, sched)
+        with pytest.raises(InvalidConfig, match="finite window of at least 1 s"):
+            calibrate_baseline(probe, duration_s, sched)
+        assert sched.now() == 0
+
+    @pytest.mark.parametrize("powers_w, duration_s", [
+        ({PKG: float("nan")}, 2.0),
+        ({PKG: float("inf")}, 2.0),
+        ({PKG: -1.0}, 2.0),
+        ({PKG: 1.0}, float("nan")),
+        ({PKG: 1.0}, float("inf")),
+        ({PKG: 1.0}, 0.5),
+    ])
+    def test_profile_rejects_non_finite_or_out_of_range_values(self, powers_w, duration_s):
+        with pytest.raises(ValueError):
+            BaselineProfile(powers_w=powers_w, duration_s=duration_s, calibrated_at="t")
 
 
 class TestSampleColumns:

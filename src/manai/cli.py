@@ -159,7 +159,10 @@ def _load_config_file(path: Path) -> dict[str, dict[str, str]]:
 
 def _build_harness(args, cfg) -> HarnessCommand:
     if getattr(args, "harness", None):
-        program, *harness_args = shlex.split(args.harness) or [""]
+        try:
+            program, *harness_args = shlex.split(args.harness) or [""]
+        except ValueError as exc:
+            raise errors.InvalidConfig(f"bad --harness {args.harness!r}: {exc}") from None
     else:
         program = _setting(args, cfg, "harness", "program")
         harness_args = _setting(args, cfg, "harness", "args")

@@ -8,20 +8,20 @@ output can be profiled. The protocol (UTF-8, one marker per line):
     ##MANAI:END <suite>::<name> <STATUS>  test finished; STATUS is PASS, FAIL or SKIP
 
 The harness is told which single test to execute through the
-``MANAI_FILTER`` environment variable. Marker timestamps are assigned by
-this reader at line arrival on the parent's monotonic clock, so no clock
-agreement with the child is needed; the pipe delays a marker by a
-measured median of 0.44 ms and a maximum of 11.7 ms. Standard error
-passes through untouched. All other stdout lines are ignored.
+``MANAI_FILTER`` environment variable. The run loop reads the child's
+pipe itself and stamps each line on the parent's monotonic clock as it
+reads it, so no clock agreement with the child is needed; the pipe
+delays a marker by a measured median of 0.44 ms and a maximum of
+11.7 ms. Lines may end in CRLF; undecodable bytes are replaced. Standard
+error passes through untouched. All other stdout lines are ignored.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import queue
+import selectors
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -131,9 +131,6 @@ def _spawn(cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str,
             env=env,
             stdout=subprocess.PIPE,
             stderr=None,
-            text=True,
-            encoding="utf-8",
-            errors="replace",
         )
     except OSError as exc:
         raise HarnessSpawnFailed(f"cannot launch {cmd.program!r}: {exc}") from exc
@@ -164,7 +161,7 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
     seen_exact: set[TestId] = set()
     seen_folded: set[str] = set()
     tests: list[TestId] = []
-    for line in stdout.splitlines():
+    for line in stdout.decode("utf-8", "replace").splitlines():
         marker = _parse_marker(line)
         if marker is None or marker[0] != "TEST":
             continue
@@ -179,24 +176,6 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
         seen_folded.add(folded)
         tests.append(test)
     return tests
-
-
-class _StdoutReader(threading.Thread):
-    """Feeds (timestamp, line) pairs from the child into a queue, and
-    closes the stream at its end."""
-
-    def __init__(self, stream):
-        super().__init__(daemon=True)
-        self._stream = stream
-        self.events: queue.Queue = queue.Queue()
-
-    def run(self):
-        try:
-            for line in self._stream:
-                self.events.put((time.monotonic_ns(), line))
-        finally:
-            self._stream.close()
-            self.events.put((time.monotonic_ns(), None))
 
 
 def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -> HarnessRun:
@@ -223,51 +202,57 @@ def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -
             BEGIN).
     """
     proc = _spawn(cmd, cmd.args, {FILTER_ENV: str(test)})
-    reader = _StdoutReader(proc.stdout)
-    reader.start()
+    fd = proc.stdout.fileno()
+    selector = selectors.DefaultSelector()
+    selector.register(fd, selectors.EVENT_READ)
     deadline_ns = None if timeout_s is None else time.monotonic_ns() + round(timeout_s * 1e9)
     begin_ns = end_ns = status = error = None
+    tail = b""
     try:
         while True:
             remaining_s = None
             if deadline_ns is not None:
                 remaining_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
-            try:
-                timestamp_ns, line = reader.events.get(timeout=remaining_s)
-            except queue.Empty:
+            if not selector.select(remaining_s):
                 if end_ns is None:
                     end_ns, status = time.monotonic_ns(), TestStatus.FAIL
                     error = f"test {test} timed out after {timeout_s:.1f} s"
                 _kill(proc)
                 break
-            if line is None:
+            # Not proc.stdout.read*: its buffer would hide data from select.
+            chunk = os.read(fd, 65536)
+            lines = (tail + chunk).splitlines(keepends=True)
+            tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
+            for line in lines:
+                timestamp_ns = time.monotonic_ns()
+                marker = _parse_marker(line.decode("utf-8", "replace"))
+                if marker is None or marker[0] == "TEST":
+                    continue
+                word, seen, seen_status = marker
+                if seen != test:
+                    raise ProtocolViolation(f"{word} for {seen}, expected {test}")
+                if word == "BEGIN":
+                    if begin_ns is not None:
+                        raise ProtocolViolation(f"duplicate BEGIN for {test}")
+                    begin_ns = timestamp_ns
+                    continue
+                if begin_ns is None:
+                    raise ProtocolViolation(f"END without BEGIN for {test}")
+                if end_ns is not None:
+                    raise ProtocolViolation(f"duplicate END for {test}")
+                end_ns, status = timestamp_ns, seen_status
+                # One grace period to exit, so a lingering child cannot stall the run.
+                grace_end_ns = end_ns + round(_EXIT_GRACE_S * 1e9)
+                deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
+            if not chunk:
                 break
-            marker = _parse_marker(line)
-            if marker is None or marker[0] == "TEST":
-                continue
-            word, seen, seen_status = marker
-            if seen != test:
-                raise ProtocolViolation(f"{word} for {seen}, expected {test}")
-            if word == "BEGIN":
-                if begin_ns is not None:
-                    raise ProtocolViolation(f"duplicate BEGIN for {test}")
-                begin_ns = timestamp_ns
-                continue
-            if begin_ns is None:
-                raise ProtocolViolation(f"END without BEGIN for {test}")
-            if end_ns is not None:
-                raise ProtocolViolation(f"duplicate END for {test}")
-            end_ns, status = timestamp_ns, seen_status
-            # One grace period to exit, so a lingering child cannot stall the run.
-            grace_end_ns = end_ns + round(_EXIT_GRACE_S * 1e9)
-            deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
     except ProtocolViolation:
         _kill(proc)
         raise
     finally:
         _reap(proc, deadline_ns)
-        # The pipe reaches EOF once the child is gone; the reader closes it.
-        reader.join(_EXIT_GRACE_S)
+        selector.close()
+        proc.stdout.close()
 
     if end_ns is None:
         if begin_ns is None:

@@ -320,6 +320,18 @@ class TestExitCodes:
         code = main(["list", "--data-dir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["list", "run"])
+    def test_unbalanced_harness_quote_is_user_error(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        argv = [command, "--harness", "'unclosed", "--data-dir", str(data_dir)]
+        if command == "run":
+            argv += ["--select", "demo::a", "--revision", "rev"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --harness \"'unclosed\": No closing quotation")
+        assert "internal error" not in err
+        assert not data_dir.exists()
+
     def test_unlaunchable_harness_is_env_error(self, tmp_path, capsys):
         code = main(["list", "--harness", "/nonexistent/prog"])
         assert code == 2

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from manai import harness
 from manai.errors import HarnessSpawnFailed, ProtocolViolation
-from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
+from manai.harness import HarnessCommand, HarnessRun, TestId, TestStatus, discover, run_one
 
 from conftest import fixture_harness_command, write_plan
 
@@ -250,6 +252,81 @@ class TestRunOneOutcomes:
         assert run.status is TestStatus.PASS and run.error is None
         assert run.end_ns > run.begin_ns
         _assert_reaped(pid_file)
+
+
+class TestReadLoop:
+    """How run_one reads the child's pipe: lines split across writes,
+    several lines in one write, CRLF endings, a last line without a
+    newline, undecodable bytes, a pipe held open after exit."""
+
+    @staticmethod
+    def _run(tmp_path, body: str) -> HarnessRun:
+        # w(data) writes raw bytes to stdout at once.
+        cmd, pid_file = _inline_harness(
+            tmp_path,
+            "def w(data): sys.stdout.buffer.write(data); sys.stdout.buffer.flush()\n" + body,
+        )
+        run = run_one(cmd, A, timeout_s=20)
+        _assert_reaped(pid_file)
+        return run
+
+    def test_marker_split_across_writes_is_one_line(self, tmp_path):
+        run = self._run(tmp_path, (
+            "w(b'##MANAI:BEG'); time.sleep(0.2); w(b'IN demo::a\\n')\n"
+            "m('END demo::a PASS')\n"
+        ))
+        assert run.status is TestStatus.PASS and run.error is None
+
+    @pytest.mark.parametrize("ending", ["\\n", "\\r\\n"])
+    def test_crlf_endings_parse_alike(self, tmp_path, ending):
+        run = self._run(tmp_path, (
+            f"w(b'##MANAI:BEGIN demo::a{ending}'); w(b'##MANAI:END demo::a FAIL{ending}')\n"
+        ))
+        assert run.status is TestStatus.FAIL and run.error is None
+
+    def test_end_without_newline_before_exit_is_parsed(self, tmp_path):
+        run = self._run(tmp_path, "m('BEGIN demo::a'); w(b'##MANAI:END demo::a SKIP')\n")
+        assert run.status is TestStatus.SKIP and run.error is None
+
+    def test_undecodable_noise_is_ignored(self, tmp_path):
+        run = self._run(tmp_path, (
+            "w(b'\\xff\\xfe noise\\n'); m('BEGIN demo::a')\n"
+            "w(b'caf\\xc3\\n##MANAI\\xff\\n'); m('END demo::a PASS')\n"
+        ))
+        assert run.status is TestStatus.PASS and run.error is None
+
+    def test_begin_and_end_in_one_write_are_stamped_apart(self, tmp_path):
+        run = self._run(tmp_path, "w(b'##MANAI:BEGIN demo::a\\n##MANAI:END demo::a PASS\\n')\n")
+        assert run.status is TestStatus.PASS
+        assert run.end_ns > run.begin_ns
+
+    def test_grandchild_holding_stdout_costs_one_grace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 1.0)
+        sleeper_file = tmp_path / "sleeper"
+        cmd, pid_file = _inline_harness(tmp_path, (
+            "m('BEGIN demo::a'); m('END demo::a PASS')\n"
+            "pid = os.fork()\n"
+            "if pid == 0: time.sleep(30); os._exit(0)\n"
+            f"open({str(sleeper_file)!r}, 'w').write(str(pid))\n"
+        ))
+        started = time.monotonic()
+        try:
+            run = run_one(cmd, A, timeout_s=20)
+            elapsed_s = time.monotonic() - started
+        finally:
+            if sleeper_file.exists():
+                os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
+        assert run.status is TestStatus.PASS and run.error is None
+        assert elapsed_s < 1.8
+        _assert_reaped(pid_file)
+
+    def test_run_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"run_one started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        run = self._run(tmp_path, "m('BEGIN demo::a'); m('END demo::a PASS')\n")
+        assert run.status is TestStatus.PASS and run.error is None
 
 
 def _noise_lines():

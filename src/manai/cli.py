@@ -1,7 +1,9 @@
 """Command line front-end.
 
-Subcommands: probe-check, list, run, report, compare, baseline. All
-commands are non-interactive and run without a terminal attached.
+Subcommands: probe-check, list, run, report, compare, baseline, one row
+each of ``_COMMANDS``. An invocation builds the parser of its own command
+only, so a command does not pay for the others' flags. All commands are
+non-interactive and run without a terminal attached.
 Diagnostics go to standard error; exit codes follow a fixed contract:
 0 success, 1 user or configuration error, 2 environment error (probe or
 harness unavailable), 3 internal error.
@@ -341,72 +343,79 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--list-args", dest="list_args", help="discovery-mode arguments")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="manai", description="Per-test software energy profiler.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("probe-check", help="enumerate energy domains and check access")
-    _add_common(p)
-    _add_probe_flags(p)
-
-    p = subparsers.add_parser("list", help="discover tests declared by the harness")
-    _add_common(p)
-    _add_harness_flags(p)
-
-    p = subparsers.add_parser("run", help="execute an energy experiment")
-    _add_common(p)
-    _add_probe_flags(p)
-    _add_harness_flags(p)
-    p.add_argument("--rate", default=None, help="probe sampling rate in Hz")
-    p.add_argument("--iterations", default=None, help="executions per test")
-    p.add_argument("--select", default=None, help="comma-separated test ids (default: all)")
-    p.add_argument("--revision", default=None, help="revision label (default: git head)")
-    p.add_argument("--baseline", default=None, help="off | calibrate:<secs> | fixed:<path>")
-    p.add_argument("--timeout", default=None, help="per-test timeout in seconds")
-
-    p = subparsers.add_parser("report", help="render stored results")
-    _add_common(p)
-    p.add_argument("--revision", default=None, help="summary of one stored revision")
-    p.add_argument("--evolution", default=None, help="comma-separated test ids for history view")
-    p.add_argument("--limit", type=int, default=None, help="most recent history points to keep")
-    p.add_argument("--domains", default=None, help="comma-separated domain filter, e.g. package:0")
-    p.add_argument("--format", choices=[f.value for f in ReportFormat], default="term")
-    p.add_argument("--out", default=None, help="write the document to a file")
-
-    p = subparsers.add_parser("compare", help="compare two stored revisions")
-    _add_common(p)
-    p.add_argument("revision_a")
-    p.add_argument("revision_b")
-    p.add_argument("--domains", default=None)
-    p.add_argument("--format", choices=[f.value for f in ReportFormat], default="term")
-    p.add_argument("--out", default=None)
-
-    p = subparsers.add_parser("baseline", help="calibrate idle power on a quiescent machine")
-    _add_common(p)
-    _add_probe_flags(p)
-    p.add_argument("--duration", type=float, default=10.0, help="calibration window in seconds")
-    p.add_argument("--out", default=None, help="write the profile as JSON")
-
-    return parser
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_probe_flags(parser)
+    _add_harness_flags(parser)
+    parser.add_argument("--rate", default=None, help="probe sampling rate in Hz")
+    parser.add_argument("--iterations", default=None, help="executions per test")
+    parser.add_argument("--select", default=None, help="comma-separated test ids (default: all)")
+    parser.add_argument("--revision", default=None, help="revision label (default: git head)")
+    parser.add_argument("--baseline", default=None, help="off | calibrate:<secs> | fixed:<path>")
+    parser.add_argument("--timeout", default=None, help="per-test timeout in seconds")
 
 
+def _add_view_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--domains", default=None, help="comma-separated domain filter, e.g. package:0")
+    parser.add_argument("--format", choices=[f.value for f in ReportFormat], default="term")
+    parser.add_argument("--out", default=None, help="write the document to a file")
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--revision", default=None, help="summary of one stored revision")
+    parser.add_argument("--evolution", default=None, help="comma-separated test ids for history view")
+    parser.add_argument("--limit", type=int, default=None, help="most recent history points to keep")
+    _add_view_flags(parser)
+
+
+def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("revision_a")
+    parser.add_argument("revision_b")
+    _add_view_flags(parser)
+
+
+def _add_baseline_flags(parser: argparse.ArgumentParser) -> None:
+    _add_probe_flags(parser)
+    parser.add_argument("--duration", type=float, default=10.0, help="calibration window in seconds")
+    parser.add_argument("--out", default=None, help="write the profile as JSON")
+
+
+# Every command: _COMMANDS[name] = (handler, help line, flag builder). The
+# common flags come first for each.
 _COMMANDS = {
-    "probe-check": _cmd_probe_check,
-    "list": _cmd_list,
-    "run": _cmd_run,
-    "report": _cmd_report,
-    "compare": _cmd_compare,
-    "baseline": _cmd_baseline,
+    "probe-check": (_cmd_probe_check, "enumerate energy domains and check access", _add_probe_flags),
+    "list": (_cmd_list, "discover tests declared by the harness", _add_harness_flags),
+    "run": (_cmd_run, "execute an energy experiment", _add_run_flags),
+    "report": (_cmd_report, "render stored results", _add_report_flags),
+    "compare": (_cmd_compare, "compare two stored revisions", _add_compare_flags),
+    "baseline": (_cmd_baseline, "calibrate idle power on a quiescent machine", _add_baseline_flags),
 }
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``manai <command> ...``, parsed by that command's
+    parser alone; without a known command first, the command list prints
+    its help or a usage error."""
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        parser = _Parser(prog="manai", description="Per-test software energy profiler.")
+        subparsers = parser.add_subparsers(dest="command", required=True)
+        for command, (_, help_line, _) in _COMMANDS.items():
+            subparsers.add_parser(command, help=help_line)
+        parser.parse_args(argv)
+        raise _UsageError(f"the command must come first, got {name!r}")
+    parser = _Parser(prog=f"manai {name}")
+    _add_common(parser)
+    _COMMANDS[name][2](parser)
+    parser.set_defaults(command=name)
+    return parser.parse_args(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         cfg = _load_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except errors.UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

@@ -20,6 +20,7 @@ fails the read; simulated counters are in range by construction.
 from __future__ import annotations
 
 import abc
+import functools
 import logging
 import os
 import re
@@ -114,7 +115,12 @@ class EnergyDomain:
         return f"{self.kind.value}:{self.socket_index}"
 
     @classmethod
+    @functools.lru_cache(maxsize=128)
     def parse(cls, text: str) -> "EnergyDomain":
+        """The domain ``text`` spells, e.g. ``package:0``. Domains are
+        immutable, so one instance per text is shared: a store decode
+        parses the same few keys thousands of times. Bad text raises on
+        every call."""
         kind_name, _, index = text.partition(":")
         try:
             kind = DomainKind(kind_name)

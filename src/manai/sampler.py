@@ -288,12 +288,20 @@ def sample_stream(
 # Polling rate used while averaging idle power; accuracy comes from the
 # window length, not the rate.
 _CALIBRATION_RATE_HZ = 10.0
+# Calibration polls the probe for its whole window, even when a simulated
+# probe replays it on a virtual clock; an hour is 36,000 polls.
+MAX_CALIBRATION_S = 3600.0
 
 
 def check_calibration_window(duration_s: float) -> None:
-    """Refuse a calibration window that is not finite or is shorter than 1 s."""
+    """Refuse a calibration window that is not finite, is shorter than 1 s
+    or is longer than MAX_CALIBRATION_S."""
     if not 1.0 <= duration_s < math.inf:
         raise InvalidConfig(f"baseline calibration needs a finite window of at least 1 s, got {duration_s!r}")
+    if duration_s > MAX_CALIBRATION_S:
+        raise InvalidConfig(
+            f"baseline calibration window must be at most {MAX_CALIBRATION_S:.0f} s, got {duration_s!r}"
+        )
 
 
 def calibrate_baseline(
@@ -307,7 +315,8 @@ def calibrate_baseline(
     that is the operator's responsibility.
 
     Raises:
-        InvalidConfig: Window not finite or shorter than 1 s.
+        InvalidConfig: Window not finite, shorter than 1 s or longer
+            than MAX_CALIBRATION_S.
         ProbeLost: The probe failed during calibration.
     """
     check_calibration_window(duration_s)

@@ -33,11 +33,15 @@ without its head is not a record.
 Each query reads only what it returns. ``load``, ``latest`` and
 ``latest_text`` list the one directory their label sanitizes to and keep
 the records of exactly that label (two labels can share a directory).
-``load`` and ``latest`` read the sidecars of the records they return;
-``latest_text`` returns the newest head's document and file text, and
-never opens a sidecar. ``history`` reads every head once per call, for
-any number of tests, and decodes only the label, the timestamp and the
-requested summaries, never results or samples.
+``load`` reads every head of its label. ``latest`` and ``latest_text``
+read heads newest file name first and stop at the first of their label,
+so they read one head when the directory holds no other label; file
+names order records as ``created_at`` and save order do (see
+:class:`Store`). ``load`` and ``latest`` read the sidecars of the
+records they return; ``latest_text`` returns the newest head's document
+and file text, and never opens a sidecar. ``history`` reads every head
+once per call, for any number of tests, and decodes only the label, the
+timestamp and the requested summaries, never results or samples.
 
 Format 1 records, a single document with every sample inline as an
 object, stay readable: they load to the same records, samples included.
@@ -414,6 +418,12 @@ class Store:
     Single writer (the experiment lock enforces that), any number of
     readers. Stored records are never mutated.
 
+    A record's file name is ``_file_stamp(created_at)`` plus the save
+    counter of its stamp, so for ``created_at`` values in one ISO 8601 UTC
+    form (``run_experiment`` writes microseconds and ``+00:00``) the
+    names sort as the records do by ``created_at``, then by save order.
+    ``latest`` relies on that to read the newest head first.
+
     ``load`` and ``latest`` read only the directory of their label, so an
     unreadable record under another label does not affect them;
     ``history`` reads every record and raises ``StorageError`` on any.
@@ -510,19 +520,27 @@ class Store:
         for path in self._iter_record_files():
             yield self._record(self._read_doc(path)[0], path)
 
-    def _label_docs(self, revision_label: str) -> list[tuple[dict, str, Path]]:
+    def _label_docs(
+        self, revision_label: str, newest_first: bool = False
+    ) -> Iterator[tuple[dict, str, Path]]:
         """The head documents stored under ``revision_label``, with their
-        text and file, oldest first."""
+        text and file, oldest file name first or, with ``newest_first``,
+        newest first; each head is read only when it is reached.
+
+        Raises:
+            UnknownRevision: Nothing is stored under that label.
+        """
         label_dir = self.revisions_dir / _sanitize_label(revision_label)
-        # Labels that sanitize alike share a directory; keep the exact one.
-        docs = [
-            (*read, path) for path in self._record_files(label_dir)
-            if (read := self._read_doc(path))[0]["revision_label"] == revision_label
-        ]
-        if not docs:
+        paths = self._record_files(label_dir)
+        found = False
+        for path in reversed(paths) if newest_first else paths:
+            doc, text = self._read_doc(path)
+            # Labels that sanitize alike share a directory; keep the exact one.
+            if doc["revision_label"] == revision_label:
+                found = True
+                yield doc, text, path
+        if not found:
             raise UnknownRevision(f"no records for revision {revision_label!r}")
-        docs.sort(key=lambda entry: entry[0]["created_at"])
-        return docs
 
     def load(self, revision_label: str) -> list[RevisionRecord]:
         """All records stored under ``revision_label``, oldest first.
@@ -530,7 +548,8 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        return [self._record(doc, path) for doc, _, path in self._label_docs(revision_label)]
+        docs = sorted(self._label_docs(revision_label), key=lambda entry: entry[0]["created_at"])
+        return [self._record(doc, path) for doc, _, path in docs]
 
     def latest(self, revision_label: str) -> RevisionRecord:
         """The newest record under ``revision_label``; the last saved on a tie.
@@ -538,7 +557,7 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        doc, _, path = self._label_docs(revision_label)[-1]
+        doc, _, path = next(self._label_docs(revision_label, newest_first=True))
         return self._record(doc, path)
 
     def latest_text(self, revision_label: str) -> tuple[dict, str]:
@@ -549,7 +568,7 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        doc, text, _ = self._label_docs(revision_label)[-1]
+        doc, text, _ = next(self._label_docs(revision_label, newest_first=True))
         return doc, text
 
     def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -11,13 +13,26 @@ from pathlib import Path
 import pytest
 
 from manai import errors
-from manai.cli import _SETTINGS, main
+from manai.cli import _COMMANDS, _SETTINGS, main
 from manai.harness import TestId, TestStatus
 from manai.store import Store
 
 from conftest import CORE, PKG, make_powercap_tree, write_plan, write_scenario
 
 NS = 10**9
+
+
+# A command that must return at once gets this long in a child process.
+CHILD_TIMEOUT_S = 8
+
+
+def run_manai(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m manai argv`` in a child that is killed after
+    CHILD_TIMEOUT_S, so a command that hangs fails its test."""
+    return subprocess.run(
+        [sys.executable, "-m", "manai", *argv],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+    )
 
 
 @pytest.fixture
@@ -49,6 +64,113 @@ def workspace(tmp_path, monkeypatch):
         f"data_dir = {tmp_path / 'data'}\n"
     )
     return tmp_path, plan, scenario, config, harness_line
+
+
+# Every command's option strings and positionals, as the first release of
+# the flag set accepted them. A flag that goes or changes its spelling
+# breaks scripts that call manai.
+SURFACE = {
+    "probe-check": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--probe", "--scenario", "--update-interval-ns"},
+        [],
+    ),
+    "list": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--harness", "--list-args"},
+        [],
+    ),
+    "run": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--probe", "--scenario", "--update-interval-ns", "--harness", "--list-args",
+         "--rate", "--iterations", "--select", "--revision", "--baseline", "--timeout"},
+        [],
+    ),
+    "report": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--revision", "--evolution", "--limit", "--domains", "--format", "--out"},
+        [],
+    ),
+    "compare": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--domains", "--format", "--out"},
+        ["revision_a", "revision_b"],
+    ),
+    "baseline": (
+        {"-h", "--help", "--config", "--data-dir", "--no-color", "--width",
+         "--probe", "--scenario", "--update-interval-ns", "--duration", "--out"},
+        [],
+    ),
+}
+
+COMMAND_HELP = {
+    "probe-check": "enumerate energy domains and check access",
+    "list": "discover tests declared by the harness",
+    "run": "execute an energy experiment",
+    "report": "render stored results",
+    "compare": "compare two stored revisions",
+    "baseline": "calibrate idle power on a quiescent machine",
+}
+
+
+def help_text(argv: list[str], capsys) -> str:
+    """What ``main(argv)`` prints for a help request; it exits 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def command_surface(command: str, capsys) -> tuple[set[str], list[str]]:
+    """The option strings and positionals that ``manai <command> --help`` lists."""
+    options, positionals, section = set(), [], None
+    for line in help_text([command, "--help"], capsys).splitlines():
+        if line.endswith(":") and not line.startswith(" "):
+            section = line
+        elif section == "options:" and line.lstrip().startswith("-"):
+            # "  -h, --help   text" or "  --format {a,b}": the part before
+            # the help text, one alias per comma, the flag before its value.
+            spelled = re.split(r"\s{2,}", line.strip())[0]
+            options |= {alias.split()[0] for alias in spelled.split(", ")}
+        elif section == "positional arguments:" and line.startswith("  ") and line.strip():
+            positionals.append(line.split()[0])
+    return options, positionals
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_every_command_keeps_its_flags(self, command, capsys):
+        assert command_surface(command, capsys) == SURFACE[command]
+
+    def test_help_lists_every_command(self, capsys):
+        text = help_text(["--help"], capsys)
+        assert text.startswith(
+            "usage: manai [-h] {probe-check,list,run,report,compare,baseline} ...\n"
+        )
+        for command, line in COMMAND_HELP.items():
+            assert re.search(rf"^    {re.escape(command)} +{re.escape(line)}$", text, re.M), command
+
+    def test_command_help_names_the_command(self, capsys):
+        for command in SURFACE:
+            assert help_text([command, "-h"], capsys).startswith(f"usage: manai {command} [-h] ")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'probe-check', "
+                    "'list', 'run', 'report', 'compare', 'baseline')"),
+        (["--config", "x", "report"], "argument command: invalid choice: 'x' (choose from "
+                                      "'probe-check', 'list', 'run', 'report', 'compare', 'baseline')"),
+        (["report", "--bogus"], "unrecognized arguments: --bogus"),
+        (["compare", "a"], "the following arguments are required: revision_b"),
+        (["report", "--format", "pdf"], "argument --format: invalid choice: 'pdf' "
+                                        "(choose from 'term', 'html', 'csv', 'machine')"),
+        (["report", "--limit", "x"], "argument --limit: invalid int value: 'x'"),
+    ])
+    def test_bad_usage_exits_1_with_argparse_message(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestRun:
@@ -368,6 +490,21 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not data_dir.exists()
 
+    def test_calibration_above_an_hour_exits_1_before_the_data_dir(self, tmp_path):
+        # The harness cannot be launched; in a child with a timeout, a
+        # calibration that never ends fails the test.
+        scenario = write_scenario(tmp_path / "scenario.txt", [(NS, {"package": "10"})])
+        data_dir = tmp_path / "data"
+        child = run_manai([
+            "run", "--probe", "simulated", "--scenario", str(scenario),
+            "--baseline", "calibrate:1e12", "--harness", "/nonexistent/prog",
+            "--select", "demo::a", "--revision", "rev", "--data-dir", str(data_dir),
+        ])
+        assert child.returncode == 1
+        assert child.stderr.startswith("error: bad [experiment] baseline 'calibrate:1e12': ")
+        assert "at most 3600 s" in child.stderr
+        assert not data_dir.exists()
+
     @staticmethod
     def _run_with(tmp_path, sections: dict, flags: list[str]) -> int:
         """``manai run`` from a config file of ``sections`` over a base whose
@@ -630,6 +767,19 @@ class TestBaselineCommand:
         assert f"needs a finite window of at least 1 s, got {float(duration)!r}" in err
         assert not out_file.exists()
 
+    def test_window_above_an_hour_exits_1_at_once(self, workspace, tmp_path):
+        # Replayed tick by tick, this window would never end; in a child
+        # with a timeout, such a hang fails the test.
+        _, _, scenario, _, _ = workspace
+        out_file = tmp_path / "baseline.json"
+        child = run_manai([
+            "baseline", "--probe", "simulated", "--scenario", str(scenario),
+            "--duration", "1e12", "--out", str(out_file),
+        ])
+        assert child.returncode == 1
+        assert "calibration window must be at most 3600 s, got 1000000000000.0" in child.stderr
+        assert not out_file.exists()
+
 
 class TestDocs:
     def test_readme_config_block_lists_every_key(self):
@@ -645,3 +795,17 @@ class TestDocs:
                 documented.add((section, line.split("=", 1)[0].strip()))
         table = {(section, key) for section, keys in _SETTINGS.items() for key in keys}
         assert documented == table | {("harness", "env.NAME")}
+
+    def test_readme_commands_table_names_every_command(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Commands", 1)[1].split("\n\n", 2)[1]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        assert [row.split("`")[1] for row in rows] == list(_COMMANDS)
+
+    def test_readme_stable_flags_are_accepted(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Flags (stable):", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", paragraph))
+        assert len(documented) >= 20
+        accepted = set().union(*(command_surface(c, capsys)[0] for c in _COMMANDS))
+        assert documented - accepted == set()

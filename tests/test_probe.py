@@ -697,6 +697,17 @@ class TestDomainKeys:
             assert table[domain] == "entry"
         assert str(spellings[-1]) == f"{kind.value}:1"
 
+    def test_parse_shares_one_instance_per_text(self):
+        first = EnergyDomain.parse("dram:2")
+        assert EnergyDomain.parse("dram:2") is first
+        assert first == EnergyDomain(DomainKind.DRAM, 2)
+
+    @pytest.mark.parametrize("text", ["gpu:0", "package:x", "package:-1", "package"])
+    def test_bad_domain_text_raises_every_time(self, text):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not an energy domain"):
+                EnergyDomain.parse(text)
+
     def test_hash_does_not_depend_on_the_hash_seed(self):
         domain = EnergyDomain(DomainKind.DRAM, 3)
         code = (

@@ -18,6 +18,7 @@ from manai.sampler import (
     SampleColumns,
     SamplerConfig,
     calibrate_baseline,
+    check_calibration_window,
     sample_stream,
     wrap_delta,
 )
@@ -228,6 +229,14 @@ class TestCalibrateBaseline:
         probe = constant_probe(3.0, sched)
         with pytest.raises(InvalidConfig, match="finite window of at least 1 s"):
             calibrate_baseline(probe, duration_s, sched)
+        assert sched.now() == 0
+
+    def test_window_above_an_hour_rejected(self):
+        sched = VirtualScheduler()
+        probe = constant_probe(3.0, sched)
+        check_calibration_window(3600.0)
+        with pytest.raises(InvalidConfig, match=r"window must be at most 3600 s, got 3600\.5"):
+            calibrate_baseline(probe, 3600.5, sched)
         assert sched.now() == 0
 
     @pytest.mark.parametrize("powers_w, duration_s", [

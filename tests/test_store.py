@@ -285,10 +285,31 @@ class TestReadScope:
 
     def test_latest_reads_only_its_label(self, store_twelve_labels, reads):
         assert store_twelve_labels.latest("r3").created_at == ts(12)
-        own = set((store_twelve_labels.revisions_dir / "r3").glob("*.record"))
-        assert len(own) == 2
-        assert set(reads) == own
-        assert set(reads.values()) == {1}
+        newest = store_twelve_labels.revisions_dir / "r3" / f"{manai.store._file_stamp(ts(12))}.record"
+        assert reads == {newest: 1}
+
+    def test_latest_text_of_many_records_reads_one_head(self, tmp_path, reads):
+        # 25 records of one label, saved out of order, several sharing a
+        # stamp: the newest is the greatest created_at, and the last saved
+        # of those that share it.
+        store = Store(tmp_path)
+        rng = random.Random(25)
+        order = list(range(25))
+        rng.shuffle(order)
+        saved = {}
+        for position, index in enumerate(order):
+            created_at = ts((index + 2) // 3)
+            path = store.save(make_record("many", created_at, {"demo::a": (index + 1) * 1000}))
+            saved[created_at, position] = path
+        newest = saved[max(saved)]
+        with_ties = Counter(created_at for created_at, _ in saved)
+        assert with_ties[max(saved)[0]] == 3
+        reads.clear()
+        doc, text = store.latest_text("many")
+        assert text == newest.read_text()
+        assert reads == {newest: 1}
+        docs = [json.loads(path.read_text()) for path in store._record_files(newest.parent)]
+        assert doc == sorted(docs, key=lambda d: d["created_at"])[-1]
 
     def test_evolution_reads_each_record_once(self, store_twelve_labels, reads):
         request = ReportRequest(scope="history", tests=self.TESTS, no_color=True)

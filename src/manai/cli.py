@@ -26,7 +26,6 @@ from manai.experiment import (
     BaselineSetting,
     ExperimentConfig,
     effective_config_items,
-    replay,
     resolve_revision_label,
     run_experiment,
 )
@@ -219,7 +218,7 @@ def _build_experiment_config(args, cfg) -> ExperimentConfig:
 
 
 def _cmd_probe_check(args, cfg) -> int:
-    probe, _ = replay(create_probe(*_probe_settings(args, cfg)))
+    probe = create_probe(*_probe_settings(args, cfg))
     descriptor = probe.describe()
     print(f"backend: {descriptor.backend.value}")
     print(f"update interval: {descriptor.update_interval_ns} ns")
@@ -299,13 +298,13 @@ def _cmd_compare(args, cfg) -> int:
 
 
 def _cmd_baseline(args, cfg) -> int:
-    probe, scheduler = replay(create_probe(*_probe_settings(args, cfg)))
+    probe = create_probe(*_probe_settings(args, cfg))
     print(
         f"calibrating idle baseline for {args.duration:.1f} s; "
         "keep the machine quiescent",
         file=sys.stderr,
     )
-    profile = calibrate_baseline(probe, args.duration, scheduler)
+    profile = calibrate_baseline(probe, args.duration)
     doc = {
         "powers_w": {str(d): w for d, w in sorted(profile.powers_w.items(), key=lambda kv: str(kv[0]))},
         "duration_s": profile.duration_s,

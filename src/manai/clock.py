@@ -1,6 +1,7 @@
 """Time sources and deadline schedulers for the sampling loop.
 
-The sampler never calls ``time`` directly; it talks to a :class:`Scheduler`.
+The sampler never calls ``time`` directly; it sleeps on the
+:class:`Scheduler` of the probe it reads, ``probe.scheduler``.
 ``RealScheduler`` wraps the monotonic clock and sleeps toward absolute
 deadlines (``origin + k * interval``) so scheduling error never accumulates.
 ``VirtualScheduler`` keeps a manual clock that jumps to each deadline

@@ -10,9 +10,9 @@ Execution timing depends on the probe backend:
 * RAPL: a sampling thread polls the live counters while the test child
   runs; execution windows are the marker arrival timestamps.
 * Simulated: the child still runs for real (its status and measured
-  duration are real), but samples are then generated on a virtual clock
-  over the scenario, with the window anchored at the scenario origin and
-  the duration snapped to the counter refresh grid. Re-running the same
+  duration are real), but a fresh simulated probe then replays the
+  scenario from its origin on its virtual clock, over the duration
+  snapped to the counter refresh grid. Re-running the same
   configuration therefore reproduces every stored number bit-exactly, as
   long as test durations exceed the refresh interval and marker timing
   is at most a quarter interval early or three quarters late.
@@ -20,7 +20,7 @@ Execution timing depends on the probe backend:
   either way).
 
 The probe comes from :func:`manai.probe.create_probe`, which also
-resolves the powercap root a live run reads.
+resolves the powercap root a live run reads; calibration reads it too.
 
 Exactly one experiment may run per data directory. The runner holds an
 exclusive, non-blocking ``flock`` on the persistent file
@@ -48,7 +48,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
-from manai.clock import DeadlineStop, VirtualScheduler
+from manai.clock import DeadlineStop
 from manai.errors import InvalidConfig, LockHeld, ProtocolViolation
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import (
@@ -73,7 +73,6 @@ from manai.store import RevisionRecord, Store
 __all__ = [
     "BaselineSetting",
     "ExperimentConfig",
-    "replay",
     "resolve_revision_label",
     "run_experiment",
 ]
@@ -257,19 +256,6 @@ def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:
     return (duration_ns + update_interval_ns // 4) // update_interval_ns * update_interval_ns
 
 
-def replay(probe: Probe) -> tuple[Probe, VirtualScheduler | None]:
-    """The probe a measurement reads, and the virtual scheduler it runs on.
-
-    A simulated probe is replaced by a fresh one on a virtual clock that
-    starts at the scenario origin, so what it measures is exact and takes
-    no wall time. A live probe is read as it is, in real time (``None``).
-    """
-    if not isinstance(probe, SimulatedProbe):
-        return probe, None
-    scheduler = VirtualScheduler()
-    return SimulatedProbe(probe.scenario, clock=scheduler.now), scheduler
-
-
 def _run_iteration(
     probe: Probe,
     config: ExperimentConfig,
@@ -279,16 +265,14 @@ def _run_iteration(
     iteration: int,
 ) -> TestExecutionResult:
     sampler_config = SamplerConfig(config.sampling_rate_hz, baseline_w)
-    replay_probe, scheduler = replay(probe)
-    if scheduler is not None:
-        # The child runs for real; its samples are replayed on a virtual
-        # clock over a grid-snapped window, which makes them replicable.
+    if isinstance(probe, SimulatedProbe):
+        # The child runs for real; its samples are replayed from the scenario
+        # origin over a grid-snapped window, which makes them replicable.
         begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
         end_ns = _quantize_duration_ns(end_ns - begin_ns, descriptor.update_interval_ns)
         begin_ns = 0
-        samples = sample_stream(
-            replay_probe, sampler_config, DeadlineStop(scheduler.now, end_ns), scheduler
-        )
+        fresh = SimulatedProbe(probe.scenario)
+        samples = sample_stream(fresh, sampler_config, DeadlineStop(fresh.scheduler.now, end_ns))
     else:
         stop = threading.Event()
         collected: dict = {}
@@ -385,7 +369,7 @@ def run_experiment(
     descriptor = probe.describe()
     # Refuse a wrap-ambiguous rate before the data directory is touched
     # or any test runs.
-    _check_single_wrap(descriptor.max_range_uj, SamplerConfig(config.sampling_rate_hz).interval_ns)
+    _check_single_wrap(descriptor, SamplerConfig(config.sampling_rate_hz).interval_ns)
 
     lock = _DataDirLock(data_dir)
     lock.acquire()
@@ -400,8 +384,7 @@ def run_experiment(
         if config.baseline.mode == "fixed":
             baseline_w = dict(config.baseline.profile.powers_w)
         elif config.baseline.mode == "calibrate":
-            cal_probe, scheduler = replay(probe)
-            profile = calibrate_baseline(cal_probe, config.baseline.calibrate_duration_s, scheduler)
+            profile = calibrate_baseline(probe, config.baseline.calibrate_duration_s)
             baseline_w = dict(profile.powers_w)
 
         summaries: dict[TestId, TestSummary] = {}

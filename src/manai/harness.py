@@ -152,7 +152,8 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
         stdout, _ = proc.communicate(timeout=timeout_s)
     except subprocess.TimeoutExpired as exc:
         _kill(proc)
-        proc.communicate()
+        # Not communicate(): a grandchild holding stdout would delay EOF.
+        proc.stdout.close()
         raise HarnessSpawnFailed(f"discovery timed out after {timeout_s:.0f} s") from exc
 
     if proc.returncode != 0:

@@ -8,6 +8,10 @@ readable energy counters.
 Counters are cumulative microjoule values that wrap at a per-domain maximum,
 exactly like the kernel interface reports them.
 
+Each probe stamps its readings on its own ``scheduler``, the clock a
+sampler of it sleeps on: the monotonic clock for the live reader, and for
+a simulated probe a virtual clock that starts at the scenario origin.
+
 The live reader opens every zone's ``energy_uj`` once, when it discovers
 the zones, and holds the file descriptors for its whole lifetime. A read
 is one ``os.pread`` at offset 0 per held descriptor: sysfs regenerates an
@@ -34,8 +38,9 @@ from itertools import accumulate
 from operator import mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
+from manai.clock import RealScheduler, Scheduler, VirtualScheduler
 from manai.errors import (
     InvalidConfig,
     MalformedScenario,
@@ -60,9 +65,8 @@ _FALLBACK_MAX_RANGE_UJ = 2**60
 _FEMTOJOULE_PER_MICROJOULE = 1_000_000_000
 _MICROWATT_PER_WATT = 1_000_000
 
-# Upper bound on plausible sustained domain power. The sampler relies on
-# it to reject rates so slow that a counter could wrap more than once per
-# interval (multi-wrap is undetectable from interval endpoints).
+# Upper bound on plausible sustained power of a live domain: the peak a
+# RAPL descriptor reports, since the hardware states none.
 MAX_PLAUSIBLE_POWER_W = 1000.0
 
 # Upper bound on a scenario segment's power: far above the plausible bound,
@@ -149,12 +153,15 @@ class ProbeReading(NamedTuple):
 
 @dataclass(frozen=True)
 class ProbeDescriptor:
-    """What a probe measures: its domains, refresh interval and counter ranges."""
+    """What a probe measures: its domains, refresh interval, counter ranges
+    and the peak power of each domain, at which a counter must not wrap
+    twice in one sampling interval (that is undetectable from its ends)."""
 
     backend: ProbeBackend
     domains: tuple[EnergyDomain, ...]
     update_interval_ns: int
     max_range_uj: Mapping[EnergyDomain, int]
+    peak_power_w: Mapping[EnergyDomain, float]
 
     def __post_init__(self):
         if not self.domains:
@@ -168,11 +175,16 @@ class Probe(abc.ABC):
 
     One probe instance is owned by a single sampling task at a time;
     create independent instances for independent tasks.
+
+    ``scheduler`` is the clock the probe stamps its readings on, and the
+    one a sampler of the probe sleeps on.
     """
+
+    scheduler: Scheduler
 
     @abc.abstractmethod
     def describe(self) -> ProbeDescriptor:
-        """Enumerate available domains, the counter refresh interval and ranges."""
+        """Enumerate available domains, the counter refresh interval, ranges and peak powers."""
 
     @abc.abstractmethod
     def read(self) -> ProbeReading:
@@ -239,6 +251,7 @@ class RaplProbe(Probe):
         update_interval_ns: int = DEFAULT_RAPL_UPDATE_INTERVAL_NS,
     ):
         self._root = Path(powercap_root)
+        self.scheduler = RealScheduler()
         # Registered before discovery opens anything, so descriptors opened
         # by a constructor that then raises are closed as well.
         self._fds: list[int] = []
@@ -249,6 +262,7 @@ class RaplProbe(Probe):
             domains=tuple(zone.domain for zone in self._zones),
             update_interval_ns=update_interval_ns,
             max_range_uj=MappingProxyType({zone.domain: zone.max_range_uj for zone in self._zones}),
+            peak_power_w=MappingProxyType({zone.domain: MAX_PLAUSIBLE_POWER_W for zone in self._zones}),
         )
 
     def _discover(self) -> list[_RaplZone]:
@@ -368,6 +382,8 @@ class SimulationScenario:
     ``[0, floor(t / update_interval) * update_interval]``, in microjoules,
     reduced modulo ``max_range_uj``. Past the last segment the final
     segment's power level holds, so constant scenarios run forever.
+    ``descriptor`` describes every probe that replays the scenario; each
+    domain's peak power is its highest segment power.
     """
 
     durations_ns: tuple[int, ...]
@@ -405,6 +421,15 @@ class SimulationScenario:
         object.__setattr__(self, "_domains", domains)
         object.__setattr__(self, "_positions", {d: i for i, d in enumerate(domains)})
         object.__setattr__(self, "_integrals", integrals)
+        object.__setattr__(self, "descriptor", ProbeDescriptor(
+            backend=ProbeBackend.SIMULATED,
+            domains=domains,
+            update_interval_ns=self.update_interval_ns,
+            max_range_uj=MappingProxyType({d: self.max_range_uj for d in domains}),
+            peak_power_w=MappingProxyType({
+                d: max(powers_uw) / _MICROWATT_PER_WATT for d, (_, powers_uw) in zip(domains, integrals)
+            }),
+        ))
 
     @property
     def domains(self) -> tuple[EnergyDomain, ...]:
@@ -453,34 +478,17 @@ class SimulationScenario:
 class SimulatedProbe(Probe):
     """Deterministic probe that replays a :class:`SimulationScenario`.
 
-    Elapsed time is measured on an injected clock from the moment the
-    probe is constructed, so a virtual clock makes reads bit-reproducible
-    and a monotonic clock lets the same scenario track real test
-    executions.
+    Its ``scheduler`` is a virtual clock of its own that starts at the
+    scenario origin, so reads are bit-reproducible and take no wall time.
+    A fresh probe over the same scenario replays it from the origin again.
     """
 
-    def __init__(
-        self,
-        scenario: SimulationScenario,
-        clock: Callable[[], int] = time.monotonic_ns,
-    ):
-        self._scenario = scenario
-        self._clock = clock
-        self._epoch_ns = clock()
-        self._domains = scenario.domains
-        self._descriptor = ProbeDescriptor(
-            backend=ProbeBackend.SIMULATED,
-            domains=self._domains,
-            update_interval_ns=scenario.update_interval_ns,
-            max_range_uj=MappingProxyType({d: scenario.max_range_uj for d in self._domains}),
-        )
-
-    @property
-    def scenario(self) -> SimulationScenario:
-        return self._scenario
+    def __init__(self, scenario: SimulationScenario):
+        self.scenario = scenario
+        self.scheduler = VirtualScheduler()
 
     def describe(self) -> ProbeDescriptor:
-        return self._descriptor
+        return self.scenario.descriptor
 
     def read(self) -> ProbeReading:
         """Every domain's :meth:`SimulationScenario.counter_uj` at the clock's time.
@@ -488,9 +496,8 @@ class SimulatedProbe(Probe):
         All domains share the scenario's segment starts, so one read is a
         single ``bisect`` however many domains the scenario defines.
         """
-        now_ns = self._clock()
-        counters = self._scenario._counters_uj(now_ns - self._epoch_ns)
-        return ProbeReading(now_ns, tuple(counters))
+        now_ns = self.scheduler.now()
+        return ProbeReading(now_ns, tuple(self.scenario._counters_uj(now_ns)))
 
 
 # --------------------------------------------------------------------------

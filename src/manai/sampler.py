@@ -23,9 +23,9 @@ from datetime import datetime, timezone
 from operator import le, lt
 from typing import Iterable, Mapping
 
-from manai.clock import DeadlineStop, RealScheduler, Scheduler
+from manai.clock import DeadlineStop
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
-from manai.probe import MAX_PLAUSIBLE_POWER_W, EnergyDomain, Probe, ProbeDescriptor, ProbeReading
+from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading
 
 _UJ_PER_J = 1_000_000
 _NS_PER_S = 1_000_000_000
@@ -202,29 +202,28 @@ def _columns(
     return SampleColumns(starts_ns, ends_ns, energy_uj)
 
 
-def _check_single_wrap(max_range: Mapping[EnergyDomain, int], interval_ns: int) -> None:
+def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
+    """Refuse an interval in which a domain at its peak power could wrap
+    its counter more than once."""
     interval_s = interval_ns / _NS_PER_S
-    for domain, max_range_uj in max_range.items():
-        wrap_horizon_s = (max_range_uj / _UJ_PER_J) / MAX_PLAUSIBLE_POWER_W
+    for domain, max_range_uj in descriptor.max_range_uj.items():
+        peak_w = descriptor.peak_power_w[domain]
+        wrap_horizon_s = (max_range_uj / _UJ_PER_J) / peak_w if peak_w else math.inf
         if interval_s > wrap_horizon_s:
             raise InvalidConfig(
                 f"sampling interval {interval_s:.3f} s could span more than one "
                 f"counter wrap for {domain} (range {max_range_uj} uJ at up to "
-                f"{MAX_PLAUSIBLE_POWER_W:.0f} W wraps within {wrap_horizon_s:.3f} s); "
+                f"{peak_w:.0f} W wraps within {wrap_horizon_s:.3f} s); "
                 "increase the sampling rate"
             )
 
 
-def sample_stream(
-    probe: Probe,
-    config: SamplerConfig,
-    stop,
-    scheduler: Scheduler | None = None,
-) -> SampleColumns:
+def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
     """Poll ``probe`` every ``1/rate`` seconds until ``stop`` is set.
 
-    Deadlines are absolute (``origin + k * interval``) so timer drift does
-    not accumulate; sample boundaries use the actual reading timestamps.
+    The loop sleeps on ``probe.scheduler`` toward absolute deadlines
+    (``origin + k * interval``), so timer drift does not accumulate;
+    sample boundaries use the actual reading timestamps.
     After the stop signal a final closing reading is taken so the stream
     covers the full window. A tick keeps its reading only; a reading whose
     timestamp does not advance past the last kept one is dropped. The
@@ -235,7 +234,6 @@ def sample_stream(
             counter ranges.
         config: Rate and optional per-domain baseline to subtract.
         stop: Object with ``is_set()``; ``threading.Event`` works.
-        scheduler: Time source override; defaults to the real clock.
 
     Returns:
         Ordered, adjacent samples. Empty if stopped before the first
@@ -245,10 +243,9 @@ def sample_stream(
         InvalidConfig: The interval could span more than one counter wrap.
         ProbeLost: A reading failed; the samples collected so far are lost.
     """
-    sched = scheduler or RealScheduler()
     interval_ns = config.interval_ns
     descriptor = probe.describe()
-    _check_single_wrap(descriptor.max_range_uj, interval_ns)
+    _check_single_wrap(descriptor, interval_ns)
 
     try:
         first = probe.read()
@@ -259,6 +256,7 @@ def sample_stream(
     # and keep; its callables are bound once.
     readings = [first]
     keep = readings.append
+    sched = probe.scheduler
     read, sleep_until, now, stopped = probe.read, sched.sleep_until, sched.now, stop.is_set
     origin_ns = last_ns = first.timestamp_ns
     tick = 1
@@ -289,7 +287,7 @@ def sample_stream(
 # window length, not the rate.
 _CALIBRATION_RATE_HZ = 10.0
 # Calibration polls the probe for its whole window, even when a simulated
-# probe replays it on a virtual clock; an hour is 36,000 polls.
+# probe replays it on its virtual clock; an hour is 36,000 polls.
 MAX_CALIBRATION_S = 3600.0
 
 
@@ -304,15 +302,12 @@ def check_calibration_window(duration_s: float) -> None:
         )
 
 
-def calibrate_baseline(
-    probe: Probe,
-    duration_s: float,
-    scheduler: Scheduler | None = None,
-) -> BaselineProfile:
+def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
     """Measure mean idle power per domain over a quiescent window.
 
-    The system is expected to be otherwise idle for the whole window;
-    that is the operator's responsibility.
+    The window is timed on ``probe.scheduler``, so a simulated probe
+    replays it at once. The system is expected to be otherwise idle for
+    the whole window; that is the operator's responsibility.
 
     Raises:
         InvalidConfig: Window not finite, shorter than 1 s or longer
@@ -320,9 +315,9 @@ def calibrate_baseline(
         ProbeLost: The probe failed during calibration.
     """
     check_calibration_window(duration_s)
-    sched = scheduler or RealScheduler()
-    stop = DeadlineStop(sched.now, sched.now() + round(duration_s * _NS_PER_S))
-    samples = sample_stream(probe, SamplerConfig(rate_hz=_CALIBRATION_RATE_HZ), stop, sched)
+    now = probe.scheduler.now
+    stop = DeadlineStop(now, now() + round(duration_s * _NS_PER_S))
+    samples = sample_stream(probe, SamplerConfig(rate_hz=_CALIBRATION_RATE_HZ), stop)
     if not samples:
         raise ProbeLost("calibration produced no samples")
 

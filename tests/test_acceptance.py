@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from manai.clock import DeadlineStop, VirtualScheduler
+from manai.clock import DeadlineStop
 from manai.experiment import ExperimentConfig, run_experiment
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import ProbeBackend, RaplProbe, SimulatedProbe
@@ -101,12 +101,12 @@ def test_criterion_02_conservation(tmp_path):
                 max_range_uj=10**12,
                 update_interval_ns=rng.choice([500_000, 1_000_000, 2_000_000]),
             )
-            sched = VirtualScheduler()
-            probe = SimulatedProbe(scenario, clock=sched.now)
+            probe = SimulatedProbe(scenario)
+            sched = probe.scheduler
             run_ns = rng.randint(100_000_000, 1_500_000_000)
             rate_hz = rng.choice([10.0, 20.0, 50.0])
             stop = DeadlineStop(sched.now, run_ns)
-            samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop, sched)
+            samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
             if not samples:
                 continue
 

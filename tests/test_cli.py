@@ -359,13 +359,30 @@ class TestLiveRun:
         # The harness cannot be launched: a refusal that came only after
         # discovery or a spawn would exit 2 instead.
         scenario = write_scenario(
-            tmp_path / "scenario.txt", [(NS, {"package": "10"})], max_range_uj=10**6
+            tmp_path / "scenario.txt", [(NS, {"package": "200"})], max_range_uj=10**6
         )
         data_dir = tmp_path / "data"
         code = main([
             "run", "--probe", "simulated", "--scenario", str(scenario), "--rate", "100",
             "--harness", "/nonexistent/prog", "--select", "demo::a", "--revision", "rev",
             "--data-dir", str(data_dir),
+        ])
+        assert code == 1
+        assert "increase the sampling rate" in capsys.readouterr().err
+        assert not data_dir.exists()
+
+    def test_scenario_peak_that_wraps_within_a_tick_exits_1(self, tmp_path, capsys):
+        # 20 kW against a 10 J range wraps twice per 1 ms tick: a 1 kHz
+        # poll would attribute 0 J to every test.
+        scenario = write_scenario(
+            tmp_path / "scenario.txt", [(NS, {"package": "20000"})], max_range_uj=10**7
+        )
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a sleep_ms=10"])
+        data_dir = tmp_path / "data"
+        code = main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), "--rate", "1000",
+            "--harness", f"{sys.executable} -m manai.fixture_harness --plan {plan}",
+            "--select", "demo::a", "--revision", "rev", "--data-dir", str(data_dir),
         ])
         assert code == 1
         assert "increase the sampling rate" in capsys.readouterr().err
@@ -625,6 +642,18 @@ class TestProbeCheck:
         assert "backend: simulated" in out
         assert "domain package:0" in out
         assert "read permission ok" in out
+
+    def test_simulated_probe_reads_zero_at_the_origin(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path / "scenario.txt", [(NS, {"package": "12.5", "core": "4", "dram": "2"})]
+        )
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(scenario)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[2:] == [
+            f"domain {domain}: counter 0 uJ, range {10**12} uJ, read permission ok"
+            for domain in ("package:0", "core:0", "dram:0")
+        ]
 
 
 class TestListCommand:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manai.clock import DeadlineStop, VirtualScheduler
+from manai.clock import DeadlineStop
 from manai.errors import EmptyInput, InvalidConfig, LockHeld
 from manai.experiment import (
     BaselineSetting,
@@ -129,10 +129,9 @@ def test_attribution_against_reintegration_oracle(power_uw, window):
         max_range_uj=10**12,
         update_interval_ns=1_000_000,
     )
-    sched = VirtualScheduler()
-    probe = SimulatedProbe(scenario, clock=sched.now)
-    stop = DeadlineStop(sched.now, 2 * NS)
-    samples = sample_stream(probe, SamplerConfig(rate_hz=100.0), stop, sched)
+    probe = SimulatedProbe(scenario)
+    stop = DeadlineStop(probe.scheduler.now, 2 * NS)
+    samples = sample_stream(probe, SamplerConfig(rate_hz=100.0), stop)
 
     begin_ms, length_ms = window
     begin_ns = begin_ms * 1_000_000
@@ -391,6 +390,30 @@ class TestRunExperiment:
         assert record_a.results == record_b.results
         assert Store(tmp_path / "data-a").latest("rev-repl") == record_a
         assert Store(tmp_path / "data-b").latest("rev-repl") == record_b
+
+    def test_every_simulated_iteration_replays_from_the_origin(self, tmp_path):
+        # Power steps from 5 W to 50 W at 100 ms; a 50 ms test on a 50 ms
+        # grid stays in the first segment only if each iteration starts
+        # the scenario over.
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a sleep_ms=50"])
+        scenario = write_scenario(
+            tmp_path / "scenario.txt",
+            [(100_000_000, {"package": "5"}), (3600 * NS, {"package": "50"})],
+            update_interval_ns=50_000_000,
+        )
+        config = ExperimentConfig(
+            harness=fixture_harness_command(plan),
+            sampling_rate_hz=100.0,
+            iterations=2,
+            revision_label="rev-origin",
+            probe_backend=ProbeBackend.SIMULATED,
+            scenario_path=scenario,
+            test_timeout_s=30.0,
+        )
+        run_experiment(config, data_dir=tmp_path / "data")
+        results = Store(tmp_path / "data").latest("rev-origin").results[TestId("demo", "a")]
+        assert [r.mean_power_w[PKG] for r in results] == [5.0, 5.0]
+        assert results[0].energy_j[PKG] == results[1].energy_j[PKG]
 
     def test_protocol_violation_recorded_and_run_continues(self, sim_experiment):
         tmp_path, plan, scenario, build = sim_experiment

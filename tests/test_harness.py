@@ -87,6 +87,28 @@ class TestDiscover:
         with pytest.raises(HarnessSpawnFailed):
             discover(cmd)
 
+    def test_grandchild_holding_stdout_does_not_outlast_the_timeout(self, tmp_path):
+        # The harness exits at once, but a forked child keeps the pipe
+        # open for 4 s: discovery gives up when its own timeout elapses.
+        sleeper_file = tmp_path / "sleeper"
+        script = (
+            "import os, time\n"
+            "print('##MANAI:TEST a::b', flush=True)\n"
+            "pid = os.fork()\n"
+            "if pid == 0: time.sleep(4); os._exit(0)\n"
+            f"open({str(sleeper_file)!r}, 'w').write(str(pid))\n"
+        )
+        cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
+        started = time.monotonic()
+        try:
+            with pytest.raises(HarnessSpawnFailed, match="discovery timed out after 1 s"):
+                discover(cmd, timeout_s=1.0)
+            elapsed_s = time.monotonic() - started
+        finally:
+            if sleeper_file.exists():
+                os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
+        assert elapsed_s < 2.0
+
 
 class TestRunOne:
     def test_passing_run(self, tmp_path):

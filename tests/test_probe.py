@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from manai.clock import VirtualScheduler
 from manai.errors import MalformedScenario, NoProbeAvailable, PermissionDenied, ReadFailed
 from manai.probe import (
+    MAX_PLAUSIBLE_POWER_W,
     MAX_SCENARIO_POWER_W,
     DomainKind,
     EnergyDomain,
@@ -103,6 +104,17 @@ class TestRaplDiscovery:
         probe = RaplProbe(powercap_root=powercap_two_domains)
         assert probe.read().timestamp_ns < probe.read().timestamp_ns
 
+    def test_reads_are_stamped_on_the_probe_scheduler(self, powercap_two_domains):
+        probe = RaplProbe(powercap_root=powercap_two_domains)
+        for _ in range(20):
+            before = probe.scheduler.now()
+            reading = probe.read()
+            assert before <= reading.timestamp_ns <= probe.scheduler.now()
+
+    def test_descriptor_peak_is_the_plausible_bound(self, powercap_two_domains):
+        descriptor = RaplProbe(powercap_root=powercap_two_domains).describe()
+        assert descriptor.peak_power_w == {PKG: MAX_PLAUSIBLE_POWER_W, CORE: MAX_PLAUSIBLE_POWER_W}
+
     def test_vanished_counter_fails_whole_reading(self, powercap_two_domains, monkeypatch):
         probe = RaplProbe(powercap_root=powercap_two_domains)
         # sysfs answers a read on the held fd of a removed zone with ENODEV.
@@ -172,27 +184,39 @@ class TestSimulatedProbe:
         assert descriptor.domains == (PKG,)
         assert descriptor.update_interval_ns == 2_000_000
 
+    def test_descriptor_peak_is_each_domains_highest_power(self):
+        segments = [
+            ScenarioSegment(10, {PKG: 5_000_000, DRAM: 2_000_000}),
+            ScenarioSegment(10, {PKG: 12_500_000}),
+        ]
+        scenario = scenario_of(segments, max_range_uj=10**9, update_interval_ns=1)
+        assert SimulatedProbe(scenario).describe().peak_power_w == {PKG: 12.5, DRAM: 2.0}
+        # Computed once per scenario, not once per probe replaying it.
+        assert SimulatedProbe(scenario).describe() is SimulatedProbe(scenario).describe()
+
+    def test_reads_are_stamped_on_the_probe_scheduler(self):
+        probe = SimulatedProbe(constant_scenario(10_000_000))
+        assert probe.read() == (0, (0,))
+        for step_ns in (1, 999_999, 10**9):
+            probe.scheduler.advance(step_ns)
+            assert probe.read().timestamp_ns == probe.scheduler.now()
+
     def test_constant_power_integral_at_two_seconds(self):
         # 10 W for 2 s = 20 J = 20,000,000 uJ, exact on the 1 ms grid.
-        clock = VirtualScheduler()
-        probe = SimulatedProbe(constant_scenario(10_000_000), clock=clock.now)
-        clock.advance(2 * 10**9)
+        probe = SimulatedProbe(constant_scenario(10_000_000))
+        probe.scheduler.advance(2 * 10**9)
         assert probe.read().counters == (20_000_000,)
 
     def test_counter_wraps_modulo_max_range(self):
         # 10 W for 6 s = 60 MJu, wraps at 50 MJu to 10 MJu.
-        clock = VirtualScheduler()
-        probe = SimulatedProbe(
-            constant_scenario(10_000_000, max_range_uj=50_000_000), clock=clock.now
-        )
-        clock.advance(6 * 10**9)
+        probe = SimulatedProbe(constant_scenario(10_000_000, max_range_uj=50_000_000))
+        probe.scheduler.advance(6 * 10**9)
         assert probe.read().counters == (10_000_000,)
 
     def test_timestamps_strictly_increase(self):
-        clock = VirtualScheduler()
-        probe = SimulatedProbe(constant_scenario(1_000_000), clock=clock.now)
+        probe = SimulatedProbe(constant_scenario(1_000_000))
         first = probe.read()
-        clock.advance(1)
+        probe.scheduler.advance(1)
         second = probe.read()
         assert second.timestamp_ns > first.timestamp_ns
 
@@ -200,9 +224,8 @@ class TestSimulatedProbe:
         scenario = constant_scenario(7_123_456)
         readings = []
         for _ in range(2):
-            clock = VirtualScheduler()
-            probe = SimulatedProbe(scenario, clock=clock.now)
-            clock.advance(1_234_567_890)
+            probe = SimulatedProbe(scenario)
+            probe.scheduler.advance(1_234_567_890)
             readings.append(probe.read().counters)
         assert readings[0] == readings[1]
 
@@ -326,13 +349,12 @@ def test_read_equals_counter_uj_for_every_domain(drawn, data):
     elapsed = data.draw(
         st.lists(st.one_of(before_start, on_start, inside, past_end), min_size=1, max_size=20)
     )
-    epoch_ns = 5 * 10**9
-    now = [epoch_ns]
-    probe = SimulatedProbe(scenario, clock=lambda: now[0])
+    probe = SimulatedProbe(scenario)
     for elapsed_ns in elapsed:
-        now[0] = epoch_ns + elapsed_ns
+        # Virtual time is elapsed time: the clock starts at the origin.
+        probe.scheduler = VirtualScheduler(elapsed_ns)
         reading = probe.read()
-        assert reading.timestamp_ns == now[0]
+        assert reading.timestamp_ns == elapsed_ns
         assert type(reading.counters) is tuple
         assert reading.counters == tuple(
             scenario.counter_uj(domain, elapsed_ns) for domain in scenario.domains

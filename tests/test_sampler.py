@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
-from manai.probe import ProbeBackend, ProbeDescriptor, ProbeReading, SimulatedProbe
+from manai.probe import (
+    MAX_PLAUSIBLE_POWER_W,
+    ProbeBackend,
+    ProbeDescriptor,
+    ProbeReading,
+    SimulatedProbe,
+)
 from manai.results import attribute
 from manai.sampler import (
     BaselineProfile,
@@ -29,14 +35,14 @@ NS = 10**9
 MS = 10**6
 
 
-def constant_probe(watts: float, sched: VirtualScheduler, max_range_uj: int = 10**12,
+def constant_probe(watts: float, max_range_uj: int = 10**12,
                    update_ns: int = 1_000_000) -> SimulatedProbe:
     scenario = scenario_of(
         segments=(ScenarioSegment(3600 * NS, {PKG: round(watts * 1e6)}),),
         max_range_uj=max_range_uj,
         update_interval_ns=update_ns,
     )
-    return SimulatedProbe(scenario, clock=sched.now)
+    return SimulatedProbe(scenario)
 
 
 class TestWrapDelta:
@@ -82,71 +88,80 @@ class TestWrapDelta:
 
 class TestSampleStream:
     def test_constant_ten_watts_at_ten_hertz(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(10.0, sched)
+        probe = constant_probe(10.0)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, 1 * NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), stop, sched)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), stop)
         assert len(samples) == 10
         for sample in samples:
             assert sample.energy_uj[PKG] == 1_000_000
 
     def test_samples_are_adjacent_and_ordered(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(3.0, sched)
+        probe = constant_probe(3.0)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=7.0), stop, sched)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=7.0), stop)
         for left, right in zip(samples, samples[1:]):
             assert left.end_ns == right.start_ns
 
     def test_stream_crosses_counter_wrap(self):
         # 10 W against a 600 J range: the counter wraps at t=60 s; every
         # 0.5 s sample still carries exactly 5 J.
-        sched = VirtualScheduler()
-        probe = constant_probe(10.0, sched, max_range_uj=600_000_000)
+        probe = constant_probe(10.0, max_range_uj=600_000_000)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, 61 * NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop, sched)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
         assert len(samples) == 122
         assert all(s.energy_uj[PKG] == 5_000_000 for s in samples)
 
     def test_baseline_cancels_equal_power_exactly(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(10.0, sched)
+        probe = constant_probe(10.0)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, NS)
         config = SamplerConfig(rate_hz=10.0, baseline_w={PKG: 10.0})
-        samples = sample_stream(probe, config, stop, sched)
+        samples = sample_stream(probe, config, stop)
         assert samples
         assert all(s.energy_uj[PKG] == 0 for s in samples)
 
     def test_baseline_never_yields_negative_energy(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(1.0, sched)
+        probe = constant_probe(1.0)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, NS)
         config = SamplerConfig(rate_hz=10.0, baseline_w={PKG: 50.0})
-        samples = sample_stream(probe, config, stop, sched)
+        samples = sample_stream(probe, config, stop)
         assert all(s.energy_uj[PKG] == 0 for s in samples)
 
     def test_stop_before_first_interval_is_empty(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(10.0, sched)
+        probe = constant_probe(10.0)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, 0)
-        assert sample_stream(probe, SamplerConfig(rate_hz=10.0), stop, sched) == SampleColumns()
+        assert sample_stream(probe, SamplerConfig(rate_hz=10.0), stop) == SampleColumns()
 
     def test_slow_rate_rejected_when_wrap_ambiguous(self):
-        # 1 J range at up to 1 kW wraps within 1 ms; a 1 Hz poll cannot
-        # tell one wrap from many.
-        sched = VirtualScheduler()
-        probe = constant_probe(0.5, sched, max_range_uj=1_000_000)
+        # 1 J range at 2 W wraps within 0.5 s; a 1 Hz poll cannot tell
+        # one wrap from many.
+        probe = constant_probe(2.0, max_range_uj=1_000_000)
+        sched = probe.scheduler
         stop = DeadlineStop(sched.now, NS)
         with pytest.raises(InvalidConfig):
-            sample_stream(probe, SamplerConfig(rate_hz=1.0), stop, sched)
+            sample_stream(probe, SamplerConfig(rate_hz=1.0), stop)
+
+    def test_rate_rejected_when_the_scenario_peak_wraps_within_a_tick(self):
+        # 20 kW against a 10 J range wraps twice per 1 ms tick, so every
+        # sample would read 0 J; the check uses the scenario's own peak.
+        probe = constant_probe(20_000.0, max_range_uj=10**7)
+        stop = DeadlineStop(probe.scheduler.now, 10 * MS)
+        with pytest.raises(InvalidConfig, match="increase the sampling rate"):
+            sample_stream(probe, SamplerConfig(rate_hz=1000.0), stop)
 
     def test_probe_failure_mid_stream_is_probe_lost(self):
-        sched = VirtualScheduler()
-        inner = constant_probe(10.0, sched)
+        inner = constant_probe(10.0)
+        sched = inner.scheduler
 
         class FlakyProbe:
             def __init__(self):
                 self.reads = 0
+                self.scheduler = sched
 
             def describe(self):
                 return inner.describe()
@@ -159,7 +174,7 @@ class TestSampleStream:
 
         stop = DeadlineStop(sched.now, 10 * NS)
         with pytest.raises(ProbeLost):
-            sample_stream(FlakyProbe(), SamplerConfig(rate_hz=10.0), stop, sched)
+            sample_stream(FlakyProbe(), SamplerConfig(rate_hz=10.0), stop)
 
 
 @st.composite
@@ -187,10 +202,10 @@ def test_sample_energies_telescope_to_endpoint_delta(case):
     # Total of interval deltas must equal the wrap-corrected delta between
     # the first and last counter values, exactly, per domain.
     scenario, rate_hz, run_ns = case
-    sched = VirtualScheduler()
-    probe = SimulatedProbe(scenario, clock=sched.now)
+    probe = SimulatedProbe(scenario)
+    sched = probe.scheduler
     stop = DeadlineStop(sched.now, run_ns)
-    samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop, sched)
+    samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
     if not samples:
         return
     first_counter = scenario.counter_uj(PKG, samples[0].start_ns)
@@ -211,32 +226,30 @@ class TestSamplerConfig:
 
 class TestCalibrateBaseline:
     def test_constant_three_watts(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(3.0, sched)
-        profile = calibrate_baseline(probe, 2.0, sched)
+        probe = constant_probe(3.0)
+        profile = calibrate_baseline(probe, 2.0)
         assert profile.powers_w[PKG] == pytest.approx(3.0, abs=0.01)
         assert profile.duration_s == pytest.approx(2.0, abs=0.2)
 
     def test_zero_power_scenario(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(0.0, sched)
-        profile = calibrate_baseline(probe, 1.5, sched)
+        probe = constant_probe(0.0)
+        profile = calibrate_baseline(probe, 1.5)
         assert profile.powers_w[PKG] == 0.0
 
     @pytest.mark.parametrize("duration_s", [0.0, 0.999, float("nan"), float("inf")])
     def test_window_not_finite_or_below_1_s_rejected(self, duration_s):
-        sched = VirtualScheduler()
-        probe = constant_probe(3.0, sched)
+        probe = constant_probe(3.0)
+        sched = probe.scheduler
         with pytest.raises(InvalidConfig, match="finite window of at least 1 s"):
-            calibrate_baseline(probe, duration_s, sched)
+            calibrate_baseline(probe, duration_s)
         assert sched.now() == 0
 
     def test_window_above_an_hour_rejected(self):
-        sched = VirtualScheduler()
-        probe = constant_probe(3.0, sched)
+        probe = constant_probe(3.0)
+        sched = probe.scheduler
         check_calibration_window(3600.0)
         with pytest.raises(InvalidConfig, match=r"window must be at most 3600 s, got 3600\.5"):
-            calibrate_baseline(probe, 3600.5, sched)
+            calibrate_baseline(probe, 3600.5)
         assert sched.now() == 0
 
     @pytest.mark.parametrize("powers_w, duration_s", [
@@ -408,14 +421,16 @@ class ScriptedProbe:
     """
 
     RANGES = {PKG: 10**9, DRAM: 7 * 10**8}
+    PEAKS = dict.fromkeys(RANGES, MAX_PLAUSIBLE_POWER_W)
 
-    def __init__(self, readings, fail_at=None):
+    def __init__(self, readings, fail_at=None, scheduler=None):
         self._readings = readings
         self._fail_at = fail_at
         self.reads = 0
+        self.scheduler = scheduler or VirtualScheduler()
 
     def describe(self):
-        return ProbeDescriptor(ProbeBackend.SIMULATED, (PKG, DRAM), MS, self.RANGES)
+        return ProbeDescriptor(ProbeBackend.SIMULATED, (PKG, DRAM), MS, self.RANGES, self.PEAKS)
 
     def read(self):
         index, self.reads = self.reads, self.reads + 1
@@ -475,11 +490,16 @@ def test_columnar_stream_equals_per_sample_stream(case):
     readings, baseline_w, fail_at, stop_checks, waking = case
     config = SamplerConfig(rate_hz=1000.0, baseline_w=baseline_w)
     outcomes = []
-    for stream in (sample_stream, previous_sample_stream):
+    for oracle in (False, True):
         sched = WakingScheduler() if waking else VirtualScheduler()
-        probe = ScriptedProbe(readings, fail_at)
+        probe = ScriptedProbe(readings, fail_at, sched)
+        stop = TripAfter(stop_checks)
         try:
-            outcomes.append((list(stream(probe, config, TripAfter(stop_checks), sched)), probe.reads))
+            if oracle:
+                samples = previous_sample_stream(probe, config, stop, sched)
+            else:
+                samples = sample_stream(probe, config, stop)
+            outcomes.append((list(samples), probe.reads))
         except ProbeLost as exc:
             outcomes.append((str(exc), probe.reads))
     assert outcomes[0] == outcomes[1]
@@ -491,8 +511,8 @@ class TestReadContract:
 
     @pytest.mark.parametrize("run_ns, ticks", [(0, 0), (1, 1), (10 * MS, 10), (10 * MS + 1, 11)])
     def test_one_read_per_tick(self, run_ns, ticks):
-        sched = VirtualScheduler()
-        probe = constant_probe(5.0, sched)
+        probe = constant_probe(5.0)
+        sched = probe.scheduler
         stamps = []
         read = probe.read
 
@@ -502,14 +522,14 @@ class TestReadContract:
             return reading
 
         probe.read = counted_read
-        sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, run_ns), sched)
+        sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, run_ns))
         assert len(stamps) == (ticks + 2 if ticks else 1)
         assert stamps[1:ticks + 1] == [k * MS for k in range(1, ticks + 1)]
 
     def test_reads_that_do_not_advance_still_count(self):
         reading = ProbeReading(5, (1, 1))
         probe = ScriptedProbe([reading])
-        sched = VirtualScheduler()
-        samples = sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, 3 * MS), sched)
+        sched = probe.scheduler
+        samples = sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, 3 * MS))
         assert probe.reads == 5
         assert len(samples) == 0

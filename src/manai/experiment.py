@@ -19,18 +19,11 @@ Execution timing depends on the probe backend:
   Sub-interval durations are kept as measured (they are low-confidence
   either way).
 
-The probe comes from :func:`manai.probe.create_probe`, which also
-resolves the powercap root a live run reads; calibration reads it too.
-
-Exactly one experiment may run per data directory. The runner holds an
-exclusive, non-blocking ``flock`` on the persistent file
-``<data_dir>/lock`` for the whole experiment; the kernel releases it when
-the runner exits, even on SIGKILL, so there is no stale-lock recovery and
-no runner ever deletes another's lock. The holder's process id is written
-into the file only to name it in the refusal message. Note that RAPL
-counters are machine-wide: anything else running on the host during an
-experiment contaminates the readings, so results carry the probe backend
-used.
+Exactly one experiment may run per data directory: the runner holds an
+exclusive, non-blocking ``flock`` on ``<data_dir>/lock`` for the whole
+experiment (see :class:`_DataDirLock`). Note that RAPL counters are machine-wide: anything
+else running on the host during an experiment contaminates the readings,
+so results carry the probe backend used.
 """
 
 from __future__ import annotations

@@ -154,8 +154,8 @@ class ProbeReading(NamedTuple):
 @dataclass(frozen=True)
 class ProbeDescriptor:
     """What a probe measures: its domains, refresh interval, counter ranges
-    and the peak power of each domain, at which a counter must not wrap
-    twice in one sampling interval (that is undetectable from its ends)."""
+    and the peak power of each domain, at which a counter must not fill
+    its whole range between two readings (that reads as 0 J)."""
 
     backend: ProbeBackend
     domains: tuple[EnergyDomain, ...]

@@ -29,6 +29,7 @@ from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading
 
 _UJ_PER_J = 1_000_000
 _NS_PER_S = 1_000_000_000
+_NJ_PER_UJ = 1_000
 
 
 def wrap_delta(before_uj: int, after_uj: int, max_range_uj: int) -> int:
@@ -203,17 +204,17 @@ def _columns(
 
 
 def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
-    """Refuse an interval in which a domain at its peak power could wrap
-    its counter more than once."""
-    interval_s = interval_ns / _NS_PER_S
+    """Refuse an interval in which a domain at its peak power could fill
+    its whole counter range between two readings. The counter moves only
+    on its refresh grid, so two readings one interval apart can span up to
+    ``interval + update_interval`` of energy, and a full range reads as 0 J."""
+    span_ns = interval_ns + descriptor.update_interval_ns
     for domain, max_range_uj in descriptor.max_range_uj.items():
         peak_w = descriptor.peak_power_w[domain]
-        wrap_horizon_s = (max_range_uj / _UJ_PER_J) / peak_w if peak_w else math.inf
-        if interval_s > wrap_horizon_s:
+        if span_ns * peak_w >= max_range_uj * _NJ_PER_UJ:  # W * ns = nJ
             raise InvalidConfig(
-                f"sampling interval {interval_s:.3f} s could span more than one "
-                f"counter wrap for {domain} (range {max_range_uj} uJ at up to "
-                f"{peak_w:.0f} W wraps within {wrap_horizon_s:.3f} s); "
+                f"sampling interval {interval_ns / _NS_PER_S:.3f} s plus one counter refresh could span "
+                f"a full wrap for {domain} (range {max_range_uj} uJ at up to {peak_w:g} W); "
                 "increase the sampling rate"
             )
 
@@ -240,7 +241,7 @@ def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
         interval elapsed.
 
     Raises:
-        InvalidConfig: The interval could span more than one counter wrap.
+        InvalidConfig: Two readings could span a full counter wrap.
         ProbeLost: A reading failed; the samples collected so far are lost.
     """
     interval_ns = config.interval_ns

@@ -154,6 +154,25 @@ class TestSampleStream:
         with pytest.raises(InvalidConfig, match="increase the sampling rate"):
             sample_stream(probe, SamplerConfig(rate_hz=1000.0), stop)
 
+    @pytest.mark.parametrize("rate_hz", [1.0, 1.0005])
+    def test_rate_rejected_when_a_reading_pair_could_span_the_full_range(self, rate_hz):
+        # 1 W against a 1 J range: the counter moves on the 1 ms refresh
+        # grid, so two readings about 1 s apart can span 1000 ms of energy,
+        # a full range that reads as 0 J.
+        probe = constant_probe(1.0, max_range_uj=1_000_000)
+        stop = DeadlineStop(probe.scheduler.now, 3 * NS)
+        with pytest.raises(InvalidConfig, match="increase the sampling rate"):
+            sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
+
+    def test_rate_accepted_when_a_reading_pair_stays_below_the_range(self):
+        # 1 W against a 0.6 J range at 2 Hz: a pair spans at most 501 ms,
+        # 0.501 J, so every 0.5 s sample reads its 0.5 J across the wraps.
+        probe = constant_probe(1.0, max_range_uj=600_000)
+        stop = DeadlineStop(probe.scheduler.now, 3 * NS)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
+        assert len(samples) == 6
+        assert all(s.energy_uj[PKG] == 500_000 for s in samples)
+
     def test_probe_failure_mid_stream_is_probe_lost(self):
         inner = constant_probe(10.0)
         sched = inner.scheduler

@@ -4,64 +4,6 @@ Discovers test cases through a language-neutral harness protocol, runs
 them one at a time under a RAPL (or simulated) energy sampler, attributes
 per-domain energy to each test, stores results keyed by revision, and
 renders terminal, HTML, CSV and machine-readable reports.
+
+The package re-exports nothing, so every import names its module.
 """
-
-from manai.experiment import BaselineSetting, ExperimentConfig, run_experiment
-from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
-from manai.probe import (
-    DomainKind,
-    EnergyDomain,
-    ProbeBackend,
-    RaplProbe,
-    SimulatedProbe,
-    create_probe,
-    load_scenario,
-)
-from manai.report import ReportFormat, ReportRequest, export, render_report
-from manai.results import TestExecutionResult, TestSummary, attribute, summarize
-from manai.sampler import (
-    BaselineProfile,
-    EnergySample,
-    SamplerConfig,
-    calibrate_baseline,
-    sample_stream,
-    wrap_delta,
-)
-from manai.store import HistorySeries, RevisionRecord, Store
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BaselineProfile",
-    "BaselineSetting",
-    "DomainKind",
-    "EnergyDomain",
-    "EnergySample",
-    "ExperimentConfig",
-    "HarnessCommand",
-    "HistorySeries",
-    "ProbeBackend",
-    "RaplProbe",
-    "ReportFormat",
-    "ReportRequest",
-    "RevisionRecord",
-    "SamplerConfig",
-    "SimulatedProbe",
-    "Store",
-    "TestExecutionResult",
-    "TestId",
-    "TestStatus",
-    "TestSummary",
-    "attribute",
-    "calibrate_baseline",
-    "create_probe",
-    "discover",
-    "export",
-    "load_scenario",
-    "render_report",
-    "run_experiment",
-    "run_one",
-    "sample_stream",
-    "summarize",
-    "wrap_delta",
-]

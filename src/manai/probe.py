@@ -435,10 +435,6 @@ class SimulationScenario:
     def domains(self) -> tuple[EnergyDomain, ...]:
         return self._domains
 
-    @property
-    def total_duration_ns(self) -> int:
-        return self._starts_ns[-1]
-
     def _energies_fj(self, until_ns: int) -> list[int]:
         """Every domain's integral over ``[0, until_ns]``, in ``domains`` order."""
         if until_ns <= 0:

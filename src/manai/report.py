@@ -106,18 +106,14 @@ def _arrow(series: tuple[float, ...]) -> tuple[str, str | None]:
     return "→", None
 
 
-def sparkline_levels(values: list[float]) -> list[int]:
-    """Map values onto the 8 block glyph levels, min to max."""
-    if not values:
-        return []
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [0] * len(values)
-    return [round((v - lo) / (hi - lo) * (len(SPARK_BLOCKS) - 1)) for v in values]
-
-
 def sparkline(values: list[float]) -> str:
-    return "".join(SPARK_BLOCKS[level] for level in sparkline_levels(values))
+    """One block glyph per value, from the lowest glyph at the minimum to
+    the highest at the maximum; equal values all take the lowest."""
+    lo, hi = min(values, default=0.0), max(values, default=0.0)
+    if hi == lo:
+        return SPARK_BLOCKS[0] * len(values)
+    top = len(SPARK_BLOCKS) - 1
+    return "".join(SPARK_BLOCKS[round((v - lo) / (hi - lo) * top)] for v in values)
 
 
 def format_sig(value: float) -> str:
@@ -622,25 +618,18 @@ def render_history(store: Store, request: ReportRequest) -> str:
 
 
 # --------------------------------------------------------------------------
-# dispatch and export
+# export
 # --------------------------------------------------------------------------
 
 
-def render_report(store: Store, request: ReportRequest) -> str:
-    """Route a request to its renderer; the single entry the CLI uses."""
-    if request.scope == "revision":
-        return render_summary(store, request)
-    if request.scope == "compare":
-        return render_compare(store, request)
-    return render_history(store, request)
-
-
 def export(store: Store, request: ReportRequest) -> str:
-    """Render and, when an output path is set, write the document.
+    """Render a request with the renderer of its scope and, when an output
+    path is set, write the document.
 
     Returns the rendered text either way.
     """
-    text = render_report(store, request)
+    render = {"revision": render_summary, "compare": render_compare}.get(request.scope, render_history)
+    text = render(store, request)
     if request.output_path is not None:
         request.output_path.parent.mkdir(parents=True, exist_ok=True)
         request.output_path.write_text(text, encoding="utf-8")

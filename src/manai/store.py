@@ -79,6 +79,9 @@ _INLINE_SAMPLES_VERSION = 1
 _RECORD_SUFFIX = ".record"
 _SAMPLES_SUFFIX = ".samples"
 
+# The samples of every result decoded without its sidecar; frozen, so shared.
+_NO_SAMPLES = SampleColumns()
+
 
 @dataclass(frozen=True)
 class RevisionRecord:
@@ -341,13 +344,11 @@ def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
     counts = {t: len(rs) for t, rs in doc["results"].items()}
     if runs is not None and {t: len(rs) for t, rs in runs.items()} != counts:
         raise StorageError("samples do not match the record's results")
-    summaries = {
-        TestId.parse(t): _summary_from_doc(TestId.parse(t), s)
-        for t, s in doc["summaries"].items()
-    }
+    tests = {t: TestId.parse(t) for t in doc["summaries"].keys() | counts.keys()}
+    summaries = {tests[t]: _summary_from_doc(tests[t], s) for t, s in doc["summaries"].items()}
     results = {
-        TestId.parse(t): tuple(
-            _result_from_doc(TestId.parse(t), r, () if runs is None else runs[t][i])
+        tests[t]: tuple(
+            _result_from_doc(tests[t], r, _NO_SAMPLES if runs is None else runs[t][i])
             for i, r in enumerate(rs)
         )
         for t, rs in doc["results"].items()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -838,3 +840,19 @@ class TestDocs:
         assert len(documented) >= 20
         accepted = set().union(*(command_surface(c, capsys)[0] for c in _COMMANDS))
         assert documented - accepted == set()
+
+    def test_readme_python_paths_resolve(self):
+        """Every backticked ``manai.<module>[.<Name>...]`` path in the README
+        names a module, or an attribute reached from one with ``getattr``."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        spans = re.findall(r"`([^`\n]+)`", readme)
+        paths = {path for span in spans for path in re.findall(r"\bmanai(?:\.\w+)+", span)}
+        assert {"manai.fixture_harness", "manai.store.Store.load"} <= paths
+        for path in sorted(paths):
+            parts = path.split(".")
+            target = importlib.import_module(parts[0])
+            for depth, name in enumerate(parts[1:], start=2):
+                if isinstance(target, ModuleType) and not hasattr(target, name):
+                    importlib.import_module(".".join(parts[:depth]))
+                assert hasattr(target, name), f"README names {path}, which does not resolve"
+                target = getattr(target, name)

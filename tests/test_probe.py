@@ -398,7 +398,7 @@ class TestScenarioFile:
             update_interval_ns=1_000_000,
         )
         scenario = load_scenario(path)
-        assert scenario.total_duration_ns == 10**9
+        assert scenario.durations_ns == (10**9,)
         assert scenario.update_interval_ns == 1_000_000
         assert scenario.max_range_uj == 10**9
         assert scenario.powers_uw == {PKG: (5_000_000,)}

@@ -23,10 +23,8 @@ from manai.report import (
     export,
     render_compare,
     render_history,
-    render_report,
     render_summary,
     sparkline,
-    sparkline_levels,
 )
 from manai.store import Store, record_to_doc
 
@@ -219,7 +217,7 @@ class TestEvolution:
             fmt=ReportFormat.CSV,
             no_color=True,
         )
-        text = render_report(store_three_revisions, request)
+        text = export(store_three_revisions, request)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("demo::t,package:0,energy_mean@r1,")
@@ -248,9 +246,9 @@ class TestGlyph:
 
 class TestSparkline:
     def test_levels_scale_min_to_max(self):
-        assert sparkline_levels([4.0, 3.0, 2.0]) == [7, 4, 0]
+        assert sparkline([4.0, 3.0, 2.0]) == "█▅▁"
         assert sparkline([1.0]) == "▁"
-        assert sparkline_levels([2.0, 2.0]) == [0, 0]
+        assert sparkline([2.0, 2.0]) == "▁▁"
 
 
 class TestCompare:
@@ -366,7 +364,7 @@ def build_golden_store(path) -> Store:
 
 
 def render_golden(store: Store, name: str) -> str:
-    text = render_report(store, ReportRequest(width=120, **GOLDEN_CASES[name]))
+    text = export(store, ReportRequest(width=120, **GOLDEN_CASES[name]))
     return re.sub(r"<!-- generated [^\n]* -->\n", "", text)
 
 
@@ -434,7 +432,7 @@ class TestDomainFilter:
     def test_filter_selecting_no_domain_is_empty_scope(self, store_three_revisions, scope, fmt):
         request = ReportRequest(domains=(DRAM,), fmt=fmt, **scope)
         with pytest.raises(EmptyScope, match="no selected domain"):
-            render_report(store_three_revisions, request)
+            export(store_three_revisions, request)
 
 
 def test_compare_html_is_a_table(store_three_revisions):

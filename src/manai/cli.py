@@ -31,7 +31,7 @@ from manai.experiment import (
 )
 from manai.harness import HarnessCommand, TestId, discover
 from manai.probe import EnergyDomain, ProbeBackend, create_probe
-from manai.report import ReportFormat, ReportRequest, export, render_summary
+from manai.report import ReportFormat, ReportRequest, export, render_head
 from manai.sampler import BaselineProfile, calibrate_baseline
 from manai.store import Store
 
@@ -251,7 +251,7 @@ def _cmd_run(args, cfg) -> int:
         no_color=args.no_color,
         width=args.width,
     )
-    print(render_summary(Store(data_dir), request), end="")
+    print(render_head(record, request), end="")
     return EXIT_OK
 
 

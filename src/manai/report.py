@@ -33,7 +33,9 @@ from typing import Callable, Iterable, NamedTuple
 from manai.errors import EmptyScope, NoHistory
 from manai.harness import TestId
 from manai.probe import EnergyDomain, domain_sort_key
-from manai.store import HistorySeries, RevisionRecord, Store, record_from_doc, record_to_doc
+from manai.store import (
+    HistorySeries, RevisionHead, Store, head_from_doc, record_from_doc, record_to_doc,
+)
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 CSV_HEADER = "test,domain,statistic,value,unit"
@@ -149,12 +151,13 @@ def _require_tests(summaries, revision: str) -> None:
         raise EmptyScope(f"revision {revision!r} holds no test data")
 
 
-def _latest_record(store: Store, revision: str) -> RevisionRecord:
-    """The newest record of ``revision`` decoded from its head file alone;
-    views need no samples, so no sidecar is read."""
-    record = record_from_doc(store.latest_text(revision)[0])
-    _require_tests(record.summaries, revision)
-    return record
+def _latest_head(store: Store, revision: str) -> tuple[RevisionHead, str]:
+    """The head of the newest record of ``revision``, and its file's text;
+    views show no results or samples, so none are decoded or read."""
+    doc, text = store.latest_text(revision)
+    head = head_from_doc(doc)
+    _require_tests(head.summaries, revision)
+    return head, text
 
 
 class _Row(NamedTuple):
@@ -289,7 +292,7 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _summary_rows(record: RevisionRecord, domains: list[EnergyDomain]) -> list[_Row]:
+def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Row]:
     rows = []
     for test in sorted(record.summaries, key=str):
         summary = record.summaries[test]
@@ -347,7 +350,7 @@ def _bar(value: float, scale: float, width: int) -> str:
 
 
 def _summary_term(
-    record: RevisionRecord, rows: list[_Row], lead: EnergyDomain, request: ReportRequest
+    record: RevisionHead, rows: list[_Row], lead: EnergyDomain, request: ReportRequest
 ) -> str:
     lines = [
         f"revision {record.revision_label}  ({record.created_at})",
@@ -372,7 +375,7 @@ def _summary_term(
 _SVG_BUCKET_FILLS = ("#2e7d32", "#00838f", "#f9a825", "#ad1457", "#c62828")
 
 
-def _summary_html(record: RevisionRecord, rows: list[_Row], lead: EnergyDomain) -> str:
+def _summary_html(record: RevisionHead, rows: list[_Row], lead: EnergyDomain) -> str:
     chart = _chart(rows, lead)
     scale = max((mean for _, mean, _ in chart), default=0.0) or 1.0
     bars = []
@@ -418,14 +421,28 @@ def render_summary(store: Store, request: ReportRequest) -> str:
         probe_domains = map(EnergyDomain.parse, doc["probe"]["domains"])
         _select_domains(probe_domains, request, f"revision {revision!r}")
         return text
-    record = _latest_record(store, revision)
-    domains = _select_domains(record.probe_domains, request, f"revision {revision!r}")
-    rows = _summary_rows(record, domains)
+    return render_head(_latest_head(store, revision)[0], request)
+
+
+def render_head(head: RevisionHead, request: ReportRequest) -> str:
+    """Summary view of one record's head in the term, HTML or CSV format;
+    ``manai run`` prints the record it made through it, reading no file.
+    The machine format is a stored file's text, so only ``render_summary``
+    has it.
+
+    Raises:
+        EmptyScope: The record holds no test data, or the domain filter
+            selects none of its domains.
+    """
+    revision = head.revision_label
+    _require_tests(head.summaries, revision)
+    domains = _select_domains(head.probe_domains, request, f"revision {revision!r}")
+    rows = _summary_rows(head, domains)
     if request.fmt is ReportFormat.CSV:
         return _as_csv(rows)
     if request.fmt is ReportFormat.HTML:
-        return _summary_html(record, rows, domains[0])
-    return _summary_term(record, rows, domains[0], request)
+        return _summary_html(head, rows, domains[0])
+    return _summary_term(head, rows, domains[0], request)
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +463,7 @@ _COMPARE_COLUMNS = (
 _COMPARED = ("energy_mean", "power_mean", "duration_mean")
 
 
-def _compare_rows(a: RevisionRecord, b: RevisionRecord, domains: list[EnergyDomain]) -> list[_Row]:
+def _compare_rows(a: RevisionHead, b: RevisionHead, domains: list[EnergyDomain]) -> list[_Row]:
     """B's summary rows of the compared statistics, joined with A's on
     (test, domain, statistic) and split into ``_a``, ``_b`` and ``_delta``."""
     rows_a = {(r.test, r.domain, r.statistic): r.value for r in _summary_rows(a, domains)}
@@ -474,7 +491,7 @@ def _compare_cells(test, domain, stats, test_stats, first) -> list:
     ]
 
 
-def _only_in(a: RevisionRecord, b: RevisionRecord) -> list[str]:
+def _only_in(a: RevisionHead, b: RevisionHead) -> list[str]:
     """A line for each revision that holds tests the other one lacks."""
     lines = []
     for this, other in ((a, b), (b, a)):
@@ -491,12 +508,16 @@ def render_compare(store: Store, request: ReportRequest) -> str:
         EmptyScope: A revision holds no test data, or the domain filter
             selects none of a revision's domains.
     """
-    a, b = (_latest_record(store, revision) for revision in request.revisions)
+    (a, text_a), (b, text_b) = (_latest_head(store, revision) for revision in request.revisions)
     # The filter must select a domain of each record; the rows follow B's.
     _select_domains(a.probe_domains, request, f"revision {a.revision_label!r}")
     domains = _select_domains(b.probe_domains, request, f"revision {b.revision_label!r}")
     if request.fmt is ReportFormat.MACHINE:
-        doc = {"a": record_to_doc(a), "b": record_to_doc(b)}
+        # Only this export holds the results, so only it decodes them.
+        doc = {
+            side: record_to_doc(record_from_doc(json.loads(text)))
+            for side, text in (("a", text_a), ("b", text_b))
+        }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     rows = _compare_rows(a, b, domains)
     if request.fmt is ReportFormat.CSV:
@@ -561,13 +582,13 @@ def _history_series(
     for series in series_list:
         if not series.points:
             raise NoHistory(f"no stored history for {series.test}")
-        latest = series.points[-1].summary.energy_stats
+        latest = series.points[-1].energy_mean_j
         lead = _select_domains(latest, request, f"the latest record of {series.test}")[0]
         rows.append([
             _Row(series.test, lead, f"energy_mean@{point.revision_label}",
-                 point.summary.energy_stats[lead].mean, "J")
+                 point.energy_mean_j[lead], "J")
             for point in series.points
-            if lead in point.summary.energy_stats
+            if lead in point.energy_mean_j
         ])
     return series_list, rows
 
@@ -592,7 +613,7 @@ def render_history(store: Store, request: ReportRequest) -> str:
                         "revision_label": p.revision_label,
                         "created_at": p.created_at,
                         "energy_mean_j": {
-                            str(d): s.mean for d, s in p.summary.energy_stats.items()
+                            str(d): mean for d, mean in p.energy_mean_j.items()
                             if not request.domains or d in request.domains
                         },
                     }

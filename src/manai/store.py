@@ -40,8 +40,17 @@ names order records as ``created_at`` and save order do (see
 :class:`Store`). ``load`` and ``latest`` read the sidecars of the
 records they return; ``latest_text`` returns the newest head's document
 and file text, and never opens a sidecar. ``history`` reads every head
-once per call, for any number of tests, and decodes only the label, the
-timestamp and the requested summaries, never results or samples.
+once per call, for any number of tests, and builds only the label, the
+timestamp and the mean energies of the requested tests.
+
+Each query decodes each byte of a head at most once. A head as
+``render_record`` writes it is split at its top-level ``results``
+member, about half of it, before decoding. The views' queries,
+``latest_text`` and ``history``, decode the rest only; ``load``,
+``latest`` and ``iter_records`` decode the rest and then the results. So
+damage confined to a head's results is reported by ``load`` and
+``latest``, not by the views. A head in any other layout (heads may be
+edited by hand) is decoded whole.
 
 Format 1 records, a single document with every sample inline as an
 object, stay readable: they load to the same records, samples included.
@@ -62,9 +71,9 @@ import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
@@ -84,8 +93,9 @@ _NO_SAMPLES = SampleColumns()
 
 
 @dataclass(frozen=True)
-class RevisionRecord:
-    """Everything one experiment run produced, keyed by revision."""
+class RevisionHead:
+    """What the summary and compare views of a record show: all of it but
+    the per-iteration results."""
 
     revision_label: str
     created_at: str
@@ -95,20 +105,31 @@ class RevisionRecord:
     probe_domains: tuple[EnergyDomain, ...]
     config: Mapping[str, str]
     summaries: Mapping[TestId, TestSummary]
-    results: Mapping[TestId, tuple[TestExecutionResult, ...]]
 
     def __post_init__(self):
         if not self.revision_label:
             raise ValueError("revision label must be non-empty")
+
+
+@dataclass(frozen=True)
+class RevisionRecord(RevisionHead):
+    """Everything one experiment run produced, keyed by revision."""
+
+    results: Mapping[TestId, tuple[TestExecutionResult, ...]]
+
+    def __post_init__(self):
+        super().__post_init__()
         if set(self.summaries) != set(self.results):
             raise ValueError("summaries and results must cover the same tests")
 
 
 @dataclass(frozen=True)
 class HistoryPoint:
+    """One record's mean energy per domain for one test."""
+
     revision_label: str
     created_at: str
-    summary: TestSummary
+    energy_mean_j: Mapping[EnergyDomain, float]
 
 
 @dataclass(frozen=True)
@@ -325,6 +346,35 @@ def _check_version(doc: dict) -> None:
         raise StorageError(f"unsupported record format_version {version!r}")
 
 
+def _head_fields(doc: dict, tests: Mapping[str, TestId]) -> dict:
+    """The ``RevisionHead`` fields of a head document; ``tests`` maps each
+    summary key to its test."""
+    probe = doc["probe"]
+    return {
+        "revision_label": doc["revision_label"],
+        "created_at": doc["created_at"],
+        "config_digest": doc["config_digest"],
+        "probe_backend": probe["backend"],
+        "probe_update_interval_ns": probe["update_interval_ns"],
+        "probe_domains": tuple(EnergyDomain.parse(d) for d in probe["domains"]),
+        "config": doc["config"],
+        "summaries": {
+            tests[t]: _summary_from_doc(tests[t], s) for t, s in doc["summaries"].items()
+        },
+    }
+
+
+def head_from_doc(doc: dict) -> RevisionHead:
+    """The head a head document describes; its ``results``, if present,
+    are not read.
+
+    Raises:
+        StorageError: The format version is unsupported.
+    """
+    _check_version(doc)
+    return RevisionHead(**_head_fields(doc, {t: TestId.parse(t) for t in doc["summaries"]}))
+
+
 def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
     """The record a head document describes.
 
@@ -345,7 +395,6 @@ def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
     if runs is not None and {t: len(rs) for t, rs in runs.items()} != counts:
         raise StorageError("samples do not match the record's results")
     tests = {t: TestId.parse(t) for t in doc["summaries"].keys() | counts.keys()}
-    summaries = {tests[t]: _summary_from_doc(tests[t], s) for t, s in doc["summaries"].items()}
     results = {
         tests[t]: tuple(
             _result_from_doc(tests[t], r, _NO_SAMPLES if runs is None else runs[t][i])
@@ -353,17 +402,7 @@ def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
         )
         for t, rs in doc["results"].items()
     }
-    return RevisionRecord(
-        revision_label=doc["revision_label"],
-        created_at=doc["created_at"],
-        config_digest=doc["config_digest"],
-        probe_backend=doc["probe"]["backend"],
-        probe_update_interval_ns=doc["probe"]["update_interval_ns"],
-        probe_domains=tuple(EnergyDomain.parse(d) for d in doc["probe"]["domains"]),
-        config=doc["config"],
-        summaries=summaries,
-        results=results,
-    )
+    return RevisionRecord(**_head_fields(doc, tests), results=results)
 
 
 def render_record(record: RevisionRecord) -> str:
@@ -374,6 +413,53 @@ def render_record(record: RevisionRecord) -> str:
 def _render_samples(record: RevisionRecord) -> str:
     """The text of a record's sidecar; compact, so the C encoder renders it."""
     return json.dumps(_samples_to_doc(record), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# ``render_record`` indents by two, sorts keys and escapes every string,
+# so a newline followed by two spaces and a quote starts a top-level key
+# and nothing else.
+_TOP_KEY = '\n  "'
+_RESULTS_KEY = _TOP_KEY + 'results": '
+
+
+def _split_results(text: str) -> tuple[str, str | None]:
+    """A head's text without its top-level ``results`` member, and that
+    member's value; ``(text, None)`` unless the text is laid out as
+    ``render_record`` lays it out and another key follows ``results``."""
+    if text.startswith("{" + _TOP_KEY):
+        start = text.find(_RESULTS_KEY)
+        end = text.find(_TOP_KEY, start + 1) if start > 0 else -1
+        if end > 0:
+            # The value ends at the comma before the next key.
+            return text[:start] + text[end:], text[start + len(_RESULTS_KEY):end - 1]
+    return text, None
+
+
+def _decode_head(text: str) -> tuple[dict, str | None]:
+    """A head's document without its ``results`` member and that member's
+    text, when the text splits and its rest decodes to a document that has
+    no other ``results``; otherwise the whole document and None. Either way
+    the document is ``json.loads(text)``'s, less what was split off."""
+    rest, results = _split_results(text)
+    if results is not None:
+        # Text only laid out like render_record's may split elsewhere: its
+        # rest then fails to decode or still holds the results.
+        with suppress(json.JSONDecodeError):
+            doc = json.loads(rest)
+            if "results" not in doc:
+                return doc, results
+    return json.loads(text), None
+
+
+class _Head(NamedTuple):
+    """One head file as read: its document, without the ``results``
+    member when the text split, that member's text (None when ``doc``
+    holds it), the file's text and its path."""
+
+    doc: dict
+    results: str | None
+    text: str
+    path: Path
 
 
 # --- the store itself ------------------------------------------------------
@@ -492,16 +578,16 @@ class Store:
         for label_dir in sorted(root.iterdir()):
             yield from self._record_files(label_dir)
 
-    def _read_doc(self, path: Path) -> tuple[dict, str]:
-        """The version-checked head document of one record file, and the
-        file's text."""
+    def _read_doc(self, path: Path) -> _Head:
+        """The version-checked head of one record file, split as
+        ``_decode_head`` splits it."""
         try:
             text = path.read_text(encoding="utf-8")
-            doc = json.loads(text)
+            doc, results = _decode_head(text)
         except (OSError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
         _check_version(doc)
-        return doc, text
+        return _Head(doc, results, text, path)
 
     def _read_samples(self, path: Path) -> dict:
         """The sidecar document of the format 2 record file ``path``."""
@@ -511,22 +597,27 @@ class Store:
         except (OSError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable samples {sidecar}: {exc}") from exc
 
-    def _record(self, doc: dict, path: Path) -> RevisionRecord:
-        """The full record whose head ``doc`` was read from ``path``."""
+    def _record(self, head: _Head) -> RevisionRecord:
+        """The full record of ``head``: its results decoded, and its
+        sidecar read unless it is a format 1 record."""
+        doc = head.doc
+        if head.results is not None:
+            try:
+                doc = dict(doc, results=json.loads(head.results))
+            except json.JSONDecodeError as exc:
+                raise StorageError(f"unreadable record {head.path}: results: {exc}") from exc
         if doc["format_version"] == _INLINE_SAMPLES_VERSION:
             return record_from_doc(doc)
-        return record_from_doc(doc, self._read_samples(path))
+        return record_from_doc(doc, self._read_samples(head.path))
 
     def iter_records(self) -> Iterator[RevisionRecord]:
         for path in self._iter_record_files():
-            yield self._record(self._read_doc(path)[0], path)
+            yield self._record(self._read_doc(path))
 
-    def _label_docs(
-        self, revision_label: str, newest_first: bool = False
-    ) -> Iterator[tuple[dict, str, Path]]:
-        """The head documents stored under ``revision_label``, with their
-        text and file, oldest file name first or, with ``newest_first``,
-        newest first; each head is read only when it is reached.
+    def _label_heads(self, revision_label: str, newest_first: bool = False) -> Iterator[_Head]:
+        """The heads stored under ``revision_label``, oldest file name
+        first or, with ``newest_first``, newest first; each head is read
+        only when it is reached.
 
         Raises:
             UnknownRevision: Nothing is stored under that label.
@@ -535,11 +626,11 @@ class Store:
         paths = self._record_files(label_dir)
         found = False
         for path in reversed(paths) if newest_first else paths:
-            doc, text = self._read_doc(path)
+            head = self._read_doc(path)
             # Labels that sanitize alike share a directory; keep the exact one.
-            if doc["revision_label"] == revision_label:
+            if head.doc["revision_label"] == revision_label:
                 found = True
-                yield doc, text, path
+                yield head
         if not found:
             raise UnknownRevision(f"no records for revision {revision_label!r}")
 
@@ -549,8 +640,8 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        docs = sorted(self._label_docs(revision_label), key=lambda entry: entry[0]["created_at"])
-        return [self._record(doc, path) for doc, _, path in docs]
+        heads = sorted(self._label_heads(revision_label), key=lambda head: head.doc["created_at"])
+        return [self._record(head) for head in heads]
 
     def latest(self, revision_label: str) -> RevisionRecord:
         """The newest record under ``revision_label``; the last saved on a tie.
@@ -558,19 +649,20 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        doc, _, path = next(self._label_docs(revision_label, newest_first=True))
-        return self._record(doc, path)
+        return self._record(next(self._label_heads(revision_label, newest_first=True)))
 
     def latest_text(self, revision_label: str) -> tuple[dict, str]:
-        """The head document of the record ``latest`` returns and its
-        file's exact text, which is the machine export of that record.
-        Reads no sidecar.
+        """The head document of the record ``latest`` returns, without its
+        ``results`` member when the file is laid out as ``render_record``
+        lays it out, and the file's exact text, which is the machine export
+        of that record. Reads no sidecar and decodes no results, so damage
+        confined to the results shows only in ``latest`` and ``load``.
 
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        doc, text, _ = next(self._label_docs(revision_label, newest_first=True))
-        return doc, text
+        head = next(self._label_heads(revision_label, newest_first=True))
+        return head.doc, head.text
 
     def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:
         """Evolution of each of ``tests`` across all records, newest last.
@@ -581,14 +673,14 @@ class Store:
         """
         points: dict[TestId, list[HistoryPoint]] = {test: [] for test in tests}
         for path in self._iter_record_files():
-            doc, _ = self._read_doc(path)
+            doc = self._read_doc(path).doc
             summaries = doc["summaries"]
             for test, test_points in points.items():
                 summary = summaries.get(str(test))
                 if summary is not None:
                     test_points.append(HistoryPoint(
                         doc["revision_label"], doc["created_at"],
-                        _summary_from_doc(test, summary),
+                        _domain_map_from_doc(summary["energy_j"], itemgetter("mean")),
                     ))
         series = []
         for test in tests:

@@ -227,7 +227,11 @@ def test_criterion_06_evolution_view(tmp_path):
         test = TestId("acc", "evolve")
         series = store.history((test,))[0]
         assert [p.revision_label for p in series.points] == ["r1", "r2", "r3"]
-        energies = [p.summary.energy_stats[PKG].mean for p in series.points]
+        stored = [store.latest(p.revision_label).summaries[test] for p in series.points]
+        assert [p.energy_mean_j for p in series.points] == [
+            {d: stats.mean for d, stats in summary.energy_stats.items()} for summary in stored
+        ]
+        energies = [p.energy_mean_j[PKG] for p in series.points]
         assert energies[0] > energies[1] > energies[2]
         assert energies[0] == pytest.approx(4.0, abs=0.2)
         assert energies[2] == pytest.approx(2.0, abs=0.2)

@@ -19,7 +19,7 @@ from manai.cli import _COMMANDS, _SETTINGS, main
 from manai.harness import TestId, TestStatus
 from manai.store import Store
 
-from conftest import CORE, PKG, make_powercap_tree, write_plan, write_scenario
+from conftest import CORE, PKG, make_powercap_tree, make_record, write_plan, write_scenario
 
 NS = 10**9
 
@@ -185,6 +185,18 @@ class TestRun:
         assert "demo::alpha" in out
         stored = Store(tmp_path / "data").load("rev-cli")
         assert len(stored) == 1
+
+    def test_run_prints_the_record_it_made(self, workspace, capsys):
+        # A record stamped later than the run's own is the label's newest,
+        # yet the summary printed is the run's record.
+        tmp_path, _, _, config, _ = workspace
+        later = "2099-01-01T00:00:00.000000+00:00"
+        Store(tmp_path / "data").save(make_record("rev-cli", later, {"demo::alpha": 1_000_000}))
+        assert main(["run", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        (made,) = [r for r in Store(tmp_path / "data").load("rev-cli") if r.created_at != later]
+        assert f"revision rev-cli  ({made.created_at})" in out
+        assert later not in out
 
     def test_flags_equal_config_file(self, workspace, capsys):
         tmp_path, plan, scenario, config, harness_line = workspace

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manai.store
+from manai.cli import main
 from manai.errors import EmptyScope, NoHistory, UnknownRevision
 from manai.harness import TestId
 from manai.report import (
@@ -372,6 +373,34 @@ def render_golden(store: Store, name: str) -> str:
 def test_output_is_byte_identical_to_golden(tmp_path, name):
     expected = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
     assert render_golden(build_golden_store(tmp_path), name) == expected
+
+
+def refuse(*args):
+    raise AssertionError("a view decoded what it does not show")
+
+
+GOLDEN_HISTORY = ",".join(map(str, GOLDEN_TESTS))
+
+
+# Views decode only what they show: the summary and compare views build no
+# per-iteration result, and evolution builds no summary statistics.
+@pytest.mark.parametrize("decoder, argv", [
+    *(pytest.param("_result_from_doc", ["report", "--revision", "r2", "--format", fmt],
+                   id=f"revision-{fmt}") for fmt in ("term", "csv", "html")),
+    *(pytest.param("_result_from_doc", ["compare", "r1", "r2", "--format", fmt],
+                   id=f"compare-{fmt}") for fmt in ("term", "csv", "html")),
+    *(pytest.param("_stats_from_doc", ["report", "--evolution", GOLDEN_HISTORY, "--format", fmt],
+                   id=f"evolution-{fmt}") for fmt in ("term", "csv", "html", "machine")),
+])
+def test_views_decode_only_what_they_show(tmp_path, monkeypatch, capsys, decoder, argv):
+    build_golden_store(tmp_path)
+    argv = [*argv, "--data-dir", str(tmp_path), "--no-color"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    monkeypatch.setattr(manai.store, decoder, refuse)
+    assert main(argv) == 0
+    stamp = re.compile(r"<!-- generated [^\n]* -->")
+    assert stamp.sub("", capsys.readouterr().out) == stamp.sub("", shown)
 
 
 class TestDomainFilter:

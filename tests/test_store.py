@@ -6,11 +6,14 @@ import dataclasses
 import json
 import os
 import random
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import manai.store
 from manai.errors import StorageError, UnknownRevision
@@ -18,7 +21,7 @@ from manai.harness import TestId, TestStatus
 from manai.report import ReportFormat, ReportRequest, render_history, render_summary
 from manai.results import Stats, TestExecutionResult, TestSummary, summarize
 from manai.sampler import EnergySample
-from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc
+from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc, render_record
 
 from conftest import DRAM, PKG, make_record
 
@@ -251,10 +254,89 @@ class TestHistory:
             assert [(p.created_at, p.revision_label) for p in series.points] == expected
             for p in series.points:
                 stored = record_from_doc(json.loads(paths[p.created_at].read_text()))
-                assert p.summary == stored.summaries[test]
+                energy = stored.summaries[test].energy_stats
+                assert p.energy_mean_j == {d: stats.mean for d, stats in energy.items()}
 
         tests = sorted(all_tests, key=str)
         assert list(store.history(tests)) == [store.history((t,))[0] for t in tests]
+
+
+def without_results(doc: dict) -> dict:
+    return {key: value for key, value in doc.items() if key != "results"}
+
+
+class TestHeadSplit:
+    """A head laid out as ``render_record`` lays it out splits at its
+    top-level ``results`` member; any other text decodes whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        label=st.text(min_size=1),
+        config=st.dictionaries(st.text(), st.text(), max_size=3),
+    )
+    @example(seed=0, label='\n  "results": ', config={"results": '\n  "results": {},\n  "'})
+    def test_rendered_heads_split_at_results(self, seed, label, config):
+        record = dataclasses.replace(
+            random_record(random.Random(seed), 0), revision_label=label, config=config
+        )
+        text = render_record(record)
+        doc = json.loads(text)
+        rest, results = manai.store._split_results(text)
+        assert json.loads(rest) == without_results(doc)
+        assert json.loads(results) == doc["results"]
+        assert manai.store._decode_head(text) == (without_results(doc), results)
+
+    def test_v1_fixture_splits(self):
+        text = V1_RECORD.read_text()
+        doc = json.loads(text)
+        rest, results = manai.store._split_results(text)
+        assert json.loads(rest) == without_results(doc)
+        assert json.loads(results) == doc["results"]
+
+    LAYOUTS = {
+        "compact": lambda doc: json.dumps(doc, sort_keys=True),
+        "indent-1": lambda doc: json.dumps(doc, indent=1, sort_keys=True),
+        "indent-4": lambda doc: json.dumps(doc, indent=4, sort_keys=True),
+        "results-last": lambda doc: json.dumps(
+            {**without_results(doc), "results": doc["results"]}, indent=2),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_other_layouts_decode_whole(self, tmp_path, layout):
+        store = Store(tmp_path)
+        record = make_record("edited", ts(0), {"demo::a": 1_000_000, "demo::b": 2_000_000})
+        doc = record_to_doc(record)
+        text = self.LAYOUTS[layout](doc)
+        assert manai.store._split_results(text) == (text, None)
+        store.save(record).write_text(text)
+        assert store.latest("edited") == record
+        assert store.latest_text("edited") == (doc, text)
+
+    def test_a_split_that_does_not_decode_decodes_whole(self, tmp_path):
+        # Every line indented by two: the split ends inside the results.
+        store = Store(tmp_path)
+        record = make_record("flat", ts(0), {"demo::a": 1_000_000})
+        doc = record_to_doc(record)
+        text = re.sub(r"\n +", "\n  ", render_record(record))
+        assert manai.store._split_results(text)[1] is not None
+        assert manai.store._decode_head(text) == (doc, None)
+        store.save(record).write_text(text)
+        assert store.load("flat") == [record]
+
+    def test_damaged_results_show_only_in_full_reads(self, tmp_path):
+        store = Store(tmp_path)
+        test = TestId("demo", "a")
+        path = store.save(make_record("dmg", ts(0), {str(test): 1_000_000}))
+        text = path.read_text()
+        assert text.count('"iteration": 0') == 1
+        path.write_text(text.replace('"iteration": 0', '"iteration": ?'))
+        request = ReportRequest(scope="revision", revisions=("dmg",))
+        assert "demo::a" in render_summary(store, request)
+        assert [p.created_at for p in store.history((test,)).points] == [ts(0)]
+        for query in (store.latest, store.load):
+            with pytest.raises(StorageError, match="unreadable record .*results"):
+                query("dmg")
 
 
 class TestReadScope:
@@ -309,7 +391,9 @@ class TestReadScope:
         assert text == newest.read_text()
         assert reads == {newest: 1}
         docs = [json.loads(path.read_text()) for path in store._record_files(newest.parent)]
-        assert doc == sorted(docs, key=lambda d: d["created_at"])[-1]
+        newest_doc = sorted(docs, key=lambda d: d["created_at"])[-1]
+        # The view's document leaves the results undecoded.
+        assert doc == {key: value for key, value in newest_doc.items() if key != "results"}
 
     def test_evolution_reads_each_record_once(self, store_twelve_labels, reads):
         request = ReportRequest(scope="history", tests=self.TESTS, no_color=True)
@@ -541,6 +625,7 @@ class TestFormatVersion1:
         test = TestId("demo", "steady")
         (series,) = v1_store.history((test,))
         assert [p.revision_label for p in series.points] == [V1_LABEL, "v2"]
-        assert series.points[0].summary == series.points[1].summary == record.summaries[test]
+        means = {d: stats.mean for d, stats in record.summaries[test].energy_stats.items()}
+        assert series.points[0].energy_mean_j == series.points[1].energy_mean_j == means
         text = render_history(v1_store, ReportRequest(scope="history", tests=(test,), no_color=True))
         assert "(v1/fixture -> v2)" in text

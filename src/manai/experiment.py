@@ -257,7 +257,7 @@ def _run_iteration(
     test: TestId,
     iteration: int,
 ) -> TestExecutionResult:
-    sampler_config = SamplerConfig(config.sampling_rate_hz, baseline_w)
+    sampler_config = SamplerConfig(config.sampling_rate_hz)
     if isinstance(probe, SimulatedProbe):
         # The child runs for real; its samples are replayed from the scenario
         # origin over a grid-snapped window, which makes them replicable.
@@ -302,7 +302,7 @@ def _run_iteration(
         end_ns=end_ns,
         status=status,
         update_interval_ns=descriptor.update_interval_ns,
-        baseline_applied=baseline_w is not None,
+        baseline_w=baseline_w,
         crashed=error is not None,
         error=error,
         domains=descriptor.domains,
@@ -373,12 +373,11 @@ def run_experiment(
         if not selection:
             raise InvalidConfig("test selection is empty after discovery")
 
-        baseline_w = None
-        if config.baseline.mode == "fixed":
-            baseline_w = dict(config.baseline.profile.powers_w)
-        elif config.baseline.mode == "calibrate":
-            profile = calibrate_baseline(probe, config.baseline.calibrate_duration_s)
-            baseline_w = dict(profile.powers_w)
+        baseline = config.baseline
+        profile = baseline.profile if baseline.mode == "fixed" else None
+        if baseline.mode == "calibrate":
+            profile = calibrate_baseline(probe, baseline.calibrate_duration_s)
+        baseline_w = dict(profile.powers_w) if profile else None
 
         summaries: dict[TestId, TestSummary] = {}
         results: dict[TestId, tuple[TestExecutionResult, ...]] = {}

@@ -625,13 +625,18 @@ def create_probe(
     """Build the configured probe.
 
     Raises:
-        InvalidConfig: Simulated requested without a scenario.
+        InvalidConfig: Simulated requested without a scenario or with an update interval.
         NoProbeAvailable: RAPL requested without a powercap tree.
         PermissionDenied: RAPL zones exist but cannot be read.
     """
     if backend is ProbeBackend.SIMULATED:
         if scenario_path is None:
             raise InvalidConfig("simulated probe requires a scenario file")
+        if update_interval_ns is not None:
+            raise InvalidConfig(
+                "the update interval of a simulated probe is the update_interval_ns of its scenario "
+                "header; drop --update-interval-ns and [probe] update_interval_ns"
+            )
         return SimulatedProbe(load_scenario(scenario_path))
 
     root = powercap_root or os.environ.get("MANAI_POWERCAP_ROOT") or DEFAULT_POWERCAP_ROOT

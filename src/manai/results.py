@@ -108,7 +108,7 @@ class TestExecutionResult:
         end_ns: int,
         status: TestStatus,
         update_interval_ns: int,
-        baseline_applied: bool,
+        baseline_w: Mapping[EnergyDomain, float] | None = None,
         crashed: bool = False,
         error: str | None = None,
         domains: Sequence[EnergyDomain] = (),
@@ -117,7 +117,9 @@ class TestExecutionResult:
 
         ``low_confidence`` is set exactly when the window is shorter than
         the probe's counter refresh interval. ``domains`` zero-fills
-        entries for domains the samples never covered.
+        entries for domains the samples never covered. ``baseline_w``
+        takes idle power times the window off each domain it holds, once,
+        clamped at 0; ``baseline_applied`` records whether it was given.
         """
         duration_ns = end_ns - begin_ns
         samples = SampleColumns.of(samples)
@@ -125,19 +127,20 @@ class TestExecutionResult:
         for domain in domains:
             energy.setdefault(domain, Fraction(0))
         duration_s = Fraction(duration_ns, _NS_PER_S)
+        for domain, power_w in (baseline_w or {}).items():
+            if domain in energy:
+                energy[domain] = max(Fraction(0), energy[domain] - Fraction(power_w) * duration_s)
+        energy = dict(sorted(energy.items(), key=lambda kv: domain_sort_key(kv[0])))
         return cls(
             test=test,
             iteration=iteration,
             duration_ns=duration_ns,
-            energy_j={d: float(e) for d, e in sorted(energy.items(), key=lambda kv: domain_sort_key(kv[0]))},
-            mean_power_w={
-                d: float(e / duration_s)
-                for d, e in sorted(energy.items(), key=lambda kv: domain_sort_key(kv[0]))
-            },
+            energy_j={d: float(e) for d, e in energy.items()},
+            mean_power_w={d: float(e / duration_s) for d, e in energy.items()},
             samples=samples,
             status=status,
             low_confidence=duration_ns < update_interval_ns,
-            baseline_applied=baseline_applied,
+            baseline_applied=baseline_w is not None,
             crashed=crashed,
             error=error,
         )

@@ -5,8 +5,9 @@ deadlines and keeps, per tick, only the reading itself: its timestamp
 and its counters in ``probe.describe().domains`` order. After the stop
 signal, one pass per column turns the kept readings into
 :class:`SampleColumns`: the edge times, and per domain the wrap-corrected
-energy between adjacent readings, less a calibrated idle baseline when
-one is configured. No per-sample object is built on the way.
+counter delta between adjacent readings. A sample knows no idle
+baseline; attribution takes it off once per window. No per-sample object
+is built on the way.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -27,7 +28,6 @@ from manai.clock import DeadlineStop
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
 from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading
 
-_UJ_PER_J = 1_000_000
 _NS_PER_S = 1_000_000_000
 _NJ_PER_UJ = 1_000
 
@@ -61,10 +61,6 @@ class EnergySample:
             raise ValueError("sample end must be after its start")
         if any(v < 0 for v in self.energy_uj.values()):
             raise ValueError("sample energy must be non-negative")
-
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
 
 
 @dataclass(frozen=True)
@@ -158,33 +154,19 @@ class BaselineProfile:
 @dataclass(frozen=True)
 class SamplerConfig:
     rate_hz: float
-    baseline_w: Mapping[EnergyDomain, float] | None = None
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError("sampling rate must be positive")
-        # Also rejects NaN, infinity and rates above 2 GHz, whose 0 ns
-        # interval would never advance a virtual clock.
-        if not 0.5 < _NS_PER_S / self.rate_hz < math.inf:
+        # Rejects rates that are not positive, NaN, infinity and rates above
+        # 2 GHz, whose 0 ns interval would never advance a virtual clock.
+        if not (self.rate_hz > 0 and 0.5 < _NS_PER_S / self.rate_hz < math.inf):
             raise ValueError(f"sampling rate {self.rate_hz!r} Hz has no finite interval of 1 ns or more")
-        if self.baseline_w and any(p < 0 for p in self.baseline_w.values()):
-            raise ValueError("baseline power must be non-negative")
 
     @property
     def interval_ns(self) -> int:
         return round(_NS_PER_S / self.rate_hz)
 
 
-def _baseline_uj(power_w: float, duration_ns: int) -> int:
-    # W * ns = nJ; divide by 1000 for uJ.
-    return round(power_w * duration_ns / 1000.0)
-
-
-def _columns(
-    readings: list[ProbeReading],
-    descriptor: ProbeDescriptor,
-    baseline_w: Mapping[EnergyDomain, float] | None,
-) -> SampleColumns:
+def _columns(readings: list[ProbeReading], descriptor: ProbeDescriptor) -> SampleColumns:
     """The samples between adjacent ``readings``, built one column at a time."""
     edges_ns = [timestamp_ns for timestamp_ns, _ in readings]
     starts_ns, ends_ns = edges_ns[:-1], edges_ns[1:]
@@ -192,30 +174,27 @@ def _columns(
     for domain, counters in zip(descriptor.domains, zip(*(c for _, c in readings))):
         max_range_uj = descriptor.max_range_uj[domain]
         # ``wrap_delta`` of each adjacent pair: read() keeps counters in range.
-        deltas = [(after - before) % max_range_uj for before, after in zip(counters, counters[1:])]
-        power_w = baseline_w.get(domain, 0.0) if baseline_w else 0.0
-        if power_w:
-            deltas = [
-                max(0, delta - _baseline_uj(power_w, end - start))
-                for delta, start, end in zip(deltas, starts_ns, ends_ns)
-            ]
-        energy_uj[domain] = deltas
+        energy_uj[domain] = [(after - before) % max_range_uj for before, after in zip(counters, counters[1:])]
     return SampleColumns(starts_ns, ends_ns, energy_uj)
 
 
-def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
-    """Refuse an interval in which a domain at its peak power could fill
-    its whole counter range between two readings. The counter moves only
-    on its refresh grid, so two readings one interval apart can span up to
+def _wrap_horizon_ns(descriptor: ProbeDescriptor, domain: EnergyDomain) -> float:
+    """How long ``domain`` at its peak power takes to fill its whole counter
+    range (nJ / W = ns); infinite at 0 W. The counter moves only on its
+    refresh grid, so two readings one interval apart can span up to
     ``interval + update_interval`` of energy, and a full range reads as 0 J."""
-    span_ns = interval_ns + descriptor.update_interval_ns
-    for domain, max_range_uj in descriptor.max_range_uj.items():
-        peak_w = descriptor.peak_power_w[domain]
-        if span_ns * peak_w >= max_range_uj * _NJ_PER_UJ:  # W * ns = nJ
+    peak_w = descriptor.peak_power_w[domain]
+    return descriptor.max_range_uj[domain] * _NJ_PER_UJ / peak_w if peak_w else math.inf
+
+
+def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
+    """Refuse an interval whose reading pairs could reach a domain's wrap horizon."""
+    for domain in descriptor.domains:
+        if interval_ns + descriptor.update_interval_ns >= _wrap_horizon_ns(descriptor, domain):
             raise InvalidConfig(
                 f"sampling interval {interval_ns / _NS_PER_S:.3f} s plus one counter refresh could span "
-                f"a full wrap for {domain} (range {max_range_uj} uJ at up to {peak_w:g} W); "
-                "increase the sampling rate"
+                f"a full wrap for {domain} (range {descriptor.max_range_uj[domain]} uJ at up to "
+                f"{descriptor.peak_power_w[domain]:g} W); increase the sampling rate"
             )
 
 
@@ -233,7 +212,7 @@ def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
     Args:
         probe: Counter source; its descriptor supplies the domains and
             counter ranges.
-        config: Rate and optional per-domain baseline to subtract.
+        config: The polling rate.
         stop: Object with ``is_set()``; ``threading.Event`` works.
 
     Returns:
@@ -281,14 +260,15 @@ def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
                 keep(reading)
     except ReadFailed as exc:
         raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
-    return _columns(readings, descriptor, config.baseline_w)
+    return _columns(readings, descriptor)
 
 
-# Polling rate used while averaging idle power; accuracy comes from the
-# window length, not the rate.
-_CALIBRATION_RATE_HZ = 10.0
+# Polling interval while averaging idle power, unless a counter could
+# wrap in less time; the mean is total energy over the window, so the
+# interval only guards against wraps.
+_CALIBRATION_INTERVAL_NS = 100_000_000
 # Calibration polls the probe for its whole window, even when a simulated
-# probe replays it on its virtual clock; an hour is 36,000 polls.
+# probe replays it on its virtual clock; an hour is 36,000 polls at 100 ms.
 MAX_CALIBRATION_S = 3600.0
 
 
@@ -301,6 +281,17 @@ def check_calibration_window(duration_s: float) -> None:
         raise InvalidConfig(
             f"baseline calibration window must be at most {MAX_CALIBRATION_S:.0f} s, got {duration_s!r}"
         )
+
+
+def _calibration_interval_ns(descriptor: ProbeDescriptor) -> int:
+    """100 ms, or the longest interval the wrap check accepts when that is
+    shorter, in whole refresh intervals so that a simulated probe is read
+    on its refresh grid."""
+    update_ns = descriptor.update_interval_ns
+    horizon_ns = min((_wrap_horizon_ns(descriptor, d) for d in descriptor.domains), default=math.inf)
+    interval_ns = max(1, math.ceil(min(horizon_ns, _CALIBRATION_INTERVAL_NS + update_ns + 1)) - update_ns - 1)
+    # Below one refresh interval no grid point is left.
+    return interval_ns // update_ns * update_ns or interval_ns
 
 
 def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
@@ -318,15 +309,16 @@ def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
     check_calibration_window(duration_s)
     now = probe.scheduler.now
     stop = DeadlineStop(now, now() + round(duration_s * _NS_PER_S))
-    samples = sample_stream(probe, SamplerConfig(rate_hz=_CALIBRATION_RATE_HZ), stop)
+    rate_hz = _NS_PER_S / _calibration_interval_ns(probe.describe())
+    samples = sample_stream(probe, SamplerConfig(rate_hz), stop)
     if not samples:
         raise ProbeLost("calibration produced no samples")
 
     window_ns = samples.ends_ns[-1] - samples.starts_ns[0]
-    window_s = window_ns / _NS_PER_S
-    powers_w = {d: (sum(uj) / _UJ_PER_J) / window_s for d, uj in samples.energy_uj.items()}
+    # One rounding: nJ / ns = W.
+    powers_w = {d: sum(uj) * _NJ_PER_UJ / window_ns for d, uj in samples.energy_uj.items()}
     return BaselineProfile(
         powers_w=powers_w,
-        duration_s=window_s,
+        duration_s=window_ns / _NS_PER_S,
         calibrated_at=datetime.now(timezone.utc).isoformat(timespec="microseconds"),
     )

@@ -136,7 +136,6 @@ def make_result(test, iteration=0, duration_ns=500_000_000, energy_uj=5_000_000,
         end_ns=duration_ns,
         status=status or TestStatus.PASS,
         update_interval_ns=1_000_000,
-        baseline_applied=False,
         domains=(PKG,),
     )
 

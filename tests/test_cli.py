@@ -624,6 +624,21 @@ class TestExitCodes:
         assert "simulated probe requires a scenario" in capsys.readouterr().err
         assert not data_dir.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["probe-check", "baseline", "run"])
+    def test_simulated_probe_with_update_interval_exits_1(self, workspace, capsys, command, source):
+        # The scenario header sets a simulated probe's refresh interval; an
+        # override would only enter the echoed config and the digest.
+        tmp_path, _, _, config, _ = workspace
+        argv = [command, "--config", str(config)]
+        if source == "flag":
+            argv.append("--update-interval-ns=5000000")
+        else:
+            config.write_text(config.read_text().replace("[probe]\n", "[probe]\nupdate_interval_ns = 5000000\n"))
+        assert main(argv) == 1
+        assert "of its scenario header" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_bad_evolution_id_is_user_error(self, tmp_path, capsys):
         code = main(["report", "--evolution", "nocolon", "--data-dir", str(tmp_path / "data")])
         err = capsys.readouterr().err
@@ -796,6 +811,23 @@ class TestBaselineCommand:
         doc = json.loads(out_file.read_text())
         assert doc["powers_w"]["package:0"] == 10.0
         assert doc["duration_s"] == 1.0
+
+    def test_small_counter_range_calibrates_for_baseline_and_run(self, workspace, capsys, tmp_path):
+        # 10 W fills a 1 J range in 100 ms, so a 100 ms poll plus one 1 ms
+        # refresh could span a full wrap, while a 1 kHz run passes the check.
+        _, _, _, _, harness_line = workspace
+        scenario = write_scenario(tmp_path / "small.txt", [(3600 * NS, {"package": "10"})], max_range_uj=10**6)
+        probe = ["--probe", "simulated", "--scenario", str(scenario)]
+        out_file = tmp_path / "baseline.json"
+        assert main(["baseline", *probe, "--duration", "2", "--out", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["powers_w"]["package:0"] == 10.0
+        assert main([
+            "run", *probe, "--rate", "1000", "--baseline", "calibrate:2", "--harness", harness_line,
+            "--select", "demo::alpha", "--revision", "rev", "--data-dir", str(tmp_path / "data"),
+        ]) == 0
+        result, = Store(tmp_path / "data").latest("rev").results[TestId("demo", "alpha")]
+        assert result.baseline_applied
+        assert result.energy_j[PKG] == 0.0
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "0.5"])
     def test_window_not_finite_or_below_1_s_exits_1(self, workspace, capsys, tmp_path, duration):

@@ -156,7 +156,7 @@ def reference_attribution(samples, begin_ns, end_ns):
         overlap_ns = min(end_ns, sample.end_ns) - max(begin_ns, sample.start_ns)
         for domain, energy_uj in sample.energy_uj.items():
             if overlap_ns > 0:
-                totals[domain] += Fraction(energy_uj * overlap_ns, sample.duration_ns * 10**6)
+                totals[domain] += Fraction(energy_uj * overlap_ns, (sample.end_ns - sample.start_ns) * 10**6)
     return totals
 
 
@@ -454,7 +454,20 @@ class TestRunExperiment:
         for results in record.results.values():
             for result in results:
                 assert result.baseline_applied
-                assert result.energy_j[PKG] == pytest.approx(0.0, abs=0.02)
+                assert result.energy_j[PKG] == 0.0
+
+    def test_baseline_leaves_the_samples_raw(self, sim_experiment):
+        # Each iteration replays the scenario from its origin, so the samples
+        # of two runs agree as far as the shorter window reaches.
+        tmp_path, _, _, build = sim_experiment
+        raw = run_experiment(build(iterations=1), data_dir=tmp_path / "raw")
+        config = build(iterations=1, baseline=BaselineSetting(mode="calibrate", calibrate_duration_s=1.0))
+        marginal = run_experiment(config, data_dir=tmp_path / "marginal")
+        for test, (result,) in raw.results.items():
+            other = marginal.results[test][0]
+            count = min(len(result.samples), len(other.samples))
+            assert count and other.samples[:count] == result.samples[:count]
+            assert result.energy_j[PKG] > 0.0 == other.energy_j[PKG]
 
     def test_lock_refused_while_held(self, sim_experiment):
         tmp_path, _, _, build = sim_experiment

@@ -304,8 +304,7 @@ def make_two_domain_record(label, created_at, tests, iterations=2):
             )
             runs.append(TestExecutionResult.build(
                 test=test, iteration=i, samples=[sample], begin_ns=0, end_ns=end_ns,
-                status=TestStatus.PASS, update_interval_ns=1_000_000,
-                baseline_applied=False, domains=(PKG, DRAM),
+                status=TestStatus.PASS, update_interval_ns=1_000_000, domains=(PKG, DRAM),
             ))
         summaries[test] = summarize(runs)
         results[test] = tuple(runs)

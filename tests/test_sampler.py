@@ -1,15 +1,17 @@
-"""Wrap correction, the sampling loop, sample columns, and baseline calibration."""
+"""Wrap correction, the sampling loop, sample columns, baseline calibration
+and baseline subtraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
+from manai.harness import TestId, TestStatus
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
     ProbeBackend,
@@ -17,12 +19,14 @@ from manai.probe import (
     ProbeReading,
     SimulatedProbe,
 )
-from manai.results import attribute
+from manai.results import TestExecutionResult, attribute
 from manai.sampler import (
     BaselineProfile,
     EnergySample,
     SampleColumns,
     SamplerConfig,
+    _calibration_interval_ns,
+    _check_single_wrap,
     calibrate_baseline,
     check_calibration_window,
     sample_stream,
@@ -113,23 +117,6 @@ class TestSampleStream:
         samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
         assert len(samples) == 122
         assert all(s.energy_uj[PKG] == 5_000_000 for s in samples)
-
-    def test_baseline_cancels_equal_power_exactly(self):
-        probe = constant_probe(10.0)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, NS)
-        config = SamplerConfig(rate_hz=10.0, baseline_w={PKG: 10.0})
-        samples = sample_stream(probe, config, stop)
-        assert samples
-        assert all(s.energy_uj[PKG] == 0 for s in samples)
-
-    def test_baseline_never_yields_negative_energy(self):
-        probe = constant_probe(1.0)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, NS)
-        config = SamplerConfig(rate_hz=10.0, baseline_w={PKG: 50.0})
-        samples = sample_stream(probe, config, stop)
-        assert all(s.energy_uj[PKG] == 0 for s in samples)
 
     def test_stop_before_first_interval_is_empty(self):
         probe = constant_probe(10.0)
@@ -263,6 +250,39 @@ class TestCalibrateBaseline:
             calibrate_baseline(probe, duration_s)
         assert sched.now() == 0
 
+    @pytest.mark.parametrize("update_ns, interval_ns", [
+        (MS, 100 * MS),  # 100 ms when no counter wraps sooner
+        (1_500_000, 99 * MS),  # rounded down to the refresh grid
+    ])
+    def test_polls_every_100_ms_on_the_refresh_grid(self, update_ns, interval_ns):
+        probe = constant_probe(10.0, update_ns=update_ns)
+        assert _calibration_interval_ns(probe.describe()) == interval_ns
+
+    @pytest.mark.parametrize("max_range_uj, interval_ns", [
+        (10**6, 98 * MS),  # 1 J at 10 W fills in 100 ms: a pair spans < 100 ms
+        (20_000, MS - 1),  # a 2 ms horizon leaves no whole refresh interval
+    ])
+    def test_polls_at_the_longest_interval_the_wrap_check_accepts(self, max_range_uj, interval_ns):
+        descriptor = constant_probe(10.0, max_range_uj=max_range_uj).describe()
+        assert _calibration_interval_ns(descriptor) == interval_ns
+        _check_single_wrap(descriptor, interval_ns)
+        with pytest.raises(InvalidConfig):
+            _check_single_wrap(descriptor, interval_ns + MS)
+
+    def test_small_counter_range_calibrates_exactly(self):
+        # A 100 ms poll could span a full 1 J wrap at 10 W; 98 ms polls on
+        # the 1 ms grid read the mean exactly.
+        probe = constant_probe(10.0, max_range_uj=10**6)
+        profile = calibrate_baseline(probe, 2.0)
+        assert profile.powers_w[PKG] == 10.0
+        assert profile.duration_s == 2.058
+
+    def test_range_no_interval_can_poll_is_refused(self):
+        # 0.01 J at 10 W fills in 1 ms, within one counter refresh.
+        probe = constant_probe(10.0, max_range_uj=10_000)
+        with pytest.raises(InvalidConfig, match="could span a full wrap"):
+            calibrate_baseline(probe, 2.0)
+
     def test_window_above_an_hour_rejected(self):
         probe = constant_probe(3.0)
         sched = probe.scheduler
@@ -282,6 +302,95 @@ class TestCalibrateBaseline:
     def test_profile_rejects_non_finite_or_out_of_range_values(self, powers_w, duration_s):
         with pytest.raises(ValueError):
             BaselineProfile(powers_w=powers_w, duration_s=duration_s, calibrated_at="t")
+
+
+def _marginal(samples, end_ns, baseline_w, domains=(PKG,)):
+    """The result of one window ``[0, end_ns]`` of ``samples`` less ``baseline_w``."""
+    return TestExecutionResult.build(
+        test=TestId("demo", "case"), iteration=0, samples=samples, begin_ns=0, end_ns=end_ns,
+        status=TestStatus.PASS, update_interval_ns=MS, baseline_w=baseline_w, domains=domains,
+    )
+
+
+class TestBaselineSubtraction:
+    """``TestExecutionResult.build`` takes the baseline off each window once;
+    the samples hold raw counter deltas."""
+
+    def test_baseline_cancels_equal_power_exactly(self):
+        probe = constant_probe(10.0)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), DeadlineStop(probe.scheduler.now, NS))
+        assert all(s.energy_uj[PKG] == 1_000_000 for s in samples)
+        result = _marginal(samples, NS, {PKG: 10.0})
+        assert result.baseline_applied
+        assert result.energy_j[PKG] == result.mean_power_w[PKG] == 0.0
+
+    def test_baseline_never_yields_negative_energy(self):
+        probe = constant_probe(1.0)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), DeadlineStop(probe.scheduler.now, NS))
+        assert _marginal(samples, NS, {PKG: 50.0}).energy_j[PKG] == 0.0
+
+    def test_baseline_is_taken_off_the_window_exactly(self):
+        # 3 J over 0.2 s of a 1 s sample, less 4 W * 0.2 s.
+        sample = EnergySample(0, NS, {PKG: 15_000_000, DRAM: 1_000_000})
+        result = _marginal([sample], NS // 5, {PKG: 4.0}, domains=(PKG, DRAM))
+        assert result.energy_j == {PKG: 2.2, DRAM: 0.2}
+        assert result.mean_power_w == {PKG: 11.0, DRAM: 1.0}
+
+    def test_baseline_of_a_domain_without_energy_is_ignored(self):
+        result = _marginal([EnergySample(0, NS, {PKG: 1_000_000})], NS, {PKG: 0.5, DRAM: 2.0})
+        assert result.energy_j == {PKG: 0.5}
+
+    def test_no_baseline_is_recorded_as_not_applied(self):
+        result = _marginal([EnergySample(0, NS, {PKG: 1_000_000})], NS, None)
+        assert not result.baseline_applied
+        assert result.energy_j == {PKG: 1.0}
+
+
+@st.composite
+def baseline_cases(draw):
+    segments = tuple(
+        ScenarioSegment(
+            duration_ns=draw(st.integers(100_000, 300 * MS)),
+            powers_uw={PKG: draw(st.integers(0, 50_000_000)), DRAM: draw(st.integers(0, 10_000_000))},
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    update_ns = draw(st.sampled_from([MS, 1_500_000, 2_500_000]) | st.integers(100_000, 5 * MS))
+    rate_hz = draw(st.sampled_from([1000.0, 250.0]) | st.floats(50.0, 4000.0))
+    ticks = draw(st.integers(1, 600))
+    baseline_w = draw(st.fixed_dictionaries({PKG: st.floats(0.0, 60.0)}, optional={DRAM: st.floats(0.0, 12.0)}))
+    return segments, update_ns, rate_hz, ticks, baseline_w
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=baseline_cases())
+# 10 W against a fixed 10 W baseline at 1 kHz for 1 s: the true marginal
+# energy is 0 J. Reads off the 1.5 and 2.5 ms refresh grids hold 0 or 2
+# refresh steps, which a per-sample subtraction clamped at 0 summed to
+# 3.33 and 6.0 J.
+@example(case=((ScenarioSegment(NS, {PKG: 10_000_000}),), 1_500_000, 1000.0, 1000, {PKG: 10.0}))
+@example(case=((ScenarioSegment(NS, {PKG: 10_000_000}),), 2_500_000, 1000.0, 1000, {PKG: 10.0}))
+def test_marginal_energy_within_one_refresh_step_of_the_true_marginal(case):
+    # A simulated replay over a window that ends on a read, as a simulated
+    # run replays one iteration, less the baseline once over the window.
+    segments, update_ns, rate_hz, ticks, baseline_w = case
+    scenario = scenario_of(segments, max_range_uj=10**12, update_interval_ns=update_ns)
+    probe = SimulatedProbe(scenario)
+    config = SamplerConfig(rate_hz)
+    window_ns = ticks * config.interval_ns
+    samples = sample_stream(probe, config, DeadlineStop(probe.scheduler.now, window_ns))
+    result = _marginal(samples, window_ns, baseline_w, scenario.domains)
+    window_s = Fraction(window_ns, NS)
+    for domain in scenario.domains:
+        true_j = Fraction(scenario.energy_fj(domain, window_ns), 10**15)
+        expected_j = max(Fraction(0), true_j - Fraction(baseline_w.get(domain, 0.0)) * window_s)
+        peak_w = Fraction(max(segment.powers_uw[domain] for segment in segments), 10**6)
+        # One refresh step, plus the counter's 1 uJ resolution.
+        step_j = peak_w * Fraction(update_ns, NS) + Fraction(1, 10**6)
+        assert abs(Fraction(result.energy_j[domain]) - expected_j) <= step_j
+        # Counters never run ahead of the true integral.
+        if expected_j == 0:
+            assert result.energy_j[domain] == 0.0
 
 
 class TestSampleColumns:
@@ -341,7 +450,7 @@ def previous_attribute(samples, begin_ns, end_ns):
         if overlap_ns <= 0:
             continue
         for domain, energy_uj in sample.energy_uj.items():
-            share = Fraction(energy_uj * overlap_ns, sample.duration_ns)
+            share = Fraction(energy_uj * overlap_ns, sample.end_ns - sample.start_ns)
             boundary_uj[domain] = boundary_uj.get(domain, 0) + share
     return {
         domain: Fraction(energy_uj + boundary_uj.get(domain, 0), 10**6)
@@ -383,18 +492,14 @@ def test_columnar_attribution_equals_per_sample_attribution(samples, data):
     assert all(type(value) is Fraction for value in got.values())
 
 
-def _previous_make_sample(previous, current, domains, max_range_uj, baseline_w):
-    """The parent's ``sampler._make_sample``, over tuple counters."""
+def _previous_make_sample(previous, current, domains, max_range_uj):
+    """The per-sample ``sampler._make_sample`` that columns replaced, over tuple counters."""
     duration_ns = current.timestamp_ns - previous.timestamp_ns
     if duration_ns <= 0:
         return None
     energy_uj = {}
     for domain, before, after in zip(domains, previous.counters, current.counters):
-        delta = wrap_delta(before, after, max_range_uj[domain])
-        if baseline_w is not None:
-            baseline_uj = round(baseline_w.get(domain, 0.0) * duration_ns / 1000.0)
-            delta = max(0, delta - baseline_uj)
-        energy_uj[domain] = delta
+        energy_uj[domain] = wrap_delta(before, after, max_range_uj[domain])
     return EnergySample(previous.timestamp_ns, current.timestamp_ns, energy_uj)
 
 
@@ -403,7 +508,7 @@ def previous_sample_stream(probe, config, stop, sched):
     interval_ns = config.interval_ns
     descriptor = probe.describe()
     make = lambda a, b: _previous_make_sample(  # noqa: E731
-        a, b, descriptor.domains, descriptor.max_range_uj, config.baseline_w
+        a, b, descriptor.domains, descriptor.max_range_uj
     )
     samples = []
     try:
@@ -493,21 +598,19 @@ def scripted_streams(draw):
         ProbeReading(t, tuple(draw(st.integers(0, r - 1)) for r in ScriptedProbe.RANGES.values()))
         for t in timestamps
     ]
-    # Up to 1e5 W takes 0 to 1e8 uJ off a 1 ms sample, so some clamp to 0.
-    baseline_w = draw(st.none() | st.fixed_dictionaries({PKG: st.floats(0, 1e5)}))
     fail_at = draw(st.none() | st.integers(0, count + 2))
     stop_checks = draw(st.integers(0, 60))
     waking = draw(st.booleans())
-    return readings, baseline_w, fail_at, stop_checks, waking
+    return readings, fail_at, stop_checks, waking
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=scripted_streams())
 def test_columnar_stream_equals_per_sample_stream(case):
-    # Counters that wrap, repeated and backward timestamps, a clamping
-    # baseline, stop signals that wake the scheduler early and failures.
-    readings, baseline_w, fail_at, stop_checks, waking = case
-    config = SamplerConfig(rate_hz=1000.0, baseline_w=baseline_w)
+    # Counters that wrap, repeated and backward timestamps, stop signals
+    # that wake the scheduler early and failures.
+    readings, fail_at, stop_checks, waking = case
+    config = SamplerConfig(rate_hz=1000.0)
     outcomes = []
     for oracle in (False, True):
         sched = WakingScheduler() if waking else VirtualScheduler()

@@ -527,8 +527,7 @@ def v1_fixture_record() -> RevisionRecord:
     def result(test, iteration, samples, begin_ns, end_ns):
         return TestExecutionResult.build(
             test=test, iteration=iteration, samples=samples, begin_ns=begin_ns,
-            end_ns=end_ns, status=TestStatus.PASS, update_interval_ns=MS,
-            baseline_applied=False, domains=(PKG, DRAM),
+            end_ns=end_ns, status=TestStatus.PASS, update_interval_ns=MS, domains=(PKG, DRAM),
         )
 
     steady, gappy, broken = (TestId("demo", n) for n in ("steady", "gappy", "broken"))

@@ -10,14 +10,19 @@ Execution timing depends on the probe backend:
 * RAPL: a sampling thread polls the live counters while the test child
   runs; execution windows are the marker arrival timestamps.
 * Simulated: the child still runs for real (its status and measured
-  duration are real), but a fresh simulated probe then replays the
-  scenario from its origin on its virtual clock, over the duration
-  snapped to the counter refresh grid. Re-running the same
-  configuration therefore reproduces every stored number bit-exactly, as
-  long as test durations exceed the refresh interval and marker timing
-  is at most a quarter interval early or three quarters late.
-  Sub-interval durations are kept as measured (they are low-confidence
-  either way).
+  duration are real), and its duration is then snapped to the counter
+  refresh grid. One replay grid per run, laid down from the scenario
+  origin on the virtual clock of a simulated probe of the run's own and
+  extended only when a window reaches past it, is cut to each snapped
+  window, which yields exactly the samples a fresh probe would replay.
+  Re-running the same configuration therefore reproduces every stored
+  number bit-exactly, as long as test durations exceed the refresh
+  interval and marker timing is at most a quarter interval early or
+  three quarters late. Sub-interval durations are kept as measured (they
+  are low-confidence either way).
+
+Both paths share one iteration body: a meter, built once per run, is
+started before the child is spawned and stopped after it exits.
 
 Exactly one experiment may run per data directory: the runner holds an
 exclusive, non-blocking ``flock`` on ``<data_dir>/lock`` for the whole
@@ -49,6 +54,7 @@ from manai.probe import (
     ProbeBackend,
     ProbeDescriptor,
     SimulatedProbe,
+    SimulationScenario,
     create_probe,
 )
 from manai.results import TestExecutionResult, TestSummary, summarize
@@ -249,51 +255,118 @@ def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:
     return (duration_ns + update_interval_ns // 4) // update_interval_ns * update_interval_ns
 
 
+class _LiveMeter:
+    """Samples a live probe on a thread that runs across the whole harness run.
+
+    The thread's wake-ups keep the run loop quick to handle END. On 2
+    vCPUs, with children that slept 250 ms and printed their own
+    ``CLOCK_MONOTONIC`` reading just before each marker, END was handled
+    0.11 ms after that stamp (p50; max 3.6 ms) beside this 1 kHz thread,
+    but 2.72 ms after it with the same reads taken in the run loop, and
+    2.75 ms (max 4.8 ms) with reads at BEGIN and END only. Those two cost
+    10.1 and 1.0 ms of parent CPU per iteration against 10.8 ms here; a
+    thread ticking only from BEGIN kept END at 0.10 ms and saved nothing
+    (10.4 against 10.6 ms). Cheaper reads therefore wait for windows taken
+    from stamps the harness writes into its markers. A simulated run has
+    no thread, so its windows close about 2.7 ms late.
+    """
+
+    def __init__(self, probe: Probe, sampler_config: SamplerConfig):
+        self._probe = probe
+        self._sampler_config = sampler_config
+
+    def start(self) -> None:
+        self._stop = threading.Event()
+        self._samples = SampleColumns()
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._sample, name="manai-sampler")
+        self._thread.start()
+
+    def _sample(self) -> None:
+        # Every failure, not only a lost probe, is re-raised after the test.
+        try:
+            self._samples = sample_stream(self._probe, self._sampler_config, self._stop)
+        except Exception as exc:  # noqa: BLE001
+            self._error = exc
+
+    def stop(self, begin_ns: int | None = None, end_ns: int | None = None):
+        """End sampling. Given the window ``run_one`` reported, return the
+        samples and that window, rebased onto the first reading so that
+        stored times are run-relative; without one (the run failed),
+        return ``None`` and drop any sampler failure."""
+        self._stop.set()
+        self._thread.join()
+        if begin_ns is None:
+            return None
+        if self._error is not None:
+            raise self._error
+        samples = self._samples
+        origin_ns = samples.starts_ns[0] if samples else begin_ns
+        begin_ns -= origin_ns
+        return samples.rebased(origin_ns), begin_ns, max(end_ns - origin_ns, begin_ns + 1)
+
+
+class _ReplayMeter:
+    """Replays a scenario from its origin over each grid-snapped window.
+
+    The child runs for real; nothing is read while it does. Its window is
+    snapped to the counter refresh grid and replayed from the scenario
+    origin on the virtual clock of one probe the meter owns, so the
+    samples are replicable. All windows of a run share one sample grid,
+    extended only when a window reaches past it: the first
+    ``ceil(end / interval)`` samples of the grid are the samples a fresh
+    probe replays over ``[0, end)``.
+    """
+
+    def __init__(self, scenario: SimulationScenario, sampler_config: SamplerConfig):
+        self._probe = SimulatedProbe(scenario)
+        self._sampler_config = sampler_config
+        self._grid = SampleColumns()
+
+    def start(self) -> None:
+        pass
+
+    def stop(self, begin_ns: int | None = None, end_ns: int | None = None):
+        """The replayed samples of the window ``run_one`` reported, and the
+        window itself, ``[0, snapped duration)``; ``None`` without one."""
+        if begin_ns is None:
+            return None
+        probe = self._probe
+        end_ns = _quantize_duration_ns(end_ns - begin_ns, probe.scenario.update_interval_ns)
+        count = max(1, -(-end_ns // self._sampler_config.interval_ns))
+        if count > len(self._grid):
+            more = sample_stream(probe, self._sampler_config, DeadlineStop(probe.scheduler.now, end_ns))
+            grid = self._grid
+            self._grid = SampleColumns(
+                grid.starts_ns + more.starts_ns,
+                grid.ends_ns + more.ends_ns,
+                {d: grid.energy_uj.get(d, ()) + column for d, column in more.energy_uj.items()},
+            )
+        return self._grid[:count], 0, end_ns
+
+
+def _meter(probe: Probe, sampler_config: SamplerConfig) -> _LiveMeter | _ReplayMeter:
+    """The meter of a run on ``probe``: one per ``run_experiment`` call."""
+    if isinstance(probe, SimulatedProbe):
+        return _ReplayMeter(probe.scenario, sampler_config)
+    return _LiveMeter(probe, sampler_config)
+
+
 def _run_iteration(
-    probe: Probe,
+    meter: _LiveMeter | _ReplayMeter,
     config: ExperimentConfig,
     descriptor: ProbeDescriptor,
     baseline_w: Mapping | None,
     test: TestId,
     iteration: int,
 ) -> TestExecutionResult:
-    sampler_config = SamplerConfig(config.sampling_rate_hz)
-    if isinstance(probe, SimulatedProbe):
-        # The child runs for real; its samples are replayed from the scenario
-        # origin over a grid-snapped window, which makes them replicable.
+    meter.start()
+    try:
         begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
-        end_ns = _quantize_duration_ns(end_ns - begin_ns, descriptor.update_interval_ns)
-        begin_ns = 0
-        fresh = SimulatedProbe(probe.scenario)
-        samples = sample_stream(fresh, sampler_config, DeadlineStop(fresh.scheduler.now, end_ns))
-    else:
-        stop = threading.Event()
-        collected: dict = {}
-
-        def _sampling_task():
-            # Every failure, not only a lost probe, is re-raised after the test.
-            try:
-                collected["samples"] = sample_stream(probe, sampler_config, stop)
-            except Exception as exc:  # noqa: BLE001
-                collected["error"] = exc
-
-        sampler_thread = threading.Thread(target=_sampling_task, name="manai-sampler")
-        sampler_thread.start()
-        try:
-            begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
-        finally:
-            stop.set()
-            sampler_thread.join()
-        if "error" in collected:
-            raise collected["error"]
-        samples = collected.get("samples", SampleColumns())
-
-    # Rebase onto the first reading so stored times are run-relative. The
-    # virtual clock starts at 0, where a replayed window already begins.
-    origin_ns = samples.starts_ns[0] if samples else begin_ns
-    samples = samples.rebased(origin_ns)
-    begin_ns -= origin_ns
-    end_ns = max(end_ns - origin_ns, begin_ns + 1)
+    except BaseException:
+        meter.stop()
+        raise
+    samples, begin_ns, end_ns = meter.stop(begin_ns, end_ns)
     return TestExecutionResult.build(
         test=test,
         iteration=iteration,
@@ -360,9 +433,11 @@ def run_experiment(
         config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
     )
     descriptor = probe.describe()
+    sampler_config = SamplerConfig(config.sampling_rate_hz)
     # Refuse a wrap-ambiguous rate before the data directory is touched
     # or any test runs.
-    _check_single_wrap(descriptor, SamplerConfig(config.sampling_rate_hz).interval_ns)
+    _check_single_wrap(descriptor, sampler_config.interval_ns)
+    meter = _meter(probe, sampler_config)
 
     lock = _DataDirLock(data_dir)
     lock.acquire()
@@ -385,7 +460,7 @@ def run_experiment(
             iteration_results: list[TestExecutionResult] = []
             for iteration in range(config.iterations):
                 try:
-                    result = _run_iteration(probe, config, descriptor, baseline_w, test, iteration)
+                    result = _run_iteration(meter, config, descriptor, baseline_w, test, iteration)
                 except ProtocolViolation as exc:
                     logger.warning("test %s violated the protocol: %s", test, exc)
                     iteration_results.append(

@@ -534,13 +534,22 @@ def _parse_int(text: str, key: str, line_no: int) -> int:
         raise MalformedScenario(f"bad integer for {key}: {text!r}", line_no) from None
 
 
+def _not_a_pair(token: str, line_no: int) -> MalformedScenario:
+    return MalformedScenario(f"expected key=value, got {token!r}", line_no)
+
+
 def load_scenario(path: Path | str) -> SimulationScenario:
-    """Parse and validate a scenario file.
+    """Parse and validate a scenario file in one pass over its tokens.
 
     Format: header assignments ``update_interval_ns=<int>`` and
     ``max_range_uj=<int>`` (one or both per line), then one line per
     segment: ``duration_ns=<int> package=<watts> [core=<watts>] ...``.
     Blank lines and ``#`` comments are ignored; unknown keys are errors.
+    A power spelled as plain digits, at most six before an optional point
+    and at most 22 after it, is converted by integer arithmetic; any other
+    spelling goes through :func:`_parse_watts_uw`, and both give
+    ``int(Decimal(text) * 10**6)``. Within a line, a token that is not
+    ``key=value`` is reported before any other error.
 
     Raises:
         MalformedScenario: On syntax errors or invariant violations, with
@@ -558,45 +567,64 @@ def load_scenario(path: Path | str) -> SimulationScenario:
     # first segment and in segments that leave it out.
     powers_uw: dict[str, list[int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        pairs = [token.partition("=") for token in line.split()]
-        if not pairs:
+        tokens = line.partition("#")[0].split()
+        if not tokens:
             continue
-        for key, sep, value in pairs:
+        try:
+            key, sep, value = tokens[0].partition("=")
             if not (key and sep and value):
-                raise MalformedScenario(f"expected key=value, got {key + sep + value!r}", line_no)
-        key, _, value = pairs[0]
-        if key == "duration_ns":
-            duration_ns = _parse_int(value, key, line_no)
-            if duration_ns <= 0:
-                raise MalformedScenario("segment duration must be positive", line_no)
-            if len(pairs) == 1:
-                raise MalformedScenario("segment defines no domain power", line_no)
-            segment = len(durations_ns)
-            for key, _, value in pairs[1:]:
-                column = powers_uw.get(key)
-                if column is None:
-                    if key not in _SCENARIO_DOMAIN_KEYS:
+                raise _not_a_pair(tokens[0], line_no)
+            if key == "duration_ns":
+                duration_ns = _parse_int(value, key, line_no)
+                if duration_ns <= 0:
+                    raise MalformedScenario("segment duration must be positive", line_no)
+                if len(tokens) == 1:
+                    raise MalformedScenario("segment defines no domain power", line_no)
+                segment = len(durations_ns)
+                for token in tokens[1:]:
+                    key, sep, value = token.partition("=")
+                    if not (key and sep and value):
+                        raise _not_a_pair(token, line_no)
+                    column = powers_uw.get(key)
+                    if column is None:
+                        if key not in _SCENARIO_DOMAIN_KEYS:
+                            raise MalformedScenario(f"unknown key {key!r}", line_no)
+                        column = powers_uw[key] = [0] * segment
+                    elif len(column) > segment:
+                        raise MalformedScenario(f"duplicate domain {key!r}", line_no)
+                    whole, _, fraction = value.partition(".")
+                    if len(whole) <= 6 and len(fraction) <= 22 and whole.isdigit() and value.isascii() and (
+                        fraction.isdigit() or not fraction
+                    ):
+                        # Whole watts and six decimals make the microwatts; later
+                        # decimals truncate. Six digits stay below the power bound,
+                        # and at most 28 digits keep Decimal's default product exact.
+                        column.append(int(whole + fraction[:6].ljust(6, "0")))
+                    else:
+                        column.append(_parse_watts_uw(value, line_no))
+                durations_ns.append(duration_ns)
+                if len(tokens) <= len(powers_uw):
+                    for column in powers_uw.values():
+                        if len(column) == segment:
+                            column.append(0)
+            elif durations_ns:
+                raise MalformedScenario("header line after first segment", line_no)
+            else:
+                for token in tokens:
+                    key, sep, value = token.partition("=")
+                    if not (key and sep and value):
+                        raise _not_a_pair(token, line_no)
+                    if key not in _HEADER_KEYS:
                         raise MalformedScenario(f"unknown key {key!r}", line_no)
-                    column = powers_uw[key] = [0] * segment
-                elif len(column) > segment:
-                    raise MalformedScenario(f"duplicate domain {key!r}", line_no)
-                column.append(_parse_watts_uw(value, line_no))
-            durations_ns.append(duration_ns)
-            if len(pairs) <= len(powers_uw):
-                for column in powers_uw.values():
-                    if len(column) == segment:
-                        column.append(0)
-        elif durations_ns:
-            raise MalformedScenario("header line after first segment", line_no)
-        else:
-            for key, _, value in pairs:
-                if key not in _HEADER_KEYS:
-                    raise MalformedScenario(f"unknown key {key!r}", line_no)
-                if key in header:
-                    raise MalformedScenario(f"duplicate header key {key!r}", line_no)
-                header[key] = _parse_int(value, key, line_no)
+                    if key in header:
+                        raise MalformedScenario(f"duplicate header key {key!r}", line_no)
+                    header[key] = _parse_int(value, key, line_no)
+        except MalformedScenario:
+            for token in tokens:
+                key, sep, value = token.partition("=")
+                if not (key and sep and value):
+                    raise _not_a_pair(token, line_no) from None
+            raise
 
     missing = _HEADER_KEYS - set(header)
     if missing:

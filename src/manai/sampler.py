@@ -32,22 +32,6 @@ _NS_PER_S = 1_000_000_000
 _NJ_PER_UJ = 1_000
 
 
-def wrap_delta(before_uj: int, after_uj: int, max_range_uj: int) -> int:
-    """Energy consumed between two counter values of one domain.
-
-    Counters are modular: when ``after`` is smaller than ``before`` the
-    counter wrapped exactly once, so the distance closes over the top of
-    the range. The result is always in ``[0, max_range)``.
-    """
-    if not 0 <= before_uj < max_range_uj:
-        raise ValueError(f"before={before_uj} outside [0, {max_range_uj})")
-    if not 0 <= after_uj < max_range_uj:
-        raise ValueError(f"after={after_uj} outside [0, {max_range_uj})")
-    if after_uj >= before_uj:
-        return after_uj - before_uj
-    return max_range_uj - before_uj + after_uj
-
-
 @dataclass(frozen=True)
 class EnergySample:
     """Energy consumed per domain over one sampling interval, in integer microjoules."""
@@ -173,7 +157,8 @@ def _columns(readings: list[ProbeReading], descriptor: ProbeDescriptor) -> Sampl
     energy_uj = {}
     for domain, counters in zip(descriptor.domains, zip(*(c for _, c in readings))):
         max_range_uj = descriptor.max_range_uj[domain]
-        # ``wrap_delta`` of each adjacent pair: read() keeps counters in range.
+        # Counters are modular and read() keeps them in range, so a counter
+        # that wrapped once between two readings closes over the top.
         energy_uj[domain] = [(after - before) % max_range_uj for before, after in zip(counters, counters[1:])]
     return SampleColumns(starts_ns, ends_ns, energy_uj)
 
@@ -187,15 +172,32 @@ def _wrap_horizon_ns(descriptor: ProbeDescriptor, domain: EnergyDomain) -> float
     return descriptor.max_range_uj[domain] * _NJ_PER_UJ / peak_w if peak_w else math.inf
 
 
+def _format_ns(duration_ns: float) -> str:
+    """A duration in the largest unit it fills, e.g. ``10 us`` or ``1.5 s``."""
+    for unit, scale in (("s", _NS_PER_S), ("ms", 1_000_000), ("us", 1_000)):
+        if duration_ns >= scale:
+            return f"{duration_ns / scale:g} {unit}"
+    return f"{duration_ns:g} ns"
+
+
 def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
     """Refuse an interval whose reading pairs could reach a domain's wrap horizon."""
     for domain in descriptor.domains:
-        if interval_ns + descriptor.update_interval_ns >= _wrap_horizon_ns(descriptor, domain):
-            raise InvalidConfig(
-                f"sampling interval {interval_ns / _NS_PER_S:.3f} s plus one counter refresh could span "
-                f"a full wrap for {domain} (range {descriptor.max_range_uj[domain]} uJ at up to "
-                f"{descriptor.peak_power_w[domain]:g} W); increase the sampling rate"
-            )
+        horizon_ns = _wrap_horizon_ns(descriptor, domain)
+        if interval_ns + descriptor.update_interval_ns < horizon_ns:
+            continue
+        # The shortest interval, 1 ns, fails as well: no rate can help.
+        advice = (
+            "the counter range is too small for the refresh interval"
+            if 1 + descriptor.update_interval_ns >= horizon_ns
+            else "increase the sampling rate"
+        )
+        raise InvalidConfig(
+            f"sampling interval {_format_ns(interval_ns)} plus one counter refresh "
+            f"({_format_ns(descriptor.update_interval_ns)}) could span a full wrap for {domain} "
+            f"(range {descriptor.max_range_uj[domain]} uJ at up to "
+            f"{descriptor.peak_power_w[domain]:g} W); {advice}"
+        )
 
 
 def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:

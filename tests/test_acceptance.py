@@ -24,10 +24,10 @@ import pytest
 from manai.clock import DeadlineStop
 from manai.experiment import ExperimentConfig, run_experiment
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
-from manai.probe import ProbeBackend, RaplProbe, SimulatedProbe
+from manai.probe import ProbeBackend, ProbeDescriptor, ProbeReading, RaplProbe, SimulatedProbe
 from manai.report import render_history, render_summary, ReportRequest
 from manai.results import attribute
-from manai.sampler import SamplerConfig, sample_stream, wrap_delta
+from manai.sampler import SamplerConfig, _columns, sample_stream
 from manai.store import Store, record_to_doc, render_record
 
 from conftest import (
@@ -42,6 +42,13 @@ from conftest import (
 from test_store import random_record
 
 NS = 10**9
+
+
+def reading_pair_delta_uj(descriptor: ProbeDescriptor, before: ProbeReading, after: ProbeReading) -> dict:
+    """Per domain, the wrap-corrected energy the run path's ``_columns``
+    stores for the sample between two readings."""
+    samples = _columns([before, after], descriptor)
+    return {domain: column[0] for domain, column in samples.energy_uj.items()}
 
 
 @contextmanager
@@ -111,11 +118,14 @@ def test_criterion_02_conservation(tmp_path):
                 continue
 
             # Exact telescoping of interval deltas to the endpoint delta.
+            first, last = (
+                ProbeReading(t, tuple(scenario.counter_uj(d, t) for d in scenario.domains))
+                for t in (samples[0].start_ns, samples[-1].end_ns)
+            )
+            endpoint_uj = reading_pair_delta_uj(scenario.descriptor, first, last)
             for domain in (PKG, DRAM):
-                first = scenario.counter_uj(domain, samples[0].start_ns)
-                last = scenario.counter_uj(domain, samples[-1].end_ns)
                 total_uj = sum(s.energy_uj[domain] for s in samples)
-                assert total_uj == wrap_delta(first, last, scenario.max_range_uj)
+                assert total_uj == endpoint_uj[domain]
 
             # Exact conservation of attribution over a random partition.
             begin_ns, end_ns = samples[0].start_ns, samples[-1].end_ns
@@ -142,9 +152,11 @@ def test_criterion_03_wrap_oracle():
                 steps += 1
             return steps
 
+        descriptor = ProbeDescriptor(ProbeBackend.SIMULATED, (PKG,), 1, {PKG: max_range}, {PKG: 0.0})
         for before in range(max_range):
             for after in range(max_range):
-                assert wrap_delta(before, after, max_range) == oracle(before, after)
+                delta = reading_pair_delta_uj(descriptor, ProbeReading(0, (before,)), ProbeReading(1, (after,)))
+                assert delta == {PKG: oracle(before, after)}
 
 
 def test_criterion_04_short_test_low_confidence(tmp_path):
@@ -403,6 +415,6 @@ def test_criterion_10_live_rapl_smoke():
         first = probe.read()
         time.sleep(0.1)
         second = probe.read()
-        for domain, before, after in zip(descriptor.domains, first.counters, second.counters):
-            delta = wrap_delta(before, after, descriptor.max_range_uj[domain])
-            assert delta >= 0
+        deltas = reading_pair_delta_uj(descriptor, first, second)
+        assert set(deltas) == set(descriptor.domains)
+        assert all(0 <= deltas[d] < descriptor.max_range_uj[d] for d in descriptor.domains)

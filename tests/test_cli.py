@@ -22,6 +22,7 @@ from manai.store import Store
 from conftest import CORE, PKG, make_powercap_tree, make_record, write_plan, write_scenario
 
 NS = 10**9
+MS = 10**6
 
 
 # A command that must return at once gets this long in a child process.
@@ -360,13 +361,13 @@ class TestLiveRun:
     def test_wrap_ambiguous_rate_exits_1_and_saves_nothing(self, tmp_path, monkeypatch, capsys):
         # A 1 J range at up to 1 kW wraps within 1 ms, so a 100 Hz poll
         # cannot tell one wrap from several; the sampler thread's refusal
-        # must reach the exit code.
+        # must reach the exit code. That is one 1 ms refresh: no rate helps.
         zones = {
             "intel-rapl:0": {"name": "package-0", "energy_uj": 10, "max_energy_range_uj": 10**6},
         }
         code = self._run_live(tmp_path, monkeypatch, zones, rate_hz=100)
         assert code == 1
-        assert "increase the sampling rate" in capsys.readouterr().err
+        assert "the counter range is too small for the refresh interval" in capsys.readouterr().err
         assert not (tmp_path / "data" / "revisions").exists()
 
     def test_wrap_ambiguous_rate_is_refused_before_anything_runs(self, tmp_path, capsys):
@@ -387,7 +388,7 @@ class TestLiveRun:
 
     def test_scenario_peak_that_wraps_within_a_tick_exits_1(self, tmp_path, capsys):
         # 20 kW against a 10 J range wraps twice per 1 ms tick: a 1 kHz
-        # poll would attribute 0 J to every test.
+        # poll would attribute 0 J to every test, and so would any rate.
         scenario = write_scenario(
             tmp_path / "scenario.txt", [(NS, {"package": "20000"})], max_range_uj=10**7
         )
@@ -399,7 +400,7 @@ class TestLiveRun:
             "--select", "demo::a", "--revision", "rev", "--data-dir", str(data_dir),
         ])
         assert code == 1
-        assert "increase the sampling rate" in capsys.readouterr().err
+        assert "the counter range is too small for the refresh interval" in capsys.readouterr().err
         assert not data_dir.exists()
 
     def test_counter_outside_range_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -828,6 +829,28 @@ class TestBaselineCommand:
         result, = Store(tmp_path / "data").latest("rev").results[TestId("demo", "alpha")]
         assert result.baseline_applied
         assert result.energy_j[PKG] == 0.0
+
+    @pytest.mark.parametrize("command", ["baseline", "run"])
+    def test_range_filled_within_one_refresh_exits_1_naming_the_range(self, workspace, capsys, tmp_path, command):
+        # 10 W fills a 10 mJ range in one 1 ms refresh: no sampling rate can
+        # tell one wrap from several, so asking for a faster one is no help.
+        _, _, _, _, harness_line = workspace
+        scenario = write_scenario(tmp_path / "tiny.txt", [(MS, {"package": "10"})], max_range_uj=10_000)
+        probe = ["--probe", "simulated", "--scenario", str(scenario)]
+        if command == "baseline":
+            argv = ["baseline", *probe, "--duration", "1", "--out", str(tmp_path / "baseline.json")]
+            shown = "1 ns"
+        else:
+            argv = ["run", *probe, "--rate", "100000", "--harness", harness_line, "--select", "demo::alpha",
+                    "--revision", "rev", "--data-dir", str(tmp_path / "data")]
+            shown = "10 us"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"sampling interval {shown} plus one counter refresh (1 ms)" in err
+        assert "the counter range is too small for the refresh interval" in err
+        assert "increase the sampling rate" not in err
+        assert not (tmp_path / "baseline.json").exists()
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "0.5"])
     def test_window_not_finite_or_below_1_s_exits_1(self, workspace, capsys, tmp_path, duration):

@@ -19,6 +19,7 @@ from manai.errors import EmptyInput, InvalidConfig, LockHeld
 from manai.experiment import (
     BaselineSetting,
     ExperimentConfig,
+    _meter,
     _quantize_duration_ns,
     config_digest,
     run_experiment,
@@ -26,7 +27,7 @@ from manai.experiment import (
 from manai.harness import TestId, TestStatus
 from manai.probe import ProbeBackend, SimulatedProbe
 from manai.results import attribute, compute_stats, summarize
-from manai.sampler import EnergySample, SamplerConfig, sample_stream
+from manai.sampler import EnergySample, SamplerConfig, calibrate_baseline, sample_stream
 from manai.store import Store
 
 from conftest import (
@@ -305,6 +306,59 @@ def test_quantize_snaps_jitter_window_to_grid_point(interval, k, data):
 def test_quantize_keeps_sub_interval_durations(interval, data):
     duration = data.draw(st.integers(1, interval - 1))
     assert _quantize_duration_ns(duration, interval) == duration
+
+
+@st.composite
+def replay_cases(draw):
+    """A scenario, a rate, and the harness windows of one simulated run.
+
+    Rates of 7 and 333 Hz do not divide a refresh interval, 1000 and 1500
+    Hz may. Counter ranges are either huge or barely above what the wrap
+    check accepts, so that counters wrap within a window. Window lengths
+    include sub-interval, repeated, shrinking and growing ones.
+    """
+    update_ns = draw(st.sampled_from([500_000, 1_000_000, 2_000_000]))
+    rate_hz = draw(st.sampled_from([7.0, 333.0, 1000.0, 1500.0]))
+    segments = tuple(
+        ScenarioSegment(
+            duration_ns=draw(st.integers(1, 150_000_000)),
+            powers_uw={PKG: draw(st.integers(0, 40_000_000)), DRAM: draw(st.integers(0, 5_000_000))},
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    peak_uw = max(max(s.powers_uw.values()) for s in segments)
+    # The wrap check passes while the range outlasts one interval plus one refresh.
+    least_uj = (SamplerConfig(rate_hz).interval_ns + update_ns) * peak_uw // 10**9 + 1
+    max_range_uj = draw(st.sampled_from([10**12, least_uj]) | st.integers(least_uj, least_uj + 10**6))
+    scenario = scenario_of(segments, max_range_uj=max_range_uj, update_interval_ns=update_ns)
+    durations = draw(st.lists(
+        st.integers(0, update_ns - 1) | st.integers(0, 400_000_000), min_size=1, max_size=6,
+    ))
+    if draw(st.booleans()):
+        durations.insert(draw(st.integers(0, len(durations))), draw(st.sampled_from(durations)))
+    begins = draw(st.lists(st.integers(0, 10**12), min_size=len(durations), max_size=len(durations)))
+    windows = [(begin, begin + duration) for begin, duration in zip(begins, durations)]
+    return scenario, rate_hz, windows, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=replay_cases())
+def test_replay_meter_cuts_the_fresh_replay_of_every_window(case):
+    scenario, rate_hz, windows, calibrate = case
+    sampler_config = SamplerConfig(rate_hz)
+    run_probe = SimulatedProbe(scenario)
+    meter = _meter(run_probe, sampler_config)
+    if calibrate:
+        # A calibrate: baseline advances the run's own probe first.
+        calibrate_baseline(run_probe, 1.0)
+    for begin_ns, end_ns in windows:
+        meter.start()
+        samples, begin, end = meter.stop(begin_ns, end_ns)
+        snapped_ns = _quantize_duration_ns(end_ns - begin_ns, scenario.update_interval_ns)
+        fresh = SimulatedProbe(scenario)
+        expected = sample_stream(fresh, sampler_config, DeadlineStop(fresh.scheduler.now, snapped_ns))
+        assert (begin, end) == (0, snapped_ns)
+        assert samples == expected
 
 
 class TestRunExperiment:

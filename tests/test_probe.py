@@ -698,6 +698,154 @@ def test_rejections_match_previous_parser(tmp_path_factory, lines):
 
 
 # --------------------------------------------------------------------------
+# The one-pass loader against generated scenario texts
+# --------------------------------------------------------------------------
+
+
+_README_POWERS = ["10", "1.5", "0.000250", "007.", "2.5e-3", "1_000", ".5"]
+
+
+@pytest.mark.parametrize("power", _README_POWERS)
+def test_readme_power_spellings_load_exactly(tmp_path, power):
+    path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": power})])
+    assert load_scenario(path).powers_uw[PKG] == (int(Decimal(power) * 10**6),)
+
+
+def test_non_ascii_digits_load_as_decimal_reads_them(tmp_path):
+    # "²" passes str.isdigit() but not int(); Decimal refuses it as well.
+    path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "١٢.٥"}), (10**9, {"package": "²"})])
+    with pytest.raises(MalformedScenario, match="line 4: bad power value '²'"):
+        load_scenario(path)
+    path = write_scenario(tmp_path / "s.txt", [(10**9, {"package": "١٢.٥"})])
+    assert load_scenario(path).powers_uw[PKG] == (12_500_000,)
+
+
+@st.composite
+def power_texts(draw):
+    """A power of at most 1 MW, spelled as the README lists them."""
+    style = draw(st.sampled_from(["10", "1.5", "007.", "2.5e-3", "1_000", ".5", "listed"]))
+    if style == "listed":
+        return draw(st.sampled_from([*_README_POWERS, "1000000", "1e6", "999999." + "9" * 30]))
+    whole = str(draw(st.integers(0, 999_999)))
+    if style == "10":
+        return whole
+    if style == "007.":
+        return "00" + whole + "."
+    if style == "1_000":
+        return f"{whole[:1]}_{whole[1:] or '0'}"
+    fraction = draw(st.text("0123456789", min_size=1, max_size=30))
+    if style == "1.5":
+        return f"{whole}.{fraction}"
+    if style == "2.5e-3":
+        return f"{whole}.{fraction}e-{len(fraction) % 10}"
+    return f".{fraction}"
+
+
+# A value on a line, and the message that refuses it.
+_BAD_POWERS = {
+    "-1.5": "negative power '-1.5'",
+    "-inf": "negative power '-inf'",
+    "NaN": "bad power value 'NaN'",
+    "Infinity": "bad power value 'Infinity'",
+    "1e400000000": "bad power value '1e400000000'",
+    "1000000.000001": "power above 1000000 W: '1000000.000001'",
+    "2e6": "power above 1000000 W: '2e6'",
+}
+
+_SCENARIO_KEYS = {kind.value: EnergyDomain(kind, 0) for kind in DomainKind}
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text with comments, blank lines and omitted domains, and
+    what loading it must give: ``(line_no, message)`` of the first broken
+    line, or else the header and each segment's duration and power texts.
+
+    About one segment in four comes with one error: a bad power, a token
+    that is not key=value, an unknown key, a duplicate domain, a bad
+    duration, no power at all, or a header line before or after it.
+    """
+    lines: list[str] = []
+    errors: list[tuple[int, str]] = []
+
+    def add(line: str) -> int:
+        while draw(st.integers(0, 3)) == 3:
+            lines.append(draw(st.sampled_from(["", "   ", "# a comment", "\t# key=value here"])))
+        lines.append(line + draw(st.sampled_from(["", "", "  # trailing note", "#x=1"])))
+        return len(lines)
+
+    header = {"update_interval_ns": draw(st.integers(1, 10**7)), "max_range_uj": draw(st.integers(1, 10**13))}
+    if draw(st.booleans()):
+        add(" ".join(f"{k}={v}" for k, v in header.items()))
+    else:
+        for k, v in header.items():
+            add(f"{k}={v}")
+    segments = []
+    for index in range(draw(st.integers(1, 8))):
+        keys = draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), min_size=1, max_size=5, unique=True))
+        powers = {key: draw(power_texts()) for key in keys}
+        duration = draw(st.integers(1, 10**10))
+        lead, tokens = f"duration_ns={duration}", [f"{key}={value}" for key, value in powers.items()]
+        error = draw(st.sampled_from([
+            "bad power", "no equals sign", "unknown key", "duplicate domain", "zero duration",
+            "bad duration", "no power", "header before", "header after",
+        ])) if draw(st.integers(0, 3)) == 3 else None
+        message = None
+        if error == "header after" and index:
+            errors.append((add("max_range_uj=7"), "header line after first segment"))
+        elif error == "header before" and not index:
+            errors.append((add("update_interval_ns=7"), "duplicate header key 'update_interval_ns'"))
+        elif error == "bad power":
+            at = draw(st.integers(0, len(keys) - 1))
+            bad = draw(st.sampled_from(sorted(_BAD_POWERS)))
+            tokens[at], message = f"{keys[at]}={bad}", _BAD_POWERS[bad]
+        elif error == "no equals sign":
+            tokens.insert(draw(st.integers(0, len(tokens))), keys[0])
+            message = f"expected key=value, got {keys[0]!r}"
+        elif error == "unknown key":
+            tokens.insert(draw(st.integers(0, len(tokens))), "gpu=1")
+            message = "unknown key 'gpu'"
+        elif error == "duplicate domain":
+            tokens.append(f"{keys[-1]}=1")
+            message = f"duplicate domain {keys[-1]!r}"
+        elif error == "zero duration":
+            lead, message = "duration_ns=0", "segment duration must be positive"
+        elif error == "bad duration":
+            lead, message = "duration_ns=1.5", "bad integer for duration_ns: '1.5'"
+        elif error == "no power":
+            tokens, message = [], "segment defines no domain power"
+        line_no = add(" ".join([lead, *tokens]))
+        if message is not None:
+            errors.append((line_no, message))
+        segments.append((duration, powers))
+    return "\n".join(lines) + "\n", min(errors, default=None), header, segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scenario_texts())
+def test_loader_on_generated_scenarios(tmp_path_factory, case):
+    text, first_error, header, segments = case
+    path = tmp_path_factory.mktemp("scenario") / "s.txt"
+    path.write_text(text)
+    if first_error is not None:
+        line_no, message = first_error
+        with pytest.raises(MalformedScenario) as failure:
+            load_scenario(path)
+        assert (failure.value.line_no, str(failure.value)) == (line_no, f"line {line_no}: {message}")
+        return
+    scenario = load_scenario(path)
+    assert (scenario.update_interval_ns, scenario.max_range_uj) == (
+        header["update_interval_ns"], header["max_range_uj"])
+    assert scenario.durations_ns == tuple(duration for duration, _ in segments)
+    domains = {key for _, powers in segments for key in powers}
+    assert set(scenario.powers_uw) == {_SCENARIO_KEYS[key] for key in domains}
+    for key in domains:
+        assert scenario.powers_uw[_SCENARIO_KEYS[key]] == tuple(
+            int(Decimal(powers[key]) * 10**6) if key in powers else 0 for _, powers in segments
+        )
+
+
+# --------------------------------------------------------------------------
 # Domain keys
 # --------------------------------------------------------------------------
 

@@ -27,10 +27,10 @@ from manai.sampler import (
     SamplerConfig,
     _calibration_interval_ns,
     _check_single_wrap,
+    _columns,
     calibrate_baseline,
     check_calibration_window,
     sample_stream,
-    wrap_delta,
 )
 
 from conftest import DRAM, PKG, ScenarioSegment, scenario_of
@@ -49,12 +49,21 @@ def constant_probe(watts: float, max_range_uj: int = 10**12,
     return SimulatedProbe(scenario)
 
 
-class TestWrapDelta:
+def wrapped_delta(before_uj: int, after_uj: int, max_range_uj: int) -> int:
+    """The sample ``sampler._columns`` builds between two readings of one domain."""
+    descriptor = ProbeDescriptor(
+        ProbeBackend.SIMULATED, (PKG,), MS, {PKG: max_range_uj}, {PKG: MAX_PLAUSIBLE_POWER_W}
+    )
+    samples = _columns([ProbeReading(0, (before_uj,)), ProbeReading(1, (after_uj,))], descriptor)
+    return samples.energy_uj[PKG][0]
+
+
+class TestWrapCorrection:
     def test_no_wrap(self):
-        assert wrap_delta(100, 350, 1000) == 250
+        assert wrapped_delta(100, 350, 1000) == 250
 
     def test_single_wrap(self):
-        assert wrap_delta(900, 150, 1000) == 250
+        assert wrapped_delta(900, 150, 1000) == 250
 
     def test_exhaustive_against_step_oracle(self):
         # Oracle: tick the counter forward one unit at a time until it
@@ -70,24 +79,30 @@ class TestWrapDelta:
 
         for before in range(max_range):
             for after in range(max_range):
-                assert wrap_delta(before, after, max_range) == oracle(before, after)
+                assert wrapped_delta(before, after, max_range) == oracle(before, after)
 
     @given(st.integers(0, 10**6 - 1))
     def test_identical_values_mean_zero(self, value):
-        assert wrap_delta(value, value, 10**6) == 0
+        assert wrapped_delta(value, value, 10**6) == 0
 
     @given(
         before=st.integers(0, 999),
         after=st.integers(0, 999),
     )
     def test_result_always_inside_range(self, before, after):
-        assert 0 <= wrap_delta(before, after, 1000) < 1000
+        assert 0 <= wrapped_delta(before, after, 1000) < 1000
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            wrap_delta(1000, 0, 1000)
-        with pytest.raises(ValueError):
-            wrap_delta(0, -1, 1000)
+    def test_simulated_counters_stay_inside_range(self):
+        # Wrap correction takes counters in [0, max_range); a simulated probe
+        # keeps them there however often the counter wraps (live reads
+        # refuse a counter outside it, see test_probe).
+        probe = constant_probe(7.0, max_range_uj=1000, update_ns=1000)
+        counters = []
+        while probe.scheduler.now() < 5 * MS:
+            counters.append(probe.read().counters[0])
+            probe.scheduler.advance(37_000)
+        assert len(set(counters)) > 100
+        assert all(0 <= c < 1000 for c in counters)
 
 
 class TestSampleStream:
@@ -136,9 +151,10 @@ class TestSampleStream:
     def test_rate_rejected_when_the_scenario_peak_wraps_within_a_tick(self):
         # 20 kW against a 10 J range wraps twice per 1 ms tick, so every
         # sample would read 0 J; the check uses the scenario's own peak.
+        # The range fills within one refresh, so no rate can help.
         probe = constant_probe(20_000.0, max_range_uj=10**7)
         stop = DeadlineStop(probe.scheduler.now, 10 * MS)
-        with pytest.raises(InvalidConfig, match="increase the sampling rate"):
+        with pytest.raises(InvalidConfig, match="counter range is too small for the refresh interval"):
             sample_stream(probe, SamplerConfig(rate_hz=1000.0), stop)
 
     @pytest.mark.parametrize("rate_hz", [1.0, 1.0005])
@@ -159,6 +175,26 @@ class TestSampleStream:
         samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
         assert len(samples) == 6
         assert all(s.energy_uj[PKG] == 500_000 for s in samples)
+
+    @pytest.mark.parametrize("interval_ns, shown", [(1, "1 ns"), (10_000, "10 us"), (MS, "1 ms")])
+    def test_range_filled_within_one_refresh_is_refused_for_every_interval(self, interval_ns, shown):
+        # 10 W fills a 10 mJ range in exactly one 1 ms refresh: even a 1 ns
+        # interval could span a full wrap, so a faster rate is no advice.
+        descriptor = constant_probe(10.0, max_range_uj=10_000).describe()
+        with pytest.raises(InvalidConfig) as refusal:
+            _check_single_wrap(descriptor, interval_ns)
+        message = str(refusal.value)
+        assert f"sampling interval {shown} plus one counter refresh (1 ms)" in message
+        assert message.endswith("the counter range is too small for the refresh interval")
+        assert "increase the sampling rate" not in message
+
+    def test_range_filled_just_after_one_refresh_asks_for_a_faster_rate(self):
+        # At 9 W the same range lasts 1.11 ms: a 10 us interval passes, so
+        # a 1 ms interval is refused with the advice to sample faster.
+        descriptor = constant_probe(9.0, max_range_uj=10_000).describe()
+        _check_single_wrap(descriptor, 10_000)
+        with pytest.raises(InvalidConfig, match=r"interval 1 ms .*; increase the sampling rate$"):
+            _check_single_wrap(descriptor, MS)
 
     def test_probe_failure_mid_stream_is_probe_lost(self):
         inner = constant_probe(10.0)
@@ -217,7 +253,7 @@ def test_sample_energies_telescope_to_endpoint_delta(case):
     first_counter = scenario.counter_uj(PKG, samples[0].start_ns)
     last_counter = scenario.counter_uj(PKG, samples[-1].end_ns)
     total_uj = sum(s.energy_uj[PKG] for s in samples)
-    assert total_uj == wrap_delta(first_counter, last_counter, scenario.max_range_uj)
+    assert total_uj == wrapped_delta(first_counter, last_counter, scenario.max_range_uj)
 
 
 class TestSamplerConfig:
@@ -499,7 +535,8 @@ def _previous_make_sample(previous, current, domains, max_range_uj):
         return None
     energy_uj = {}
     for domain, before, after in zip(domains, previous.counters, current.counters):
-        energy_uj[domain] = wrap_delta(before, after, max_range_uj[domain])
+        # Wrap correction by cases: a counter that went down wrapped once.
+        energy_uj[domain] = after - before if after >= before else max_range_uj[domain] - before + after
     return EnergySample(previous.timestamp_ns, current.timestamp_ns, energy_uj)
 
 

@@ -345,7 +345,10 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_probe_flags(parser)
     _add_harness_flags(parser)
-    parser.add_argument("--rate", default=None, help="probe sampling rate in Hz")
+    parser.add_argument(
+        "--rate", default=None,
+        help="simulated replay rate in Hz (a live probe is read at each test window edge)",
+    )
     parser.add_argument("--iterations", default=None, help="executions per test")
     parser.add_argument("--select", default=None, help="comma-separated test ids (default: all)")
     parser.add_argument("--revision", default=None, help="revision label (default: git head)")

@@ -74,7 +74,7 @@ class ReadFailed(EnvError):
 
 
 class ProbeLost(EnvError):
-    """The probe failed mid-stream; the samples of that stream are discarded."""
+    """A read failed mid-stream or inside a test window; its samples are discarded."""
 
 
 class HarnessSpawnFailed(EnvError):

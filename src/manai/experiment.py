@@ -7,8 +7,11 @@ outcome keyed by revision label.
 
 Execution timing depends on the probe backend:
 
-* RAPL: a sampling thread polls the live counters while the test child
-  runs; execution windows are the marker arrival timestamps.
+* RAPL: the run loop reads the live counters at each window edge it
+  stamps (BEGIN or END handled, the deadline of a timeout, the exit
+  before END) and once per wrap guard while the window is open, so a
+  window is exactly the samples between its readings. No thread runs
+  beside the test.
 * Simulated: the child still runs for real (its status and measured
   duration are real), and its duration is then snapped to the counter
   refresh grid. One replay grid per run, laid down from the scenario
@@ -21,8 +24,9 @@ Execution timing depends on the probe backend:
   three quarters late. Sub-interval durations are kept as measured (they
   are low-confidence either way).
 
-Both paths share one iteration body: a meter, built once per run, is
-started before the child is spawned and stopped after it exits.
+Both paths share one iteration body: a meter, built once per run, lends
+``run_one`` its edge clock and wrap guard and turns the window it reports
+into samples.
 
 Exactly one experiment may run per data directory: the runner holds an
 exclusive, non-blocking ``flock`` on ``<data_dir>/lock`` for the whole
@@ -40,19 +44,20 @@ import math
 import os
 import shlex
 import subprocess
-import threading
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
 from manai.clock import DeadlineStop
-from manai.errors import InvalidConfig, LockHeld, ProtocolViolation
+from manai.errors import InvalidConfig, LockHeld, ProbeLost, ProtocolViolation, ReadFailed
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import (
     Probe,
     ProbeBackend,
     ProbeDescriptor,
+    ProbeReading,
     SimulatedProbe,
     SimulationScenario,
     create_probe,
@@ -63,6 +68,8 @@ from manai.sampler import (
     SampleColumns,
     SamplerConfig,
     _check_single_wrap,
+    _columns,
+    _wrap_guard_ns,
     calibrate_baseline,
     check_calibration_window,
     sample_stream,
@@ -256,54 +263,48 @@ def _quantize_duration_ns(duration_ns: int, update_interval_ns: int) -> int:
 
 
 class _LiveMeter:
-    """Samples a live probe on a thread that runs across the whole harness run.
+    """Reads a probe at each window edge ``run_one`` stamps, and nowhere else.
 
-    The thread's wake-ups keep the run loop quick to handle END. On 2
-    vCPUs, with children that slept 250 ms and printed their own
-    ``CLOCK_MONOTONIC`` reading just before each marker, END was handled
-    0.11 ms after that stamp (p50; max 3.6 ms) beside this 1 kHz thread,
-    but 2.72 ms after it with the same reads taken in the run loop, and
-    2.75 ms (max 4.8 ms) with reads at BEGIN and END only. Those two cost
-    10.1 and 1.0 ms of parent CPU per iteration against 10.8 ms here; a
-    thread ticking only from BEGIN kept END at 0.10 ms and saved nothing
-    (10.4 against 10.6 ms). Cheaper reads therefore wait for windows taken
-    from stamps the harness writes into its markers. A simulated run has
-    no thread, so its windows close about 2.7 ms late.
+    :meth:`clock` is ``run_one``'s edge clock: it reads the probe, keeps
+    the reading and returns its timestamp, so each edge of a window is a
+    reading and the window is exactly the samples between its readings.
+    While a window is open, ``run_one`` also calls it once every
+    ``guard_ns``: half the longest interval the wrap check accepts, so no
+    two readings can span a full counter wrap. Nothing else reads the
+    probe, so no sampling thread burns CPU that the counters bill to the
+    test. On real RAPL at 1000 W the guard is about 131 s, so a test
+    shorter than that is two readings and one sample.
     """
 
-    def __init__(self, probe: Probe, sampler_config: SamplerConfig):
+    def __init__(self, probe: Probe):
         self._probe = probe
-        self._sampler_config = sampler_config
+        self._descriptor = probe.describe()
+        self.guard_ns = _wrap_guard_ns(self._descriptor)
+        if self.guard_ns is not None:
+            _check_single_wrap(self._descriptor, self.guard_ns)
+        self._readings: list[ProbeReading] = []
 
     def start(self) -> None:
-        self._stop = threading.Event()
-        self._samples = SampleColumns()
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._sample, name="manai-sampler")
-        self._thread.start()
+        self._readings = []
 
-    def _sample(self) -> None:
-        # Every failure, not only a lost probe, is re-raised after the test.
+    def clock(self) -> int:
+        """Read the probe and keep the reading; return its timestamp, or the
+        last kept one when the clock did not advance."""
         try:
-            self._samples = sample_stream(self._probe, self._sampler_config, self._stop)
-        except Exception as exc:  # noqa: BLE001
-            self._error = exc
+            reading = self._probe.read()
+        except ReadFailed as exc:
+            raise ProbeLost(f"probe lost during a test window: {exc}") from exc
+        readings = self._readings
+        if not readings or reading.timestamp_ns > readings[-1].timestamp_ns:
+            readings.append(reading)
+        return readings[-1].timestamp_ns
 
-    def stop(self, begin_ns: int | None = None, end_ns: int | None = None):
-        """End sampling. Given the window ``run_one`` reported, return the
-        samples and that window, rebased onto the first reading so that
-        stored times are run-relative; without one (the run failed),
-        return ``None`` and drop any sampler failure."""
-        self._stop.set()
-        self._thread.join()
-        if begin_ns is None:
-            return None
-        if self._error is not None:
-            raise self._error
-        samples = self._samples
-        origin_ns = samples.starts_ns[0] if samples else begin_ns
-        begin_ns -= origin_ns
-        return samples.rebased(origin_ns), begin_ns, max(end_ns - origin_ns, begin_ns + 1)
+    def stop(self, begin_ns: int, end_ns: int):
+        """The samples between the kept readings and the window ``run_one``
+        reported, rebased onto its BEGIN reading so that stored times are
+        window-relative."""
+        samples = _columns(self._readings, self._descriptor).rebased(begin_ns)
+        return samples, 0, max(end_ns - begin_ns, 1)
 
 
 class _ReplayMeter:
@@ -318,7 +319,13 @@ class _ReplayMeter:
     probe replays over ``[0, end)``.
     """
 
+    # The child's window is timed on the monotonic clock; no reading is
+    # taken while it runs.
+    clock = staticmethod(time.monotonic_ns)
+    guard_ns = None
+
     def __init__(self, scenario: SimulationScenario, sampler_config: SamplerConfig):
+        _check_single_wrap(scenario.descriptor, sampler_config.interval_ns)
         self._probe = SimulatedProbe(scenario)
         self._sampler_config = sampler_config
         self._grid = SampleColumns()
@@ -326,11 +333,9 @@ class _ReplayMeter:
     def start(self) -> None:
         pass
 
-    def stop(self, begin_ns: int | None = None, end_ns: int | None = None):
+    def stop(self, begin_ns: int, end_ns: int):
         """The replayed samples of the window ``run_one`` reported, and the
-        window itself, ``[0, snapped duration)``; ``None`` without one."""
-        if begin_ns is None:
-            return None
+        window itself, ``[0, snapped duration)``."""
         probe = self._probe
         end_ns = _quantize_duration_ns(end_ns - begin_ns, probe.scenario.update_interval_ns)
         count = max(1, -(-end_ns // self._sampler_config.interval_ns))
@@ -346,10 +351,14 @@ class _ReplayMeter:
 
 
 def _meter(probe: Probe, sampler_config: SamplerConfig) -> _LiveMeter | _ReplayMeter:
-    """The meter of a run on ``probe``: one per ``run_experiment`` call."""
+    """The meter of a run on ``probe``: one per ``run_experiment`` call.
+
+    Raises:
+        InvalidConfig: Two of its readings could span a full counter wrap.
+    """
     if isinstance(probe, SimulatedProbe):
         return _ReplayMeter(probe.scenario, sampler_config)
-    return _LiveMeter(probe, sampler_config)
+    return _LiveMeter(probe)
 
 
 def _run_iteration(
@@ -361,11 +370,9 @@ def _run_iteration(
     iteration: int,
 ) -> TestExecutionResult:
     meter.start()
-    try:
-        begin_ns, end_ns, status, error = run_one(config.harness, test, config.test_timeout_s)
-    except BaseException:
-        meter.stop()
-        raise
+    begin_ns, end_ns, status, error = run_one(
+        config.harness, test, config.test_timeout_s, meter.clock, meter.guard_ns
+    )
     samples, begin_ns, end_ns = meter.stop(begin_ns, end_ns)
     return TestExecutionResult.build(
         test=test,
@@ -433,11 +440,9 @@ def run_experiment(
         config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
     )
     descriptor = probe.describe()
-    sampler_config = SamplerConfig(config.sampling_rate_hz)
-    # Refuse a wrap-ambiguous rate before the data directory is touched
-    # or any test runs.
-    _check_single_wrap(descriptor, sampler_config.interval_ns)
-    meter = _meter(probe, sampler_config)
+    # Refuses a wrap-ambiguous rate or guard before the data directory is
+    # touched or any test runs.
+    meter = _meter(probe, SamplerConfig(config.sampling_rate_hz))
 
     lock = _DataDirLock(data_dir)
     lock.acquire()

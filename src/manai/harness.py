@@ -9,14 +9,20 @@ output can be profiled. The protocol (UTF-8, one marker per line):
 
 The harness is told which single test to execute through the
 ``MANAI_FILTER`` environment variable. The run loop reads the child's
-pipe itself and stamps each line on the parent's monotonic clock as it
-reads it, so no clock agreement with the child is needed. The pipe
-delays a marker by a measured median of 0.44 ms (maximum 11.7 ms) for a
-child that sleeps, but not for a CPU-bound one: of 200 children that
-busy-looped 0.5 ms on a 2-vCPU host, BEGIN was handled 3.7 ms (p50; max
-7.9 ms) after the child wrote it, and the median window read 0.045 ms.
-Lines may end in CRLF; undecodable bytes are replaced. Standard error
-passes through untouched. All other stdout lines are ignored.
+pipe itself and stamps each BEGIN and END as it handles it, with a clock
+the caller passes in (the monotonic clock, or a probe reading on a live
+run), so no clock agreement with the child is needed. Handling lags the
+child's write by what the child does next. On a 2-vCPU host, with
+children that slept and printed their own ``CLOCK_MONOTONIC`` reading
+before each marker, BEGIN was handled about 0.08 ms late. END was
+handled 2.5-2.8 ms late (p50) when the child exited right after END, as
+most harnesses do, but 0.13 ms late when it stayed alive 50 ms longer,
+with or without a sampling thread in the parent. A CPU-bound child
+delays BEGIN instead: of 200 children that busy-looped 0.5 ms, BEGIN was
+handled 3.7 ms (p50; max 7.9 ms) after the child wrote it, and the
+median window read 0.045 ms. Lines may end in CRLF; undecodable bytes
+are replaced. Standard error passes through untouched. All other stdout
+lines are ignored.
 """
 
 from __future__ import annotations
@@ -182,80 +188,121 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
     return tests
 
 
-def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -> HarnessRun:
+def run_one(
+    cmd: HarnessCommand,
+    test: TestId,
+    timeout_s: float | None = None,
+    clock=time.monotonic_ns,
+    guard_ns: int | None = None,
+) -> HarnessRun:
     """Execute exactly one test under the marker protocol.
 
     Launches ``program args`` with ``MANAI_FILTER`` naming the test and
     expects exactly one BEGIN/END pair for it. Every outcome of the test
     is a :class:`HarnessRun`: the status END reported, or a FAIL with an
-    ``error`` when the child exited before END (the window ends when it is
-    reaped) or the timeout elapsed (the window ends at the deadline). After
-    END the child gets one grace period to exit; a child that lingers is
-    killed.
+    ``error`` when the child exited before END (the window ends at its
+    exit) or the timeout elapsed (the window ends at the deadline). The
+    child's exit ends the wait even while a grandchild holds its stdout:
+    what the child wrote before it exited is still read. After END the
+    child gets one grace period to exit; a child that lingers is killed.
+
+    Each window edge, and nothing else, is stamped by calling ``clock``.
+    While the window is open, ``clock`` is also called whenever
+    ``guard_ns`` has passed on the monotonic clock since its last call, so
+    a clock that reads energy counters reads them often enough to tell
+    their wraps apart.
 
     Args:
         cmd: Harness launch description (``args``, not ``list_args``).
         test: The test to filter for; must match the emitted markers.
         timeout_s: Overall wall-clock bound. The child is killed when it
             elapses and the run is reported as crashed.
+        clock: Returns the time of a window edge, in nanoseconds.
+        guard_ns: Longest wait between two ``clock`` calls inside the
+            window; ``None`` for no bound.
 
     Raises:
-        HarnessSpawnFailed: The process could not start.
+        HarnessSpawnFailed: The process could not start, or its exit
+            cannot be waited for (``os.pidfd_open`` needs Linux 5.3).
         ProtocolViolation: Markers arrived that contradict the contract
             (wrong id, duplicate BEGIN or END, END without BEGIN, missing
             BEGIN).
+        Whatever ``clock`` raises; the child is killed first.
     """
     proc = _spawn(cmd, cmd.args, {FILTER_ENV: str(test)})
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except OSError as exc:
+        _kill(proc)
+        proc.stdout.close()
+        raise HarnessSpawnFailed(f"cannot watch harness pid {proc.pid} (needs Linux 5.3 or later): {exc}") from exc
     fd = proc.stdout.fileno()
     selector = selectors.DefaultSelector()
     selector.register(fd, selectors.EVENT_READ)
+    selector.register(pidfd, selectors.EVENT_READ)
     deadline_ns = None if timeout_s is None else time.monotonic_ns() + round(timeout_s * 1e9)
+    guard_at_ns = None  # when the open window's next guard reading is due
     begin_ns = end_ns = status = error = None
+    exited = False
     tail = b""
     try:
         while True:
-            remaining_s = None
-            if deadline_ns is not None:
-                remaining_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
-            if not selector.select(remaining_s):
-                if end_ns is None:
-                    end_ns, status = time.monotonic_ns(), TestStatus.FAIL
-                    error = f"test {test} timed out after {timeout_s:.1f} s"
-                _kill(proc)
-                break
-            # Not proc.stdout.read*: its buffer would hide data from select.
-            chunk = os.read(fd, 65536)
-            lines = (tail + chunk).splitlines(keepends=True)
-            tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
-            for line in lines:
-                timestamp_ns = time.monotonic_ns()
-                marker = _parse_marker(line.decode("utf-8", "replace"))
-                if marker is None or marker[0] == "TEST":
-                    continue
-                word, seen, seen_status = marker
-                if seen != test:
-                    raise ProtocolViolation(f"{word} for {seen}, expected {test}")
-                if word == "BEGIN":
-                    if begin_ns is not None:
-                        raise ProtocolViolation(f"duplicate BEGIN for {test}")
-                    begin_ns = timestamp_ns
-                    continue
-                if begin_ns is None:
-                    raise ProtocolViolation(f"END without BEGIN for {test}")
-                if end_ns is not None:
-                    raise ProtocolViolation(f"duplicate END for {test}")
-                end_ns, status = timestamp_ns, seen_status
-                # One grace period to exit, so a lingering child cannot stall the run.
-                grace_end_ns = end_ns + round(_EXIT_GRACE_S * 1e9)
-                deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
-            if not chunk:
-                break
-    except ProtocolViolation:
+            wake_ns = min((t for t in (deadline_ns, guard_at_ns) if t is not None), default=None)
+            wait_s = None if wake_ns is None else max(0.0, (wake_ns - time.monotonic_ns()) / 1e9)
+            ready = {key.fd for key, _ in selector.select(0.0 if exited else wait_s)}
+            if not ready:
+                if exited:
+                    # The exited child's output is all read.
+                    break
+                if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
+                    if end_ns is None:
+                        end_ns, status = clock(), TestStatus.FAIL
+                        error = f"test {test} timed out after {timeout_s:.1f} s"
+                    _kill(proc)
+                    break
+            if pidfd in ready:
+                # Read what the child wrote before it exited, then stop.
+                selector.unregister(pidfd)
+                exited = True
+            if fd in ready:
+                # Not proc.stdout.read*: its buffer would hide data from select.
+                chunk = os.read(fd, 65536)
+                lines = (tail + chunk).splitlines(keepends=True)
+                tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
+                for line in lines:
+                    marker = _parse_marker(line.decode("utf-8", "replace"))
+                    if marker is None or marker[0] == "TEST":
+                        continue
+                    word, seen, seen_status = marker
+                    if seen != test:
+                        raise ProtocolViolation(f"{word} for {seen}, expected {test}")
+                    if word == "BEGIN":
+                        if begin_ns is not None:
+                            raise ProtocolViolation(f"duplicate BEGIN for {test}")
+                        begin_ns = clock()
+                        guard_at_ns = None if guard_ns is None else time.monotonic_ns() + guard_ns
+                        continue
+                    if begin_ns is None:
+                        raise ProtocolViolation(f"END without BEGIN for {test}")
+                    if end_ns is not None:
+                        raise ProtocolViolation(f"duplicate END for {test}")
+                    end_ns, status = clock(), seen_status
+                    guard_at_ns = None
+                    # One grace period to exit, so a lingering child cannot stall the run.
+                    grace_end_ns = time.monotonic_ns() + round(_EXIT_GRACE_S * 1e9)
+                    deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
+                if not chunk:
+                    break
+            if guard_at_ns is not None and time.monotonic_ns() >= guard_at_ns:
+                clock()
+                guard_at_ns = time.monotonic_ns() + guard_ns
+    except BaseException:
         _kill(proc)
         raise
     finally:
         _reap(proc, deadline_ns)
         selector.close()
+        os.close(pidfd)
         proc.stdout.close()
 
     if end_ns is None:
@@ -263,7 +310,7 @@ def run_one(cmd: HarnessCommand, test: TestId, timeout_s: float | None = None) -
             raise ProtocolViolation(
                 f"harness exited (status {proc.returncode}) without a BEGIN for {test}"
             )
-        end_ns, status = time.monotonic_ns(), TestStatus.FAIL
+        end_ns, status = clock(), TestStatus.FAIL
         error = f"harness exited (status {proc.returncode}) before END for {test}"
     return HarnessRun(end_ns - 1 if begin_ns is None else begin_ns, end_ns, status, error)
 

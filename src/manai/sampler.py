@@ -1,13 +1,17 @@
 """Turn cumulative counter readings into wrap-corrected interval samples.
 
-The sampling loop polls a probe at a configured rate against absolute
-deadlines and keeps, per tick, only the reading itself: its timestamp
-and its counters in ``probe.describe().domains`` order. After the stop
-signal, one pass per column turns the kept readings into
-:class:`SampleColumns`: the edge times, and per domain the wrap-corrected
-counter delta between adjacent readings. A sample knows no idle
-baseline; attribution takes it off once per window. No per-sample object
-is built on the way.
+Readings come from one of two places. The sampling loop
+(:func:`sample_stream`) polls a probe at a configured rate against
+absolute deadlines; it replays simulated runs and times baseline
+calibration. A live run reads its probe only at the window edges the
+harness run loop stamps, plus a wrap guard (:func:`_wrap_guard_ns`)
+while the window is open. Either way a reading is kept as it is: its
+timestamp and its counters in ``probe.describe().domains`` order.
+Afterwards, one pass per column (:func:`_columns`) turns the kept
+readings into :class:`SampleColumns`: the edge times, and per domain the
+wrap-corrected counter delta between adjacent readings. A sample knows
+no idle baseline; attribution takes it off once per window. No
+per-sample object is built on the way.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -200,6 +204,24 @@ def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
         )
 
 
+def _longest_interval_ns(descriptor: ProbeDescriptor) -> float:
+    """The longest interval :func:`_check_single_wrap` accepts: below 1 ns
+    when it accepts none, infinite when no domain can wrap."""
+    horizon_ns = min((_wrap_horizon_ns(descriptor, d) for d in descriptor.domains), default=math.inf)
+    if horizon_ns == math.inf:
+        return math.inf
+    return math.ceil(horizon_ns) - descriptor.update_interval_ns - 1
+
+
+def _wrap_guard_ns(descriptor: ProbeDescriptor) -> int | None:
+    """Longest gap between two readings taken only at window edges: half
+    the longest interval the wrap check accepts, so a reading may come late
+    by as much again, and at least 1 ns, which the check refuses when it
+    accepts nothing. ``None`` when no counter can wrap."""
+    longest_ns = _longest_interval_ns(descriptor)
+    return None if longest_ns == math.inf else max(1, longest_ns // 2)
+
+
 def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
     """Poll ``probe`` every ``1/rate`` seconds until ``stop`` is set.
 
@@ -290,8 +312,7 @@ def _calibration_interval_ns(descriptor: ProbeDescriptor) -> int:
     shorter, in whole refresh intervals so that a simulated probe is read
     on its refresh grid."""
     update_ns = descriptor.update_interval_ns
-    horizon_ns = min((_wrap_horizon_ns(descriptor, d) for d in descriptor.domains), default=math.inf)
-    interval_ns = max(1, math.ceil(min(horizon_ns, _CALIBRATION_INTERVAL_NS + update_ns + 1)) - update_ns - 1)
+    interval_ns = max(1, min(_longest_interval_ns(descriptor), _CALIBRATION_INTERVAL_NS))
     # Below one refresh interval no grid point is left.
     return interval_ns // update_ns * update_ns or interval_ns
 

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
-from manai.probe import DomainKind, EnergyDomain, SimulationScenario
+from manai.clock import RealScheduler
+from manai.errors import ReadFailed
+from manai.probe import (
+    DomainKind,
+    EnergyDomain,
+    ProbeBackend,
+    ProbeDescriptor,
+    ProbeReading,
+    SimulationScenario,
+)
 
 # Harness children run ``python -m manai.fixture_harness``; let them import
 # manai from this checkout like the test process does (pyproject's pytest
@@ -100,6 +111,52 @@ def scenario_of(segments, max_range_uj: int, update_interval_ns: int) -> Simulat
         max_range_uj=max_range_uj,
         update_interval_ns=update_interval_ns,
     )
+
+
+@st.composite
+def baseline_cases(draw):
+    """Power segments, a refresh interval, a rate, a window of ``ticks``
+    intervals at that rate, and a baseline to take off it."""
+    segments = tuple(
+        ScenarioSegment(
+            duration_ns=draw(st.integers(100_000, 300_000_000)),
+            powers_uw={PKG: draw(st.integers(0, 50_000_000)), DRAM: draw(st.integers(0, 10_000_000))},
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    update_ns = draw(st.sampled_from([1_000_000, 1_500_000, 2_500_000]) | st.integers(100_000, 5_000_000))
+    rate_hz = draw(st.sampled_from([1000.0, 250.0]) | st.floats(50.0, 4000.0))
+    ticks = draw(st.integers(1, 600))
+    baseline_w = draw(st.fixed_dictionaries({PKG: st.floats(0.0, 60.0)}, optional={DRAM: st.floats(0.0, 12.0)}))
+    return segments, update_ns, rate_hz, ticks, baseline_w
+
+
+class SteppingProbe:
+    """A probe of one domain, ``package:0``, stamped on the monotonic clock,
+    whose counter reads ``start_uj`` and then ``step_uj`` more at every
+    read, modulo ``max_range_uj``. Read number ``fail_at`` (from 0) fails.
+    It keeps every reading it returns. It is not a simulated probe, so a
+    run over it takes the live path."""
+
+    def __init__(self, step_uj: int, max_range_uj: int, peak_w: float, start_uj: int = 0,
+                 fail_at: int | None = None):
+        self.scheduler = RealScheduler()
+        self.readings: list[ProbeReading] = []
+        self._step_uj, self._start_uj, self._fail_at = step_uj, start_uj, fail_at
+        self._descriptor = ProbeDescriptor(
+            ProbeBackend.RAPL, (PKG,), 1_000_000, {PKG: max_range_uj}, {PKG: peak_w}
+        )
+
+    def describe(self) -> ProbeDescriptor:
+        return self._descriptor
+
+    def read(self) -> ProbeReading:
+        count = len(self.readings)
+        if count == self._fail_at:
+            raise ReadFailed(PKG, f"scripted failure at read {count}")
+        counter_uj = (self._start_uj + count * self._step_uj) % self._descriptor.max_range_uj[PKG]
+        self.readings.append(ProbeReading(time.monotonic_ns(), (counter_uj,)))
+        return self.readings[-1]
 
 
 def write_plan(path: Path, lines: list[str]) -> Path:

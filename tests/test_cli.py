@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import importlib
 import json
 import os
@@ -9,17 +10,26 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
-from manai import errors
+from manai import errors, experiment
 from manai.cli import _COMMANDS, _SETTINGS, main
 from manai.harness import TestId, TestStatus
 from manai.store import Store
 
-from conftest import CORE, PKG, make_powercap_tree, make_record, write_plan, write_scenario
+from conftest import (
+    CORE,
+    PKG,
+    SteppingProbe,
+    make_powercap_tree,
+    make_record,
+    write_plan,
+    write_scenario,
+)
 
 NS = 10**9
 MS = 10**6
@@ -402,6 +412,43 @@ class TestLiveRun:
         assert code == 1
         assert "the counter range is too small for the refresh interval" in capsys.readouterr().err
         assert not data_dir.exists()
+
+    @pytest.mark.parametrize("fail_at", [0, 1], ids=["begin", "end"])
+    def test_failed_read_at_an_edge_exits_2(self, tmp_path, monkeypatch, capsys, fail_at):
+        # At 1 W a 1 kJ range needs no guard reading within the test, so
+        # read 0 is BEGIN's and read 1 is END's. The harness sleeps after
+        # END, so only a kill ends it in time.
+        monkeypatch.delenv("MANAI_DATA_DIR", raising=False)
+        probe = SteppingProbe(step_uj=1, max_range_uj=10**9, peak_w=1.0, fail_at=fail_at)
+        monkeypatch.setattr(experiment, "create_probe", lambda *args: probe)
+        pid_file = tmp_path / "pid"
+        script = tmp_path / "harness.py"
+        script.write_text(
+            "import os, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "print('##MANAI:BEGIN demo::a', flush=True)\n"
+            "time.sleep(0.05)\n"
+            "print('##MANAI:END demo::a PASS', flush=True)\n"
+            "time.sleep(30)\n"
+        )
+        data_dir = tmp_path / "data"
+        started = time.monotonic()
+        code = main([
+            "run", "--harness", f"{sys.executable} {script}", "--probe", "rapl", "--select", "demo::a",
+            "--revision", "rev", "--data-dir", str(data_dir),
+        ])
+        assert time.monotonic() - started < 4.0
+        assert code == 2
+        assert (
+            f"probe lost during a test window: reading package:0 failed: scripted failure at read {fail_at}"
+            in capsys.readouterr().err
+        )
+        assert len(probe.readings) == fail_at
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+        assert not (data_dir / "revisions").exists()
+        with open(data_dir / "lock") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_counter_outside_range_exits_2(self, tmp_path, monkeypatch, capsys):
         zones = {

@@ -8,17 +8,20 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manai import experiment
 from manai.clock import DeadlineStop
 from manai.errors import EmptyInput, InvalidConfig, LockHeld
 from manai.experiment import (
     BaselineSetting,
     ExperimentConfig,
+    _LiveMeter,
     _meter,
     _quantize_duration_ns,
     config_digest,
@@ -34,7 +37,10 @@ from conftest import (
     DRAM,
     PKG,
     ScenarioSegment,
+    SteppingProbe,
+    baseline_cases,
     fixture_harness_command,
+    make_powercap_tree,
     make_result,
     scenario_of,
     write_plan,
@@ -359,6 +365,117 @@ def test_replay_meter_cuts_the_fresh_replay_of_every_window(case):
         expected = sample_stream(fresh, sampler_config, DeadlineStop(fresh.scheduler.now, snapped_ns))
         assert (begin, end) == (0, snapped_ns)
         assert samples == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=baseline_cases(), data=st.data())
+def test_edge_readings_stay_within_one_refresh_step_of_the_true_energy(case, data):
+    # The live meter over a simulated probe, its clock called as run_one
+    # calls it: at BEGIN, once per guard while the window is open, each
+    # guard reading late by up to one more guard, and at END. The counter
+    # range is the smallest whose guard is the drawn one, so counters wrap
+    # inside most windows, plus 1 uJ: a counter of whole microjoules can
+    # gain 1 uJ more than the power integral between two readings, which
+    # the wrap check does not allow for.
+    segments, update_ns, rate_hz, ticks, _ = case
+    window_ns = ticks * SamplerConfig(rate_hz).interval_ns
+    peak_uw = max(max(segment.powers_uw.values()) for segment in segments)
+    target_ns = data.draw(st.integers(max(1, window_ns // 40), max(1, window_ns // 3)))
+    max_range_uj = -(-(2 * target_ns + update_ns + 1) * peak_uw // 10**9) + 1
+    scenario = scenario_of(segments, max_range_uj=max_range_uj, update_interval_ns=update_ns)
+    probe = SimulatedProbe(scenario)
+    meter = _LiveMeter(probe)
+    assert meter.guard_ns is None or meter.guard_ns >= target_ns - 1
+
+    sched = probe.scheduler
+    begin_ns = data.draw(st.integers(0, 2 * NS))
+    end_ns = begin_ns + window_ns
+    meter.start()
+    sched.sleep_until(begin_ns)
+    begin = meter.clock()
+    while meter.guard_ns is not None:
+        due_ns = sched.now() + meter.guard_ns + data.draw(st.integers(0, meter.guard_ns))
+        if due_ns >= end_ns:
+            break
+        sched.sleep_until(due_ns)
+        meter.clock()
+    sched.sleep_until(end_ns)
+    samples, begin, end = meter.stop(begin, meter.clock())
+
+    assert (begin, end) == (samples.starts_ns[0], samples.ends_ns[-1]) == (0, window_ns)
+    energy = attribute(samples, begin, end)
+    for domain in scenario.domains:
+        true_j = Fraction(scenario.energy_fj(domain, end_ns) - scenario.energy_fj(domain, begin_ns), 10**15)
+        peak_w = Fraction(max(segment.powers_uw[domain] for segment in segments), 10**6)
+        # One refresh step, plus the counter's 1 uJ resolution.
+        step_j = peak_w * Fraction(update_ns, NS) + Fraction(1, 10**6)
+        assert abs(energy[domain] - true_j) <= step_j
+
+
+LIVE = TestId("demo", "live")
+
+
+def _run_live(tmp_path, sleep_ms: int, iterations: int = 1, powercap_root=None):
+    """The stored results of a live run of one fixture test sleeping ``sleep_ms``."""
+    plan = write_plan(tmp_path / "plan.txt", [f"test {LIVE} sleep_ms={sleep_ms}"])
+    config = ExperimentConfig(
+        harness=fixture_harness_command(plan),
+        sampling_rate_hz=1000.0,
+        iterations=iterations,
+        revision_label="rev-live",
+        selection=(LIVE,),
+        probe_backend=ProbeBackend.RAPL,
+        test_timeout_s=30.0,
+        powercap_root=powercap_root,
+    )
+    run_experiment(config, data_dir=tmp_path / "data")
+    results = Store(tmp_path / "data").latest("rev-live").results[LIVE]
+    assert all(r.status is TestStatus.PASS for r in results)
+    return results
+
+
+class TestLiveRun:
+    """A live run reads its probe at each window edge, and once per wrap
+    guard inside the window."""
+
+    def test_window_is_the_wrapped_delta_between_its_edge_readings(self, tmp_path, monkeypatch):
+        # At 1 W a 1 kJ range takes 1000 s to fill, so the guard is about
+        # 500 s and each iteration is read at BEGIN and END only. Every
+        # pair of readings wraps: 0.5, 1.2, 1.9 and 2.6 kJ.
+        probe = SteppingProbe(step_uj=7 * 10**8, max_range_uj=10**9, peak_w=1.0, start_uj=5 * 10**8)
+        monkeypatch.setattr(experiment, "create_probe", lambda *args: probe)
+        results = _run_live(tmp_path, sleep_ms=30, iterations=2)
+        readings = probe.readings
+        assert len(readings) == 4
+        for result, begin, end in zip(results, readings[::2], readings[1::2]):
+            delta_uj = (end.counters[0] - begin.counters[0]) % 10**9
+            assert delta_uj == 7 * 10**8
+            assert result.energy_j[PKG] == float(Fraction(delta_uj, 10**6))
+            assert result.duration_ns == end.timestamp_ns - begin.timestamp_ns
+            assert (result.samples.starts_ns[0], result.samples.ends_ns[-1]) == (0, result.duration_ns)
+
+    def test_window_spanning_wraps_conserves_energy_through_guard_readings(self, tmp_path, monkeypatch):
+        # 40 W fills a 1 J range in 25 ms, so the guard is about 12 ms.
+        # Each reading adds 0.4 J, so 250 ms wraps the counter about 8 times.
+        probe = SteppingProbe(step_uj=4 * 10**5, max_range_uj=10**6, peak_w=40.0)
+        monkeypatch.setattr(experiment, "create_probe", lambda *args: probe)
+        result, = _run_live(tmp_path, sleep_ms=250)
+        intervals = len(probe.readings) - 1
+        assert len(result.samples) == intervals
+        assert intervals * 4 * 10**5 >= 3 * 10**6
+        assert result.energy_j[PKG] == float(Fraction(intervals * 4 * 10**5, 10**6))
+
+    def test_live_run_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"the run started thread {thread.name}")
+
+        root = make_powercap_tree(tmp_path / "powercap", {
+            "intel-rapl:0": {"name": "package-0", "energy_uj": 1234, "max_energy_range_uj": 262143328850},
+        })
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result, = _run_live(tmp_path, sleep_ms=30, powercap_root=root)
+        assert len(result.samples) == 1
+        assert result.energy_j[PKG] == 0.0
 
 
 class TestRunExperiment:

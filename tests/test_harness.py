@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import signal
@@ -219,6 +220,31 @@ def _assert_reaped(pid_file: Path) -> None:
         os.kill(int(pid_file.read_text()), 0)
 
 
+class EdgeClock:
+    """A ``run_one`` clock on the monotonic clock that keeps every stamp."""
+
+    def __init__(self):
+        self.stamps: list[int] = []
+
+    def __call__(self) -> int:
+        self.stamps.append(time.monotonic_ns())
+        return self.stamps[-1]
+
+
+# Forks a grandchild that holds the harness's stdout open for 30 s and
+# records its pid in the file named by ``sleeper``.
+_FORK_SLEEPER = (
+    "pid = os.fork()\n"
+    "if pid == 0: time.sleep(30); os._exit(0)\n"
+    "open(sleeper, 'w').write(str(pid))\n"
+)
+
+
+def _kill_sleeper(sleeper_file: Path) -> None:
+    if sleeper_file.exists():
+        os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
+
+
 A = TestId("demo", "a")
 
 
@@ -261,6 +287,96 @@ class TestRunOneOutcomes:
         assert run.status is TestStatus.FAIL
         assert run.error == "harness exited (status 3) before END for demo::a"
         assert run.end_ns > run.begin_ns
+        _assert_reaped(pid_file)
+
+    def test_exit_before_end_while_a_grandchild_holds_stdout(self, tmp_path, monkeypatch):
+        # The child's exit ends the wait, not the pipe's EOF: this run used
+        # to be reported as timed out, with a window up to the deadline.
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 1.0)
+        sleeper_file = tmp_path / "sleeper"
+        cmd, pid_file = _inline_harness(
+            tmp_path, f"sleeper = {str(sleeper_file)!r}\nm('BEGIN demo::a')\n{_FORK_SLEEPER}sys.exit(3)\n"
+        )
+        clock = EdgeClock()
+        started = time.monotonic()
+        try:
+            run = run_one(cmd, A, timeout_s=1.5, clock=clock)
+            elapsed_s = time.monotonic() - started
+        finally:
+            _kill_sleeper(sleeper_file)
+        assert run.status is TestStatus.FAIL
+        assert run.error == "harness exited (status 3) before END for demo::a"
+        assert elapsed_s < 1.0
+        # The window ends at the reading taken once the exit was seen.
+        assert (run.begin_ns, run.end_ns) == tuple(clock.stamps)
+        _assert_reaped(pid_file)
+
+    def test_kernel_without_pidfd_fails_the_spawn(self, tmp_path, monkeypatch):
+        def no_pidfd(pid, flags=0):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        spawned = []
+
+        def spawn(*args):
+            spawned.append(real_spawn(*args))
+            return spawned[-1]
+
+        real_spawn = harness._spawn
+        monkeypatch.setattr(harness, "_spawn", spawn)
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+        cmd, _ = _inline_harness(tmp_path, "time.sleep(30)\n")
+        with pytest.raises(HarnessSpawnFailed, match="needs Linux 5.3 or later"):
+            run_one(cmd, A, timeout_s=20)
+        proc, = spawned
+        assert proc.returncode is not None and proc.stdout.closed
+
+    def test_edges_alone_call_the_clock(self, tmp_path):
+        cmd, pid_file = _inline_harness(
+            tmp_path, "print('noise', flush=True); m('BEGIN demo::a'); m('END demo::a PASS')\n"
+        )
+        clock = EdgeClock()
+        run = run_one(cmd, A, timeout_s=20, clock=clock)
+        assert (run.begin_ns, run.end_ns) == tuple(clock.stamps)
+        _assert_reaped(pid_file)
+
+    def test_timeout_stamps_the_deadline_once(self, tmp_path):
+        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
+        clock = EdgeClock()
+        run = run_one(cmd, A, timeout_s=0.5, clock=clock)
+        assert run.error == "test demo::a timed out after 0.5 s"
+        assert (run.begin_ns, run.end_ns) == tuple(clock.stamps)
+        assert run.end_ns - run.begin_ns >= 0.4e9
+        _assert_reaped(pid_file)
+
+    def test_clock_failure_kills_the_child(self, tmp_path):
+        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
+
+        def failing_clock():
+            raise OSError("no counters")
+
+        started = time.monotonic()
+        with pytest.raises(OSError, match="no counters"):
+            run_one(cmd, A, timeout_s=20, clock=failing_clock)
+        # Well inside the 5 s grace a child that is only waited for gets.
+        assert time.monotonic() - started < 4.0
+        _assert_reaped(pid_file)
+
+    @pytest.mark.parametrize("body", [
+        "time.sleep(0.3)\n",
+        # A chatty child keeps the pipe busy, so select never times out.
+        "for _ in range(100): print('working', flush=True); time.sleep(0.003)\n",
+    ])
+    def test_guard_reads_while_the_window_is_open(self, tmp_path, body):
+        cmd, pid_file = _inline_harness(
+            tmp_path, "m('BEGIN demo::a')\n" + body + "m('END demo::a PASS'); time.sleep(0.2)\n"
+        )
+        clock = EdgeClock()
+        run = run_one(cmd, A, timeout_s=20, clock=clock, guard_ns=20 * MS)
+        stamps = clock.stamps
+        assert (run.begin_ns, run.end_ns) == (stamps[0], stamps[-1])
+        # About 15 guard readings in 0.3 s, and none after END.
+        assert 5 <= len(stamps) - 2 <= 16
+        assert all(b - a >= 20 * MS for a, b in zip(stamps, stamps[1:-1]))
         _assert_reaped(pid_file)
 
     def test_lingering_child_is_killed_after_grace(self, tmp_path, monkeypatch):
@@ -340,6 +456,27 @@ class TestReadLoop:
                 os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
         assert run.status is TestStatus.PASS and run.error is None
         assert elapsed_s < 1.8
+        _assert_reaped(pid_file)
+
+    def test_end_written_just_before_exit_counts(self, tmp_path):
+        # The BEGIN stamp takes 0.3 s, in which the child writes END, forks
+        # a grandchild that holds the pipe and exits: the next wait sees the
+        # exit and END at once, and the pipe is read out before the run ends.
+        sleeper_file = tmp_path / "sleeper"
+
+        def slow_clock():
+            time.sleep(0.3)
+            return time.monotonic_ns()
+
+        cmd, pid_file = _inline_harness(tmp_path, (
+            f"sleeper = {str(sleeper_file)!r}\nm('BEGIN demo::a'); time.sleep(0.05)\n"
+            f"m('END demo::a SKIP')\n{_FORK_SLEEPER}"
+        ))
+        try:
+            run = run_one(cmd, A, timeout_s=20, clock=slow_clock)
+        finally:
+            _kill_sleeper(sleeper_file)
+        assert run.status is TestStatus.SKIP and run.error is None
         _assert_reaped(pid_file)
 
     def test_run_starts_no_thread(self, tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from manai.sampler import (
     sample_stream,
 )
 
-from conftest import DRAM, PKG, ScenarioSegment, scenario_of
+from conftest import DRAM, PKG, ScenarioSegment, baseline_cases, scenario_of
 
 NS = 10**9
 MS = 10**6
@@ -380,22 +380,6 @@ class TestBaselineSubtraction:
         result = _marginal([EnergySample(0, NS, {PKG: 1_000_000})], NS, None)
         assert not result.baseline_applied
         assert result.energy_j == {PKG: 1.0}
-
-
-@st.composite
-def baseline_cases(draw):
-    segments = tuple(
-        ScenarioSegment(
-            duration_ns=draw(st.integers(100_000, 300 * MS)),
-            powers_uw={PKG: draw(st.integers(0, 50_000_000)), DRAM: draw(st.integers(0, 10_000_000))},
-        )
-        for _ in range(draw(st.integers(1, 6)))
-    )
-    update_ns = draw(st.sampled_from([MS, 1_500_000, 2_500_000]) | st.integers(100_000, 5 * MS))
-    rate_hz = draw(st.sampled_from([1000.0, 250.0]) | st.floats(50.0, 4000.0))
-    ticks = draw(st.integers(1, 600))
-    baseline_w = draw(st.fixed_dictionaries({PKG: st.floats(0.0, 60.0)}, optional={DRAM: st.floats(0.0, 12.0)}))
-    return segments, update_ns, rate_hz, ticks, baseline_w
 
 
 @settings(max_examples=150, deadline=None)

@@ -74,7 +74,8 @@ class ReadFailed(EnvError):
 
 
 class ProbeLost(EnvError):
-    """A read failed mid-stream or inside a test window; its samples are discarded."""
+    """A read failed mid-stream, inside a test window or during calibration;
+    its samples are discarded."""
 
 
 class HarnessSpawnFailed(EnvError):

@@ -26,7 +26,9 @@ Execution timing depends on the probe backend:
 
 Both paths share one iteration body: a meter, built once per run, lends
 ``run_one`` its edge clock and wrap guard and turns the window it reports
-into samples.
+into samples. A ``calibrate`` baseline is read like a live window, on
+either backend: at its edges and once per wrap guard, waiting on the
+probe's own clock in between.
 
 Exactly one experiment may run per data directory: the runner holds an
 exclusive, non-blocking ``flock`` on ``<data_dir>/lock`` for the whole
@@ -50,7 +52,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
-from manai.clock import DeadlineStop
 from manai.errors import InvalidConfig, LockHeld, ProbeLost, ProtocolViolation, ReadFailed
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import (
@@ -280,8 +281,6 @@ class _LiveMeter:
         self._probe = probe
         self._descriptor = probe.describe()
         self.guard_ns = _wrap_guard_ns(self._descriptor)
-        if self.guard_ns is not None:
-            _check_single_wrap(self._descriptor, self.guard_ns)
         self._readings: list[ProbeReading] = []
 
     def start(self) -> None:
@@ -340,7 +339,7 @@ class _ReplayMeter:
         end_ns = _quantize_duration_ns(end_ns - begin_ns, probe.scenario.update_interval_ns)
         count = max(1, -(-end_ns // self._sampler_config.interval_ns))
         if count > len(self._grid):
-            more = sample_stream(probe, self._sampler_config, DeadlineStop(probe.scheduler.now, end_ns))
+            more = sample_stream(probe, self._sampler_config, end_ns)
             grid = self._grid
             self._grid = SampleColumns(
                 grid.starts_ns + more.starts_ns,

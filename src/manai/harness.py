@@ -145,33 +145,78 @@ def _spawn(cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str,
         raise HarnessSpawnFailed(f"cannot launch {cmd.program!r}: {exc}") from exc
 
 
+def _watch(proc: subprocess.Popen) -> tuple[int, selectors.BaseSelector]:
+    """A pidfd of ``proc``, and a selector over its stdout and that pidfd,
+    which becomes readable when ``proc`` exits.
+
+    Raises:
+        HarnessSpawnFailed: No pidfd can be opened (it needs Linux 5.3);
+            ``proc`` is killed first.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except OSError as exc:
+        _kill(proc)
+        proc.stdout.close()
+        raise HarnessSpawnFailed(f"cannot watch harness pid {proc.pid} (needs Linux 5.3 or later): {exc}") from exc
+    selector = selectors.DefaultSelector()
+    selector.register(proc.stdout.fileno(), selectors.EVENT_READ)
+    selector.register(pidfd, selectors.EVENT_READ)
+    return pidfd, selector
+
+
 def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
     """Run the harness in discovery mode and collect declared tests.
 
+    Discovery ends when the harness exits, even while a grandchild holds
+    its stdout: what it wrote before it exited is still read.
     Declaration order is preserved; repeats are dropped. A repeat whose
     casing differs from the first declaration is reported as a warning,
     not an error.
 
     Raises:
-        HarnessSpawnFailed: The process could not start or timed out.
+        HarnessSpawnFailed: The process could not start, its exit cannot
+            be waited for, or it did not exit within ``timeout_s``.
         ProtocolViolation: A marker-prefixed line failed to parse.
     """
     proc = _spawn(cmd, cmd.list_args, {})
+    pidfd, selector = _watch(proc)
+    fd = proc.stdout.fileno()
+    deadline_ns = time.monotonic_ns() + round(timeout_s * 1e9)
+    chunks = []
+    exited = False
     try:
-        stdout, _ = proc.communicate(timeout=timeout_s)
-    except subprocess.TimeoutExpired as exc:
+        while True:
+            wait_s = 0.0 if exited else max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
+            ready = {key.fd for key, _ in selector.select(wait_s)}
+            if not ready and exited:
+                # The exited child's output is all read.
+                break
+            if not ready and time.monotonic_ns() >= deadline_ns:
+                raise HarnessSpawnFailed(f"discovery timed out after {timeout_s:.0f} s")
+            if pidfd in ready:
+                # Read what the child wrote before it exited, then stop.
+                selector.unregister(pidfd)
+                exited = True
+            if fd in ready:
+                chunks.append(os.read(fd, 65536))
+                if not chunks[-1]:
+                    selector.unregister(fd)
+    except BaseException:
         _kill(proc)
-        # Not communicate(): a grandchild holding stdout would delay EOF.
+        raise
+    finally:
+        selector.close()
+        os.close(pidfd)
         proc.stdout.close()
-        raise HarnessSpawnFailed(f"discovery timed out after {timeout_s:.0f} s") from exc
 
-    if proc.returncode != 0:
+    if proc.wait() != 0:
         logger.warning("discovery process exited with status %d", proc.returncode)
 
     seen_exact: set[TestId] = set()
     seen_folded: set[str] = set()
     tests: list[TestId] = []
-    for line in stdout.decode("utf-8", "replace").splitlines():
+    for line in b"".join(chunks).decode("utf-8", "replace").splitlines():
         marker = _parse_marker(line)
         if marker is None or marker[0] != "TEST":
             continue
@@ -230,16 +275,8 @@ def run_one(
         Whatever ``clock`` raises; the child is killed first.
     """
     proc = _spawn(cmd, cmd.args, {FILTER_ENV: str(test)})
-    try:
-        pidfd = os.pidfd_open(proc.pid)
-    except OSError as exc:
-        _kill(proc)
-        proc.stdout.close()
-        raise HarnessSpawnFailed(f"cannot watch harness pid {proc.pid} (needs Linux 5.3 or later): {exc}") from exc
+    pidfd, selector = _watch(proc)
     fd = proc.stdout.fileno()
-    selector = selectors.DefaultSelector()
-    selector.register(fd, selectors.EVENT_READ)
-    selector.register(pidfd, selectors.EVENT_READ)
     deadline_ns = None if timeout_s is None else time.monotonic_ns() + round(timeout_s * 1e9)
     guard_at_ns = None  # when the open window's next guard reading is due
     begin_ns = end_ns = status = error = None

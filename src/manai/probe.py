@@ -8,9 +8,10 @@ readable energy counters.
 Counters are cumulative microjoule values that wrap at a per-domain maximum,
 exactly like the kernel interface reports them.
 
-Each probe stamps its readings on its own ``scheduler``, the clock a
-sampler of it sleeps on: the monotonic clock for the live reader, and for
-a simulated probe a virtual clock that starts at the scenario origin.
+Each probe stamps its readings on its own clock and waits on it with
+``wait_until``: the live reader on the monotonic clock, a simulated probe
+on a virtual clock that starts at the scenario origin and moves only when
+someone waits on it.
 
 The live reader opens every zone's ``energy_uj`` once, when it discovers
 the zones, and holds the file descriptors for its whole lifetime. A read
@@ -40,7 +41,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from manai.clock import RealScheduler, Scheduler, VirtualScheduler
 from manai.errors import (
     InvalidConfig,
     MalformedScenario,
@@ -175,12 +175,7 @@ class Probe(abc.ABC):
 
     One probe instance is owned by a single sampling task at a time;
     create independent instances for independent tasks.
-
-    ``scheduler`` is the clock the probe stamps its readings on, and the
-    one a sampler of the probe sleeps on.
     """
-
-    scheduler: Scheduler
 
     @abc.abstractmethod
     def describe(self) -> ProbeDescriptor:
@@ -189,6 +184,10 @@ class Probe(abc.ABC):
     @abc.abstractmethod
     def read(self) -> ProbeReading:
         """Take one snapshot of all domains, with a monotonic timestamp."""
+
+    @abc.abstractmethod
+    def wait_until(self, deadline_ns: int) -> None:
+        """Return once the clock that stamps :meth:`read` has reached ``deadline_ns``."""
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +250,6 @@ class RaplProbe(Probe):
         update_interval_ns: int = DEFAULT_RAPL_UPDATE_INTERVAL_NS,
     ):
         self._root = Path(powercap_root)
-        self.scheduler = RealScheduler()
         # Registered before discovery opens anything, so descriptors opened
         # by a constructor that then raises are closed as well.
         self._fds: list[int] = []
@@ -366,6 +364,11 @@ class RaplProbe(Probe):
             counters.append(value)
         return ProbeReading(timestamp_ns, tuple(counters))
 
+    def wait_until(self, deadline_ns: int) -> None:
+        # One sleep on the monotonic clock, its timeout rounded up, so a
+        # read that follows is stamped at or past the deadline.
+        time.sleep(max(0, deadline_ns - time.monotonic_ns()) / 1e9)
+
 
 # --------------------------------------------------------------------------
 # Simulated probe
@@ -474,14 +477,15 @@ class SimulationScenario:
 class SimulatedProbe(Probe):
     """Deterministic probe that replays a :class:`SimulationScenario`.
 
-    Its ``scheduler`` is a virtual clock of its own that starts at the
-    scenario origin, so reads are bit-reproducible and take no wall time.
-    A fresh probe over the same scenario replays it from the origin again.
+    Its clock is virtual: ``now_ns`` starts at the scenario origin and
+    moves only forward, to each deadline :meth:`wait_until` is given, so
+    reads are bit-reproducible and take no wall time. A fresh probe over
+    the same scenario replays it from the origin again.
     """
 
     def __init__(self, scenario: SimulationScenario):
         self.scenario = scenario
-        self.scheduler = VirtualScheduler()
+        self.now_ns = 0
 
     def describe(self) -> ProbeDescriptor:
         return self.scenario.descriptor
@@ -492,8 +496,12 @@ class SimulatedProbe(Probe):
         All domains share the scenario's segment starts, so one read is a
         single ``bisect`` however many domains the scenario defines.
         """
-        now_ns = self.scheduler.now()
+        now_ns = self.now_ns
         return ProbeReading(now_ns, tuple(self.scenario._counters_uj(now_ns)))
+
+    def wait_until(self, deadline_ns: int) -> None:
+        if deadline_ns > self.now_ns:
+            self.now_ns = deadline_ns
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Turn cumulative counter readings into wrap-corrected interval samples.
 
-Readings come from one of two places. The sampling loop
-(:func:`sample_stream`) polls a probe at a configured rate against
-absolute deadlines; it replays simulated runs and times baseline
-calibration. A live run reads its probe only at the window edges the
-harness run loop stamps, plus a wrap guard (:func:`_wrap_guard_ns`)
-while the window is open. Either way a reading is kept as it is: its
-timestamp and its counters in ``probe.describe().domains`` order.
-Afterwards, one pass per column (:func:`_columns`) turns the kept
-readings into :class:`SampleColumns`: the edge times, and per domain the
-wrap-corrected counter delta between adjacent readings. A sample knows
-no idle baseline; attribution takes it off once per window. No
-per-sample object is built on the way.
+A simulated run is replayed by :func:`sample_stream`, which reads a probe
+at a configured rate against absolute deadlines on the probe's own clock.
+A live run and a baseline calibration read their probe only at the edges
+of their window, plus once per wrap guard (:func:`_wrap_guard_ns`) while
+it is open. Either way a reading is kept as it is: its timestamp and its
+counters in ``probe.describe().domains`` order. Afterwards, one pass per
+column (:func:`_columns`) turns the kept readings into
+:class:`SampleColumns`: the edge times, and per domain the wrap-corrected
+counter delta between adjacent readings. A sample knows no idle baseline;
+attribution takes it off once per window. No per-sample object is built
+on the way.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -28,7 +27,6 @@ from datetime import datetime, timezone
 from operator import le, lt
 from typing import Iterable, Mapping
 
-from manai.clock import DeadlineStop
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
 from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading
 
@@ -168,12 +166,13 @@ def _columns(readings: list[ProbeReading], descriptor: ProbeDescriptor) -> Sampl
 
 
 def _wrap_horizon_ns(descriptor: ProbeDescriptor, domain: EnergyDomain) -> float:
-    """How long ``domain`` at its peak power takes to fill its whole counter
-    range (nJ / W = ns); infinite at 0 W. The counter moves only on its
+    """How long ``domain`` at its peak power takes to fill its counter range
+    less 1 uJ (nJ / W = ns); infinite at 0 W. The counter moves only on its
     refresh grid, so two readings one interval apart can span up to
-    ``interval + update_interval`` of energy, and a full range reads as 0 J."""
+    ``interval + update_interval`` of energy, and a full range reads as 0 J.
+    Flooring to whole microjoules can add 1 uJ to a pair."""
     peak_w = descriptor.peak_power_w[domain]
-    return descriptor.max_range_uj[domain] * _NJ_PER_UJ / peak_w if peak_w else math.inf
+    return (descriptor.max_range_uj[domain] - 1) * _NJ_PER_UJ / peak_w if peak_w else math.inf
 
 
 def _format_ns(duration_ns: float) -> str:
@@ -204,44 +203,40 @@ def _check_single_wrap(descriptor: ProbeDescriptor, interval_ns: int) -> None:
         )
 
 
-def _longest_interval_ns(descriptor: ProbeDescriptor) -> float:
-    """The longest interval :func:`_check_single_wrap` accepts: below 1 ns
-    when it accepts none, infinite when no domain can wrap."""
-    horizon_ns = min((_wrap_horizon_ns(descriptor, d) for d in descriptor.domains), default=math.inf)
-    if horizon_ns == math.inf:
-        return math.inf
-    return math.ceil(horizon_ns) - descriptor.update_interval_ns - 1
-
-
 def _wrap_guard_ns(descriptor: ProbeDescriptor) -> int | None:
     """Longest gap between two readings taken only at window edges: half
     the longest interval the wrap check accepts, so a reading may come late
-    by as much again, and at least 1 ns, which the check refuses when it
-    accepts nothing. ``None`` when no counter can wrap."""
-    longest_ns = _longest_interval_ns(descriptor)
-    return None if longest_ns == math.inf else max(1, longest_ns // 2)
+    by as much again. ``None`` when no counter can wrap.
+
+    Raises:
+        InvalidConfig: The wrap check accepts no interval.
+    """
+    horizon_ns = min((_wrap_horizon_ns(descriptor, d) for d in descriptor.domains), default=math.inf)
+    if horizon_ns == math.inf:
+        return None
+    guard_ns = max(1, (math.ceil(horizon_ns) - descriptor.update_interval_ns - 1) // 2)
+    _check_single_wrap(descriptor, guard_ns)
+    return guard_ns
 
 
-def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
-    """Poll ``probe`` every ``1/rate`` seconds until ``stop`` is set.
+def sample_stream(probe: Probe, config: SamplerConfig, end_ns: int) -> SampleColumns:
+    """Read ``probe`` at ``origin + k * interval`` on its own clock, up to
+    the first such deadline at or past ``end_ns``.
 
-    The loop sleeps on ``probe.scheduler`` toward absolute deadlines
-    (``origin + k * interval``), so timer drift does not accumulate;
-    sample boundaries use the actual reading timestamps.
-    After the stop signal a final closing reading is taken so the stream
-    covers the full window. A tick keeps its reading only; a reading whose
-    timestamp does not advance past the last kept one is dropped. The
-    samples between kept readings are built after the closing reading.
+    The origin is the first reading. Absolute deadlines keep timer drift
+    from accumulating; sample boundaries use the actual reading
+    timestamps, and a reading whose timestamp does not advance past the
+    last kept one is dropped. The samples are built after the last reading.
 
     Args:
         probe: Counter source; its descriptor supplies the domains and
             counter ranges.
-        config: The polling rate.
-        stop: Object with ``is_set()``; ``threading.Event`` works.
+        config: The reading rate.
+        end_ns: The time on the probe's clock the last deadline reaches.
 
     Returns:
-        Ordered, adjacent samples. Empty if stopped before the first
-        interval elapsed.
+        Ordered, adjacent samples. Empty if ``end_ns`` is not past the
+        first reading.
 
     Raises:
         InvalidConfig: Two readings could span a full counter wrap.
@@ -256,43 +251,26 @@ def sample_stream(probe: Probe, config: SamplerConfig, stop) -> SampleColumns:
     except ReadFailed as exc:
         raise ProbeLost(f"probe failed at session start: {exc}") from exc
 
-    # The loop runs inside the test window, so it does no more than read
-    # and keep; its callables are bound once.
+    # The loop does no more than wait, read and keep; its callables are bound once.
     readings = [first]
     keep = readings.append
-    sched = probe.scheduler
-    read, sleep_until, now, stopped = probe.read, sched.sleep_until, sched.now, stop.is_set
-    origin_ns = last_ns = first.timestamp_ns
-    tick = 1
+    read, wait_until = probe.read, probe.wait_until
+    last_ns = first.timestamp_ns
     try:
-        while not stopped():
-            deadline_ns = origin_ns + tick * interval_ns
-            sleep_until(deadline_ns, stop)
-            if now() < deadline_ns:
-                # Woken early by the stop signal.
-                break
+        for deadline_ns in range(last_ns + interval_ns, end_ns + interval_ns, interval_ns):
+            wait_until(deadline_ns)
             reading = read()
             if reading.timestamp_ns > last_ns:
                 keep(reading)
                 last_ns = reading.timestamp_ns
-            tick += 1
-
-        if tick > 1:
-            # Closing reading so energy up to the stop instant is captured.
-            reading = read()
-            if reading.timestamp_ns > last_ns:
-                keep(reading)
     except ReadFailed as exc:
         raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
     return _columns(readings, descriptor)
 
 
-# Polling interval while averaging idle power, unless a counter could
-# wrap in less time; the mean is total energy over the window, so the
-# interval only guards against wraps.
-_CALIBRATION_INTERVAL_NS = 100_000_000
-# Calibration polls the probe for its whole window, even when a simulated
-# probe replays it on its virtual clock; an hour is 36,000 polls at 100 ms.
+# Calibration reads its probe once per wrap guard, also when a simulated
+# probe replays the window on its virtual clock: an hour at 10 W on a 1 J
+# range is about 73,000 guard readings.
 MAX_CALIBRATION_S = 3600.0
 
 
@@ -307,39 +285,46 @@ def check_calibration_window(duration_s: float) -> None:
         )
 
 
-def _calibration_interval_ns(descriptor: ProbeDescriptor) -> int:
-    """100 ms, or the longest interval the wrap check accepts when that is
-    shorter, in whole refresh intervals so that a simulated probe is read
-    on its refresh grid."""
-    update_ns = descriptor.update_interval_ns
-    interval_ns = max(1, min(_longest_interval_ns(descriptor), _CALIBRATION_INTERVAL_NS))
-    # Below one refresh interval no grid point is left.
-    return interval_ns // update_ns * update_ns or interval_ns
-
-
 def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
     """Measure mean idle power per domain over a quiescent window.
 
-    The window is timed on ``probe.scheduler``, so a simulated probe
-    replays it at once. The system is expected to be otherwise idle for
-    the whole window; that is the operator's responsibility.
+    The probe is read as a live run reads a test window: at both edges,
+    and once per wrap guard in between, waiting on the probe's own clock,
+    so a simulated probe replays the window at once. The window is
+    ``duration_s`` rounded up to whole counter refresh intervals, so a
+    simulated probe ends it on its refresh grid. The system is expected
+    to be otherwise idle for the whole window; that is the operator's
+    responsibility.
 
     Raises:
         InvalidConfig: Window not finite, shorter than 1 s or longer
-            than MAX_CALIBRATION_S.
+            than MAX_CALIBRATION_S, or two readings one guard apart could
+            span a full counter wrap.
         ProbeLost: The probe failed during calibration.
     """
     check_calibration_window(duration_s)
-    now = probe.scheduler.now
-    stop = DeadlineStop(now, now() + round(duration_s * _NS_PER_S))
-    rate_hz = _NS_PER_S / _calibration_interval_ns(probe.describe())
-    samples = sample_stream(probe, SamplerConfig(rate_hz), stop)
-    if not samples:
-        raise ProbeLost("calibration produced no samples")
+    descriptor = probe.describe()
+    guard_ns = _wrap_guard_ns(descriptor)
+    update_ns = descriptor.update_interval_ns
+    window_ns = -(-round(duration_s * _NS_PER_S) // update_ns) * update_ns
+    ranges_uj = [descriptor.max_range_uj[d] for d in descriptor.domains]
+    # Wrap-corrected totals as _columns sums them, kept as they grow: a
+    # short guard makes millions of readings, so none is kept.
+    energy_uj = [0] * len(ranges_uj)
+    try:
+        first = last = probe.read()
+        end_ns = first.timestamp_ns + window_ns
+        while last.timestamp_ns < end_ns:
+            probe.wait_until(end_ns if guard_ns is None else min(end_ns, last.timestamp_ns + guard_ns))
+            reading = probe.read()
+            energy_uj = [e + (a - b) % r for e, b, a, r in zip(energy_uj, last.counters, reading.counters, ranges_uj)]
+            last = reading
+    except ReadFailed as exc:
+        raise ProbeLost(f"probe lost during calibration: {exc}") from exc
 
-    window_ns = samples.ends_ns[-1] - samples.starts_ns[0]
+    window_ns = last.timestamp_ns - first.timestamp_ns
     # One rounding: nJ / ns = W.
-    powers_w = {d: sum(uj) * _NJ_PER_UJ / window_ns for d, uj in samples.energy_uj.items()}
+    powers_w = {d: uj * _NJ_PER_UJ / window_ns for d, uj in zip(descriptor.domains, energy_uj)}
     return BaselineProfile(
         powers_w=powers_w,
         duration_s=window_ns / _NS_PER_S,

@@ -11,7 +11,6 @@ from typing import Mapping, NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from manai.clock import RealScheduler
 from manai.errors import ReadFailed
 from manai.probe import (
     DomainKind,
@@ -140,7 +139,6 @@ class SteppingProbe:
 
     def __init__(self, step_uj: int, max_range_uj: int, peak_w: float, start_uj: int = 0,
                  fail_at: int | None = None):
-        self.scheduler = RealScheduler()
         self.readings: list[ProbeReading] = []
         self._step_uj, self._start_uj, self._fail_at = step_uj, start_uj, fail_at
         self._descriptor = ProbeDescriptor(

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from manai.clock import DeadlineStop
 from manai.experiment import ExperimentConfig, run_experiment
 from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
 from manai.probe import ProbeBackend, ProbeDescriptor, ProbeReading, RaplProbe, SimulatedProbe
@@ -109,11 +108,9 @@ def test_criterion_02_conservation(tmp_path):
                 update_interval_ns=rng.choice([500_000, 1_000_000, 2_000_000]),
             )
             probe = SimulatedProbe(scenario)
-            sched = probe.scheduler
             run_ns = rng.randint(100_000_000, 1_500_000_000)
             rate_hz = rng.choice([10.0, 20.0, 50.0])
-            stop = DeadlineStop(sched.now, run_ns)
-            samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
+            samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), run_ns)
             if not samples:
                 continue
 

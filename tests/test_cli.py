@@ -370,8 +370,8 @@ class TestLiveRun:
 
     def test_wrap_ambiguous_rate_exits_1_and_saves_nothing(self, tmp_path, monkeypatch, capsys):
         # A 1 J range at up to 1 kW wraps within 1 ms, so a 100 Hz poll
-        # cannot tell one wrap from several; the sampler thread's refusal
-        # must reach the exit code. That is one 1 ms refresh: no rate helps.
+        # cannot tell one wrap from several; the wrap check's refusal must
+        # reach the exit code. That is one 1 ms refresh: no rate helps.
         zones = {
             "intel-rapl:0": {"name": "package-0", "energy_uj": 10, "max_energy_range_uj": 10**6},
         }

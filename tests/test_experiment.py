@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manai import experiment
-from manai.clock import DeadlineStop
 from manai.errors import EmptyInput, InvalidConfig, LockHeld
 from manai.experiment import (
     BaselineSetting,
@@ -137,8 +136,7 @@ def test_attribution_against_reintegration_oracle(power_uw, window):
         update_interval_ns=1_000_000,
     )
     probe = SimulatedProbe(scenario)
-    stop = DeadlineStop(probe.scheduler.now, 2 * NS)
-    samples = sample_stream(probe, SamplerConfig(rate_hz=100.0), stop)
+    samples = sample_stream(probe, SamplerConfig(rate_hz=100.0), 2 * NS)
 
     begin_ms, length_ms = window
     begin_ns = begin_ms * 1_000_000
@@ -333,8 +331,9 @@ def replay_cases(draw):
         for _ in range(draw(st.integers(1, 4)))
     )
     peak_uw = max(max(s.powers_uw.values()) for s in segments)
-    # The wrap check passes while the range outlasts one interval plus one refresh.
-    least_uj = (SamplerConfig(rate_hz).interval_ns + update_ns) * peak_uw // 10**9 + 1
+    # The wrap check passes while the range less 1 uJ outlasts one interval
+    # plus one refresh.
+    least_uj = (SamplerConfig(rate_hz).interval_ns + update_ns) * peak_uw // 10**9 + 2
     max_range_uj = draw(st.sampled_from([10**12, least_uj]) | st.integers(least_uj, least_uj + 10**6))
     scenario = scenario_of(segments, max_range_uj=max_range_uj, update_interval_ns=update_ns)
     durations = draw(st.lists(
@@ -362,7 +361,7 @@ def test_replay_meter_cuts_the_fresh_replay_of_every_window(case):
         samples, begin, end = meter.stop(begin_ns, end_ns)
         snapped_ns = _quantize_duration_ns(end_ns - begin_ns, scenario.update_interval_ns)
         fresh = SimulatedProbe(scenario)
-        expected = sample_stream(fresh, sampler_config, DeadlineStop(fresh.scheduler.now, snapped_ns))
+        expected = sample_stream(fresh, sampler_config, snapped_ns)
         assert (begin, end) == (0, snapped_ns)
         assert samples == expected
 
@@ -374,9 +373,7 @@ def test_edge_readings_stay_within_one_refresh_step_of_the_true_energy(case, dat
     # calls it: at BEGIN, once per guard while the window is open, each
     # guard reading late by up to one more guard, and at END. The counter
     # range is the smallest whose guard is the drawn one, so counters wrap
-    # inside most windows, plus 1 uJ: a counter of whole microjoules can
-    # gain 1 uJ more than the power integral between two readings, which
-    # the wrap check does not allow for.
+    # inside most windows.
     segments, update_ns, rate_hz, ticks, _ = case
     window_ns = ticks * SamplerConfig(rate_hz).interval_ns
     peak_uw = max(max(segment.powers_uw.values()) for segment in segments)
@@ -387,19 +384,18 @@ def test_edge_readings_stay_within_one_refresh_step_of_the_true_energy(case, dat
     meter = _LiveMeter(probe)
     assert meter.guard_ns is None or meter.guard_ns >= target_ns - 1
 
-    sched = probe.scheduler
     begin_ns = data.draw(st.integers(0, 2 * NS))
     end_ns = begin_ns + window_ns
     meter.start()
-    sched.sleep_until(begin_ns)
+    probe.wait_until(begin_ns)
     begin = meter.clock()
     while meter.guard_ns is not None:
-        due_ns = sched.now() + meter.guard_ns + data.draw(st.integers(0, meter.guard_ns))
+        due_ns = probe.now_ns + meter.guard_ns + data.draw(st.integers(0, meter.guard_ns))
         if due_ns >= end_ns:
             break
-        sched.sleep_until(due_ns)
+        probe.wait_until(due_ns)
         meter.clock()
-    sched.sleep_until(end_ns)
+    probe.wait_until(end_ns)
     samples, begin, end = meter.stop(begin, meter.clock())
 
     assert (begin, end) == (samples.starts_ns[0], samples.ends_ns[-1]) == (0, window_ns)

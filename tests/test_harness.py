@@ -88,27 +88,51 @@ class TestDiscover:
         with pytest.raises(HarnessSpawnFailed):
             discover(cmd)
 
-    def test_grandchild_holding_stdout_does_not_outlast_the_timeout(self, tmp_path):
-        # The harness exits at once, but a forked child keeps the pipe
-        # open for 4 s: discovery gives up when its own timeout elapses.
+    def test_grandchild_holding_stdout_does_not_outlast_the_harness(self, tmp_path):
+        # The harness exits at once, but a forked child keeps the pipe open
+        # for 30 s: discovery ends at the harness's exit, with what it wrote.
         sleeper_file = tmp_path / "sleeper"
         script = (
-            "import os, time\n"
-            "print('##MANAI:TEST a::b', flush=True)\n"
-            "pid = os.fork()\n"
-            "if pid == 0: time.sleep(4); os._exit(0)\n"
-            f"open({str(sleeper_file)!r}, 'w').write(str(pid))\n"
+            f"import os, time\nsleeper = {str(sleeper_file)!r}\n"
+            f"print('##MANAI:TEST a::b', flush=True)\n{_FORK_SLEEPER}"
         )
         cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
         started = time.monotonic()
         try:
-            with pytest.raises(HarnessSpawnFailed, match="discovery timed out after 1 s"):
-                discover(cmd, timeout_s=1.0)
+            found = discover(cmd, timeout_s=20.0)
             elapsed_s = time.monotonic() - started
         finally:
-            if sleeper_file.exists():
-                os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
+            _kill_sleeper(sleeper_file)
+        assert found == [TestId("a", "b")]
         assert elapsed_s < 2.0
+
+    def test_pipe_is_read_out_after_the_exit(self, monkeypatch):
+        # The harness enlarges its pipe, writes about 200 kB of declarations
+        # at once, more than three reads take, and exits. Each read is
+        # slowed, so the exit is seen while most of the pipe is unread.
+        script = (
+            "import fcntl, os\n"
+            "fcntl.fcntl(1, fcntl.F_SETPIPE_SZ, 1 << 20)\n"
+            "os.write(1, b''.join(b'##MANAI:TEST s::t%d\\n' % i for i in range(10000)))\n"
+            "os._exit(0)\n"
+        )
+        read = os.read
+
+        def slow_read(fd, size):
+            time.sleep(0.1)
+            return read(fd, size)
+
+        monkeypatch.setattr(os, "read", slow_read)
+        cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
+        assert discover(cmd) == [TestId("s", f"t{i}") for i in range(10000)]
+
+    def test_harness_that_never_exits_times_out(self):
+        script = "import time\nprint('##MANAI:TEST a::b', flush=True)\ntime.sleep(30)\n"
+        cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
+        started = time.monotonic()
+        with pytest.raises(HarnessSpawnFailed, match="discovery timed out after 1 s"):
+            discover(cmd, timeout_s=1.0)
+        assert time.monotonic() - started < 2.0
 
 
 class TestRunOne:

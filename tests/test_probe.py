@@ -10,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manai.clock import VirtualScheduler
 from manai.errors import MalformedScenario, NoProbeAvailable, PermissionDenied, ReadFailed
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
@@ -104,12 +104,22 @@ class TestRaplDiscovery:
         probe = RaplProbe(powercap_root=powercap_two_domains)
         assert probe.read().timestamp_ns < probe.read().timestamp_ns
 
-    def test_reads_are_stamped_on_the_probe_scheduler(self, powercap_two_domains):
+    def test_reads_are_stamped_on_the_monotonic_clock(self, powercap_two_domains):
         probe = RaplProbe(powercap_root=powercap_two_domains)
         for _ in range(20):
-            before = probe.scheduler.now()
+            before = time.monotonic_ns()
             reading = probe.read()
-            assert before <= reading.timestamp_ns <= probe.scheduler.now()
+            assert before <= reading.timestamp_ns <= time.monotonic_ns()
+
+    @pytest.mark.parametrize("wait_ns", [-10**9, 0, 1, 20 * 10**6])
+    def test_wait_until_returns_at_or_past_the_deadline(self, powercap_two_domains, wait_ns):
+        probe = RaplProbe(powercap_root=powercap_two_domains)
+        started_ns = time.monotonic_ns()
+        deadline_ns = started_ns + wait_ns
+        probe.wait_until(deadline_ns)
+        assert probe.read().timestamp_ns >= deadline_ns
+        # A deadline already past returns at once.
+        assert time.monotonic_ns() - max(started_ns, deadline_ns) < 10**9 // 2
 
     def test_descriptor_peak_is_the_plausible_bound(self, powercap_two_domains):
         descriptor = RaplProbe(powercap_root=powercap_two_domains).describe()
@@ -194,29 +204,36 @@ class TestSimulatedProbe:
         # Computed once per scenario, not once per probe replaying it.
         assert SimulatedProbe(scenario).describe() is SimulatedProbe(scenario).describe()
 
-    def test_reads_are_stamped_on_the_probe_scheduler(self):
+    def test_reads_are_stamped_on_the_virtual_clock(self):
         probe = SimulatedProbe(constant_scenario(10_000_000))
         assert probe.read() == (0, (0,))
-        for step_ns in (1, 999_999, 10**9):
-            probe.scheduler.advance(step_ns)
-            assert probe.read().timestamp_ns == probe.scheduler.now()
+        for deadline_ns in (1, 1_000_000, 10**9 + 1_000_000):
+            probe.wait_until(deadline_ns)
+            assert probe.read().timestamp_ns == probe.now_ns == deadline_ns
+
+    def test_virtual_clock_never_moves_backwards(self):
+        probe = SimulatedProbe(constant_scenario(10_000_000))
+        probe.wait_until(5 * 10**6)
+        for deadline_ns in (4 * 10**6, 5 * 10**6, -1):
+            probe.wait_until(deadline_ns)
+            assert probe.read() == (5 * 10**6, (50_000,))
 
     def test_constant_power_integral_at_two_seconds(self):
         # 10 W for 2 s = 20 J = 20,000,000 uJ, exact on the 1 ms grid.
         probe = SimulatedProbe(constant_scenario(10_000_000))
-        probe.scheduler.advance(2 * 10**9)
+        probe.wait_until(2 * 10**9)
         assert probe.read().counters == (20_000_000,)
 
     def test_counter_wraps_modulo_max_range(self):
         # 10 W for 6 s = 60 MJu, wraps at 50 MJu to 10 MJu.
         probe = SimulatedProbe(constant_scenario(10_000_000, max_range_uj=50_000_000))
-        probe.scheduler.advance(6 * 10**9)
+        probe.wait_until(6 * 10**9)
         assert probe.read().counters == (10_000_000,)
 
     def test_timestamps_strictly_increase(self):
         probe = SimulatedProbe(constant_scenario(1_000_000))
         first = probe.read()
-        probe.scheduler.advance(1)
+        probe.wait_until(1)
         second = probe.read()
         assert second.timestamp_ns > first.timestamp_ns
 
@@ -225,7 +242,7 @@ class TestSimulatedProbe:
         readings = []
         for _ in range(2):
             probe = SimulatedProbe(scenario)
-            probe.scheduler.advance(1_234_567_890)
+            probe.wait_until(1_234_567_890)
             readings.append(probe.read().counters)
         assert readings[0] == readings[1]
 
@@ -352,7 +369,7 @@ def test_read_equals_counter_uj_for_every_domain(drawn, data):
     probe = SimulatedProbe(scenario)
     for elapsed_ns in elapsed:
         # Virtual time is elapsed time: the clock starts at the origin.
-        probe.scheduler = VirtualScheduler(elapsed_ns)
+        probe.now_ns = elapsed_ns
         reading = probe.read()
         assert reading.timestamp_ns == elapsed_ns
         assert type(reading.counters) is tuple

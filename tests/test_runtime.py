@@ -1,11 +1,14 @@
-"""The runtime imports nothing outside the standard library, and importing
-one manai module imports no other that it does not use."""
+"""The runtime imports nothing outside the standard library, importing one
+manai module imports no other that it does not use, and no manai module
+imports ``threading``."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +47,21 @@ def test_importing_a_module_loads_no_other_manai_module(module, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
+
+
+def test_no_module_imports_threading():
+    # No thread runs beside the test: every read of the counters, in a
+    # test window or a calibration, is taken on the caller's own thread.
+    src = Path(__file__).resolve().parent.parent / "src" / "manai"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] in ("threading", "_thread") for name in names):
+                importers.append(path.name)
+    assert importers == []

@@ -3,13 +3,13 @@ and baseline subtraction."""
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manai.clock import DeadlineStop, VirtualScheduler
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
 from manai.harness import TestId, TestStatus
 from manai.probe import (
@@ -17,6 +17,7 @@ from manai.probe import (
     ProbeBackend,
     ProbeDescriptor,
     ProbeReading,
+    RaplProbe,
     SimulatedProbe,
 )
 from manai.results import TestExecutionResult, attribute
@@ -25,15 +26,15 @@ from manai.sampler import (
     EnergySample,
     SampleColumns,
     SamplerConfig,
-    _calibration_interval_ns,
     _check_single_wrap,
     _columns,
+    _wrap_guard_ns,
     calibrate_baseline,
     check_calibration_window,
     sample_stream,
 )
 
-from conftest import DRAM, PKG, ScenarioSegment, baseline_cases, scenario_of
+from conftest import DRAM, PKG, ScenarioSegment, baseline_cases, make_powercap_tree, scenario_of
 
 NS = 10**9
 MS = 10**6
@@ -47,6 +48,20 @@ def constant_probe(watts: float, max_range_uj: int = 10**12,
         update_interval_ns=update_ns,
     )
     return SimulatedProbe(scenario)
+
+
+def recorded_reads(probe) -> list[int]:
+    """The timestamps of every reading ``probe`` returns from now on."""
+    stamps = []
+    read = probe.read
+
+    def recorded_read():
+        reading = read()
+        stamps.append(reading.timestamp_ns)
+        return reading
+
+    probe.read = recorded_read
+    return stamps
 
 
 def wrapped_delta(before_uj: int, after_uj: int, max_range_uj: int) -> int:
@@ -98,9 +113,9 @@ class TestWrapCorrection:
         # refuse a counter outside it, see test_probe).
         probe = constant_probe(7.0, max_range_uj=1000, update_ns=1000)
         counters = []
-        while probe.scheduler.now() < 5 * MS:
+        while probe.now_ns < 5 * MS:
             counters.append(probe.read().counters[0])
-            probe.scheduler.advance(37_000)
+            probe.wait_until(probe.now_ns + 37_000)
         assert len(set(counters)) > 100
         assert all(0 <= c < 1000 for c in counters)
 
@@ -108,18 +123,14 @@ class TestWrapCorrection:
 class TestSampleStream:
     def test_constant_ten_watts_at_ten_hertz(self):
         probe = constant_probe(10.0)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, 1 * NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), stop)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), 1 * NS)
         assert len(samples) == 10
         for sample in samples:
             assert sample.energy_uj[PKG] == 1_000_000
 
     def test_samples_are_adjacent_and_ordered(self):
         probe = constant_probe(3.0)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=7.0), stop)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=7.0), NS)
         for left, right in zip(samples, samples[1:]):
             assert left.end_ns == right.start_ns
 
@@ -127,35 +138,28 @@ class TestSampleStream:
         # 10 W against a 600 J range: the counter wraps at t=60 s; every
         # 0.5 s sample still carries exactly 5 J.
         probe = constant_probe(10.0, max_range_uj=600_000_000)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, 61 * NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), 61 * NS)
         assert len(samples) == 122
         assert all(s.energy_uj[PKG] == 5_000_000 for s in samples)
 
-    def test_stop_before_first_interval_is_empty(self):
+    def test_end_at_the_first_reading_is_empty(self):
         probe = constant_probe(10.0)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, 0)
-        assert sample_stream(probe, SamplerConfig(rate_hz=10.0), stop) == SampleColumns()
+        assert sample_stream(probe, SamplerConfig(rate_hz=10.0), 0) == SampleColumns()
 
     def test_slow_rate_rejected_when_wrap_ambiguous(self):
         # 1 J range at 2 W wraps within 0.5 s; a 1 Hz poll cannot tell
         # one wrap from many.
         probe = constant_probe(2.0, max_range_uj=1_000_000)
-        sched = probe.scheduler
-        stop = DeadlineStop(sched.now, NS)
         with pytest.raises(InvalidConfig):
-            sample_stream(probe, SamplerConfig(rate_hz=1.0), stop)
+            sample_stream(probe, SamplerConfig(rate_hz=1.0), NS)
 
     def test_rate_rejected_when_the_scenario_peak_wraps_within_a_tick(self):
         # 20 kW against a 10 J range wraps twice per 1 ms tick, so every
         # sample would read 0 J; the check uses the scenario's own peak.
         # The range fills within one refresh, so no rate can help.
         probe = constant_probe(20_000.0, max_range_uj=10**7)
-        stop = DeadlineStop(probe.scheduler.now, 10 * MS)
         with pytest.raises(InvalidConfig, match="counter range is too small for the refresh interval"):
-            sample_stream(probe, SamplerConfig(rate_hz=1000.0), stop)
+            sample_stream(probe, SamplerConfig(rate_hz=1000.0), 10 * MS)
 
     @pytest.mark.parametrize("rate_hz", [1.0, 1.0005])
     def test_rate_rejected_when_a_reading_pair_could_span_the_full_range(self, rate_hz):
@@ -163,16 +167,14 @@ class TestSampleStream:
         # grid, so two readings about 1 s apart can span 1000 ms of energy,
         # a full range that reads as 0 J.
         probe = constant_probe(1.0, max_range_uj=1_000_000)
-        stop = DeadlineStop(probe.scheduler.now, 3 * NS)
         with pytest.raises(InvalidConfig, match="increase the sampling rate"):
-            sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
+            sample_stream(probe, SamplerConfig(rate_hz=rate_hz), 3 * NS)
 
     def test_rate_accepted_when_a_reading_pair_stays_below_the_range(self):
         # 1 W against a 0.6 J range at 2 Hz: a pair spans at most 501 ms,
         # 0.501 J, so every 0.5 s sample reads its 0.5 J across the wraps.
         probe = constant_probe(1.0, max_range_uj=600_000)
-        stop = DeadlineStop(probe.scheduler.now, 3 * NS)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), stop)
+        samples = sample_stream(probe, SamplerConfig(rate_hz=2.0), 3 * NS)
         assert len(samples) == 6
         assert all(s.energy_uj[PKG] == 500_000 for s in samples)
 
@@ -196,14 +198,31 @@ class TestSampleStream:
         with pytest.raises(InvalidConfig, match=r"interval 1 ms .*; increase the sampling rate$"):
             _check_single_wrap(descriptor, MS)
 
+    def test_pair_holding_one_whole_range_is_refused(self):
+        # 1.75 W adds 1.75 uJ per 1 us refresh. A 4 uJ counter of whole
+        # microjoules reads 1 at 1 us and 5 mod 4 = 1 at 3 us: two readings
+        # 1.285 us apart hold 3.5 uJ of refreshes, less than the range, yet
+        # read one whole range, 0 J. Flooring can add 1 uJ, so the check
+        # leaves the last microjoule of the range as margin.
+        probe = constant_probe(1.75, max_range_uj=4, update_ns=1000)
+        probe.wait_until(1999)
+        before = probe.read()
+        probe.wait_until(1999 + 1285)
+        assert before.counters == probe.read().counters == (1,)
+        descriptor = probe.describe()
+        with pytest.raises(InvalidConfig, match="could span a full wrap"):
+            _check_single_wrap(descriptor, 1285)
+        _check_single_wrap(descriptor, 714)
+        with pytest.raises(InvalidConfig, match="could span a full wrap"):
+            _check_single_wrap(descriptor, 715)
+
     def test_probe_failure_mid_stream_is_probe_lost(self):
         inner = constant_probe(10.0)
-        sched = inner.scheduler
 
         class FlakyProbe:
             def __init__(self):
                 self.reads = 0
-                self.scheduler = sched
+                self.wait_until = inner.wait_until
 
             def describe(self):
                 return inner.describe()
@@ -214,9 +233,8 @@ class TestSampleStream:
                     raise ReadFailed(PKG, "counter vanished")
                 return inner.read()
 
-        stop = DeadlineStop(sched.now, 10 * NS)
         with pytest.raises(ProbeLost):
-            sample_stream(FlakyProbe(), SamplerConfig(rate_hz=10.0), stop)
+            sample_stream(FlakyProbe(), SamplerConfig(rate_hz=10.0), 10 * NS)
 
 
 @st.composite
@@ -245,9 +263,7 @@ def test_sample_energies_telescope_to_endpoint_delta(case):
     # the first and last counter values, exactly, per domain.
     scenario, rate_hz, run_ns = case
     probe = SimulatedProbe(scenario)
-    sched = probe.scheduler
-    stop = DeadlineStop(sched.now, run_ns)
-    samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), stop)
+    samples = sample_stream(probe, SamplerConfig(rate_hz=rate_hz), run_ns)
     if not samples:
         return
     first_counter = scenario.counter_uj(PKG, samples[0].start_ns)
@@ -281,37 +297,61 @@ class TestCalibrateBaseline:
     @pytest.mark.parametrize("duration_s", [0.0, 0.999, float("nan"), float("inf")])
     def test_window_not_finite_or_below_1_s_rejected(self, duration_s):
         probe = constant_probe(3.0)
-        sched = probe.scheduler
         with pytest.raises(InvalidConfig, match="finite window of at least 1 s"):
             calibrate_baseline(probe, duration_s)
-        assert sched.now() == 0
-
-    @pytest.mark.parametrize("update_ns, interval_ns", [
-        (MS, 100 * MS),  # 100 ms when no counter wraps sooner
-        (1_500_000, 99 * MS),  # rounded down to the refresh grid
-    ])
-    def test_polls_every_100_ms_on_the_refresh_grid(self, update_ns, interval_ns):
-        probe = constant_probe(10.0, update_ns=update_ns)
-        assert _calibration_interval_ns(probe.describe()) == interval_ns
-
-    @pytest.mark.parametrize("max_range_uj, interval_ns", [
-        (10**6, 98 * MS),  # 1 J at 10 W fills in 100 ms: a pair spans < 100 ms
-        (20_000, MS - 1),  # a 2 ms horizon leaves no whole refresh interval
-    ])
-    def test_polls_at_the_longest_interval_the_wrap_check_accepts(self, max_range_uj, interval_ns):
-        descriptor = constant_probe(10.0, max_range_uj=max_range_uj).describe()
-        assert _calibration_interval_ns(descriptor) == interval_ns
-        _check_single_wrap(descriptor, interval_ns)
-        with pytest.raises(InvalidConfig):
-            _check_single_wrap(descriptor, interval_ns + MS)
+        assert probe.now_ns == 0
 
     def test_small_counter_range_calibrates_exactly(self):
-        # A 100 ms poll could span a full 1 J wrap at 10 W; 98 ms polls on
-        # the 1 ms grid read the mean exactly.
+        # A 1 J range at 10 W wraps every 100 ms; guard readings on the
+        # virtual clock read the mean exactly.
         probe = constant_probe(10.0, max_range_uj=10**6)
         profile = calibrate_baseline(probe, 2.0)
         assert profile.powers_w[PKG] == 10.0
-        assert profile.duration_s == 2.058
+        assert profile.duration_s == 2.0
+
+    @pytest.mark.parametrize("watts", [0.0, 3.0])
+    def test_probe_whose_guard_exceeds_the_window_is_read_twice(self, watts):
+        # No guard at 0 W; at 3 W a 1 TJ range lasts over ten years.
+        probe = constant_probe(watts)
+        stamps = recorded_reads(probe)
+        profile = calibrate_baseline(probe, 2.0)
+        assert stamps == [0, 2 * NS]
+        assert profile.powers_w[PKG] == watts
+
+    def test_live_probe_is_read_at_its_edges_only(self, tmp_path, monkeypatch):
+        # At 1 kW a RAPL range of about 262 kJ gives a guard of about 131 s:
+        # one reading at each edge and one sleep between them, no thread.
+        def refuse(thread):
+            raise AssertionError(f"calibration started thread {thread.name}")
+
+        root = make_powercap_tree(tmp_path / "powercap", {
+            "intel-rapl:0": {"name": "package-0", "energy_uj": 1234, "max_energy_range_uj": 262143328850},
+        })
+        probe = RaplProbe(powercap_root=root)
+        stamps = recorded_reads(probe)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        profile = calibrate_baseline(probe, 1.0)
+        assert len(stamps) == 2
+        assert profile.powers_w == {PKG: 0.0}
+        assert 1.0 <= profile.duration_s < 1.1
+
+    def test_wrapping_range_is_read_once_per_guard(self):
+        # 10 W fills a 0.25 J range in 25 ms, so a 2 s window wraps the
+        # counter 80 times; the guard is about 12 ms.
+        probe = constant_probe(10.0, max_range_uj=250_000)
+        guard_ns = _wrap_guard_ns(probe.describe())
+        stamps = recorded_reads(probe)
+        profile = calibrate_baseline(probe, 2.0)
+        assert profile.powers_w[PKG] == 10.0
+        assert (stamps[0], stamps[-1]) == (0, 2 * NS)
+        assert len(stamps) == -(-2 * NS // guard_ns) + 1
+        assert max(b - a for a, b in zip(stamps, stamps[1:])) <= guard_ns
+
+    def test_window_is_rounded_up_to_whole_refresh_intervals(self):
+        probe = constant_probe(10.0, max_range_uj=10**6)
+        profile = calibrate_baseline(probe, 1.2345)
+        assert profile.powers_w[PKG] == 10.0
+        assert profile.duration_s == 1.235
 
     def test_range_no_interval_can_poll_is_refused(self):
         # 0.01 J at 10 W fills in 1 ms, within one counter refresh.
@@ -321,11 +361,10 @@ class TestCalibrateBaseline:
 
     def test_window_above_an_hour_rejected(self):
         probe = constant_probe(3.0)
-        sched = probe.scheduler
         check_calibration_window(3600.0)
         with pytest.raises(InvalidConfig, match=r"window must be at most 3600 s, got 3600\.5"):
             calibrate_baseline(probe, 3600.5)
-        assert sched.now() == 0
+        assert probe.now_ns == 0
 
     @pytest.mark.parametrize("powers_w, duration_s", [
         ({PKG: float("nan")}, 2.0),
@@ -354,7 +393,7 @@ class TestBaselineSubtraction:
 
     def test_baseline_cancels_equal_power_exactly(self):
         probe = constant_probe(10.0)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), DeadlineStop(probe.scheduler.now, NS))
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), NS)
         assert all(s.energy_uj[PKG] == 1_000_000 for s in samples)
         result = _marginal(samples, NS, {PKG: 10.0})
         assert result.baseline_applied
@@ -362,7 +401,7 @@ class TestBaselineSubtraction:
 
     def test_baseline_never_yields_negative_energy(self):
         probe = constant_probe(1.0)
-        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), DeadlineStop(probe.scheduler.now, NS))
+        samples = sample_stream(probe, SamplerConfig(rate_hz=10.0), NS)
         assert _marginal(samples, NS, {PKG: 50.0}).energy_j[PKG] == 0.0
 
     def test_baseline_is_taken_off_the_window_exactly(self):
@@ -398,7 +437,7 @@ def test_marginal_energy_within_one_refresh_step_of_the_true_marginal(case):
     probe = SimulatedProbe(scenario)
     config = SamplerConfig(rate_hz)
     window_ns = ticks * config.interval_ns
-    samples = sample_stream(probe, config, DeadlineStop(probe.scheduler.now, window_ns))
+    samples = sample_stream(probe, config, window_ns)
     result = _marginal(samples, window_ns, baseline_w, scenario.domains)
     window_s = Fraction(window_ns, NS)
     for domain in scenario.domains:
@@ -524,7 +563,7 @@ def _previous_make_sample(previous, current, domains, max_range_uj):
     return EnergySample(previous.timestamp_ns, current.timestamp_ns, energy_uj)
 
 
-def previous_sample_stream(probe, config, stop, sched):
+def previous_sample_stream(probe, config, end_ns):
     """The per-sample sampling loop that columns replaced, kept as an oracle."""
     interval_ns = config.interval_ns
     descriptor = probe.describe()
@@ -539,21 +578,14 @@ def previous_sample_stream(probe, config, stop, sched):
     origin_ns = previous.timestamp_ns
     tick = 1
     try:
-        while not stop.is_set():
-            deadline_ns = origin_ns + tick * interval_ns
-            sched.sleep_until(deadline_ns, stop)
-            if sched.now() < deadline_ns:
-                break
+        while origin_ns + (tick - 1) * interval_ns < end_ns:
+            probe.wait_until(origin_ns + tick * interval_ns)
             current = probe.read()
             sample = make(previous, current)
             if sample is not None:
                 samples.append(sample)
                 previous = current
             tick += 1
-        if tick > 1:
-            sample = make(previous, probe.read())
-            if sample is not None:
-                samples.append(sample)
     except ReadFailed as exc:
         raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
     return samples
@@ -562,17 +594,18 @@ def previous_sample_stream(probe, config, stop, sched):
 class ScriptedProbe:
     """Replays scripted readings and may fail at one read.
 
-    Timestamps are scripted too, so they may repeat or step back.
+    Timestamps are scripted too, so they may repeat or step back; waiting
+    on its clock keeps each deadline it is given.
     """
 
     RANGES = {PKG: 10**9, DRAM: 7 * 10**8}
     PEAKS = dict.fromkeys(RANGES, MAX_PLAUSIBLE_POWER_W)
 
-    def __init__(self, readings, fail_at=None, scheduler=None):
+    def __init__(self, readings, fail_at=None):
         self._readings = readings
         self._fail_at = fail_at
         self.reads = 0
-        self.scheduler = scheduler or VirtualScheduler()
+        self.deadlines = []
 
     def describe(self):
         return ProbeDescriptor(ProbeBackend.SIMULATED, (PKG, DRAM), MS, self.RANGES, self.PEAKS)
@@ -583,27 +616,8 @@ class ScriptedProbe:
             raise ReadFailed(DRAM, f"scripted failure at read {index}")
         return self._readings[index % len(self._readings)]
 
-
-class TripAfter:
-    """A stop signal that is set from its ``calls``-th check on."""
-
-    def __init__(self, calls):
-        self._left = calls
-
-    def is_set(self):
-        self._left -= 1
-        return self._left < 0
-
-
-class WakingScheduler(VirtualScheduler):
-    """Wakes halfway to the deadline once the stop signal is set, as the
-    real scheduler may wake before a deadline."""
-
-    def sleep_until(self, deadline_ns, stop=None):
-        if stop is not None and stop.is_set():
-            self.advance(max(0, deadline_ns - self.now()) // 2)
-        else:
-            super().sleep_until(deadline_ns, stop)
+    def wait_until(self, deadline_ns):
+        self.deadlines.append(deadline_ns)
 
 
 @st.composite
@@ -620,59 +634,48 @@ def scripted_streams(draw):
         for t in timestamps
     ]
     fail_at = draw(st.none() | st.integers(0, count + 2))
-    stop_checks = draw(st.integers(0, 60))
-    waking = draw(st.booleans())
-    return readings, fail_at, stop_checks, waking
+    # On, off or before the grid of deadlines from the first reading.
+    end_ns = timestamps[0] + draw(st.integers(-MS, 60 * MS) | st.integers(-2, 60).map(lambda k: k * MS))
+    return readings, fail_at, end_ns
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=scripted_streams())
 def test_columnar_stream_equals_per_sample_stream(case):
-    # Counters that wrap, repeated and backward timestamps, stop signals
-    # that wake the scheduler early and failures.
-    readings, fail_at, stop_checks, waking = case
+    # Counters that wrap, repeated and backward timestamps, ends on and
+    # off the deadline grid, and failures.
+    readings, fail_at, end_ns = case
     config = SamplerConfig(rate_hz=1000.0)
     outcomes = []
     for oracle in (False, True):
-        sched = WakingScheduler() if waking else VirtualScheduler()
-        probe = ScriptedProbe(readings, fail_at, sched)
-        stop = TripAfter(stop_checks)
+        probe = ScriptedProbe(readings, fail_at)
         try:
             if oracle:
-                samples = previous_sample_stream(probe, config, stop, sched)
+                samples = previous_sample_stream(probe, config, end_ns)
             else:
-                samples = sample_stream(probe, config, stop)
-            outcomes.append((list(samples), probe.reads))
+                samples = sample_stream(probe, config, end_ns)
+            outcomes.append((list(samples), probe.reads, probe.deadlines))
         except ProbeLost as exc:
-            outcomes.append((str(exc), probe.reads))
+            outcomes.append((str(exc), probe.reads, probe.deadlines))
     assert outcomes[0] == outcomes[1]
 
 
 class TestReadContract:
-    """Per-stream read counts and times: one opening read, one read per
-    tick and one closing read, each tick on its deadline."""
+    """Per-stream read counts and times: one opening read, then one read
+    per deadline up to the first deadline at or past the end, each on its
+    deadline."""
 
     @pytest.mark.parametrize("run_ns, ticks", [(0, 0), (1, 1), (10 * MS, 10), (10 * MS + 1, 11)])
     def test_one_read_per_tick(self, run_ns, ticks):
         probe = constant_probe(5.0)
-        sched = probe.scheduler
-        stamps = []
-        read = probe.read
-
-        def counted_read():
-            reading = read()
-            stamps.append(reading.timestamp_ns)
-            return reading
-
-        probe.read = counted_read
-        sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, run_ns))
-        assert len(stamps) == (ticks + 2 if ticks else 1)
-        assert stamps[1:ticks + 1] == [k * MS for k in range(1, ticks + 1)]
+        stamps = recorded_reads(probe)
+        sample_stream(probe, SamplerConfig(rate_hz=1000.0), run_ns)
+        assert stamps == [k * MS for k in range(ticks + 1)]
 
     def test_reads_that_do_not_advance_still_count(self):
         reading = ProbeReading(5, (1, 1))
         probe = ScriptedProbe([reading])
-        sched = probe.scheduler
-        samples = sample_stream(probe, SamplerConfig(rate_hz=1000.0), DeadlineStop(sched.now, 3 * MS))
-        assert probe.reads == 5
+        samples = sample_stream(probe, SamplerConfig(rate_hz=1000.0), 3 * MS)
+        assert probe.reads == 4
+        assert probe.deadlines == [5 + MS, 5 + 2 * MS, 5 + 3 * MS]
         assert len(samples) == 0

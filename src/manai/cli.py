@@ -144,7 +144,7 @@ def _load_config_file(path: Path) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.InvalidConfig(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise errors.InvalidConfig(f"malformed config {path}: {exc}") from exc

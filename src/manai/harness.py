@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import os
+import select
 import selectors
 import subprocess
 import time
@@ -337,7 +338,7 @@ def run_one(
         _kill(proc)
         raise
     finally:
-        _reap(proc, deadline_ns)
+        _reap(proc, pidfd, deadline_ns)
         selector.close()
         os.close(pidfd)
         proc.stdout.close()
@@ -357,16 +358,20 @@ def _kill(proc: subprocess.Popen) -> None:
     proc.wait()
 
 
-def _reap(proc: subprocess.Popen, deadline_ns: int | None) -> None:
-    """Wait for the child to exit until the deadline, at most one grace
-    period; kill it if it lingers."""
+def _reap(proc: subprocess.Popen, pidfd: int, deadline_ns: int | None) -> None:
+    """Wait on ``pidfd`` for the child to exit until the deadline, at most
+    one grace period; kill it if it lingers. The wait wakes at the exit,
+    where ``Popen.wait`` with a timeout would poll with sleeps of up to
+    50 ms."""
     if proc.poll() is not None:
         return
     grace_s = _EXIT_GRACE_S
     if deadline_ns is not None:
         grace_s = min(grace_s, max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9))
-    try:
-        proc.wait(timeout=grace_s)
-    except subprocess.TimeoutExpired:
+    exit_poll = select.poll()
+    exit_poll.register(pidfd, select.POLLIN)
+    if exit_poll.poll(grace_s * 1e3):
+        proc.wait()
+    else:
         logger.warning("harness lingered after run; killing pid %d", proc.pid)
         _kill(proc)

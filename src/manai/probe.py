@@ -20,6 +20,10 @@ attribute's text on every read at offset 0, so no reopen or seek is
 needed. The descriptors are non-inheritable (Python's default), so a
 harness child never receives them. A live counter outside its range
 fails the read; simulated counters are in range by construction.
+
+A scenario file whose segment lines all list the same domains, each with
+one decimal width, is loaded a column at a time; any other goes through a
+token loop, which also names every error. Both give the same scenario.
 """
 
 from __future__ import annotations
@@ -546,36 +550,18 @@ def _not_a_pair(token: str, line_no: int) -> MalformedScenario:
     return MalformedScenario(f"expected key=value, got {token!r}", line_no)
 
 
-def load_scenario(path: Path | str) -> SimulationScenario:
-    """Parse and validate a scenario file in one pass over its tokens.
-
-    Format: header assignments ``update_interval_ns=<int>`` and
-    ``max_range_uj=<int>`` (one or both per line), then one line per
-    segment: ``duration_ns=<int> package=<watts> [core=<watts>] ...``.
-    Blank lines and ``#`` comments are ignored; unknown keys are errors.
-    A power spelled as plain digits, at most six before an optional point
-    and at most 22 after it, is converted by integer arithmetic; any other
-    spelling goes through :func:`_parse_watts_uw`, and both give
-    ``int(Decimal(text) * 10**6)``. Within a line, a token that is not
-    ``key=value`` is reported before any other error.
-
-    Raises:
-        MalformedScenario: On syntax errors or invariant violations, with
-            the offending line number.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise MalformedScenario(f"cannot read {path}: {exc}") from exc
-
+def _read_tokens(rows: list[list[str]]) -> tuple[dict[str, int], list[int], dict[str, list[int]]]:
+    """The header, durations and powers per domain key of token ``rows``,
+    one per line, read a token at a time; a power spelled as plain digits,
+    at most six before an optional point and at most 22 after it, is
+    converted by integer arithmetic, any other by :func:`_parse_watts_uw`.
+    Within a line, a token that is not ``key=value`` is reported first."""
     header: dict[str, int] = {}
     durations_ns: list[int] = []
     # Power of every segment so far, per domain key; 0 W before a domain's
     # first segment and in segments that leave it out.
     powers_uw: dict[str, list[int]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.partition("#")[0].split()
+    for line_no, tokens in enumerate(rows, start=1):
         if not tokens:
             continue
         try:
@@ -633,6 +619,89 @@ def load_scenario(path: Path | str) -> SimulationScenario:
                 if not (key and sep and value):
                     raise _not_a_pair(token, line_no) from None
             raise
+    return header, durations_ns, powers_uw
+
+
+def _uniform_columns(rows: list[list[str]]) -> tuple[dict, list[int], dict[str, tuple[str, int]]] | None:
+    """What :func:`_read_tokens` reads, the powers as their digits without
+    the point and their decimal width, of rows whose segment rows are all
+    ``duration_ns=<digits>`` and then one known domain key a column, each
+    column with up to six whole digits and one width of at most 22
+    decimals; None for any other rows, and for rows with an error."""
+    for start, tokens in enumerate(rows):
+        if tokens and tokens[0].startswith("duration_ns="):
+            break
+    else:
+        return None
+    try:
+        header = _read_tokens(rows[:start])[0]
+    except MalformedScenario:
+        return None
+    segments = [tokens for tokens in rows[start:] if tokens]
+    if len(segments[0]) < 2 or {len(tokens) for tokens in segments} != {len(segments[0])}:
+        return None
+    durations, *columns = zip(*segments)
+    joined = " ".join(durations)
+    try:
+        durations_ns = list(map(int, joined.replace("duration_ns=", "").split()))
+    except ValueError:  # not all digits, or more than int() converts
+        return None
+    if not all(durations_ns) or not re.fullmatch(r"duration_ns=[0-9]+(?: duration_ns=[0-9]+)*", joined):
+        return None
+    digits: dict[str, tuple[str, int]] = {}
+    for column in columns:
+        key, _, value = column[0].partition("=")
+        point, fraction = value.partition(".")[1:]
+        if key not in _SCENARIO_DOMAIN_KEYS or key in digits or len(fraction) > 22:
+            return None
+        token = rf"{key}=[0-9]{{1,6}}" + (rf"\.[0-9]{{{len(fraction)}}}" if point else "")
+        joined = " ".join(column)
+        if not re.fullmatch(rf"{token}(?: {token})*", joined):
+            return None
+        digits[key] = (joined.replace(f"{key}=", "").replace(".", ""), len(fraction))
+    return header, durations_ns, digits
+
+
+def load_scenario(path: Path | str) -> SimulationScenario:
+    """Parse and validate a scenario file.
+
+    Format: header assignments ``update_interval_ns=<int>`` and
+    ``max_range_uj=<int>`` (one or both per line), then one line per
+    segment: ``duration_ns=<int> package=<watts> [core=<watts>] ...``.
+    Blank lines and ``#`` comments are ignored; unknown keys are errors.
+    Every power comes out as ``int(Decimal(text) * 10**6)``.
+
+    The text is split into token rows once. A file whose segment rows all
+    list the same domains, each in plain digits of one decimal width, is
+    read a column at a time; any other, and any with an error, goes
+    through the token loop, which names the first error.
+
+    Raises:
+        MalformedScenario: On text that is not UTF-8, syntax errors or
+            invariant violations, with the offending line number.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise MalformedScenario(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise MalformedScenario(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line_no) from None
+
+    rows = [(line.partition("#")[0] if "#" in line else line).split() for line in text.splitlines()]
+    columns = _uniform_columns(rows)
+    if columns is None:
+        header, durations_ns, powers_uw = _read_tokens(rows)
+    else:
+        del rows  # the tokens, before the values are converted
+        header, durations_ns, digits = columns
+        powers_uw = {}
+        for key, (joined, width) in digits.items():
+            scale, values = 10 ** abs(width - 6), map(int, joined.split())
+            powers_uw[key] = [value // scale for value in values] if width > 6 else [value * scale for value in values]
 
     missing = _HEADER_KEYS - set(header)
     if missing:

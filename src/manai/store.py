@@ -584,7 +584,7 @@ class Store:
         try:
             text = path.read_text(encoding="utf-8")
             doc, results = _decode_head(text)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
         _check_version(doc)
         return _Head(doc, results, text, path)
@@ -594,7 +594,7 @@ class Store:
         sidecar = path.with_suffix(_SAMPLES_SUFFIX)
         try:
             return json.loads(sidecar.read_bytes())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable samples {sidecar}: {exc}") from exc
 
     def _record(self, head: _Head) -> RevisionRecord:

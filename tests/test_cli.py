@@ -498,6 +498,34 @@ class TestExitCodes:
         code = main(["probe-check", "--probe", "simulated", "--scenario", str(bad)])
         assert code == 1
 
+    def test_undecodable_scenario_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"update_interval_ns=1000000 max_range_uj=1000000000\nduration_ns=1000 package=1\xff\n")
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 2: not UTF-8 text" in err
+
+    def test_undecodable_config_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[experiment]\niterations = 3\xff\n")
+        code = main(["list", "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"cannot read config {bad}" in err
+
+    def test_undecodable_record_is_env_error(self, workspace, capsys):
+        tmp_path, _, _, config, _ = workspace
+        assert main(["run", "--config", str(config)]) == 0
+        (record,) = (tmp_path / "data").rglob("*.record")
+        with record.open("ab") as handle:
+            handle.write(b"\xff")
+        capsys.readouterr()
+        code = main(["report", "--config", str(config), "--revision", "rev-cli"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unreadable record {record}" in err
+
     @pytest.mark.parametrize("power", ["NaN", "sNaN", "inf", "1e400000000"])
     def test_non_finite_scenario_power_is_user_error(self, tmp_path, capsys, power):
         bad = tmp_path / "nan.txt"

@@ -6,6 +6,7 @@ import errno
 import gc
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -502,6 +503,31 @@ class TestReadLoop:
             _kill_sleeper(sleeper_file)
         assert run.status is TestStatus.SKIP and run.error is None
         _assert_reaped(pid_file)
+
+    def test_reap_wakes_at_the_exit_without_sleep_polling(self, tmp_path, monkeypatch):
+        # The child closes its stdout after END and exits 0.1 s later: the
+        # loop ends at EOF, before the child can be reaped, and the reap
+        # waits on the pidfd instead of Popen.wait(timeout=...).
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 4.0)
+        timeouts = []
+        wait = subprocess.Popen.wait
+
+        def recording_wait(proc, timeout=None):
+            timeouts.append(timeout)
+            return wait(proc, timeout)
+
+        monkeypatch.setattr(subprocess.Popen, "wait", recording_wait)
+        exit_file = tmp_path / "exit"
+        run = self._run(tmp_path, (
+            "m('BEGIN demo::a'); m('END demo::a PASS')\n"
+            "os.dup2(os.open(os.devnull, os.O_WRONLY), 1); time.sleep(0.1)\n"
+            f"open({str(exit_file)!r}, 'w').write(str(time.monotonic_ns()))\n"
+        ))
+        returned_ns = time.monotonic_ns()
+        assert run.status is TestStatus.PASS and run.error is None
+        assert timeouts == [None]
+        # Woken by the exit, well before the grace period would end.
+        assert 0 < returned_ns - int(exit_file.read_text()) < 2 * 10**9
 
     def test_run_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(thread):

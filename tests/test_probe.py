@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import errno
 import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manai import probe as probe_module
 from manai.errors import MalformedScenario, NoProbeAvailable, PermissionDenied, ReadFailed
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
@@ -860,6 +864,183 @@ def test_loader_on_generated_scenarios(tmp_path_factory, case):
         assert scenario.powers_uw[_SCENARIO_KEYS[key]] == tuple(
             int(Decimal(powers[key]) * 10**6) if key in powers else 0 for _, powers in segments
         )
+
+
+def test_undecodable_scenario_names_the_line_of_its_first_bad_byte(tmp_path):
+    path = tmp_path / "s.txt"
+    for ending in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(ending.join([
+            b"update_interval_ns=1000000 max_range_uj=1000000000", b"", b"duration_ns=1000 package=1\xff", b"",
+        ]))
+        with pytest.raises(MalformedScenario, match="^line 3: not UTF-8 text: invalid start byte at byte "):
+            load_scenario(path)
+
+
+# --------------------------------------------------------------------------
+# The columnar read of uniform scenario files
+# --------------------------------------------------------------------------
+
+
+def _watts_of_width(draw, width: int, zfill: int) -> str:
+    """Plain-digit watts, zero-filled to ``zfill`` whole digits: no point
+    for a width of -1, else a point and ``width`` decimals."""
+    whole = str(draw(st.integers(0, 999_999))).zfill(zfill)
+    return whole if width < 0 else whole + "." + draw(st.text("0123456789", min_size=width, max_size=width))
+
+
+@st.composite
+def uniform_scenario_texts(draw):
+    """Scenario text whose segment lines list the same domains in one order,
+    each domain with one decimal width (none, or 0 to 24 decimals) and up
+    to seven whole digits, with tabs, blank lines, comments, leading zeros
+    and huge durations; and what loading it must give: ``(line_no,
+    message)`` of its one injected error, or ``None``, then the header and
+    each segment's duration and power texts.
+
+    Half of the texts get one error: a bad value, one above the power bound,
+    a duplicate or unknown key in one row or in every row from there on, a
+    zero duration, one with more digits than ``int()`` reads, a token that
+    is not key=value, or a header line after a segment.
+    """
+    header = {"update_interval_ns": draw(st.integers(1, 10**7)), "max_range_uj": draw(st.integers(1, 10**13))}
+    header_rows = [[f"{k}={v}" for k, v in header.items()]]
+    if draw(st.booleans()):
+        header_rows = [[token] for token in header_rows[0]]
+    keys = draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), min_size=1, max_size=5, unique=True))
+    # A few columns are too wide for the columnar read: 23 or 24 decimals,
+    # or seven whole digits.
+    widths = [draw(st.integers(-1, 22) if draw(st.integers(0, 19)) else st.integers(23, 24)) for _ in keys]
+    zfills = [draw(st.sampled_from([0, 6] * 19 + [7])) for _ in keys]
+    segments, rows = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        duration = draw(st.one_of(st.integers(1, 10**7), st.integers(1, 10**40)))
+        powers = {key: _watts_of_width(draw, width, zfill) for key, width, zfill in zip(keys, widths, zfills)}
+        segments.append((duration, powers))
+        lead = f"duration_ns={'0' * draw(st.integers(0, 2))}{duration}"
+        rows.append([lead, *(f"{key}={value}" for key, value in powers.items())])
+
+    error = draw(st.sampled_from([
+        "bad value", "above bound", "duplicate key", "unknown key", "zero duration", "long duration",
+        "not a pair", "header after",
+    ])) if draw(st.booleans()) else None
+    at = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(1, len(keys)))
+    key, every = keys[column - 1], draw(st.booleans())
+    first, message = at, None
+    if error == "bad value":
+        bad = draw(st.sampled_from(sorted(_BAD_POWERS)))
+        rows[at][column], message = f"{key}={bad}", _BAD_POWERS[bad]
+    elif error == "above bound":
+        value = "1000001" + ("" if widths[column - 1] < 0 else "." + "0" * widths[column - 1])
+        rows[at][column], message = f"{key}={value}", f"power above 1000000 W: {value!r}"
+    elif error == "duplicate key":
+        for row in rows[at:] if every else [rows[at]]:
+            row.append(f"{keys[-1]}=1")
+        message = f"duplicate domain {keys[-1]!r}"
+    elif error == "unknown key":
+        for row in rows[at:] if every else [rows[at]]:
+            row[column] = "gpu=1"
+        message = "unknown key 'gpu'"
+    elif error == "zero duration":
+        rows[at][0], message = "duration_ns=000", "segment duration must be positive"
+    elif error == "long duration":
+        digits = "1" * 5000
+        rows[at][0], message = f"duration_ns={digits}", f"bad integer for duration_ns: {digits!r}"
+    elif error == "not a pair":
+        rows[at][column], message = keys[0], f"expected key=value, got {keys[0]!r}"
+    elif error == "header after":
+        first, message = at + 1, "header line after first segment"
+        rows.insert(first, ["max_range_uj=7", *rows[at][1:]][: draw(st.integers(1, len(keys) + 1))])
+
+    lines: list[str] = []
+    first_error = None
+    for index, row in enumerate([*header_rows, *rows]):
+        while draw(st.integers(0, 3)) == 3:
+            lines.append(draw(st.sampled_from(["", " \t", "# a comment", "\t# key=value here"])))
+        lines.append(
+            draw(st.sampled_from(["", "  ", "\t"])) + draw(st.sampled_from([" ", "\t", " \t "])).join(row)
+            + draw(st.sampled_from(["", "", "  # trailing note", "\t#x=1"]))
+        )
+        if message is not None and index == len(header_rows) + first:
+            first_error = (len(lines), message)
+    return "\n".join(lines) + "\n", first_error, header, segments
+
+
+@contextlib.contextmanager
+def token_loop_segments():
+    """A list of how many segments each call of the token loop read while
+    the block ran."""
+    counts: list[int] = []
+    read_tokens = probe_module._read_tokens
+
+    def counting(rows):
+        header, durations_ns, powers_uw = read_tokens(rows)
+        counts.append(len(durations_ns))
+        return header, durations_ns, powers_uw
+
+    with mock.patch.object(probe_module, "_read_tokens", counting):
+        yield counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=uniform_scenario_texts())
+def test_uniform_scenarios_load_as_the_token_loop_and_decimal_do(tmp_path_factory, case):
+    """Errors are named by the token loop. An error-free file is read a
+    column at a time unless a width exceeds 22 decimals or a whole part
+    six digits, and loads as the previous parser and ``Decimal`` read it."""
+    text, first_error, header, segments = case
+    path = tmp_path_factory.mktemp("scenario") / "s.txt"
+    path.write_text(text)
+    if first_error is not None:
+        line_no, message = first_error
+        with pytest.raises(MalformedScenario) as failure:
+            load_scenario(path)
+        assert (failure.value.line_no, str(failure.value)) == (line_no, f"line {line_no}: {message}")
+        return
+    with token_loop_segments() as counts:
+        scenario = load_scenario(path)
+    columnar = all(
+        len(whole) <= 6 and len(fraction) <= 22
+        for _, powers in segments for whole, _, fraction in (value.partition(".") for value in powers.values())
+    )
+    assert sum(counts) == (0 if columnar else len(segments))
+    assert_same_scenario(scenario, *previous_load(text))
+    assert (scenario.update_interval_ns, scenario.max_range_uj) == (
+        header["update_interval_ns"], header["max_range_uj"])
+    assert scenario.durations_ns == tuple(duration for duration, _ in segments)
+    keys = list(segments[0][1])
+    assert list(scenario.powers_uw) == [_SCENARIO_KEYS[key] for key in keys]
+    for key in keys:
+        assert scenario.powers_uw[_SCENARIO_KEYS[key]] == tuple(
+            int(Decimal(powers[key]) * 10**6) for _, powers in segments
+        )
+
+
+def _readme_scenarios() -> tuple[str, str]:
+    """The README's quick-start scenario and the example of its "Scenario
+    files" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"cat > scenario\.txt <<'EOF'\n(.*?)EOF\n", readme, re.S)
+    example = re.search(r"## Scenario files.*?```\n(.*?)```", readme, re.S)
+    return quick_start.group(1), example.group(1)
+
+
+def test_uniform_files_never_enter_the_token_loop(tmp_path):
+    # Shaped like perfbench's sim-trace: 1 ms segments, six decimals, three domains.
+    rng = random.Random(24)
+    sim_trace = "update_interval_ns=1000000 max_range_uj=262143328850\n" + "".join(
+        f"duration_ns=1000000 package={rng.randrange(5, 30)}.{rng.randrange(10**6):06d} "
+        f"core={rng.randrange(2, 20)}.{rng.randrange(10**6):06d} dram={rng.randrange(3)}.{rng.randrange(10**6):06d}\n"
+        for _ in range(2000)
+    )
+    quick_start, omits_a_domain = _readme_scenarios()
+    path = tmp_path / "s.txt"
+    for text, segments_in_the_loop in ((sim_trace, 0), (quick_start, 0), (omits_a_domain, 2)):
+        path.write_text(text)
+        with token_loop_segments() as counts:
+            scenario = load_scenario(path)
+        assert sum(counts) == segments_in_the_loop
+        assert_same_scenario(scenario, *previous_load(text))
 
 
 # --------------------------------------------------------------------------

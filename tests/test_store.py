@@ -88,6 +88,15 @@ class TestSaveLoad:
         with pytest.raises(StorageError):
             store.load("abc")
 
+    @pytest.mark.parametrize("suffix, message", [(".record", "unreadable record"), (".samples", "unreadable samples")])
+    def test_undecodable_file_is_reported(self, tmp_path, suffix, message):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        with path.with_suffix(suffix).open("ab") as handle:
+            handle.write(b"\xff")
+        with pytest.raises(StorageError, match=message):
+            store.load("abc")
+
     def test_unsupported_format_version_is_reported(self, tmp_path):
         store = Store(tmp_path)
         path = store.save(make_record("abc", ts(0), {"demo::a": 1}))

@@ -43,8 +43,14 @@ class PlannedTest:
 
 
 def parse_plan(path: Path) -> list[PlannedTest]:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise SystemExit(f"plan line {line_no}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     tests = []
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

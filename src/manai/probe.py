@@ -546,79 +546,53 @@ def _parse_int(text: str, key: str, line_no: int) -> int:
         raise MalformedScenario(f"bad integer for {key}: {text!r}", line_no) from None
 
 
-def _not_a_pair(token: str, line_no: int) -> MalformedScenario:
-    return MalformedScenario(f"expected key=value, got {token!r}", line_no)
-
-
 def _read_tokens(rows: list[list[str]]) -> tuple[dict[str, int], list[int], dict[str, list[int]]]:
     """The header, durations and powers per domain key of token ``rows``,
-    one per line, read a token at a time; a power spelled as plain digits,
-    at most six before an optional point and at most 22 after it, is
-    converted by integer arithmetic, any other by :func:`_parse_watts_uw`.
-    Within a line, a token that is not ``key=value`` is reported first."""
+    one per line. Each line is split into ``key=value`` pairs before any
+    is read, so a token that is not a pair is its line's first error;
+    every power is converted by :func:`_parse_watts_uw`."""
     header: dict[str, int] = {}
     durations_ns: list[int] = []
     # Power of every segment so far, per domain key; 0 W before a domain's
     # first segment and in segments that leave it out.
     powers_uw: dict[str, list[int]] = {}
     for line_no, tokens in enumerate(rows, start=1):
-        if not tokens:
-            continue
-        try:
-            key, sep, value = tokens[0].partition("=")
+        pairs = [token.partition("=") for token in tokens]
+        for token, (key, sep, value) in zip(tokens, pairs):
             if not (key and sep and value):
-                raise _not_a_pair(tokens[0], line_no)
-            if key == "duration_ns":
-                duration_ns = _parse_int(value, key, line_no)
-                if duration_ns <= 0:
-                    raise MalformedScenario("segment duration must be positive", line_no)
-                if len(tokens) == 1:
-                    raise MalformedScenario("segment defines no domain power", line_no)
-                segment = len(durations_ns)
-                for token in tokens[1:]:
-                    key, sep, value = token.partition("=")
-                    if not (key and sep and value):
-                        raise _not_a_pair(token, line_no)
-                    column = powers_uw.get(key)
-                    if column is None:
-                        if key not in _SCENARIO_DOMAIN_KEYS:
-                            raise MalformedScenario(f"unknown key {key!r}", line_no)
-                        column = powers_uw[key] = [0] * segment
-                    elif len(column) > segment:
-                        raise MalformedScenario(f"duplicate domain {key!r}", line_no)
-                    whole, _, fraction = value.partition(".")
-                    if len(whole) <= 6 and len(fraction) <= 22 and whole.isdigit() and value.isascii() and (
-                        fraction.isdigit() or not fraction
-                    ):
-                        # Whole watts and six decimals make the microwatts; later
-                        # decimals truncate. Six digits stay below the power bound,
-                        # and at most 28 digits keep Decimal's default product exact.
-                        column.append(int(whole + fraction[:6].ljust(6, "0")))
-                    else:
-                        column.append(_parse_watts_uw(value, line_no))
-                durations_ns.append(duration_ns)
-                if len(tokens) <= len(powers_uw):
-                    for column in powers_uw.values():
-                        if len(column) == segment:
-                            column.append(0)
-            elif durations_ns:
-                raise MalformedScenario("header line after first segment", line_no)
-            else:
-                for token in tokens:
-                    key, sep, value = token.partition("=")
-                    if not (key and sep and value):
-                        raise _not_a_pair(token, line_no)
-                    if key not in _HEADER_KEYS:
+                raise MalformedScenario(f"expected key=value, got {token!r}", line_no)
+        if not pairs:
+            continue
+        (first, _, value), *domain_pairs = pairs
+        if first == "duration_ns":
+            duration_ns = _parse_int(value, first, line_no)
+            if duration_ns <= 0:
+                raise MalformedScenario("segment duration must be positive", line_no)
+            if not domain_pairs:
+                raise MalformedScenario("segment defines no domain power", line_no)
+            segment = len(durations_ns)
+            for key, _, value in domain_pairs:
+                column = powers_uw.get(key)
+                if column is None:
+                    if key not in _SCENARIO_DOMAIN_KEYS:
                         raise MalformedScenario(f"unknown key {key!r}", line_no)
-                    if key in header:
-                        raise MalformedScenario(f"duplicate header key {key!r}", line_no)
-                    header[key] = _parse_int(value, key, line_no)
-        except MalformedScenario:
-            for token in tokens:
-                key, sep, value = token.partition("=")
-                if not (key and sep and value):
-                    raise _not_a_pair(token, line_no) from None
-            raise
+                    column = powers_uw[key] = [0] * segment
+                elif len(column) > segment:
+                    raise MalformedScenario(f"duplicate domain {key!r}", line_no)
+                column.append(_parse_watts_uw(value, line_no))
+            durations_ns.append(duration_ns)
+            for column in powers_uw.values():
+                if len(column) == segment:
+                    column.append(0)
+        elif durations_ns:
+            raise MalformedScenario("header line after first segment", line_no)
+        else:
+            for key, _, value in pairs:
+                if key not in _HEADER_KEYS:
+                    raise MalformedScenario(f"unknown key {key!r}", line_no)
+                if key in header:
+                    raise MalformedScenario(f"duplicate header key {key!r}", line_no)
+                header[key] = _parse_int(value, key, line_no)
     return header, durations_ns, powers_uw
 
 

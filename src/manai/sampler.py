@@ -1,16 +1,16 @@
 """Turn cumulative counter readings into wrap-corrected interval samples.
 
-A simulated run is replayed by :func:`sample_stream`, which reads a probe
-at a configured rate against absolute deadlines on the probe's own clock.
-A live run and a baseline calibration read their probe only at the edges
-of their window, plus once per wrap guard (:func:`_wrap_guard_ns`) while
-it is open. Either way a reading is kept as it is: its timestamp and its
-counters in ``probe.describe().domains`` order. Afterwards, one pass per
-column (:func:`_columns`) turns the kept readings into
-:class:`SampleColumns`: the edge times, and per domain the wrap-corrected
-counter delta between adjacent readings. A sample knows no idle baseline;
-attribution takes it off once per window. No per-sample object is built
-on the way.
+A simulated run is replayed by :func:`sample_stream`, the replay grid:
+it reads a :class:`~manai.probe.SimulatedProbe` at a configured rate
+against absolute deadlines on the probe's virtual clock. A live run and a
+baseline calibration read their probe only at the edges of their window,
+plus once per wrap guard (:func:`_wrap_guard_ns`) while it is open.
+Either way a reading is kept as it is: its timestamp and its counters in
+``probe.describe().domains`` order. Afterwards, one pass per column
+(:func:`_columns`) turns the kept readings into :class:`SampleColumns`:
+the edge times, and per domain the wrap-corrected counter delta between
+adjacent readings. A sample knows no idle baseline; attribution takes it
+off once per window. No per-sample object is built on the way.
 
 Sample energy is carried in integer microjoules so that the telescoping
 identity holds exactly: the sum of sample energies over a run equals the
@@ -28,7 +28,7 @@ from operator import le, lt
 from typing import Iterable, Mapping
 
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
-from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading
+from manai.probe import EnergyDomain, Probe, ProbeDescriptor, ProbeReading, SimulatedProbe
 
 _NS_PER_S = 1_000_000_000
 _NJ_PER_UJ = 1_000
@@ -219,52 +219,22 @@ def _wrap_guard_ns(descriptor: ProbeDescriptor) -> int | None:
     return guard_ns
 
 
-def sample_stream(probe: Probe, config: SamplerConfig, end_ns: int) -> SampleColumns:
-    """Read ``probe`` at ``origin + k * interval`` on its own clock, up to
-    the first such deadline at or past ``end_ns``.
-
-    The origin is the first reading. Absolute deadlines keep timer drift
-    from accumulating; sample boundaries use the actual reading
-    timestamps, and a reading whose timestamp does not advance past the
-    last kept one is dropped. The samples are built after the last reading.
-
-    Args:
-        probe: Counter source; its descriptor supplies the domains and
-            counter ranges.
-        config: The reading rate.
-        end_ns: The time on the probe's clock the last deadline reaches.
-
-    Returns:
-        Ordered, adjacent samples. Empty if ``end_ns`` is not past the
-        first reading.
+def sample_stream(probe: SimulatedProbe, config: SamplerConfig, end_ns: int) -> SampleColumns:
+    """Replay ``probe`` on the grid ``probe.now_ns + k * interval`` of its
+    virtual clock, up to the first deadline at or past ``end_ns``: wait for
+    each deadline, read and keep the reading, then build the samples. They
+    are empty if ``end_ns`` is not past the first reading.
 
     Raises:
         InvalidConfig: Two readings could span a full counter wrap.
-        ProbeLost: A reading failed; the samples collected so far are lost.
     """
     interval_ns = config.interval_ns
     descriptor = probe.describe()
     _check_single_wrap(descriptor, interval_ns)
-
-    try:
-        first = probe.read()
-    except ReadFailed as exc:
-        raise ProbeLost(f"probe failed at session start: {exc}") from exc
-
-    # The loop does no more than wait, read and keep; its callables are bound once.
-    readings = [first]
-    keep = readings.append
-    read, wait_until = probe.read, probe.wait_until
-    last_ns = first.timestamp_ns
-    try:
-        for deadline_ns in range(last_ns + interval_ns, end_ns + interval_ns, interval_ns):
-            wait_until(deadline_ns)
-            reading = read()
-            if reading.timestamp_ns > last_ns:
-                keep(reading)
-                last_ns = reading.timestamp_ns
-    except ReadFailed as exc:
-        raise ProbeLost(f"probe lost mid-stream: {exc}") from exc
+    readings = [probe.read()]
+    for deadline_ns in range(probe.now_ns + interval_ns, end_ns + interval_ns, interval_ns):
+        probe.wait_until(deadline_ns)
+        readings.append(probe.read())
     return _columns(readings, descriptor)
 
 

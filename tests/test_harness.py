@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import logging
 import os
 import signal
 import subprocess
@@ -58,6 +59,21 @@ class TestDiscover:
             TestId("demo", "a"),
             TestId("demo", "b"),
         ]
+
+    def test_recased_declaration_is_dropped_with_a_warning(self, tmp_path, caplog):
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::A", "test demo::a"])
+        with caplog.at_level(logging.WARNING, logger="manai.harness"):
+            assert discover(fixture_harness_command(plan)) == [TestId("demo", "A")]
+        assert [r.getMessage() for r in caplog.records] == ["test demo::a re-declared with different casing"]
+
+    def test_undecodable_plan_names_its_line(self, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"test demo::a\ntest demo::b\xff\n")
+        cmd = fixture_harness_command(plan)
+        child = subprocess.run([cmd.program, *cmd.list_args], capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == "plan line 2: not UTF-8 text: invalid start byte at byte 25\n"
+        assert discover(cmd) == []
 
     def test_no_markers_is_empty(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["# nothing declared"])

@@ -276,6 +276,19 @@ class TestCompare:
         text = render_compare(store, request)
         assert "-50.0%" in text
 
+    @pytest.mark.parametrize("fmt, line", [
+        (ReportFormat.TERM, "only in {label}: {tests}"),
+        (ReportFormat.HTML, "<p>only in {label}: {tests}</p>"),
+    ])
+    def test_tests_of_one_revision_only_are_named(self, tmp_path, fmt, line):
+        store = Store(tmp_path)
+        store.save(make_record("A", ts(0), {"demo::t": 4_000_000, "demo::old": 1, "demo::gone": 2}))
+        store.save(make_record("B", ts(1), {"demo::t": 3_000_000, "demo::new": 5}))
+        text = render_compare(store, ReportRequest(scope="compare", revisions=("A", "B"), fmt=fmt, no_color=True))
+        lines = text.splitlines()
+        assert line.format(label="A", tests="demo::gone, demo::old") in lines
+        assert line.format(label="B", tests="demo::new") in lines
+
     def test_same_revision_rejected(self):
         with pytest.raises(ValueError):
             ReportRequest(scope="compare", revisions=("A", "A"))

@@ -1,6 +1,6 @@
 """The runtime imports nothing outside the standard library, importing one
-manai module imports no other that it does not use, and no manai module
-imports ``threading``."""
+manai module imports no other that it does not use, no manai module
+imports ``threading``, and every name the benchmark hooks into resolves."""
 
 from __future__ import annotations
 
@@ -65,3 +65,36 @@ def test_no_module_imports_threading():
             if any(name.partition(".")[0] in ("threading", "_thread") for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+
+_PERFBENCH_HOOKS = """\
+import random, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import inputs, layertrace
+from manai import experiment
+from manai.probe import SimulatedProbe, load_scenario
+from manai.sampler import SamplerConfig
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+record = inputs.build_record(
+    "hooks", "2026-01-01T00:00:00.000000+00:00", ["demo::a"], 2, 3,
+    {{"demo::a": [10.0, 5.0, 2.0]}}, 1.0, random.Random(1),
+)
+assert [len(results) for results in record.results.values()] == [2]
+tracer.enabled = True
+experiment.sample_stream(SimulatedProbe(load_scenario({scenario!r})), SamplerConfig(1000.0), 3_000_000)
+assert tracer.spans[-1].name == "sampler.sample_stream", tracer.spans
+"""
+
+
+def test_perfbench_hooks_resolve(tmp_path):
+    # The benchmark wraps manai's entry points by name when it traces, and
+    # builds stored records from manai's data model: a rename of either
+    # fails here rather than in a benchmark run. perfbench/ is only read.
+    root = Path(__file__).resolve().parent.parent
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("update_interval_ns=1000000 max_range_uj=1000000000\nduration_ns=1000000000 package=5\n")
+    script = _PERFBENCH_HOOKS.format(perfbench=str(root / "perfbench"), src=str(root / "src"), scenario=str(scenario))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

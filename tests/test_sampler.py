@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
+from manai.experiment import _LiveMeter
 from manai.harness import TestId, TestStatus
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
@@ -215,26 +216,6 @@ class TestSampleStream:
         _check_single_wrap(descriptor, 714)
         with pytest.raises(InvalidConfig, match="could span a full wrap"):
             _check_single_wrap(descriptor, 715)
-
-    def test_probe_failure_mid_stream_is_probe_lost(self):
-        inner = constant_probe(10.0)
-
-        class FlakyProbe:
-            def __init__(self):
-                self.reads = 0
-                self.wait_until = inner.wait_until
-
-            def describe(self):
-                return inner.describe()
-
-            def read(self):
-                self.reads += 1
-                if self.reads > 4:
-                    raise ReadFailed(PKG, "counter vanished")
-                return inner.read()
-
-        with pytest.raises(ProbeLost):
-            sample_stream(FlakyProbe(), SamplerConfig(rate_hz=10.0), 10 * NS)
 
 
 @st.composite
@@ -594,8 +575,9 @@ def previous_sample_stream(probe, config, end_ns):
 class ScriptedProbe:
     """Replays scripted readings and may fail at one read.
 
-    Timestamps are scripted too, so they may repeat or step back; waiting
-    on its clock keeps each deadline it is given.
+    Timestamps are scripted too, so they may repeat or step back, as live
+    readings on the monotonic clock can; waiting on its clock keeps each
+    deadline it is given.
     """
 
     RANGES = {PKG: 10**9, DRAM: 7 * 10**8}
@@ -608,7 +590,7 @@ class ScriptedProbe:
         self.deadlines = []
 
     def describe(self):
-        return ProbeDescriptor(ProbeBackend.SIMULATED, (PKG, DRAM), MS, self.RANGES, self.PEAKS)
+        return ProbeDescriptor(ProbeBackend.RAPL, (PKG, DRAM), MS, self.RANGES, self.PEAKS)
 
     def read(self):
         index, self.reads = self.reads, self.reads + 1
@@ -634,30 +616,49 @@ def scripted_streams(draw):
         for t in timestamps
     ]
     fail_at = draw(st.none() | st.integers(0, count + 2))
-    # On, off or before the grid of deadlines from the first reading.
-    end_ns = timestamps[0] + draw(st.integers(-MS, 60 * MS) | st.integers(-2, 60).map(lambda k: k * MS))
-    return readings, fail_at, end_ns
+    return readings, fail_at
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=scripted_streams())
 def test_columnar_stream_equals_per_sample_stream(case):
-    # Counters that wrap, repeated and backward timestamps, ends on and
-    # off the deadline grid, and failures.
-    readings, fail_at, end_ns = case
+    # The live meter's edge clock called once per scripted reading, against
+    # the per-sample loop reading as often: counters that wrap, repeated
+    # and backward timestamps, and failures.
+    readings, fail_at = case
     config = SamplerConfig(rate_hz=1000.0)
-    outcomes = []
-    for oracle in (False, True):
-        probe = ScriptedProbe(readings, fail_at)
-        try:
-            if oracle:
-                samples = previous_sample_stream(probe, config, end_ns)
-            else:
-                samples = sample_stream(probe, config, end_ns)
-            outcomes.append((list(samples), probe.reads, probe.deadlines))
-        except ProbeLost as exc:
-            outcomes.append((str(exc), probe.reads, probe.deadlines))
-    assert outcomes[0] == outcomes[1]
+    # The oracle reads once at its origin and once per deadline before this end.
+    end_ns = readings[0].timestamp_ns + (len(readings) - 1) * config.interval_ns
+    probe = ScriptedProbe(readings, fail_at)
+    meter = _LiveMeter(probe)
+    meter.start()
+    try:
+        stamps = [meter.clock() for _ in readings]
+    except ProbeLost:
+        with pytest.raises(ProbeLost):
+            previous_sample_stream(ScriptedProbe(readings, fail_at), config, end_ns)
+        assert probe.reads == fail_at + 1
+        return
+    samples, begin, end = meter.stop(stamps[0], stamps[-1])
+    oracle_probe = ScriptedProbe(readings, fail_at)
+    expected = SampleColumns.of(previous_sample_stream(oracle_probe, config, end_ns)).rebased(stamps[0])
+    assert list(samples) == list(expected)
+    assert probe.reads == oracle_probe.reads == len(readings)
+    assert (begin, end) == (0, max(stamps[-1] - stamps[0], 1))
+
+
+def test_live_reads_that_do_not_advance_add_no_sample():
+    # A stalled or backward reading returns the last kept stamp.
+    probe = ScriptedProbe([
+        ProbeReading(5, (1, 1)), ProbeReading(5, (2, 2)), ProbeReading(4, (3, 3)), ProbeReading(9, (7, 8)),
+    ])
+    meter = _LiveMeter(probe)
+    meter.start()
+    assert [meter.clock() for _ in range(4)] == [5, 5, 5, 9]
+    samples, begin, end = meter.stop(5, 9)
+    assert probe.reads == 4
+    assert (begin, end) == (0, 4)
+    assert list(samples) == [EnergySample(0, 4, {PKG: 6, DRAM: 7})]
 
 
 class TestReadContract:
@@ -671,11 +672,3 @@ class TestReadContract:
         stamps = recorded_reads(probe)
         sample_stream(probe, SamplerConfig(rate_hz=1000.0), run_ns)
         assert stamps == [k * MS for k in range(ticks + 1)]
-
-    def test_reads_that_do_not_advance_still_count(self):
-        reading = ProbeReading(5, (1, 1))
-        probe = ScriptedProbe([reading])
-        samples = sample_stream(probe, SamplerConfig(rate_hz=1000.0), 3 * MS)
-        assert probe.reads == 4
-        assert probe.deadlines == [5 + MS, 5 + 2 * MS, 5 + 3 * MS]
-        assert len(samples) == 0

@@ -454,6 +454,13 @@ SAMPLE_CASES = {
         EnergySample(2 * MS, 3 * MS, {DRAM: 0}),
         EnergySample(3 * MS, 4 * MS, {}),
     ]],
+    # Iterations with {package, dram}, {package} and mixed columns: the
+    # sidecar pads every column another iteration lacks with nulls.
+    "iterations hold different domains": [
+        [EnergySample(0, MS, {PKG: 1, DRAM: 2})],
+        [EnergySample(MS, 2 * MS, {PKG: 3}), EnergySample(2 * MS, 3 * MS, {PKG: 4})],
+        [EnergySample(3 * MS, 4 * MS, {DRAM: 5}), EnergySample(4 * MS, 5 * MS, {PKG: 6})],
+    ],
     "some iterations without samples": [[], [EnergySample(0, MS, {PKG: 1})], []],
     "no samples at all": [[], []],
 }

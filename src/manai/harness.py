@@ -8,8 +8,9 @@ output can be profiled. The protocol (UTF-8, one marker per line):
     ##MANAI:END <suite>::<name> <STATUS>  test finished; STATUS is PASS, FAIL or SKIP
 
 The harness is told which single test to execute through the
-``MANAI_FILTER`` environment variable. The run loop reads the child's
-pipe itself and stamps each BEGIN and END as it handles it, with a clock
+``MANAI_FILTER`` environment variable. One owner of a harness process,
+``_Child``, spawns it, reads its pipe and reaps it, for discovery and for
+runs alike. A run stamps each BEGIN and END as it handles it, with a clock
 the caller passes in (the monotonic clock, or a probe reading on a live
 run), so no clock agreement with the child is needed. Handling lags the
 child's write by what the child does next. On a 2-vCPU host, with
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import os
-import select
 import selectors
 import subprocess
 import time
@@ -45,7 +45,8 @@ logger = logging.getLogger(__name__)
 MARKER_PREFIX = "##MANAI:"
 FILTER_ENV = "MANAI_FILTER"
 
-# Grace period for the child to exit after its END marker.
+# Grace period for the child to exit after its END marker, or after it
+# closed its stdout.
 _EXIT_GRACE_S = 5.0
 
 
@@ -130,40 +131,94 @@ def _parse_marker(line: str) -> tuple[str, TestId, TestStatus | None] | None:
     raise ProtocolViolation(f"unknown marker line {line!r}")
 
 
-def _spawn(cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str, str]):
-    env = dict(os.environ)
-    env.update(cmd.env)
-    env.update(extra_env)
-    try:
-        return subprocess.Popen(
-            [cmd.program, *argv_tail],
-            cwd=str(cmd.working_dir) if cmd.working_dir else None,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=None,
-        )
-    except OSError as exc:
-        raise HarnessSpawnFailed(f"cannot launch {cmd.program!r}: {exc}") from exc
+class _Child:
+    """The one owner of a harness process, as a context manager: it spawns
+    the child, reads its stdout, and at the end kills it if it still runs
+    and reaps it. Raises HarnessSpawnFailed if the child cannot start, or
+    cannot be watched (``os.pidfd_open`` needs Linux 5.3) and is killed."""
 
+    def __init__(self, cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str, str]):
+        try:
+            self.proc = subprocess.Popen(
+                [cmd.program, *argv_tail],
+                cwd=str(cmd.working_dir) if cmd.working_dir else None,
+                env={**os.environ, **cmd.env, **extra_env},
+                stdout=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise HarnessSpawnFailed(f"cannot launch {cmd.program!r}: {exc}") from exc
+        try:
+            self.pidfd = os.pidfd_open(self.proc.pid)  # readable once the child exits
+        except OSError as exc:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc.stdout.close()
+            raise HarnessSpawnFailed(
+                f"cannot watch harness pid {self.proc.pid} (needs Linux 5.3 or later): {exc}"
+            ) from exc
+        self.exited = False
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.proc.stdout.fileno(), selectors.EVENT_READ)
+        self.selector.register(self.pidfd, selectors.EVENT_READ)
 
-def _watch(proc: subprocess.Popen) -> tuple[int, selectors.BaseSelector]:
-    """A pidfd of ``proc``, and a selector over its stdout and that pidfd,
-    which becomes readable when ``proc`` exits.
+    def __enter__(self) -> "_Child":
+        return self
 
-    Raises:
-        HarnessSpawnFailed: No pidfd can be opened (it needs Linux 5.3);
-            ``proc`` is killed first.
-    """
-    try:
-        pidfd = os.pidfd_open(proc.pid)
-    except OSError as exc:
-        _kill(proc)
-        proc.stdout.close()
-        raise HarnessSpawnFailed(f"cannot watch harness pid {proc.pid} (needs Linux 5.3 or later): {exc}") from exc
-    selector = selectors.DefaultSelector()
-    selector.register(proc.stdout.fileno(), selectors.EVENT_READ)
-    selector.register(pidfd, selectors.EVENT_READ)
-    return pidfd, selector
+    def __exit__(self, *exc_info) -> None:
+        if not self.exited:
+            self.proc.kill()
+        # No timeout: Popen.wait(timeout) polls with sleeps of up to 50 ms.
+        self.proc.wait()
+        self.selector.close()
+        os.close(self.pidfd)
+        self.proc.stdout.close()
+
+    def lines(self, wake):
+        """Each stdout line of the child, decoded, as it is read; ``None``
+        whenever the monotonic time ``wake()`` (ns, or None for never) has
+        passed while the child runs. ``wake`` is called afresh after the
+        caller has handled each read's lines.
+
+        Ends once the child has exited and its pipe is read out, even
+        while a grandchild holds the pipe open. A child that closes its
+        stdout but does not exit is killed after one grace period.
+        """
+        fd = self.proc.stdout.fileno()
+        tail = b""
+        linger_ns = None  # when a child that closed its stdout is killed
+        while True:
+            wake_ns = min((t for t in (wake(), linger_ns) if t is not None), default=None)
+            wait_s = None if wake_ns is None else max(0.0, (wake_ns - time.monotonic_ns()) / 1e9)
+            ready = {key.fd for key, _ in self.selector.select(0.0 if self.exited else wait_s)}
+            if not ready and self.exited:
+                # The exited child's output is all read.
+                if tail:
+                    yield tail.decode("utf-8", "replace")
+                return
+            if self.pidfd in ready:
+                # Read what the child wrote before it exited, then stop.
+                self.selector.unregister(self.pidfd)
+                self.exited = True
+            if fd in ready:
+                # Not proc.stdout.read*: its buffer would hide data from select.
+                chunk = os.read(fd, 65536)
+                lines = (tail + chunk).splitlines(keepends=True)
+                tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
+                for line in lines:
+                    yield line.decode("utf-8", "replace")
+                if not chunk:
+                    self.selector.unregister(fd)
+                    linger_ns = time.monotonic_ns() + round(_EXIT_GRACE_S * 1e9)
+            if self.exited:
+                continue
+            now_ns = time.monotonic_ns()
+            if linger_ns is not None and now_ns >= linger_ns:
+                logger.warning("harness closed its stdout but did not exit; killing pid %d", self.proc.pid)
+                self.proc.kill()
+                linger_ns = None
+            wake_ns = wake()
+            if wake_ns is not None and now_ns >= wake_ns:
+                yield None
 
 
 def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
@@ -177,61 +232,27 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
 
     Raises:
         HarnessSpawnFailed: The process could not start, its exit cannot
-            be waited for, or it did not exit within ``timeout_s``.
-        ProtocolViolation: A marker-prefixed line failed to parse.
+            be waited for, it did not exit within ``timeout_s``, or it
+            exited with a non-zero status.
+        ProtocolViolation: A marker-prefixed line failed to parse; the
+            process is killed first.
     """
-    proc = _spawn(cmd, cmd.list_args, {})
-    pidfd, selector = _watch(proc)
-    fd = proc.stdout.fileno()
     deadline_ns = time.monotonic_ns() + round(timeout_s * 1e9)
-    chunks = []
-    exited = False
-    try:
-        while True:
-            wait_s = 0.0 if exited else max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
-            ready = {key.fd for key, _ in selector.select(wait_s)}
-            if not ready and exited:
-                # The exited child's output is all read.
-                break
-            if not ready and time.monotonic_ns() >= deadline_ns:
+    declared: dict[str, TestId] = {}  # the first declaration of each lower-cased id
+    with _Child(cmd, cmd.list_args, {}) as child:
+        for line in child.lines(lambda: deadline_ns):
+            if line is None:
                 raise HarnessSpawnFailed(f"discovery timed out after {timeout_s:.0f} s")
-            if pidfd in ready:
-                # Read what the child wrote before it exited, then stop.
-                selector.unregister(pidfd)
-                exited = True
-            if fd in ready:
-                chunks.append(os.read(fd, 65536))
-                if not chunks[-1]:
-                    selector.unregister(fd)
-    except BaseException:
-        _kill(proc)
-        raise
-    finally:
-        selector.close()
-        os.close(pidfd)
-        proc.stdout.close()
-
-    if proc.wait() != 0:
-        logger.warning("discovery process exited with status %d", proc.returncode)
-
-    seen_exact: set[TestId] = set()
-    seen_folded: set[str] = set()
-    tests: list[TestId] = []
-    for line in b"".join(chunks).decode("utf-8", "replace").splitlines():
-        marker = _parse_marker(line)
-        if marker is None or marker[0] != "TEST":
-            continue
-        test = marker[1]
-        if test in seen_exact:
-            continue
-        folded = str(test).lower()
-        if folded in seen_folded:
-            logger.warning("test %s re-declared with different casing", test)
-            continue
-        seen_exact.add(test)
-        seen_folded.add(folded)
-        tests.append(test)
-    return tests
+            marker = _parse_marker(line)
+            if marker is None or marker[0] != "TEST":
+                continue
+            test = marker[1]
+            first = declared.setdefault(str(test).lower(), test)
+            if first != test:
+                logger.warning("test %s re-declared with different casing", test)
+    if child.proc.returncode != 0:
+        raise HarnessSpawnFailed(f"discovery process exited with status {child.proc.returncode}")
+    return list(declared.values())
 
 
 def run_one(
@@ -275,103 +296,52 @@ def run_one(
             BEGIN).
         Whatever ``clock`` raises; the child is killed first.
     """
-    proc = _spawn(cmd, cmd.args, {FILTER_ENV: str(test)})
-    pidfd, selector = _watch(proc)
-    fd = proc.stdout.fileno()
     deadline_ns = None if timeout_s is None else time.monotonic_ns() + round(timeout_s * 1e9)
     guard_at_ns = None  # when the open window's next guard reading is due
     begin_ns = end_ns = status = error = None
-    exited = False
-    tail = b""
-    try:
-        while True:
-            wake_ns = min((t for t in (deadline_ns, guard_at_ns) if t is not None), default=None)
-            wait_s = None if wake_ns is None else max(0.0, (wake_ns - time.monotonic_ns()) / 1e9)
-            ready = {key.fd for key, _ in selector.select(0.0 if exited else wait_s)}
-            if not ready:
-                if exited:
-                    # The exited child's output is all read.
-                    break
+
+    def wake():
+        return min((t for t in (deadline_ns, guard_at_ns) if t is not None), default=None)
+
+    with _Child(cmd, cmd.args, {FILTER_ENV: str(test)}) as child:
+        for line in child.lines(wake):
+            if line is None:
                 if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
                     if end_ns is None:
                         end_ns, status = clock(), TestStatus.FAIL
                         error = f"test {test} timed out after {timeout_s:.1f} s"
-                    _kill(proc)
                     break
-            if pidfd in ready:
-                # Read what the child wrote before it exited, then stop.
-                selector.unregister(pidfd)
-                exited = True
-            if fd in ready:
-                # Not proc.stdout.read*: its buffer would hide data from select.
-                chunk = os.read(fd, 65536)
-                lines = (tail + chunk).splitlines(keepends=True)
-                tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
-                for line in lines:
-                    marker = _parse_marker(line.decode("utf-8", "replace"))
-                    if marker is None or marker[0] == "TEST":
-                        continue
-                    word, seen, seen_status = marker
-                    if seen != test:
-                        raise ProtocolViolation(f"{word} for {seen}, expected {test}")
-                    if word == "BEGIN":
-                        if begin_ns is not None:
-                            raise ProtocolViolation(f"duplicate BEGIN for {test}")
-                        begin_ns = clock()
-                        guard_at_ns = None if guard_ns is None else time.monotonic_ns() + guard_ns
-                        continue
-                    if begin_ns is None:
-                        raise ProtocolViolation(f"END without BEGIN for {test}")
-                    if end_ns is not None:
-                        raise ProtocolViolation(f"duplicate END for {test}")
-                    end_ns, status = clock(), seen_status
-                    guard_at_ns = None
-                    # One grace period to exit, so a lingering child cannot stall the run.
-                    grace_end_ns = time.monotonic_ns() + round(_EXIT_GRACE_S * 1e9)
-                    deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
-                if not chunk:
-                    break
-            if guard_at_ns is not None and time.monotonic_ns() >= guard_at_ns:
-                clock()
+                clock()  # the guard reading that is due
                 guard_at_ns = time.monotonic_ns() + guard_ns
-    except BaseException:
-        _kill(proc)
-        raise
-    finally:
-        _reap(proc, pidfd, deadline_ns)
-        selector.close()
-        os.close(pidfd)
-        proc.stdout.close()
+                continue
+            marker = _parse_marker(line)
+            if marker is None or marker[0] == "TEST":
+                continue
+            word, seen, seen_status = marker
+            if seen != test:
+                raise ProtocolViolation(f"{word} for {seen}, expected {test}")
+            if word == "BEGIN":
+                if begin_ns is not None:
+                    raise ProtocolViolation(f"duplicate BEGIN for {test}")
+                begin_ns = clock()
+                guard_at_ns = None if guard_ns is None else time.monotonic_ns() + guard_ns
+                continue
+            if begin_ns is None:
+                raise ProtocolViolation(f"END without BEGIN for {test}")
+            if end_ns is not None:
+                raise ProtocolViolation(f"duplicate END for {test}")
+            end_ns, status = clock(), seen_status
+            guard_at_ns = None
+            # One grace period to exit, so a lingering child cannot stall the run.
+            grace_end_ns = time.monotonic_ns() + round(_EXIT_GRACE_S * 1e9)
+            deadline_ns = grace_end_ns if deadline_ns is None else min(deadline_ns, grace_end_ns)
 
     if end_ns is None:
         if begin_ns is None:
             raise ProtocolViolation(
-                f"harness exited (status {proc.returncode}) without a BEGIN for {test}"
+                f"harness exited (status {child.proc.returncode}) without a BEGIN for {test}"
             )
         end_ns, status = clock(), TestStatus.FAIL
-        error = f"harness exited (status {proc.returncode}) before END for {test}"
+        error = f"harness exited (status {child.proc.returncode}) before END for {test}"
     return HarnessRun(end_ns - 1 if begin_ns is None else begin_ns, end_ns, status, error)
 
-
-def _kill(proc: subprocess.Popen) -> None:
-    proc.kill()
-    proc.wait()
-
-
-def _reap(proc: subprocess.Popen, pidfd: int, deadline_ns: int | None) -> None:
-    """Wait on ``pidfd`` for the child to exit until the deadline, at most
-    one grace period; kill it if it lingers. The wait wakes at the exit,
-    where ``Popen.wait`` with a timeout would poll with sleeps of up to
-    50 ms."""
-    if proc.poll() is not None:
-        return
-    grace_s = _EXIT_GRACE_S
-    if deadline_ns is not None:
-        grace_s = min(grace_s, max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9))
-    exit_poll = select.poll()
-    exit_poll.register(pidfd, select.POLLIN)
-    if exit_poll.poll(grace_s * 1e3):
-        proc.wait()
-    else:
-        logger.warning("harness lingered after run; killing pid %d", proc.pid)
-        _kill(proc)

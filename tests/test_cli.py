@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -19,6 +20,7 @@ import pytest
 from manai import errors, experiment
 from manai.cli import _COMMANDS, _SETTINGS, main
 from manai.harness import TestId, TestStatus
+from manai.results import attribute
 from manai.store import Store
 
 from conftest import (
@@ -474,6 +476,19 @@ class TestExitCodes:
         for cls in classes:
             assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
 
+    @pytest.mark.parametrize("raised, message", [
+        (KeyboardInterrupt(), "interrupted\n"),
+        (RuntimeError("boom"), "internal error: boom\n"),
+    ])
+    def test_interrupt_and_internal_error_exit_3(self, monkeypatch, capsys, raised, message):
+        def handler(args, cfg):
+            raise raised
+
+        _, help_line, add_flags = _COMMANDS["list"]
+        monkeypatch.setitem(_COMMANDS, "list", (handler, help_line, add_flags))
+        assert main(["list"]) == 3
+        assert capsys.readouterr().err.endswith(message)
+
     def test_unknown_revision_is_user_error(self, workspace, capsys):
         tmp_path, _, _, config, _ = workspace
         code = main(["report", "--config", str(config), "--revision", "nope"])
@@ -770,6 +785,18 @@ class TestListCommand:
         assert out.splitlines() == ["demo::alpha", "demo::beta"]
 
 
+    def test_failed_discovery_exits_2_naming_its_status(self, tmp_path):
+        # The fixture harness refuses the plan and exits 1: that is not an
+        # empty suite.
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"test demo::a\ntest demo::b\xff\n")
+        child = run_manai(["list", "--harness", f"{sys.executable} -m manai.fixture_harness --plan {plan}",
+                           "--list-args", f"-m manai.fixture_harness --plan {plan} --list"])
+        assert (child.returncode, child.stdout) == (2, "")
+        assert "plan line 2: not UTF-8 text: invalid start byte at byte 25\n" in child.stderr
+        assert "error: discovery process exited with status 1\n" in child.stderr
+
+
 class TestReportCommands:
     @pytest.fixture
     def populated(self, workspace, capsys):
@@ -904,6 +931,32 @@ class TestBaselineCommand:
         result, = Store(tmp_path / "data").latest("rev").results[TestId("demo", "alpha")]
         assert result.baseline_applied
         assert result.energy_j[PKG] == 0.0
+
+    @pytest.mark.parametrize("idle_w", [4.0, 25.0])
+    def test_fixed_profile_takes_idle_power_off_each_window(self, workspace, capsys, tmp_path, idle_w):
+        # 10 W throughout: 4 W of idle leaves 6 W of each window, 25 W
+        # leaves nothing.
+        _, _, scenario, _, harness_line = workspace
+        profile = tmp_path / "idle.json"
+        profile.write_text(json.dumps({"powers_w": {"package:0": idle_w}, "duration_s": 2.0, "calibrated_at": "t"}))
+        assert main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), "--harness", harness_line,
+            "--baseline", f"fixed:{profile}", "--iterations", "2", "--select", "demo::alpha,demo::beta",
+            "--revision", "rev", "--data-dir", str(tmp_path / "data"),
+        ]) == 0
+        shown = f"fixed:package:0={idle_w!r}"
+        assert f"config experiment.baseline = {shown}\n" in capsys.readouterr().out
+        record = Store(tmp_path / "data").latest("rev")
+        assert record.config["experiment.baseline"] == shown
+        results = [r for runs in record.results.values() for r in runs]
+        assert len(results) == 4
+        for result in results:
+            assert result.baseline_applied and result.status is TestStatus.PASS
+            # The same window with the baseline off, from its stored samples.
+            raw = attribute(result.samples, 0, result.duration_ns)[PKG]
+            idle = Fraction(idle_w) * Fraction(result.duration_ns, NS)
+            assert raw == 10 * Fraction(result.duration_ns, NS)
+            assert result.energy_j[PKG] == float(max(Fraction(0), raw - idle))
 
     @pytest.mark.parametrize("command", ["baseline", "run"])
     def test_range_filled_within_one_refresh_exits_1_naming_the_range(self, workspace, capsys, tmp_path, command):

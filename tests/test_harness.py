@@ -73,7 +73,8 @@ class TestDiscover:
         child = subprocess.run([cmd.program, *cmd.list_args], capture_output=True, text=True, timeout=60)
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == "plan line 2: not UTF-8 text: invalid start byte at byte 25\n"
-        assert discover(cmd) == []
+        with pytest.raises(HarnessSpawnFailed, match="^discovery process exited with status 1$"):
+            discover(cmd)
 
     def test_no_markers_is_empty(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["# nothing declared"])
@@ -123,6 +124,20 @@ class TestDiscover:
         assert found == [TestId("a", "b")]
         assert elapsed_s < 2.0
 
+    def test_last_line_without_newline_counts_while_a_grandchild_holds_stdout(self, tmp_path):
+        sleeper_file = tmp_path / "sleeper"
+        script = (
+            f"import os, sys, time\nsleeper = {str(sleeper_file)!r}\n"
+            "print('##MANAI:TEST a::b')\nsys.stdout.write('##MANAI:TEST c::d'); sys.stdout.flush()\n"
+            f"{_FORK_SLEEPER}"
+        )
+        cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
+        try:
+            found = discover(cmd, timeout_s=20.0)
+        finally:
+            _kill_sleeper(sleeper_file)
+        assert found == [TestId("a", "b"), TestId("c", "d")]
+
     def test_pipe_is_read_out_after_the_exit(self, monkeypatch):
         # The harness enlarges its pipe, writes about 200 kB of declarations
         # at once, more than three reads take, and exits. Each read is
@@ -142,6 +157,15 @@ class TestDiscover:
         monkeypatch.setattr(os, "read", slow_read)
         cmd = HarnessCommand(program=sys.executable, list_args=("-c", script))
         assert discover(cmd) == [TestId("s", f"t{i}") for i in range(10000)]
+
+    def test_harness_that_closes_stdout_and_lingers_is_killed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
+        cmd, pid_file = _inline_harness(tmp_path, f"m('TEST a::b')\n{_CLOSE_STDOUT_AND_SLEEP}")
+        started = time.monotonic()
+        with pytest.raises(HarnessSpawnFailed, match="^discovery process exited with status -9$"):
+            discover(HarnessCommand(program=cmd.program, list_args=cmd.args), timeout_s=20.0)
+        assert time.monotonic() - started < 5.0
+        _assert_reaped(pid_file)
 
     def test_harness_that_never_exits_times_out(self):
         script = "import time\nprint('##MANAI:TEST a::b', flush=True)\ntime.sleep(30)\n"
@@ -281,6 +305,11 @@ _FORK_SLEEPER = (
 )
 
 
+# Points the harness's stdout at /dev/null, which closes the pipe, and
+# sleeps 30 s without exiting.
+_CLOSE_STDOUT_AND_SLEEP = "os.dup2(os.open(os.devnull, os.O_WRONLY), 1); time.sleep(30)\n"
+
+
 def _kill_sleeper(sleeper_file: Path) -> None:
     if sleeper_file.exists():
         os.kill(int(sleeper_file.read_text()), signal.SIGKILL)
@@ -358,18 +387,29 @@ class TestRunOneOutcomes:
 
         spawned = []
 
-        def spawn(*args):
-            spawned.append(real_spawn(*args))
-            return spawned[-1]
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
 
-        real_spawn = harness._spawn
-        monkeypatch.setattr(harness, "_spawn", spawn)
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
         monkeypatch.setattr(os, "pidfd_open", no_pidfd)
         cmd, _ = _inline_harness(tmp_path, "time.sleep(30)\n")
         with pytest.raises(HarnessSpawnFailed, match="needs Linux 5.3 or later"):
             run_one(cmd, A, timeout_s=20)
         proc, = spawned
         assert proc.returncode is not None and proc.stdout.closed
+
+    def test_child_that_closes_stdout_and_lingers_is_killed_after_grace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
+        cmd, pid_file = _inline_harness(tmp_path, f"m('BEGIN demo::a')\n{_CLOSE_STDOUT_AND_SLEEP}")
+        started = time.monotonic()
+        run = run_one(cmd, A, timeout_s=20)
+        elapsed_s = time.monotonic() - started
+        assert run.status is TestStatus.FAIL
+        assert run.error == "harness exited (status -9) before END for demo::a"
+        assert 0.3 <= elapsed_s < 5.0
+        _assert_reaped(pid_file)
 
     def test_edges_alone_call_the_clock(self, tmp_path):
         cmd, pid_file = _inline_harness(

@@ -98,8 +98,9 @@ def _parse_selection(text: str) -> tuple[TestId, ...]:
 
 # Every config key: _SETTINGS[section][key] = (flag dest or None, default
 # text, parser). A parser raises ValueError, or InvalidConfig from the
-# constructor it calls, on bad text. --harness (program and args in one)
-# and the MANAI_DATA_DIR precedence are resolved outside the table.
+# constructor it calls, on bad text; a key without one is accepted and
+# ignored. --harness (program and args in one) and the MANAI_DATA_DIR
+# precedence are resolved outside the table.
 _SETTINGS = {
     "harness": {
         "program": (None, "", str),
@@ -115,7 +116,8 @@ _SETTINGS = {
         "powercap_root": (None, "", _optional_path),
     },
     "experiment": {
-        "rate_hz": ("rate", "100", float),
+        # The old replay rate: older config files and scripts still load.
+        "rate_hz": ("rate", "", None),
         "iterations": ("iterations", "1", int),
         "select": ("select", "", _parse_selection),
         "revision": ("revision", "", resolve_revision_label),
@@ -196,9 +198,10 @@ def _probe_settings(args, cfg) -> tuple:
 
 
 def _build_experiment_config(args, cfg) -> ExperimentConfig:
+    if args.rate is not None or "rate_hz" in cfg.get("experiment", {}):
+        log.warning("ignoring [experiment] rate_hz and --rate: every window is read at its edges")
     backend, scenario_path, powercap_root, update_interval_ns = _probe_settings(args, cfg)
     return ExperimentConfig(
-        sampling_rate_hz=_setting(args, cfg, "experiment", "rate_hz"),
         iterations=_setting(args, cfg, "experiment", "iterations"),
         test_timeout_s=_setting(args, cfg, "harness", "timeout_s"),
         harness=_build_harness(args, cfg),
@@ -347,7 +350,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_harness_flags(parser)
     parser.add_argument(
         "--rate", default=None,
-        help="simulated replay rate in Hz (a live probe is read at each test window edge)",
+        help="ignored, with a warning: every test window is read at its edges",
     )
     parser.add_argument("--iterations", default=None, help="executions per test")
     parser.add_argument("--select", default=None, help="comma-separated test ids (default: all)")

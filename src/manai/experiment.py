@@ -1,9 +1,9 @@
 """Experiment runner: replicable per-test energy experiments.
 
-Binds a harness command, a probe and a sampler configuration, executes
-each selected test for a configured number of iterations, attributes
-energy to each execution window, aggregates statistics and persists the
-outcome keyed by revision label.
+Binds a harness command and a probe, executes each selected test for a
+configured number of iterations, attributes energy to each execution
+window, aggregates statistics and persists the outcome keyed by revision
+label.
 
 Execution timing depends on the probe backend:
 
@@ -14,21 +14,22 @@ Execution timing depends on the probe backend:
   beside the test.
 * Simulated: the child still runs for real (its status and measured
   duration are real), and its duration is then snapped to the counter
-  refresh grid. One replay grid per run, laid down from the scenario
-  origin on the virtual clock of a simulated probe of the run's own and
-  extended only when a window reaches past it, is cut to each snapped
-  window, which yields exactly the samples a fresh probe would replay.
-  Re-running the same configuration therefore reproduces every stored
-  number bit-exactly, as long as test durations exceed the refresh
-  interval and marker timing is at most a quarter interval early or
-  three quarters late. Sub-interval durations are kept as measured (they
-  are low-confidence either way).
+  refresh grid. A fresh simulated probe of the run's scenario is read as
+  a live window is, on its virtual clock: at the scenario origin, once
+  per wrap guard and at the snapped end. So a window's energy is exactly
+  the wrap-corrected counter difference between its edges, and
+  re-running the same configuration reproduces every stored number
+  bit-exactly, as long as test durations exceed the refresh interval and
+  marker timing is at most a quarter interval early or three quarters
+  late. Sub-interval durations are kept as measured and read 0 J or one
+  refresh step, as a live window does (low-confidence either way).
 
-Both paths share one iteration body: a meter, built once per run, lends
-``run_one`` its edge clock and wrap guard and turns the window it reports
-into samples. A ``calibrate`` baseline is read like a live window, on
-either backend: at its edges and once per wrap guard, waiting on the
-probe's own clock in between.
+Both paths share one iteration body and one meter body: a meter, built
+once per run, lends ``run_one`` its edge clock and wrap guard and turns
+the window it reports into the samples between its readings. A
+``calibrate`` baseline is read like a live window, on either backend: at
+its edges and once per wrap guard, waiting on the probe's own clock in
+between.
 
 Exactly one experiment may run per data directory: the runner holds an
 exclusive, non-blocking ``flock`` on ``<data_dir>/lock`` for the whole
@@ -66,15 +67,14 @@ from manai.probe import (
 from manai.results import TestExecutionResult, TestSummary, summarize
 from manai.sampler import (
     BaselineProfile,
-    SampleColumns,
-    SamplerConfig,
-    _check_single_wrap,
     _columns,
     _wrap_guard_ns,
     calibrate_baseline,
     check_calibration_window,
-    sample_stream,
 )
+# Unused here: the benchmark's layer tracer (perfbench/layertrace.py) wraps
+# the replay grid under the name ``experiment.sample_stream``.
+from manai.sampler import sample_stream  # noqa: F401
 from manai.store import RevisionRecord, Store
 
 __all__ = [
@@ -121,7 +121,6 @@ class ExperimentConfig:
     """The replicable unit: what to run, how often, and how to measure it."""
 
     harness: HarnessCommand
-    sampling_rate_hz: float
     iterations: int
     revision_label: str
     selection: tuple[TestId, ...] = ()
@@ -135,10 +134,6 @@ class ExperimentConfig:
     powercap_root: Path | None = None
 
     def __post_init__(self):
-        try:
-            SamplerConfig(self.sampling_rate_hz)
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from None
         timeout_s = self.test_timeout_s
         if timeout_s is not None and not 0 < timeout_s < math.inf:
             raise InvalidConfig(f"test timeout must be positive and finite, or none; got {timeout_s!r}")
@@ -161,7 +156,6 @@ def effective_config_items(config: ExperimentConfig, data_dir: Path | None = Non
     items = [
         ("experiment.baseline", config.baseline.describe()),
         ("experiment.iterations", str(config.iterations)),
-        ("experiment.rate_hz", f"{config.sampling_rate_hz!r}"),
         ("experiment.revision", config.revision_label),
         (
             "experiment.selection",
@@ -310,12 +304,12 @@ class _ReplayMeter:
     """Replays a scenario from its origin over each grid-snapped window.
 
     The child runs for real; nothing is read while it does. Its window is
-    snapped to the counter refresh grid and replayed from the scenario
-    origin on the virtual clock of one probe the meter owns, so the
-    samples are replicable. All windows of a run share one sample grid,
-    extended only when a window reaches past it: the first
-    ``ceil(end / interval)`` samples of the grid are the samples a fresh
-    probe replays over ``[0, end)``.
+    then snapped to the counter refresh grid, and a fresh probe of the
+    scenario is read through a :class:`_LiveMeter` as ``run_one`` reads a
+    live window, on the probe's virtual clock: at the origin, once per
+    wrap guard and at the snapped end. So the samples are replicable, and
+    their energy is exactly the wrap-corrected counter difference between
+    the window's edges.
     """
 
     # The child's window is timed on the monotonic clock; no reading is
@@ -323,11 +317,9 @@ class _ReplayMeter:
     clock = staticmethod(time.monotonic_ns)
     guard_ns = None
 
-    def __init__(self, scenario: SimulationScenario, sampler_config: SamplerConfig):
-        _check_single_wrap(scenario.descriptor, sampler_config.interval_ns)
-        self._probe = SimulatedProbe(scenario)
-        self._sampler_config = sampler_config
-        self._grid = SampleColumns()
+    def __init__(self, scenario: SimulationScenario):
+        _wrap_guard_ns(scenario.descriptor)  # refuses a range that no guard can read
+        self._scenario = scenario
 
     def start(self) -> None:
         pass
@@ -335,28 +327,24 @@ class _ReplayMeter:
     def stop(self, begin_ns: int, end_ns: int):
         """The replayed samples of the window ``run_one`` reported, and the
         window itself, ``[0, snapped duration)``."""
-        probe = self._probe
-        end_ns = _quantize_duration_ns(end_ns - begin_ns, probe.scenario.update_interval_ns)
-        count = max(1, -(-end_ns // self._sampler_config.interval_ns))
-        if count > len(self._grid):
-            more = sample_stream(probe, self._sampler_config, end_ns)
-            grid = self._grid
-            self._grid = SampleColumns(
-                grid.starts_ns + more.starts_ns,
-                grid.ends_ns + more.ends_ns,
-                {d: grid.energy_uj.get(d, ()) + column for d, column in more.energy_uj.items()},
-            )
-        return self._grid[:count], 0, end_ns
+        end_ns = _quantize_duration_ns(end_ns - begin_ns, self._scenario.update_interval_ns)
+        probe = SimulatedProbe(self._scenario)
+        meter = _LiveMeter(probe)
+        for edge_ns in (*range(0, end_ns, meter.guard_ns or end_ns), end_ns):
+            probe.wait_until(edge_ns)
+            meter.clock()
+        return meter.stop(0, end_ns)
 
 
-def _meter(probe: Probe, sampler_config: SamplerConfig) -> _LiveMeter | _ReplayMeter:
+def _meter(probe: Probe) -> _LiveMeter | _ReplayMeter:
     """The meter of a run on ``probe``: one per ``run_experiment`` call.
 
     Raises:
-        InvalidConfig: Two of its readings could span a full counter wrap.
+        InvalidConfig: Two readings one wrap guard apart could span a full
+            counter wrap.
     """
     if isinstance(probe, SimulatedProbe):
-        return _ReplayMeter(probe.scenario, sampler_config)
+        return _ReplayMeter(probe.scenario)
     return _LiveMeter(probe)
 
 
@@ -439,9 +427,9 @@ def run_experiment(
         config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
     )
     descriptor = probe.describe()
-    # Refuses a wrap-ambiguous rate or guard before the data directory is
-    # touched or any test runs.
-    meter = _meter(probe, SamplerConfig(config.sampling_rate_hz))
+    # Refuses a wrap-ambiguous guard before the data directory is touched
+    # or any test runs.
+    meter = _meter(probe)
 
     lock = _DataDirLock(data_dir)
     lock.acquire()

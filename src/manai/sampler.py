@@ -1,11 +1,11 @@
 """Turn cumulative counter readings into wrap-corrected interval samples.
 
-A simulated run is replayed by :func:`sample_stream`, the replay grid:
-it reads a :class:`~manai.probe.SimulatedProbe` at a configured rate
-against absolute deadlines on the probe's virtual clock. A live run and a
-baseline calibration read their probe only at the edges of their window,
-plus once per wrap guard (:func:`_wrap_guard_ns`) while it is open.
-Either way a reading is kept as it is: its timestamp and its counters in
+A run and a baseline calibration read their probe only at the edges of
+their window, plus once per wrap guard (:func:`_wrap_guard_ns`) while it
+is open; a simulated probe is read so on its virtual clock. The replay
+grid :func:`sample_stream` reads a :class:`~manai.probe.SimulatedProbe`
+at a fixed rate instead; no run uses it, and the tests hold the edge
+readings to it. Either way a reading is kept as it is: its timestamp and its counters in
 ``probe.describe().domains`` order. Afterwards, one pass per column
 (:func:`_columns`) turns the kept readings into :class:`SampleColumns`:
 the edge times, and per domain the wrap-corrected counter delta between
@@ -139,6 +139,8 @@ class BaselineProfile:
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """The rate of the replay grid :func:`sample_stream`."""
+
     rate_hz: float
 
     def __post_init__(self):

@@ -63,7 +63,6 @@ def criterion(number: int, title: str):
 def sim_config(plan: Path, scenario: Path, **overrides) -> ExperimentConfig:
     kwargs = dict(
         harness=fixture_harness_command(plan),
-        sampling_rate_hz=100.0,
         iterations=1,
         revision_label="acc",
         probe_backend=ProbeBackend.SIMULATED,
@@ -80,7 +79,7 @@ def test_criterion_01_attribution_accuracy(tmp_path):
         scenario = write_scenario(
             tmp_path / "scenario.txt", [(3600 * NS, {"package": "10"})]
         )
-        config = sim_config(plan, scenario, iterations=3, sampling_rate_hz=100.0)
+        config = sim_config(plan, scenario, iterations=3)
         record = run_experiment(config, data_dir=tmp_path / "data")
         results = record.results[TestId("acc", "halfsec")]
         assert len(results) == 3
@@ -190,7 +189,7 @@ def test_criterion_05_replicability(tmp_path):
             [(3600 * NS, {"package": "7.5", "dram": "1.25"})],
             update_interval_ns=20_000_000,
         )
-        config = sim_config(plan, scenario, iterations=2, sampling_rate_hz=50.0)
+        config = sim_config(plan, scenario, iterations=2)
         record_a = run_experiment(config, data_dir=tmp_path / "data-a")
         record_b = run_experiment(config, data_dir=tmp_path / "data-b")
 
@@ -228,7 +227,7 @@ def test_criterion_06_evolution_view(tmp_path):
                 update_interval_ns=20_000_000,
             )
             config = sim_config(
-                plan, scenario, revision_label=label, sampling_rate_hz=50.0
+                plan, scenario, revision_label=label
             )
             run_experiment(config, data_dir=data_dir)
 
@@ -333,7 +332,7 @@ def test_criterion_08_harness_robustness(tmp_path):
         )
         base_cmd = fixture_harness_command(plan)
         baseline_tests = discover(base_cmd)
-        config = sim_config(plan, scenario, sampling_rate_hz=50.0)
+        config = sim_config(plan, scenario)
         baseline_record = run_experiment(config, data_dir=tmp_path / "data-base")
 
         rng = random.Random(0xACC8)
@@ -346,7 +345,7 @@ def test_criterion_08_harness_robustness(tmp_path):
                 list_args=base_cmd.list_args + ("--noise-file", str(noise_file)),
             )
             assert discover(noisy_cmd) == baseline_tests
-            noisy_config = sim_config(plan, scenario, sampling_rate_hz=50.0)
+            noisy_config = sim_config(plan, scenario)
             object.__setattr__(noisy_config, "harness", noisy_cmd)
             record = run_experiment(
                 noisy_config, data_dir=tmp_path / f"data-noise-{round_no}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import fcntl
 import importlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -194,7 +195,7 @@ class TestRun:
         code = main(["run", "--config", str(config)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "config experiment.rate_hz" in out
+        assert "config experiment.iterations = 1" in out
         assert "demo::alpha" in out
         stored = Store(tmp_path / "data").load("rev-cli")
         assert len(stored) == 1
@@ -238,6 +239,71 @@ class TestRun:
             ]
         )
         assert from_file == from_flags
+
+    @pytest.mark.parametrize("source", ["none", "config", "flag", "both"])
+    def test_rate_is_accepted_ignored_and_warned_about_once(self, workspace, caplog, capsys, source):
+        # The workspace config file sets rate_hz = 100.
+        tmp_path, _, scenario, config, harness_line = workspace
+        argv = ["run", "--select", "demo::alpha", "--revision", "rev-rate", "--data-dir", str(tmp_path / "rate")]
+        if source in ("config", "both"):
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--harness", harness_line, "--probe", "simulated", "--scenario", str(scenario)]
+        if source in ("flag", "both"):
+            argv += ["--rate", "100"]
+        with caplog.at_level(logging.WARNING, logger="manai"):
+            assert main(argv) == 0
+        warning = "ignoring [experiment] rate_hz and --rate: every window is read at its edges"
+        assert [record.getMessage() for record in caplog.records] == ([] if source == "none" else [warning])
+        assert "config experiment.rate_hz" not in capsys.readouterr().out
+        stored = Store(tmp_path / "rate").latest("rev-rate").config
+        assert not [key for key in stored if "rate" in key]
+
+    def test_harness_env_reaches_the_child(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MANAI_PROBE_VAR", raising=False)
+        seen = tmp_path / "seen.txt"
+        script = tmp_path / "harness.py"
+        script.write_text(
+            "import os\n"
+            f"open({str(seen)!r}, 'w').write(os.environ.get('MANAI_PROBE_VAR', '<unset>'))\n"
+            "test = os.environ['MANAI_FILTER']\n"
+            "print('##MANAI:BEGIN', test, flush=True)\n"
+            "print('##MANAI:END', test, 'PASS', flush=True)\n"
+        )
+        scenario = write_scenario(tmp_path / "scenario.txt", [(3600 * NS, {"package": "10"})])
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "[harness]\n"
+            f"program = {sys.executable}\n"
+            f"args = {script}\n"
+            "env.MANAI_PROBE_VAR = x\n"
+            "[probe]\n"
+            "backend = simulated\n"
+            f"scenario = {scenario}\n"
+            "[experiment]\n"
+            "select = demo::a\n"
+            "revision = rev-env\n"
+        )
+        assert main(["run", "--config", str(config), "--data-dir", str(tmp_path / "data")]) == 0
+        assert "config harness.env = MANAI_PROBE_VAR=x\n" in capsys.readouterr().out
+        assert seen.read_text() == "x"
+
+    def test_no_revision_outside_a_repository_exits_1(self, tmp_path, monkeypatch, capsys):
+        # The harness cannot be launched: a refusal that came only after a
+        # spawn would exit 2 instead.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        scenario = write_scenario(tmp_path / "scenario.txt", [(NS, {"package": "10"})])
+        data_dir = tmp_path / "data"
+        code = main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), "--harness", "/nonexistent/prog",
+            "--select", "demo::a", "--data-dir", str(data_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bad [experiment] revision '': no revision label given and no git HEAD found; pass --revision\n"
+        )
+        assert not data_dir.exists()
 
     def test_select_subset(self, workspace, capsys):
         tmp_path, _, _, config, _ = workspace
@@ -383,10 +449,11 @@ class TestLiveRun:
         assert not (tmp_path / "data" / "revisions").exists()
 
     def test_wrap_ambiguous_rate_is_refused_before_anything_runs(self, tmp_path, capsys):
-        # The harness cannot be launched: a refusal that came only after
-        # discovery or a spawn would exit 2 instead.
+        # 200 W fills a 0.1 J range in half a 1 ms refresh, so no wrap guard
+        # is safe. The harness cannot be launched: a refusal that came only
+        # after discovery or a spawn would exit 2 instead.
         scenario = write_scenario(
-            tmp_path / "scenario.txt", [(NS, {"package": "200"})], max_range_uj=10**6
+            tmp_path / "scenario.txt", [(NS, {"package": "200"})], max_range_uj=10**5
         )
         data_dir = tmp_path / "data"
         code = main([
@@ -395,7 +462,7 @@ class TestLiveRun:
             "--data-dir", str(data_dir),
         ])
         assert code == 1
-        assert "increase the sampling rate" in capsys.readouterr().err
+        assert "the counter range is too small for the refresh interval" in capsys.readouterr().err
         assert not data_dir.exists()
 
     def test_scenario_peak_that_wraps_within_a_tick_exits_1(self, tmp_path, capsys):
@@ -590,7 +657,6 @@ class TestExitCodes:
         assert "bad marker line" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--rate", "nan", "sampling rate nan Hz has no finite interval"),
         ("--timeout", "0", "test timeout must be positive and finite, or none; got 0.0"),
         ("--timeout", "-1", "test timeout must be positive and finite, or none; got -1.0"),
         ("--timeout", "nan", "test timeout must be positive and finite, or none; got nan"),
@@ -651,7 +717,6 @@ class TestExitCodes:
         pytest.param({"bogus": {"key": "1"}}, [], id="unknown-section"),
         pytest.param({"probe": {"colour": "red"}}, [], id="unknown-key"),
         pytest.param({"experiment": {"iterations": "two"}}, [], id="iterations-not-int"),
-        pytest.param({"experiment": {"rate_hz": "fast"}}, [], id="rate-not-numeric"),
         pytest.param({}, ["--probe", "quantum"], id="backend-flag"),
         pytest.param({"probe": {"backend": "quantum"}}, [], id="backend-file"),
         pytest.param({}, ["--baseline", "sometimes"], id="baseline-text"),
@@ -670,7 +735,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sections, flags, name", [
         ({"experiment": {"iterations": "two"}}, [], "[experiment] iterations 'two'"),
-        ({"experiment": {"rate_hz": "fast"}}, [], "[experiment] rate_hz 'fast'"),
+        ({"probe": {"update_interval_ns": "soon"}}, [], "[probe] update_interval_ns 'soon'"),
         ({"harness": {"timeout_s": "soon"}}, [], "[harness] timeout_s 'soon'"),
         ({"harness": {"args": "'unclosed"}}, [], "[harness] args \"'unclosed\""),
         ({}, ["--probe", "quantum"], "[probe] backend 'quantum'"),
@@ -902,6 +967,12 @@ class TestBaselineCommand:
         doc = json.loads(out_file.read_text())
         assert doc["powers_w"]["package:0"] == pytest.approx(10.0, abs=0.5)
 
+    def test_profile_goes_to_stdout_without_out(self, workspace, capsys):
+        _, _, scenario, _, _ = workspace
+        assert main(["baseline", "--probe", "simulated", "--scenario", str(scenario), "--duration", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["powers_w"]["package:0"] == 10.0
+
     def test_simulated_calibration_is_exact(self, workspace, capsys, tmp_path):
         # Replayed on a virtual clock: exactly ten 100 ms polls of 10 W.
         _, _, scenario, _, _ = workspace
@@ -960,21 +1031,19 @@ class TestBaselineCommand:
 
     @pytest.mark.parametrize("command", ["baseline", "run"])
     def test_range_filled_within_one_refresh_exits_1_naming_the_range(self, workspace, capsys, tmp_path, command):
-        # 10 W fills a 10 mJ range in one 1 ms refresh: no sampling rate can
-        # tell one wrap from several, so asking for a faster one is no help.
+        # 10 W fills a 10 mJ range in one 1 ms refresh: no reading interval,
+        # not even the shortest, can tell one wrap from several.
         _, _, _, _, harness_line = workspace
         scenario = write_scenario(tmp_path / "tiny.txt", [(MS, {"package": "10"})], max_range_uj=10_000)
         probe = ["--probe", "simulated", "--scenario", str(scenario)]
         if command == "baseline":
             argv = ["baseline", *probe, "--duration", "1", "--out", str(tmp_path / "baseline.json")]
-            shown = "1 ns"
         else:
-            argv = ["run", *probe, "--rate", "100000", "--harness", harness_line, "--select", "demo::alpha",
+            argv = ["run", *probe, "--harness", harness_line, "--select", "demo::alpha",
                     "--revision", "rev", "--data-dir", str(tmp_path / "data")]
-            shown = "10 us"
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"sampling interval {shown} plus one counter refresh (1 ms)" in err
+        assert "sampling interval 1 ns plus one counter refresh (1 ms)" in err
         assert "the counter range is too small for the refresh interval" in err
         assert "increase the sampling rate" not in err
         assert not (tmp_path / "baseline.json").exists()

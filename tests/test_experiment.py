@@ -5,6 +5,7 @@ from __future__ import annotations
 import fcntl
 import math
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from manai.experiment import (
     _meter,
     _quantize_duration_ns,
     config_digest,
+    resolve_revision_label,
     run_experiment,
 )
 from manai.harness import TestId, TestStatus
@@ -282,7 +284,6 @@ def sim_experiment(tmp_path):
     def build(**overrides):
         kwargs = dict(
             harness=fixture_harness_command(plan),
-            sampling_rate_hz=100.0,
             iterations=2,
             revision_label="rev-1",
             probe_backend=ProbeBackend.SIMULATED,
@@ -314,12 +315,13 @@ def test_quantize_keeps_sub_interval_durations(interval, data):
 
 @st.composite
 def replay_cases(draw):
-    """A scenario, a rate, and the harness windows of one simulated run.
+    """A scenario, a reference rate, and the harness windows of one simulated run.
 
     Rates of 7 and 333 Hz do not divide a refresh interval, 1000 and 1500
     Hz may. Counter ranges are either huge or barely above what the wrap
-    check accepts, so that counters wrap within a window. Window lengths
-    include sub-interval, repeated, shrinking and growing ones.
+    check accepts at the rate's interval, so that counters wrap within a
+    window. Window lengths include sub-interval, repeated, shrinking and
+    growing ones.
     """
     update_ns = draw(st.sampled_from([500_000, 1_000_000, 2_000_000]))
     rate_hz = draw(st.sampled_from([7.0, 333.0, 1000.0, 1500.0]))
@@ -346,24 +348,42 @@ def replay_cases(draw):
     return scenario, rate_hz, windows, draw(st.booleans())
 
 
+def _divisor_at_most(window_ns: int, longest_ns: int) -> int | None:
+    """The largest divisor of ``window_ns`` not above ``longest_ns``, if
+    one is among the first thousand candidates."""
+    first = -(-window_ns // longest_ns)
+    return next((window_ns // k for k in range(first, first + 1000) if window_ns % k == 0), None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=replay_cases())
-def test_replay_meter_cuts_the_fresh_replay_of_every_window(case):
+def test_replayed_window_is_the_wrap_corrected_counter_difference(case):
+    # Each snapped window reads the unwrapped counter's rise from the
+    # scenario origin to its end, and so does a replay grid whose interval
+    # divides the window; the rate's interval bounds the grid's, so the
+    # wrap check passes.
     scenario, rate_hz, windows, calibrate = case
-    sampler_config = SamplerConfig(rate_hz)
+    update_ns = scenario.update_interval_ns
     run_probe = SimulatedProbe(scenario)
-    meter = _meter(run_probe, sampler_config)
+    meter = _meter(run_probe)
     if calibrate:
         # A calibrate: baseline advances the run's own probe first.
         calibrate_baseline(run_probe, 1.0)
     for begin_ns, end_ns in windows:
         meter.start()
         samples, begin, end = meter.stop(begin_ns, end_ns)
-        snapped_ns = _quantize_duration_ns(end_ns - begin_ns, scenario.update_interval_ns)
-        fresh = SimulatedProbe(scenario)
-        expected = sample_stream(fresh, sampler_config, snapped_ns)
-        assert (begin, end) == (0, snapped_ns)
-        assert samples == expected
+        snapped_ns = _quantize_duration_ns(end_ns - begin_ns, update_ns)
+        assert (begin, end) == (samples.starts_ns[0], samples.ends_ns[-1]) == (0, snapped_ns)
+        energy_uj = {domain: sum(column) for domain, column in samples.energy_uj.items()}
+        assert energy_uj == {
+            domain: scenario.energy_fj(domain, snapped_ns // update_ns * update_ns) // 10**9
+            for domain in scenario.domains
+        }
+        interval_ns = _divisor_at_most(snapped_ns, SamplerConfig(rate_hz).interval_ns)
+        if interval_ns is not None:
+            grid = sample_stream(SimulatedProbe(scenario), SamplerConfig(NS / interval_ns), snapped_ns)
+            assert grid.ends_ns[-1] == snapped_ns
+            assert {domain: sum(column) for domain, column in grid.energy_uj.items()} == energy_uj
 
 
 @settings(max_examples=150, deadline=None)
@@ -416,7 +436,6 @@ def _run_live(tmp_path, sleep_ms: int, iterations: int = 1, powercap_root=None):
     plan = write_plan(tmp_path / "plan.txt", [f"test {LIVE} sleep_ms={sleep_ms}"])
     config = ExperimentConfig(
         harness=fixture_harness_command(plan),
-        sampling_rate_hz=1000.0,
         iterations=iterations,
         revision_label="rev-live",
         selection=(LIVE,),
@@ -510,7 +529,6 @@ class TestRunExperiment:
         )
         config = ExperimentConfig(
             harness=fixture_harness_command(plan),
-            sampling_rate_hz=100.0,
             iterations=2,
             revision_label="rev-lc",
             probe_backend=ProbeBackend.SIMULATED,
@@ -537,7 +555,6 @@ class TestRunExperiment:
         )
         config = ExperimentConfig(
             harness=fixture_harness_command(plan),
-            sampling_rate_hz=50.0,
             iterations=2,
             revision_label="rev-repl",
             probe_backend=ProbeBackend.SIMULATED,
@@ -570,7 +587,6 @@ class TestRunExperiment:
         )
         config = ExperimentConfig(
             harness=fixture_harness_command(plan),
-            sampling_rate_hz=100.0,
             iterations=2,
             revision_label="rev-origin",
             probe_backend=ProbeBackend.SIMULATED,
@@ -624,17 +640,14 @@ class TestRunExperiment:
                 assert result.energy_j[PKG] == 0.0
 
     def test_baseline_leaves_the_samples_raw(self, sim_experiment):
-        # Each iteration replays the scenario from its origin, so the samples
-        # of two runs agree as far as the shorter window reaches.
+        # 10 W from the origin: a window's samples hold 1 uJ per 100 ns of
+        # its snapped duration; the baseline comes off the attributed
+        # energy only.
         tmp_path, _, _, build = sim_experiment
-        raw = run_experiment(build(iterations=1), data_dir=tmp_path / "raw")
         config = build(iterations=1, baseline=BaselineSetting(mode="calibrate", calibrate_duration_s=1.0))
-        marginal = run_experiment(config, data_dir=tmp_path / "marginal")
-        for test, (result,) in raw.results.items():
-            other = marginal.results[test][0]
-            count = min(len(result.samples), len(other.samples))
-            assert count and other.samples[:count] == result.samples[:count]
-            assert result.energy_j[PKG] > 0.0 == other.energy_j[PKG]
+        for (result,) in run_experiment(config, data_dir=tmp_path / "data").results.values():
+            assert sum(result.samples.energy_uj[PKG]) == result.duration_ns // 100 > 0
+            assert result.baseline_applied and result.energy_j[PKG] == 0.0
 
     def test_lock_refused_while_held(self, sim_experiment):
         tmp_path, _, _, build = sim_experiment
@@ -704,7 +717,6 @@ class TestRunExperiment:
         scenario = write_scenario(tmp_path / "s.txt", [(NS, {"package": "1"})])
         config = ExperimentConfig(
             harness=fixture_harness_command(plan),
-            sampling_rate_hz=10.0,
             iterations=1,
             revision_label="r",
             probe_backend=ProbeBackend.SIMULATED,
@@ -719,37 +731,49 @@ class TestRunExperiment:
         assert config_digest(build()) != config_digest(build(iterations=5))
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestRevisionLabel:
+    def test_label_defaults_to_the_short_git_head(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=manai", "-c", "user.email=manai@example.invalid",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "empty")
+        assert resolve_revision_label(None, cwd=tmp_path) == git("rev-parse", "--short", "HEAD")
+        assert resolve_revision_label("mine", cwd=tmp_path) == "mine"
+
+    def test_no_label_outside_a_repository_names_the_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        with pytest.raises(InvalidConfig, match="pass --revision"):
+            resolve_revision_label(None, cwd=tmp_path)
+
+
 class TestConfigValidation:
     def test_bad_values_rejected(self, tmp_path):
         plan = write_plan(tmp_path / "plan.txt", ["test a::b"])
         cmd = fixture_harness_command(plan)
         with pytest.raises(InvalidConfig):
-            ExperimentConfig(harness=cmd, sampling_rate_hz=0, iterations=1, revision_label="r")
+            ExperimentConfig(harness=cmd, iterations=0, revision_label="r")
         with pytest.raises(InvalidConfig):
-            ExperimentConfig(harness=cmd, sampling_rate_hz=1, iterations=0, revision_label="r")
-        with pytest.raises(InvalidConfig):
-            ExperimentConfig(harness=cmd, sampling_rate_hz=1, iterations=1, revision_label="")
+            ExperimentConfig(harness=cmd, iterations=1, revision_label="")
         with pytest.raises(InvalidConfig):
             ExperimentConfig(
                 harness=cmd,
-                sampling_rate_hz=1,
                 iterations=1,
                 revision_label="r",
                 probe_backend=ProbeBackend.SIMULATED,
             )
-
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 2e9, 1e12])
-    def test_rate_without_a_nanosecond_interval_rejected(self, tmp_path, rate):
-        cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
-        with pytest.raises(InvalidConfig, match="no finite interval"):
-            ExperimentConfig(harness=cmd, sampling_rate_hz=rate, iterations=1, revision_label="r")
 
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
     def test_timeout_must_be_positive_and_finite(self, tmp_path, timeout_s):
         cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
         with pytest.raises(InvalidConfig, match="test timeout must be positive and finite"):
             ExperimentConfig(
-                harness=cmd, sampling_rate_hz=1, iterations=1, revision_label="r",
+                harness=cmd, iterations=1, revision_label="r",
                 test_timeout_s=timeout_s,
             )
 
@@ -757,7 +781,7 @@ class TestConfigValidation:
     def test_timeout_none_or_positive_accepted(self, tmp_path, timeout_s):
         cmd = fixture_harness_command(write_plan(tmp_path / "plan.txt", ["test a::b"]))
         config = ExperimentConfig(
-            harness=cmd, sampling_rate_hz=1, iterations=1, revision_label="r",
+            harness=cmd, iterations=1, revision_label="r",
             test_timeout_s=timeout_s,
         )
         assert config.test_timeout_s == timeout_s

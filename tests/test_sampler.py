@@ -334,6 +334,14 @@ class TestCalibrateBaseline:
         assert profile.powers_w[PKG] == 10.0
         assert profile.duration_s == 1.235
 
+    def test_probe_lost_mid_calibration(self):
+        # The opening read succeeds; the first one after it fails.
+        probe = ScriptedProbe([ProbeReading(0, (0, 0))], fail_at=1)
+        with pytest.raises(ProbeLost, match=r"^probe lost during calibration: reading dram:0 failed: "
+                                            r"scripted failure at read 1$"):
+            calibrate_baseline(probe, 1.0)
+        assert probe.reads == 2
+
     def test_range_no_interval_can_poll_is_refused(self):
         # 0.01 J at 10 W fills in 1 ms, within one counter refresh.
         probe = constant_probe(10.0, max_range_uj=10_000)

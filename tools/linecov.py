@@ -4,10 +4,11 @@
 The suite runs under a ``sys.settrace`` line tracer, in the pytest
 process and in every child Python that it starts: a generated
 ``sitecustomize.py``, first on ``PYTHONPATH``, installs the tracer in
-each of them, and each writes the lines it ran when it exits. A child
-that is killed, or that leaves through ``os._exit``, writes nothing. The
-executable lines of a module are the lines its code objects map
-instructions to (``co_lines``).
+each of them, and each writes the lines it ran when it exits, to a file
+of its own that appears whole or not at all. A child that is killed, or
+that leaves through ``os._exit``, writes nothing. The executable lines
+of a module are the lines its code objects map instructions to
+(``co_lines``).
 
 Usage, from anywhere (stdlib only):
 
@@ -60,8 +61,13 @@ def _call(frame, event, arg):
 def _dump():
     sys.settrace(None)
     hits = {{os.path.realpath(name): sorted(lines) for name, lines in _hits.items()}}
-    with open(os.path.join(_out, "%d.json" % os.getpid()), "w") as handle:
+    # A pid can be reused, and a process killed mid-dump must leave no
+    # partial file: a unique name, written whole under a dot-name first.
+    name = "%d-%s.json" % (os.getpid(), os.urandom(8).hex())
+    temporary = os.path.join(_out, "." + name + ".tmp")
+    with open(temporary, "w") as handle:
         json.dump(hits, handle)
+    os.replace(temporary, os.path.join(_out, name))
 
 
 atexit.register(_dump)

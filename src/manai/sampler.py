@@ -242,8 +242,11 @@ def sample_stream(probe: SimulatedProbe, config: SamplerConfig, end_ns: int) -> 
 
 # Calibration reads its probe once per wrap guard, also when a simulated
 # probe replays the window on its virtual clock: an hour at 10 W on a 1 J
-# range is about 73,000 guard readings.
+# range is about 73,000 guard readings, on a 1 mJ range with a 1 us
+# refresh about 73 million, so the readings are bounded as well. At
+# 1000 W a RAPL range gives a guard of about 131 s.
 MAX_CALIBRATION_S = 3600.0
+MAX_CALIBRATION_READS = 1_000_000
 
 
 def check_calibration_window(duration_s: float) -> None:
@@ -270,8 +273,9 @@ def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
 
     Raises:
         InvalidConfig: Window not finite, shorter than 1 s or longer
-            than MAX_CALIBRATION_S, or two readings one guard apart could
-            span a full counter wrap.
+            than MAX_CALIBRATION_S, two readings one guard apart could
+            span a full counter wrap, or the window needs more than
+            MAX_CALIBRATION_READS readings.
         ProbeLost: The probe failed during calibration.
     """
     check_calibration_window(duration_s)
@@ -279,6 +283,15 @@ def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
     guard_ns = _wrap_guard_ns(descriptor)
     update_ns = descriptor.update_interval_ns
     window_ns = -(-round(duration_s * _NS_PER_S) // update_ns) * update_ns
+    reads = 2 if guard_ns is None else window_ns // guard_ns + 2
+    if reads > MAX_CALIBRATION_READS:
+        domain = min(descriptor.domains, key=lambda d: _wrap_horizon_ns(descriptor, d))
+        raise InvalidConfig(
+            f"baseline calibration window {_format_ns(window_ns)} needs about {reads} readings, "
+            f"one per {_format_ns(guard_ns)} wrap guard of the {descriptor.max_range_uj[domain]} uJ "
+            f"range of {domain} at up to {descriptor.peak_power_w[domain]:g} W; "
+            f"at most {MAX_CALIBRATION_READS} are allowed"
+        )
     ranges_uj = [descriptor.max_range_uj[d] for d in descriptor.domains]
     # Wrap-corrected totals as _columns sums them, kept as they grow: a
     # short guard makes millions of readings, so none is kept.

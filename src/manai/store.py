@@ -43,6 +43,12 @@ and file text, and never opens a sidecar. ``history`` reads every head
 once per call, for any number of tests, and builds only the label, the
 timestamp and the mean energies of the requested tests.
 
+Each query lists each directory it needs once, by entry name, without a
+stat per entry, and reads each head it needs in one bytes read. A
+missing label directory, or a label path that is not a directory, holds
+no records; a directory that exists but cannot be listed raises
+``StorageError``, as an unreadable record file does.
+
 Each query decodes each byte of a head at most once. A head as
 ``render_record`` writes it is split at its top-level ``results``
 member, about half of it, before decoding. The views' queries,
@@ -459,7 +465,7 @@ class _Head(NamedTuple):
     doc: dict
     results: str | None
     text: str
-    path: Path
+    path: str
 
 
 # --- the store itself ------------------------------------------------------
@@ -477,10 +483,26 @@ def _file_stamp(created_at: str) -> str:
     return re.sub(r"[^0-9TZ.]", "", created_at.replace("+00:00", "Z"))
 
 
-def _save_order(path: Path) -> tuple[str, int]:
+def _save_order(name: str) -> tuple[str, int]:
     """Sort key of ``<stamp>[-<n>].record``: same-stamp records keep save order."""
-    stamp, _, counter = path.stem.partition("-")
+    stamp, _, counter = name[:-len(_RECORD_SUFFIX)].partition("-")
     return stamp, int(counter) if counter.isdigit() else 0
+
+
+def _list_dir(path: str) -> list[str]:
+    """The entry names of the directory ``path``; none when it is missing
+    or is not a directory.
+
+    Raises:
+        StorageError: The directory cannot be listed.
+    """
+    try:
+        with os.scandir(path) as entries:
+            return [entry.name for entry in entries]
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    except OSError as exc:
+        raise StorageError(f"unreadable store directory {path}: {exc}") from exc
 
 
 def _write_file(target: Path, text: str) -> None:
@@ -560,40 +582,43 @@ class Store:
             raise StorageError(f"cannot save record: {exc}") from exc
         return target
 
-    def _record_files(self, label_dir: Path) -> list[Path]:
-        """The records of one label directory, oldest save first."""
-        if not label_dir.is_dir():
-            return []
+    def _record_files(self, label_dir: str) -> list[str]:
+        """The records of one label directory, oldest save first; none
+        when it is missing or is not a directory."""
         # Dot-prefixed files are in-flight temporaries.
-        paths = [
-            p for p in label_dir.iterdir()
-            if not p.name.startswith(".") and p.suffix == _RECORD_SUFFIX
+        names = [
+            name for name in _list_dir(label_dir)
+            if name.endswith(_RECORD_SUFFIX) and not name.startswith(".")
         ]
-        return sorted(paths, key=_save_order)
+        names.sort(key=_save_order)
+        return [os.path.join(label_dir, name) for name in names]
 
-    def _iter_record_files(self) -> Iterator[Path]:
-        root = self.revisions_dir
-        if not root.is_dir():
-            return
-        for label_dir in sorted(root.iterdir()):
-            yield from self._record_files(label_dir)
+    def _iter_record_files(self) -> Iterator[str]:
+        root = os.fspath(self.revisions_dir)
+        for name in sorted(_list_dir(root)):
+            yield from self._record_files(os.path.join(root, name))
 
-    def _read_doc(self, path: Path) -> _Head:
+    def _read_doc(self, path: str) -> _Head:
         """The version-checked head of one record file, split as
         ``_decode_head`` splits it."""
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, "rb") as handle:
+                text = handle.read().decode("utf-8")
+            if "\r" in text:
+                # Universal newlines, as a text-mode read gives them.
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
             doc, results = _decode_head(text)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
         _check_version(doc)
         return _Head(doc, results, text, path)
 
-    def _read_samples(self, path: Path) -> dict:
+    def _read_samples(self, path: str) -> dict:
         """The sidecar document of the format 2 record file ``path``."""
-        sidecar = path.with_suffix(_SAMPLES_SUFFIX)
+        sidecar = path[:-len(_RECORD_SUFFIX)] + _SAMPLES_SUFFIX
         try:
-            return json.loads(sidecar.read_bytes())
+            with open(sidecar, "rb") as handle:
+                return json.loads(handle.read())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable samples {sidecar}: {exc}") from exc
 
@@ -622,8 +647,7 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        label_dir = self.revisions_dir / _sanitize_label(revision_label)
-        paths = self._record_files(label_dir)
+        paths = self._record_files(os.path.join(self.revisions_dir, _sanitize_label(revision_label)))
         found = False
         for path in reversed(paths) if newest_first else paths:
             head = self._read_doc(path)
@@ -672,11 +696,12 @@ class Store:
         points of each series.
         """
         points: dict[TestId, list[HistoryPoint]] = {test: [] for test in tests}
+        keyed = [(str(test), test_points) for test, test_points in points.items()]
         for path in self._iter_record_files():
             doc = self._read_doc(path).doc
             summaries = doc["summaries"]
-            for test, test_points in points.items():
-                summary = summaries.get(str(test))
+            for key, test_points in keyed:
+                summary = summaries.get(key)
                 if summary is not None:
                     test_points.append(HistoryPoint(
                         doc["revision_label"], doc["created_at"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 import time
@@ -222,3 +223,53 @@ def make_record(label, created_at, tests_energies_uj, iterations=1, digest="sha2
         summaries=summaries,
         results=results,
     )
+
+
+class _FullDevice:
+    """A file open for writing whose writes fail as on a full device."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fill_device_at_head(monkeypatch) -> list[str]:
+    """Make every record save fail with ENOSPC at the write of its head.
+
+    A save writes two dot-temporaries through ``os.fdopen``, the sidecar's
+    first; the write to every second one fails. Returns the names of the
+    temporaries in the order they were opened."""
+    fdopen = os.fdopen
+    opened: list[str] = []
+
+    def fdopen_then_fill(fd, *args, **kwargs):
+        handle = fdopen(fd, *args, **kwargs)
+        name = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+        if not name.startswith(".tmp-"):
+            return handle
+        opened.append(name)
+        return _FullDevice(handle) if len(opened) % 2 == 0 else handle
+
+    monkeypatch.setattr(os, "fdopen", fdopen_then_fill)
+    return opened
+
+
+def refuse_listing(monkeypatch, path: str) -> None:
+    """Make ``os.scandir`` of ``path`` fail as a directory without read
+    permission does: root lists any directory whatever its mode."""
+    scandir = os.scandir
+
+    def deny(target="."):
+        if os.fspath(target) == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return scandir(target)
+
+    monkeypatch.setattr(os, "scandir", deny)

@@ -21,6 +21,7 @@ import pytest
 from manai import errors, experiment
 from manai.cli import _COMMANDS, _SETTINGS, main
 from manai.harness import TestId, TestStatus
+from manai.probe import SimulatedProbe
 from manai.results import attribute
 from manai.store import Store
 
@@ -28,8 +29,10 @@ from conftest import (
     CORE,
     PKG,
     SteppingProbe,
+    fill_device_at_head,
     make_powercap_tree,
     make_record,
+    refuse_listing,
     write_plan,
     write_scenario,
 )
@@ -608,6 +611,37 @@ class TestExitCodes:
         assert code == 2
         assert f"unreadable record {record}" in err
 
+    @pytest.mark.parametrize("argv, denied", [
+        (["report", "--evolution", "demo::alpha"], "r1"),
+        (["report", "--evolution", "demo::alpha"], ""),
+        (["report", "--revision", "r1"], "r1"),
+        (["compare", "r1", "r2"], "r2"),
+    ])
+    def test_unreadable_store_directory_is_env_error(self, workspace, monkeypatch, capsys, argv, denied):
+        tmp_path, _, _, config, _ = workspace
+        for revision in ("r1", "r2"):
+            assert main(["run", "--config", str(config), "--revision", revision]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / "data" / "revisions" / denied)
+        refuse_listing(monkeypatch, path)
+        code = main([*argv, "--config", str(config), "--no-color"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: unreadable store directory {path}: [Errno 13] Permission denied: {path!r}\n"
+        )
+
+    def test_full_device_fails_the_run_and_stores_nothing(self, workspace, monkeypatch, capsys):
+        tmp_path, _, _, config, _ = workspace
+        opened = fill_device_at_head(monkeypatch)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: storage full while saving record\n")
+        assert "internal error" not in err
+        assert len(opened) == 2
+        assert [p for p in (tmp_path / "data").rglob("*") if p.is_file() and p.name != "lock"] == []
+
     @pytest.mark.parametrize("power", ["NaN", "sNaN", "inf", "1e400000000"])
     def test_non_finite_scenario_power_is_user_error(self, tmp_path, capsys, power):
         bad = tmp_path / "nan.txt"
@@ -1060,6 +1094,31 @@ class TestBaselineCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert f"needs a finite window of at least 1 s, got {float(duration)!r}" in err
+        assert not out_file.exists()
+
+    def test_window_needing_too_many_readings_exits_1_before_reading(self, tmp_path, monkeypatch, capsys):
+        # 10 W fills a 1 mJ range in 100 us: with a 1 us refresh the guard
+        # is about 49 us, so an hour would take about 73 million readings.
+        scenario = write_scenario(
+            tmp_path / "fast.txt", [(3600 * NS, {"package": "10"})], max_range_uj=1000, update_interval_ns=1000,
+        )
+
+        def refuse(self):
+            raise AssertionError("the probe was read")
+
+        monkeypatch.setattr(SimulatedProbe, "read", refuse)
+        out_file = tmp_path / "baseline.json"
+        code = main([
+            "baseline", "--probe", "simulated", "--scenario", str(scenario),
+            "--duration", "3600", "--out", str(out_file),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith(
+            "error: baseline calibration window 3600 s needs about 72802283 readings, one per "
+            "49.449 us wrap guard of the 1000 uJ range of package:0 at up to 10 W; "
+            "at most 1000000 are allowed\n"
+        )
         assert not out_file.exists()
 
     def test_window_above_an_hour_exits_1_at_once(self, workspace, tmp_path):

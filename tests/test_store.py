@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from manai.results import Stats, TestExecutionResult, TestSummary, summarize
 from manai.sampler import EnergySample
 from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc, render_record
 
-from conftest import DRAM, PKG, make_record
+from conftest import DRAM, PKG, fill_device_at_head, make_record, refuse_listing
 
 V1_DIR = Path(__file__).parent / "v1"
 
@@ -377,7 +378,7 @@ class TestReadScope:
     def test_latest_reads_only_its_label(self, store_twelve_labels, reads):
         assert store_twelve_labels.latest("r3").created_at == ts(12)
         newest = store_twelve_labels.revisions_dir / "r3" / f"{manai.store._file_stamp(ts(12))}.record"
-        assert reads == {newest: 1}
+        assert reads == {str(newest): 1}
 
     def test_latest_text_of_many_records_reads_one_head(self, tmp_path, reads):
         # 25 records of one label, saved out of order, several sharing a
@@ -398,8 +399,8 @@ class TestReadScope:
         reads.clear()
         doc, text = store.latest_text("many")
         assert text == newest.read_text()
-        assert reads == {newest: 1}
-        docs = [json.loads(path.read_text()) for path in store._record_files(newest.parent)]
+        assert reads == {str(newest): 1}
+        docs = [json.loads(Path(path).read_text()) for path in store._record_files(newest.parent)]
         newest_doc = sorted(docs, key=lambda d: d["created_at"])[-1]
         # The view's document leaves the results undecoded.
         assert doc == {key: value for key, value in newest_doc.items() if key != "results"}
@@ -407,9 +408,97 @@ class TestReadScope:
     def test_evolution_reads_each_record_once(self, store_twelve_labels, reads):
         request = ReportRequest(scope="history", tests=self.TESTS, no_color=True)
         assert len(render_history(store_twelve_labels, request).splitlines()) == 4
-        assert set(reads) == set(store_twelve_labels.revisions_dir.glob("*/*.record"))
+        assert set(reads) == {str(path) for path in store_twelve_labels.revisions_dir.glob("*/*.record")}
         assert len(reads) == 13
         assert set(reads.values()) == {1}
+
+
+def _pathlib_save_order(path: Path) -> tuple[str, int]:
+    stamp, _, counter = path.stem.partition("-")
+    return stamp, int(counter) if counter.isdigit() else 0
+
+
+def pathlib_record_files(label_dir: Path) -> list[Path]:
+    """The records of one label directory as the ``pathlib`` listing found
+    them: the reference for ``Store._record_files``."""
+    if not label_dir.is_dir():
+        return []
+    paths = [
+        p for p in label_dir.iterdir()
+        if not p.name.startswith(".") and p.suffix == ".record"
+    ]
+    return sorted(paths, key=_pathlib_save_order)
+
+
+def pathlib_iter_record_files(revisions_dir: Path) -> list[Path]:
+    """Every record of a store as the ``pathlib`` listing found them: the
+    reference for ``Store._iter_record_files``."""
+    if not revisions_dir.is_dir():
+        return []
+    return [path for label_dir in sorted(revisions_dir.iterdir()) for path in pathlib_record_files(label_dir)]
+
+
+class TestListing:
+    """The store lists record files as the ``pathlib`` listing did."""
+
+    @pytest.fixture
+    def cluttered(self, tmp_path):
+        store = Store(tmp_path)
+        # Twelve saves of one stamp: counters -1 to -11, where -10 sorts
+        # after -2 by number, not by text.
+        for energy in range(12):
+            store.save(make_record("shared", ts(0), {"demo::a": energy + 1}))
+        for index, label in enumerate(["r10", "r9", "B", "a", "a/b", "."]):
+            store.save(make_record(label, ts(index + 1), {"demo::a": 1_000}))
+            store.save(make_record(label, ts(0), {"demo::a": 2_000}))
+        shared = store.revisions_dir / "shared"
+        (shared / ".tmp-killed").write_text('{"format_version": 2, "partial')
+        (shared / ".tmp-x.record").write_text("{}")
+        (shared / "notes.txt").write_text("not a record\n")
+        orphan = store.save(make_record("orphan", ts(3), {"demo::a": 1}))
+        store.save(make_record("orphan", ts(4), {"demo::a": 1}))
+        orphan.unlink()  # its sidecar stays, without its head
+        (store.revisions_dir / "afile").write_text("a label path that is a file\n")
+        (store.revisions_dir / "empty").mkdir()
+        return store
+
+    def test_matches_the_pathlib_listing(self, cluttered):
+        revisions = cluttered.revisions_dir
+        expected = pathlib_iter_record_files(revisions)
+        assert [os.fspath(p) for p in cluttered._iter_record_files()] == [os.fspath(p) for p in expected]
+        assert len(expected) == 12 + 6 * 2 + 1
+        for label_dir in [*revisions.iterdir(), revisions / "missing"]:
+            expected = pathlib_record_files(label_dir)
+            assert [os.fspath(p) for p in cluttered._record_files(label_dir)] == [os.fspath(p) for p in expected]
+        shared = [Path(p).name for p in cluttered._record_files(revisions / "shared")]
+        stamp = manai.store._file_stamp(ts(0))
+        assert shared == [f"{stamp}.record", *(f"{stamp}-{n}.record" for n in range(1, 12))]
+
+    def test_store_without_revisions_lists_nothing(self, tmp_path):
+        store = Store(tmp_path / "never-written")
+        assert list(store._iter_record_files()) == pathlib_iter_record_files(store.revisions_dir) == []
+        assert store.history((TestId("demo", "a"),))[0].points == ()
+
+    @pytest.mark.parametrize("denied", ["", "r1"])
+    def test_unlistable_directory_is_a_storage_error(self, tmp_path, monkeypatch, denied):
+        store = Store(tmp_path)
+        store.save(make_record("r1", ts(0), {"demo::a": 1}))
+        path = os.fspath(store.revisions_dir / denied)
+        refuse_listing(monkeypatch, path)
+        message = f"^unreadable store directory {re.escape(path)}: \\[Errno 13\\]"
+        with pytest.raises(StorageError, match=message):
+            store.history((TestId("demo", "a"),))
+        if denied:
+            with pytest.raises(StorageError, match=message):
+                store.latest_text("r1")
+
+    def test_crlf_head_reads_as_text_mode_does(self, tmp_path):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        text = path.read_text()
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert store.latest_text("abc") == (without_results(json.loads(text)), text)
+        assert store.load("abc") == [make_record("abc", ts(0), {"demo::a": 1})]
 
 
 def sampled_record(label: str, iterations: list[list[EnergySample]]) -> RevisionRecord:
@@ -506,6 +595,18 @@ class TestSampleSidecar:
         with pytest.raises(UnknownRevision):
             store.load("abc")
         assert store.history((TestId("demo", "a"),))[0].points == ()
+
+    def test_full_device_at_the_head_leaves_no_file(self, tmp_path, monkeypatch):
+        store = Store(tmp_path)
+        opened = fill_device_at_head(monkeypatch)
+        with pytest.raises(StorageError, match="^storage full while saving record$") as raised:
+            store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        assert len(opened) == 2
+        # Neither the sidecar, nor the head, nor either temporary remains.
+        assert list((store.revisions_dir / "abc").iterdir()) == []
+        with pytest.raises(UnknownRevision):
+            store.load("abc")
 
     def test_sidecar_without_head_is_not_a_record(self, tmp_path):
         store = Store(tmp_path)

@@ -14,9 +14,9 @@ Execution timing depends on the probe backend:
   beside the test.
 * Simulated: the child still runs for real (its status and measured
   duration are real), and its duration is then snapped to the counter
-  refresh grid. A fresh simulated probe of the run's scenario is read as
-  a live window is, on its virtual clock: at the scenario origin, once
-  per wrap guard and at the snapped end. So a window's energy is exactly
+  refresh grid. The scenario's counters are read where a live window is
+  read: at the scenario origin, once per wrap guard and at the snapped
+  end. So a window's energy is exactly
   the wrap-corrected counter difference between its edges, and
   re-running the same configuration reproduces every stored number
   bit-exactly, as long as test durations exceed the refresh interval and
@@ -24,9 +24,9 @@ Execution timing depends on the probe backend:
   late. Sub-interval durations are kept as measured and read 0 J or one
   refresh step, as a live window does (low-confidence either way).
 
-Both paths share one iteration body and one meter body: a meter, built
-once per run, lends ``run_one`` its edge clock and wrap guard and turns
-the window it reports into the samples between its readings. A
+Both paths share one iteration body: a meter, built once per run, lends
+``run_one`` its edge clock and wrap guard and turns the window it reports
+into the samples between its edge readings, in one ``_columns`` call. A
 ``calibrate`` baseline is read like a live window, on either backend: at
 its edges and once per wrap guard, waiting on the probe's own clock in
 between.
@@ -67,6 +67,7 @@ from manai.probe import (
 from manai.results import TestExecutionResult, TestSummary, summarize
 from manai.sampler import (
     BaselineProfile,
+    _calibration_window,
     _columns,
     _wrap_guard_ns,
     calibrate_baseline,
@@ -294,9 +295,9 @@ class _LiveMeter:
 
     def stop(self, begin_ns: int, end_ns: int):
         """The samples between the kept readings and the window ``run_one``
-        reported, rebased onto its BEGIN reading so that stored times are
-        window-relative."""
-        samples = _columns(self._readings, self._descriptor).rebased(begin_ns)
+        reported, both with its BEGIN reading's time as their origin, so
+        that stored times are window-relative."""
+        samples = _columns(self._readings, self._descriptor, begin_ns)
         return samples, 0, max(end_ns - begin_ns, 1)
 
 
@@ -304,12 +305,11 @@ class _ReplayMeter:
     """Replays a scenario from its origin over each grid-snapped window.
 
     The child runs for real; nothing is read while it does. Its window is
-    then snapped to the counter refresh grid, and a fresh probe of the
-    scenario is read through a :class:`_LiveMeter` as ``run_one`` reads a
-    live window, on the probe's virtual clock: at the origin, once per
-    wrap guard and at the snapped end. So the samples are replicable, and
-    their energy is exactly the wrap-corrected counter difference between
-    the window's edges.
+    then snapped to the counter refresh grid, and the scenario's counters
+    are read where ``run_one`` reads a live window: at the origin, once
+    per wrap guard and at the snapped end. So the samples are replicable,
+    and their energy is exactly the wrap-corrected counter difference
+    between the window's edges.
     """
 
     # The child's window is timed on the monotonic clock; no reading is
@@ -318,7 +318,7 @@ class _ReplayMeter:
     guard_ns = None
 
     def __init__(self, scenario: SimulationScenario):
-        _wrap_guard_ns(scenario.descriptor)  # refuses a range that no guard can read
+        self._edge_guard_ns = _wrap_guard_ns(scenario.descriptor)  # refuses a range no guard can read
         self._scenario = scenario
 
     def start(self) -> None:
@@ -327,13 +327,11 @@ class _ReplayMeter:
     def stop(self, begin_ns: int, end_ns: int):
         """The replayed samples of the window ``run_one`` reported, and the
         window itself, ``[0, snapped duration)``."""
-        end_ns = _quantize_duration_ns(end_ns - begin_ns, self._scenario.update_interval_ns)
-        probe = SimulatedProbe(self._scenario)
-        meter = _LiveMeter(probe)
-        for edge_ns in (*range(0, end_ns, meter.guard_ns or end_ns), end_ns):
-            probe.wait_until(edge_ns)
-            meter.clock()
-        return meter.stop(0, end_ns)
+        scenario = self._scenario
+        end_ns = _quantize_duration_ns(end_ns - begin_ns, scenario.update_interval_ns)
+        edges_ns = (*range(0, end_ns, self._edge_guard_ns or end_ns), end_ns)
+        readings = [ProbeReading(t, tuple(scenario.counters_uj(t))) for t in edges_ns]
+        return _columns(readings, scenario.descriptor), 0, end_ns
 
 
 def _meter(probe: Probe) -> _LiveMeter | _ReplayMeter:
@@ -427,9 +425,11 @@ def run_experiment(
         config.probe_backend, config.scenario_path, config.powercap_root, config.update_interval_ns
     )
     descriptor = probe.describe()
-    # Refuses a wrap-ambiguous guard before the data directory is touched
-    # or any test runs.
+    # Refuse a wrap-ambiguous guard, and a calibration that needs too many
+    # readings, before the data directory is touched or any test runs.
     meter = _meter(probe)
+    if config.baseline.mode == "calibrate":
+        _calibration_window(descriptor, config.baseline.calibrate_duration_s)
 
     lock = _DataDirLock(data_dir)
     lock.acquire()

@@ -451,8 +451,10 @@ class SimulationScenario:
         return [cumulative_fj[index] + powers_uw[index] * into_ns
                 for cumulative_fj, powers_uw in self._integrals]
 
-    def _counters_uj(self, elapsed_ns: int) -> list[int]:
-        """Every domain's counter after ``elapsed_ns``, in ``domains`` order."""
+    def counters_uj(self, elapsed_ns: int) -> list[int]:
+        """Every domain's counter after ``elapsed_ns``, in ``domains`` order,
+        from a single ``bisect`` however many domains the scenario defines.
+        A simulated probe's reads and a run's replay both come from here."""
         boundary_ns = elapsed_ns // self.update_interval_ns * self.update_interval_ns
         return [energy_fj // _FEMTOJOULE_PER_MICROJOULE % self.max_range_uj
                 for energy_fj in self._energies_fj(boundary_ns)]
@@ -466,8 +468,8 @@ class SimulationScenario:
         integral up to every segment start, so one ``bisect`` finds the
         segment holding ``until_ns`` for all domains at once; each integral
         is then its prefix sum plus that segment's power times the time
-        into it. :meth:`counter_uj` and :meth:`SimulatedProbe.read` use
-        this same computation. A domain the scenario does not define reads 0.
+        into it. :meth:`counters_uj` uses this same computation. A domain
+        the scenario does not define reads 0.
         """
         position = self._positions.get(domain)
         return 0 if position is None else self._energies_fj(until_ns)[position]
@@ -475,7 +477,7 @@ class SimulationScenario:
     def counter_uj(self, domain: EnergyDomain, elapsed_ns: int) -> int:
         """Counter value after ``elapsed_ns``, quantized and wrapped."""
         position = self._positions.get(domain)
-        return 0 if position is None else self._counters_uj(elapsed_ns)[position]
+        return 0 if position is None else self.counters_uj(elapsed_ns)[position]
 
 
 class SimulatedProbe(Probe):
@@ -495,13 +497,9 @@ class SimulatedProbe(Probe):
         return self.scenario.descriptor
 
     def read(self) -> ProbeReading:
-        """Every domain's :meth:`SimulationScenario.counter_uj` at the clock's time.
-
-        All domains share the scenario's segment starts, so one read is a
-        single ``bisect`` however many domains the scenario defines.
-        """
+        """The scenario's :meth:`~SimulationScenario.counters_uj` at the clock's time."""
         now_ns = self.now_ns
-        return ProbeReading(now_ns, tuple(self.scenario._counters_uj(now_ns)))
+        return ProbeReading(now_ns, tuple(self.scenario.counters_uj(now_ns)))
 
     def wait_until(self, deadline_ns: int) -> None:
         if deadline_ns > self.now_ns:

@@ -154,8 +154,7 @@ def _require_tests(summaries, revision: str) -> None:
 def _latest_head(store: Store, revision: str) -> tuple[RevisionHead, str]:
     """The head of the newest record of ``revision``, and its file's text;
     views show no results or samples, so none are decoded or read."""
-    doc, text = store.latest_text(revision)
-    head = head_from_doc(doc)
+    head, text = store.latest_text(revision, head_from_doc)
     _require_tests(head.summaries, revision)
     return head, text
 
@@ -416,11 +415,11 @@ def render_summary(store: Store, request: ReportRequest) -> str:
     revision = request.revisions[0]
     if request.fmt is ReportFormat.MACHINE:
         # The stored file is the export; check it without decoding it.
-        doc, text = store.latest_text(revision)
-        _require_tests(doc["summaries"], revision)
-        probe_domains = map(EnergyDomain.parse, doc["probe"]["domains"])
-        _select_domains(probe_domains, request, f"revision {revision!r}")
-        return text
+        def check(doc):
+            _require_tests(doc["summaries"], revision)
+            _select_domains(map(EnergyDomain.parse, doc["probe"]["domains"]), request, f"revision {revision!r}")
+
+        return store.latest_text(revision, check)[1]
     return render_head(_latest_head(store, revision)[0], request)
 
 

@@ -42,12 +42,6 @@ class EnergySample:
     end_ns: int
     energy_uj: Mapping[EnergyDomain, int]
 
-    def __post_init__(self):
-        if self.end_ns <= self.start_ns:
-            raise ValueError("sample end must be after its start")
-        if any(v < 0 for v in self.energy_uj.values()):
-            raise ValueError("sample energy must be non-negative")
-
 
 @dataclass(frozen=True)
 class SampleColumns(Sequence):
@@ -57,8 +51,8 @@ class SampleColumns(Sequence):
     ``energy_uj[domain][i]`` microjoules of each domain, or ``None`` for a
     domain it lacks; a domain no sample holds has no column. Indexing and
     iteration build :class:`EnergySample` views; slicing yields columns.
-    Construction checks each column as an :class:`EnergySample` checks
-    its fields.
+    Construction checks that each sample ends after it starts, that the
+    samples are ordered and do not overlap, and that no energy is negative.
     """
 
     starts_ns: tuple[int, ...] = ()
@@ -94,14 +88,6 @@ class SampleColumns(Sequence):
             [sample.start_ns for sample in samples],
             [sample.end_ns for sample in samples],
             {domain: [sample.energy_uj.get(domain) for sample in samples] for domain in domains},
-        )
-
-    def rebased(self, origin_ns: int) -> "SampleColumns":
-        """These samples with ``origin_ns`` taken off every edge time."""
-        return SampleColumns(
-            [t - origin_ns for t in self.starts_ns],
-            [t - origin_ns for t in self.ends_ns],
-            self.energy_uj,
         )
 
     def __len__(self) -> int:
@@ -154,9 +140,10 @@ class SamplerConfig:
         return round(_NS_PER_S / self.rate_hz)
 
 
-def _columns(readings: list[ProbeReading], descriptor: ProbeDescriptor) -> SampleColumns:
-    """The samples between adjacent ``readings``, built one column at a time."""
-    edges_ns = [timestamp_ns for timestamp_ns, _ in readings]
+def _columns(readings: list[ProbeReading], descriptor: ProbeDescriptor, origin_ns: int = 0) -> SampleColumns:
+    """The samples between adjacent ``readings``, built one column at a
+    time, with ``origin_ns`` taken off every edge time."""
+    edges_ns = [timestamp_ns - origin_ns for timestamp_ns, _ in readings]
     starts_ns, ends_ns = edges_ns[:-1], edges_ns[1:]
     energy_uj = {}
     for domain, counters in zip(descriptor.domains, zip(*(c for _, c in readings))):
@@ -260,6 +247,26 @@ def check_calibration_window(duration_s: float) -> None:
         )
 
 
+def _calibration_window(descriptor: ProbeDescriptor, duration_s: float) -> tuple[int, int | None]:
+    """The window, in whole refresh intervals, and the wrap guard of a
+    ``duration_s`` calibration on a probe that ``descriptor`` describes;
+    raises the InvalidConfig of :func:`calibrate_baseline`."""
+    check_calibration_window(duration_s)
+    guard_ns = _wrap_guard_ns(descriptor)
+    update_ns = descriptor.update_interval_ns
+    window_ns = -(-round(duration_s * _NS_PER_S) // update_ns) * update_ns
+    reads = 2 if guard_ns is None else window_ns // guard_ns + 2
+    if reads > MAX_CALIBRATION_READS:
+        domain = min(descriptor.domains, key=lambda d: _wrap_horizon_ns(descriptor, d))
+        raise InvalidConfig(
+            f"baseline calibration window {_format_ns(window_ns)} needs about {reads} readings, "
+            f"one per {_format_ns(guard_ns)} wrap guard of the {descriptor.max_range_uj[domain]} uJ "
+            f"range of {domain} at up to {descriptor.peak_power_w[domain]:g} W; "
+            f"at most {MAX_CALIBRATION_READS} are allowed"
+        )
+    return window_ns, guard_ns
+
+
 def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
     """Measure mean idle power per domain over a quiescent window.
 
@@ -278,20 +285,8 @@ def calibrate_baseline(probe: Probe, duration_s: float) -> BaselineProfile:
             MAX_CALIBRATION_READS readings.
         ProbeLost: The probe failed during calibration.
     """
-    check_calibration_window(duration_s)
     descriptor = probe.describe()
-    guard_ns = _wrap_guard_ns(descriptor)
-    update_ns = descriptor.update_interval_ns
-    window_ns = -(-round(duration_s * _NS_PER_S) // update_ns) * update_ns
-    reads = 2 if guard_ns is None else window_ns // guard_ns + 2
-    if reads > MAX_CALIBRATION_READS:
-        domain = min(descriptor.domains, key=lambda d: _wrap_horizon_ns(descriptor, d))
-        raise InvalidConfig(
-            f"baseline calibration window {_format_ns(window_ns)} needs about {reads} readings, "
-            f"one per {_format_ns(guard_ns)} wrap guard of the {descriptor.max_range_uj[domain]} uJ "
-            f"range of {domain} at up to {descriptor.peak_power_w[domain]:g} W; "
-            f"at most {MAX_CALIBRATION_READS} are allowed"
-        )
+    window_ns, guard_ns = _calibration_window(descriptor, duration_s)
     ranges_uj = [descriptor.max_range_uj[d] for d in descriptor.domains]
     # Wrap-corrected totals as _columns sums them, kept as they grow: a
     # short guard makes millions of readings, so none is kept.

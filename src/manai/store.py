@@ -47,7 +47,8 @@ Each query lists each directory it needs once, by entry name, without a
 stat per entry, and reads each head it needs in one bytes read. A
 missing label directory, or a label path that is not a directory, holds
 no records; a directory that exists but cannot be listed raises
-``StorageError``, as an unreadable record file does.
+``StorageError``, as an unreadable record file does, and a head that
+lacks a field a query or a view reads, or holds it with the wrong type.
 
 Each query decodes each byte of a head at most once. A head as
 ``render_record`` writes it is split at its top-level ``results``
@@ -74,7 +75,7 @@ import json
 import os
 import re
 import tempfile
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, ne
@@ -346,12 +347,6 @@ def record_to_doc(record: RevisionRecord) -> dict:
     }
 
 
-def _check_version(doc: dict) -> None:
-    version = doc.get("format_version")
-    if version not in (FORMAT_VERSION, _INLINE_SAMPLES_VERSION):
-        raise StorageError(f"unsupported record format_version {version!r}")
-
-
 def _head_fields(doc: dict, tests: Mapping[str, TestId]) -> dict:
     """The ``RevisionHead`` fields of a head document; ``tests`` maps each
     summary key to its test."""
@@ -372,12 +367,7 @@ def _head_fields(doc: dict, tests: Mapping[str, TestId]) -> dict:
 
 def head_from_doc(doc: dict) -> RevisionHead:
     """The head a head document describes; its ``results``, if present,
-    are not read.
-
-    Raises:
-        StorageError: The format version is unsupported.
-    """
-    _check_version(doc)
+    are not read."""
     return RevisionHead(**_head_fields(doc, {t: TestId.parse(t) for t in doc["summaries"]}))
 
 
@@ -389,10 +379,8 @@ def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
     always decodes with them.
 
     Raises:
-        StorageError: The format version is unsupported, or the samples
-            do not match the results.
+        StorageError: The samples do not match the results.
     """
-    _check_version(doc)
     if doc["format_version"] == _INLINE_SAMPLES_VERSION:
         runs = _inline_samples(doc)
     else:
@@ -455,6 +443,15 @@ def _decode_head(text: str) -> tuple[dict, str | None]:
             if "results" not in doc:
                 return doc, results
     return json.loads(text), None
+
+
+@contextmanager
+def _fields_of(path: str):
+    """Raise a missing or mistyped field of the record file ``path`` as StorageError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"malformed record {path}: {type(exc).__name__}: {exc}") from exc
 
 
 class _Head(NamedTuple):
@@ -599,8 +596,8 @@ class Store:
             yield from self._record_files(os.path.join(root, name))
 
     def _read_doc(self, path: str) -> _Head:
-        """The version-checked head of one record file, split as
-        ``_decode_head`` splits it."""
+        """The head of one record file, split as ``_decode_head`` splits it,
+        its format version and text ``revision_label`` and ``created_at`` checked."""
         try:
             with open(path, "rb") as handle:
                 text = handle.read().decode("utf-8")
@@ -610,7 +607,12 @@ class Store:
             doc, results = _decode_head(text)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
-        _check_version(doc)
+        with _fields_of(path):
+            version = doc.get("format_version")
+            if version not in (FORMAT_VERSION, _INLINE_SAMPLES_VERSION):
+                raise StorageError(f"unsupported record format_version {version!r}")
+            if not all(isinstance(doc[key], str) for key in ("revision_label", "created_at")):
+                raise TypeError("revision_label and created_at must be strings")
         return _Head(doc, results, text, path)
 
     def _read_samples(self, path: str) -> dict:
@@ -631,9 +633,9 @@ class Store:
                 doc = dict(doc, results=json.loads(head.results))
             except json.JSONDecodeError as exc:
                 raise StorageError(f"unreadable record {head.path}: results: {exc}") from exc
-        if doc["format_version"] == _INLINE_SAMPLES_VERSION:
-            return record_from_doc(doc)
-        return record_from_doc(doc, self._read_samples(head.path))
+        samples = None if doc["format_version"] == _INLINE_SAMPLES_VERSION else self._read_samples(head.path)
+        with _fields_of(head.path):
+            return record_from_doc(doc, samples)
 
     def iter_records(self) -> Iterator[RevisionRecord]:
         for path in self._iter_record_files():
@@ -664,8 +666,8 @@ class Store:
         Raises:
             UnknownRevision: Nothing is stored under that label.
         """
-        heads = sorted(self._label_heads(revision_label), key=lambda head: head.doc["created_at"])
-        return [self._record(head) for head in heads]
+        records = [self._record(head) for head in self._label_heads(revision_label)]
+        return sorted(records, key=lambda record: record.created_at)
 
     def latest(self, revision_label: str) -> RevisionRecord:
         """The newest record under ``revision_label``; the last saved on a tie.
@@ -675,18 +677,21 @@ class Store:
         """
         return self._record(next(self._label_heads(revision_label, newest_first=True)))
 
-    def latest_text(self, revision_label: str) -> tuple[dict, str]:
+    def latest_text(self, revision_label: str, decode=lambda doc: doc) -> tuple[object, str]:
         """The head document of the record ``latest`` returns, without its
         ``results`` member when the file is laid out as ``render_record``
-        lays it out, and the file's exact text, which is the machine export
-        of that record. Reads no sidecar and decodes no results, so damage
-        confined to the results shows only in ``latest`` and ``load``.
+        lays it out, passed through ``decode``, and the file's exact text,
+        which is the machine export of that record. Reads no sidecar and
+        decodes no results, so damage confined to the results shows only
+        in ``latest`` and ``load``.
 
         Raises:
             UnknownRevision: Nothing is stored under that label.
+            StorageError: ``decode`` finds a field missing or mistyped.
         """
         head = next(self._label_heads(revision_label, newest_first=True))
-        return head.doc, head.text
+        with _fields_of(head.path):
+            return decode(head.doc), head.text
 
     def history(self, tests: Sequence[TestId], limit: int | None = None) -> Histories:
         """Evolution of each of ``tests`` across all records, newest last.
@@ -699,14 +704,15 @@ class Store:
         keyed = [(str(test), test_points) for test, test_points in points.items()]
         for path in self._iter_record_files():
             doc = self._read_doc(path).doc
-            summaries = doc["summaries"]
-            for key, test_points in keyed:
-                summary = summaries.get(key)
-                if summary is not None:
-                    test_points.append(HistoryPoint(
-                        doc["revision_label"], doc["created_at"],
-                        _domain_map_from_doc(summary["energy_j"], itemgetter("mean")),
-                    ))
+            with _fields_of(path):
+                summaries = doc["summaries"]
+                for key, test_points in keyed:
+                    summary = summaries.get(key)
+                    if summary is not None:
+                        test_points.append(HistoryPoint(
+                            doc["revision_label"], doc["created_at"],
+                            _domain_map_from_doc(summary["energy_j"], itemgetter("mean")),
+                        ))
         series = []
         for test in tests:
             ordered = sorted(points[test], key=lambda p: p.created_at)

@@ -611,6 +611,60 @@ class TestExitCodes:
         assert code == 2
         assert f"unreadable record {record}" in err
 
+    # Heads that decode and carry a supported format_version, but lack a
+    # field that a view reads.
+    MALFORMED_HEADS = {
+        "list": lambda doc: [],
+        "version-only": lambda doc: {"format_version": 2},
+        "no-probe": lambda doc: {k: v for k, v in doc.items() if k != "probe"},
+        "no-created-at": lambda doc: {k: v for k, v in doc.items() if k != "created_at"},
+    }
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_HEADS))
+    @pytest.mark.parametrize("argv", [
+        ["report", "--revision", "rev-cli"],
+        ["report", "--revision", "rev-cli", "--format", "machine"],
+        ["report", "--evolution", "demo::alpha"],
+    ])
+    def test_malformed_head_is_env_error(self, workspace, capsys, malformed, argv):
+        tmp_path, _, _, config, _ = workspace
+        assert main(["run", "--config", str(config)]) == 0
+        (record,) = (tmp_path / "data").rglob("*.record")
+        doc = self.MALFORMED_HEADS[malformed](json.loads(record.read_text()))
+        record.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        capsys.readouterr()
+        code = main([*argv, "--config", str(config)])
+        err = capsys.readouterr().err
+        if (argv[1], malformed) == ("--evolution", "no-probe"):
+            # Evolution shows no probe, so it decodes none.
+            assert (code, err) == (0, "")
+            return
+        assert code == 2
+        assert err.startswith(f"error: malformed record {record}: ")
+        assert "Traceback" not in err
+
+    def test_config_key_before_any_section_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("iterations = 3\n[experiment]\n")
+        code = main(["list", "--config", str(bad)])
+        assert code == 1
+        assert f"error: malformed config {bad}: " in capsys.readouterr().err
+
+    def test_unreadable_scenario_path_is_user_error(self, tmp_path, capsys):
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(tmp_path)])
+        assert code == 1
+        assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, message", [
+        ({"update_interval_ns": 0}, "update_interval_ns must be positive"),
+        ({"max_range_uj": 0}, "max_range_uj must be positive"),
+    ])
+    def test_non_positive_scenario_header_is_user_error(self, tmp_path, capsys, header, message):
+        scenario = write_scenario(tmp_path / "scenario.txt", [(NS, {"package": "10"})], **header)
+        code = main(["probe-check", "--probe", "simulated", "--scenario", str(scenario)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, denied", [
         (["report", "--evolution", "demo::alpha"], "r1"),
         (["report", "--evolution", "demo::alpha"], ""),
@@ -726,6 +780,32 @@ class TestExitCodes:
         assert child.stderr.startswith("error: bad [experiment] baseline 'calibrate:1e12': ")
         assert "at most 3600 s" in child.stderr
         assert not data_dir.exists()
+
+    def test_calibration_needing_too_many_readings_exits_1_before_the_lock(self, tmp_path, monkeypatch, capsys):
+        # 10 W fills a 1 mJ range in 100 us: with a 1 us refresh the guard
+        # is about 49 us, so an hour would take about 73 million readings.
+        # The harness cannot be launched: a refusal that came only after
+        # discovery would exit 2 instead.
+        scenario = write_scenario(
+            tmp_path / "fast.txt", [(3600 * NS, {"package": "10"})], max_range_uj=1000, update_interval_ns=1000,
+        )
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording(*args, **kwargs):
+            spawned.append(args)
+            return popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        data_dir = tmp_path / "data"
+        code = main([
+            "run", "--probe", "simulated", "--scenario", str(scenario), "--baseline", "calibrate:3600",
+            "--harness", "/nonexistent/prog", "--revision", "rev", "--data-dir", str(data_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.endswith("at most 1000000 are allowed\n")
+        assert not (data_dir / "lock").exists()
+        assert spawned == []
 
     @staticmethod
     def _run_with(tmp_path, sections: dict, flags: list[str]) -> int:

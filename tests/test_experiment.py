@@ -386,6 +386,39 @@ def test_replayed_window_is_the_wrap_corrected_counter_difference(case):
             assert {domain: sum(column) for domain, column in grid.energy_uj.items()} == energy_uj
 
 
+def _probe_replay(scenario, begin_ns: int, end_ns: int):
+    """The replay that reading the scenario's counters at the window edges
+    replaced, kept as a reference: a fresh probe of the scenario, read
+    through a live meter on its virtual clock at the origin, once per wrap
+    guard and at the snapped end."""
+    end_ns = _quantize_duration_ns(end_ns - begin_ns, scenario.update_interval_ns)
+    probe = SimulatedProbe(scenario)
+    meter = _LiveMeter(probe)
+    meter.start()
+    for edge_ns in (*range(0, end_ns, meter.guard_ns or end_ns), end_ns):
+        probe.wait_until(edge_ns)
+        meter.clock()
+    return meter.stop(0, end_ns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=replay_cases())
+def test_replay_equals_a_fresh_probe_read_through_a_live_meter(case):
+    # Counters that wrap, windows with guard readings, sub-interval and
+    # repeated windows: every edge, every domain's energy and the window
+    # are the reference's, bit for bit.
+    scenario, _, windows, _ = case
+    meter = _meter(SimulatedProbe(scenario))
+    for begin_ns, end_ns in windows:
+        meter.start()
+        samples, begin, end = meter.stop(begin_ns, end_ns)
+        expected, expected_begin, expected_end = _probe_replay(scenario, begin_ns, end_ns)
+        assert samples.starts_ns == expected.starts_ns
+        assert samples.ends_ns == expected.ends_ns
+        assert samples.energy_uj == expected.energy_uj
+        assert (begin, end) == (expected_begin, expected_end)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=baseline_cases(), data=st.data())
 def test_edge_readings_stay_within_one_refresh_step_of_the_true_energy(case, data):

@@ -461,10 +461,13 @@ class TestSampleColumns:
         assert columns.energy_uj == {PKG: (1, 2)}
         assert columns == SampleColumns((0, MS), (MS, 2 * MS), {PKG: (1, 2)})
 
-    def test_rebased_shifts_edges_only(self):
+    def test_origin_shifts_edges_only(self):
+        descriptor = ProbeDescriptor(ProbeBackend.SIMULATED, (PKG,), MS, {PKG: 10}, {PKG: MAX_PLAUSIBLE_POWER_W})
+        readings = [ProbeReading(5, (8,)), ProbeReading(7, (9,)), ProbeReading(9, (1,))]
         columns = SampleColumns([5, 7], [7, 9], {PKG: [1, 2]})
-        assert columns.rebased(5) == SampleColumns([0, 2], [2, 4], {PKG: [1, 2]})
-        assert columns.rebased(0) == columns
+        assert _columns(readings, descriptor) == columns
+        assert _columns(readings, descriptor, 5) == SampleColumns([0, 2], [2, 4], {PKG: [1, 2]})
+        assert _columns(readings, descriptor, 0) == columns
 
     @pytest.mark.parametrize("starts, ends, energy, message", [
         ([0], [1, 2], {}, "one entry per sample"),
@@ -649,7 +652,11 @@ def test_columnar_stream_equals_per_sample_stream(case):
         return
     samples, begin, end = meter.stop(stamps[0], stamps[-1])
     oracle_probe = ScriptedProbe(readings, fail_at)
-    expected = SampleColumns.of(previous_sample_stream(oracle_probe, config, end_ns)).rebased(stamps[0])
+    # The meter takes its BEGIN reading's time off every edge; so does the oracle here.
+    expected = SampleColumns.of(
+        EnergySample(sample.start_ns - stamps[0], sample.end_ns - stamps[0], sample.energy_uj)
+        for sample in previous_sample_stream(oracle_probe, config, end_ns)
+    )
     assert list(samples) == list(expected)
     assert probe.reads == oracle_probe.reads == len(readings)
     assert (begin, end) == (0, max(stamps[-1] - stamps[0], 1))

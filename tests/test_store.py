@@ -108,6 +108,18 @@ class TestSaveLoad:
         with pytest.raises(StorageError, match="format_version 3"):
             store.history((TestId("demo", "a"),))
 
+    @pytest.mark.parametrize("doc", [
+        [], {"format_version": 2}, {"format_version": 2, "revision_label": "abc", "created_at": 5},
+    ], ids=["list", "version-only", "created-at-not-text"])
+    def test_malformed_head_is_reported(self, tmp_path, doc):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        path.write_text(json.dumps(doc))
+        history = lambda label: store.history((TestId("demo", "a"),))  # noqa: E731
+        for query in (store.load, store.latest, store.latest_text, history):
+            with pytest.raises(StorageError, match=f"^malformed record {re.escape(str(path))}: "):
+                query("abc")
+
     def test_labels_sharing_a_directory_stay_apart(self, tmp_path):
         store = Store(tmp_path)
         store.save(make_record("a/b", ts(0), {"demo::a": 1_000_000}))
@@ -629,6 +641,24 @@ class TestSampleSidecar:
                 query("abc")
         # The head alone still serves the views.
         assert store.latest_text("abc")[1] == path.read_text()
+        assert len(store.history((TestId("demo", "a"),))[0].points) == 1
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc["start_ns"].append(0), "sample columns do not match their stretches"),
+        (lambda doc: doc["stretches"]["demo::a"].append([]), "samples do not match the record's results"),
+    ])
+    def test_sidecar_that_does_not_match_is_reported(self, tmp_path, damage, message):
+        store = Store(tmp_path)
+        path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        sidecar = path.with_suffix(".samples")
+        doc = json.loads(sidecar.read_text())
+        damage(doc)
+        sidecar.write_text(json.dumps(doc))
+        for query in (store.load, store.latest):
+            with pytest.raises(StorageError, match=message):
+                query("abc")
+        # The views read no sidecar.
+        assert "demo::a" in render_summary(store, ReportRequest(scope="revision", revisions=("abc",)))
         assert len(store.history((TestId("demo", "a"),))[0].points) == 1
 
 

@@ -31,7 +31,7 @@ from manai.experiment import (
 )
 from manai.harness import HarnessCommand, TestId, discover
 from manai.probe import EnergyDomain, ProbeBackend, create_probe
-from manai.report import ReportFormat, ReportRequest, export, render_head
+from manai.report import ReportFormat, ReportRequest, export, render_head, write_document
 from manai.sampler import BaselineProfile, calibrate_baseline
 from manai.store import Store
 
@@ -315,7 +315,7 @@ def _cmd_baseline(args, cfg) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_document(Path(args.out), text)
         log.info("wrote %s", args.out)
     else:
         print(text, end="")

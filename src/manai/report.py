@@ -1,12 +1,15 @@
 """Render stored results: summary tables, comparisons, evolution views.
 
 Each scope builds its rows once: the ``(test, domain, statistic, value,
-unit)`` tuples of the CSV export. CSV prints them at full precision; the
-terminal and HTML tables pivot them by ``(test, domain)`` and show three
-significant digits. The terminal adds block-bar charts and sparklines,
-both coloured by rank quintile (``_buckets``); every HTML page shares one
-self-contained shell with inline SVG; and the machine-readable JSON
-export mirrors the record schema verbatim.
+unit)`` tuples of the CSV export, which prints them at full precision.
+The terminal and HTML output draw the points those rows list, to three
+significant digits. A table is one tuple of ``_Column``s, each owning
+its cell, over the rows pivoted by ``(test, domain)``; an evolution view
+draws the ``(revision, energy)`` points of its rows. The terminal adds
+block-bar charts and sparklines, both coloured by rank quintile
+(``_buckets``); every HTML page shares one self-contained shell with
+inline SVG; and the machine-readable JSON export mirrors the record
+schema verbatim.
 
 Domains: ``ReportRequest.domains`` selects among a record's domains (all
 when unset); a filter that selects none raises ``EmptyScope``. Charts and
@@ -30,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from manai.errors import EmptyScope, NoHistory
+from manai.errors import EmptyScope, NoHistory, StorageError
 from manai.harness import TestId
 from manai.probe import EnergyDomain, domain_sort_key
 from manai.store import (
@@ -44,6 +47,7 @@ CSV_HEADER = "test,domain,statistic,value,unit"
 DEFAULT_TREND_THRESHOLD = 0.01
 
 _BUCKET_COLORS = ("32", "36", "33", "35", "31")  # green .. red
+_SVG_BUCKET_FILLS = ("#2e7d32", "#00838f", "#f9a825", "#ad1457", "#c62828")
 
 
 class ReportFormat(Enum):
@@ -171,39 +175,54 @@ class _Row(NamedTuple):
 
 def _as_csv(rows: list[_Row]) -> str:
     lines = [
-        f"{r.test},{'' if r.domain is None else r.domain},{r.statistic},"
-        f"{r.value!r},{r.unit}"
+        f"{r.test},{'' if r.domain is None else r.domain},{r.statistic},{r.value!r},{r.unit}"
         for r in rows
     ]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 class _Column(NamedTuple):
-    """A table column: its headings, terminal layout and HTML class."""
+    """A table column: its headings, its cell, terminal layout and HTML
+    class. ``cell`` maps statistics by name, which also hold ``test`` and
+    ``domain``, to text, or to (text, ANSI colour) for the terminal. A
+    ``per_test`` column gets its test's domainless statistics and shows on
+    the test's first line only; any other gets the line domain's."""
 
     term: str
     html: str
     spec: str  # format spec of the terminal cell, unit included
+    cell: Callable[[dict], str | tuple[str, str]]
     unit: str = ""  # terminal suffix of a non-empty cell
     gap: str = " "  # terminal separator before the cell
     span: str = ""  # class of an HTML span around a non-empty cell
+    per_test: bool = False
 
 
-def _table_lines(rows: list[_Row], cells: Callable[..., list]) -> list[list]:
-    """Pivot rows by (test, domain) into one line of cells per domain.
+def _sig(statistic: str) -> Callable[[dict], str]:
+    """The cell of a statistic, to three significant digits."""
+    return lambda stats: format_sig(stats[statistic])
 
-    ``cells(test, domain, stats, test_stats, first)`` gets the domain's
-    statistics, the test's domainless ones and whether the line is the
-    test's first. A cell is text, or (text, ANSI colour) for the terminal.
-    """
-    groups: dict[tuple, dict[str, float]] = {}
-    for row in rows:
-        groups.setdefault((row.test, row.domain), {})[row.statistic] = row.value
+
+def _table_lines(rows: list[_Row], columns: tuple[_Column, ...]) -> list[list]:
+    """Pivot rows by (test, domain) into one line of cells per domain."""
+    groups: dict[tuple, dict] = {}
+    key = None
+    for test, domain, statistic, value, _ in rows:
+        if (test, domain) != key:  # rows come in runs: one lookup per run
+            key = (test, domain)
+            stats = groups.setdefault(key, {"test": test, "domain": domain})
+        stats[statistic] = value
+    cells = [(column.cell, column.per_test) for column in columns]
     lines, previous = [], None
     for (test, domain), stats in groups.items():
-        if domain is not None:
-            lines.append(cells(test, domain, stats, groups[test, None], test != previous))
-            previous = test
+        if domain is None:
+            continue
+        if test != previous:
+            test_stats = groups[test, None]
+            lines.append([cell(test_stats if per_test else stats) for cell, per_test in cells])
+        else:
+            lines.append(["" if per_test else cell(stats) for cell, per_test in cells])
+        previous = test
     return lines
 
 
@@ -211,9 +230,7 @@ def _width(request: ReportRequest) -> int:
     return request.width or shutil.get_terminal_size(fallback=(100, 24)).columns
 
 
-def _term_table(
-    columns: tuple[_Column, ...], lines: list[list], request: ReportRequest
-) -> list[str]:
+def _term_table(columns: tuple[_Column, ...], lines: list[list], request: ReportRequest) -> list[str]:
     header = "".join(column.gap + format(column.term, column.spec) for column in columns)
     out = [header, "-" * min(len(header), _width(request))]
     for cells in lines:
@@ -270,24 +287,24 @@ def _html_page(title: str, body: str) -> str:
 """
 
 
-# --------------------------------------------------------------------------
-# summary (one revision)
-# --------------------------------------------------------------------------
+# --- summary (one revision) ---------------------------------------------
 
 
 _SUMMARY_STATISTICS = ("mean", "median", "min", "max", "stddev")
 
 _SUMMARY_COLUMNS = (
-    _Column("test", "test", "<28", gap=""),
-    _Column("domain", "domain", "<10"),
-    _Column("iter", "iterations", ">4"),
-    _Column("P/F/S", "P/F/S", ">6"),
-    _Column("E mean", "E mean [J]", ">9", " J"),
-    _Column("E median", "E median [J]", ">9", " J"),
-    _Column("E stddev", "E stddev [J]", ">9", " J"),
-    _Column("P mean", "P mean [W]", ">9", " W"),
-    _Column("dur mean", "duration [s]", ">9", " s"),
-    _Column("conf", "confidence", "", gap="  ", span="low-confidence"),
+    _Column("test", "test", "<28", lambda stats: str(stats["test"]), gap="", per_test=True),
+    _Column("domain", "domain", "<10", lambda stats: str(stats["domain"])),
+    _Column("iter", "iterations", ">4", lambda stats: str(stats["iterations"]), per_test=True),
+    _Column("P/F/S", "P/F/S", ">6", per_test=True,
+            cell=lambda stats: f"{stats['pass_count']}/{stats['fail_count']}/{stats['skip_count']}"),
+    _Column("E mean", "E mean [J]", ">9", _sig("energy_mean"), " J"),
+    _Column("E median", "E median [J]", ">9", _sig("energy_median"), " J"),
+    _Column("E stddev", "E stddev [J]", ">9", _sig("energy_stddev"), " J"),
+    _Column("P mean", "P mean [W]", ">9", _sig("power_mean"), " W"),
+    _Column("dur mean", "duration [s]", ">9", _sig("duration_mean"), " s", per_test=True),
+    _Column("conf", "confidence", "", gap="  ", span="low-confidence", per_test=True,
+            cell=lambda stats: "< update interval" if stats["low_confidence"] else ""),
 )
 
 
@@ -300,10 +317,9 @@ def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Ro
             power = summary.power_stats.get(domain)
             if energy is None or power is None:
                 continue
-            for stat in _SUMMARY_STATISTICS:
-                rows.append(_Row(test, domain, f"energy_{stat}", getattr(energy, stat), "J"))
-            for stat in _SUMMARY_STATISTICS:
-                rows.append(_Row(test, domain, f"power_{stat}", getattr(power, stat), "W"))
+            for name, stats, unit in (("energy", energy, "J"), ("power", power, "W")):
+                for stat in _SUMMARY_STATISTICS:
+                    rows.append(_Row(test, domain, f"{name}_{stat}", getattr(stats, stat), unit))
         rows += [
             _Row(test, None, "duration_mean", summary.mean_duration_s, "s"),
             _Row(test, None, "iterations", summary.iterations, "count"),
@@ -315,37 +331,11 @@ def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Ro
     return rows
 
 
-def _summary_cells(test, domain, stats, test_stats, first) -> list:
-    def once(text: str) -> str:
-        """Cells about the whole test show on its first line only."""
-        return text if first else ""
-
-    statuses = f"{test_stats['pass_count']}/{test_stats['fail_count']}/{test_stats['skip_count']}"
-    return [
-        once(str(test)),
-        str(domain),
-        once(str(test_stats["iterations"])),
-        once(statuses),
-        format_sig(stats["energy_mean"]),
-        format_sig(stats["energy_median"]),
-        format_sig(stats["energy_stddev"]),
-        format_sig(stats["power_mean"]),
-        once(format_sig(test_stats["duration_mean"])),
-        once("< update interval" if test_stats["low_confidence"] else ""),
-    ]
-
-
 def _chart(rows: list[_Row], lead: EnergyDomain) -> list[tuple[TestId, float, int]]:
     """(test, mean lead-domain energy, colour bucket) of each charted test."""
     means = [(r.test, r.value) for r in rows if r.domain == lead and r.statistic == "energy_mean"]
     buckets = _buckets([mean for _, mean in means])
     return [(test, mean, bucket) for (test, mean), bucket in zip(means, buckets)]
-
-
-def _bar(value: float, scale: float, width: int) -> str:
-    if scale <= 0:
-        return ""
-    return "█" * max(1, round(value / scale * width)) if value > 0 else ""
 
 
 def _summary_term(
@@ -357,7 +347,7 @@ def _summary_term(
         f"{record.probe_update_interval_ns / 1e6:g} ms, "
         f"config {record.config_digest.split(':', 1)[1][:12]}",
         "",
-        *_term_table(_SUMMARY_COLUMNS, _table_lines(rows, _summary_cells), request),
+        *_term_table(_SUMMARY_COLUMNS, _table_lines(rows, _SUMMARY_COLUMNS), request),
         "",
     ]
     chart = _chart(rows, lead)
@@ -366,12 +356,10 @@ def _summary_term(
         scale = max(mean for _, mean, _ in chart)
         bar_width = max(10, min(48, _width(request) - 45))
         for test, mean, bucket in chart:
-            bar = _colorize(_bar(mean, scale, bar_width), _BUCKET_COLORS[bucket], request.no_color)
+            bar = "█" * max(1, round(mean / scale * bar_width)) if mean > 0 else ""
+            bar = _colorize(bar, _BUCKET_COLORS[bucket], request.no_color)
             lines.append(f"  {str(test):<28} {bar} {format_sig(mean)} J")
     return "\n".join(lines) + "\n"
-
-
-_SVG_BUCKET_FILLS = ("#2e7d32", "#00838f", "#f9a825", "#ad1457", "#c62828")
 
 
 def _summary_html(record: RevisionHead, rows: list[_Row], lead: EnergyDomain) -> str:
@@ -399,7 +387,7 @@ def _summary_html(record: RevisionHead, rows: list[_Row], lead: EnergyDomain) ->
         f"<p>probe {record.probe_backend}, update interval "
         f"{record.probe_update_interval_ns / 1e6:g} ms,\n"
         f"created {record.created_at}, config {record.config_digest}</p>\n"
-        f"{_html_table(_SUMMARY_COLUMNS, _table_lines(rows, _summary_cells))}\n"
+        f"{_html_table(_SUMMARY_COLUMNS, _table_lines(rows, _SUMMARY_COLUMNS))}\n"
         f"<h2>Mean {html.escape(str(lead))} energy per test</h2>\n{svg}",
     )
 
@@ -444,18 +432,23 @@ def render_head(head: RevisionHead, request: ReportRequest) -> str:
     return _summary_term(head, rows, domains[0], request)
 
 
-# --------------------------------------------------------------------------
-# compare (two revisions)
-# --------------------------------------------------------------------------
+# --- compare (two revisions) --------------------------------------------
+
+
+def _change_cell(stats: dict) -> tuple[str, str]:
+    """B's relative change of the mean energy, coloured by its sign."""
+    mean_a, delta = stats["energy_mean_a"], stats["energy_mean_delta"]
+    change = f"{delta / mean_a * 100:+.1f}%" if mean_a else "n/a"
+    return change, "31" if delta > 0 else "32" if delta < 0 else "0"
 
 
 _COMPARE_COLUMNS = (
-    _Column("test", "test", "<28", gap=""),
-    _Column("domain", "domain", "<10"),
-    _Column("A mean", "A mean [J]", ">10", " J"),
-    _Column("B mean", "B mean [J]", ">10", " J"),
-    _Column("delta", "delta [J]", ">10", " J"),
-    _Column("change", "change", ">8"),
+    _Column("test", "test", "<28", lambda stats: str(stats["test"]), gap=""),
+    _Column("domain", "domain", "<10", lambda stats: str(stats["domain"])),
+    _Column("A mean", "A mean [J]", ">10", _sig("energy_mean_a"), " J"),
+    _Column("B mean", "B mean [J]", ">10", _sig("energy_mean_b"), " J"),
+    _Column("delta", "delta [J]", ">10", _sig("energy_mean_delta"), " J"),
+    _Column("change", "change", ">8", _change_cell),
 )
 
 
@@ -474,20 +467,6 @@ def _compare_rows(a: RevisionHead, b: RevisionHead, domains: list[EnergyDomain])
         for suffix, value in (("a", value_a), ("b", row.value), ("delta", row.value - value_a)):
             rows.append(row._replace(statistic=f"{row.statistic}_{suffix}", value=value))
     return rows
-
-
-def _compare_cells(test, domain, stats, test_stats, first) -> list:
-    mean_a, delta = stats["energy_mean_a"], stats["energy_mean_delta"]
-    change = f"{delta / mean_a * 100:+.1f}%" if mean_a else "n/a"
-    arrow_code = "31" if delta > 0 else "32" if delta < 0 else "0"
-    return [
-        str(test),
-        str(domain),
-        format_sig(mean_a),
-        format_sig(stats["energy_mean_b"]),
-        format_sig(delta),
-        (change, arrow_code),
-    ]
 
 
 def _only_in(a: RevisionHead, b: RevisionHead) -> list[str]:
@@ -513,15 +492,13 @@ def render_compare(store: Store, request: ReportRequest) -> str:
     domains = _select_domains(b.probe_domains, request, f"revision {b.revision_label!r}")
     if request.fmt is ReportFormat.MACHINE:
         # Only this export holds the results, so only it decodes them.
-        doc = {
-            side: record_to_doc(record_from_doc(json.loads(text)))
-            for side, text in (("a", text_a), ("b", text_b))
-        }
+        sides = (("a", text_a), ("b", text_b))
+        doc = {side: record_to_doc(record_from_doc(json.loads(text))) for side, text in sides}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     rows = _compare_rows(a, b, domains)
     if request.fmt is ReportFormat.CSV:
         return _as_csv(rows)
-    lines = _table_lines(rows, _compare_cells)
+    lines = _table_lines(rows, _COMPARE_COLUMNS)
     title = f"compare {a.revision_label} -> {b.revision_label}"
     if request.fmt is ReportFormat.HTML:
         notes = "".join(f"\n<p>{html.escape(line)}</p>" for line in _only_in(a, b))
@@ -531,14 +508,31 @@ def render_compare(store: Store, request: ReportRequest) -> str:
     return "\n".join(text) + "\n"
 
 
-# --------------------------------------------------------------------------
-# evolution (history of tests)
-# --------------------------------------------------------------------------
+# --- evolution (history of tests) ---------------------------------------
 
 
-def _evolution_term_line(
-    series: HistorySeries, energies: tuple[float, ...], bucket: int, no_color: bool
-) -> str:
+class _Evolution(NamedTuple):
+    """One requested test's history in its lead domain: the (revision,
+    energy) points of its records that hold that domain, oldest first."""
+
+    test: TestId
+    lead: EnergyDomain
+    points: list[tuple[str, float]]
+
+
+def _evolution(series: HistorySeries, request: ReportRequest) -> _Evolution:
+    if not series.points:
+        raise NoHistory(f"no stored history for {series.test}")
+    latest = series.points[-1].energy_mean_j
+    lead = _select_domains(latest, request, f"the latest record of {series.test}")[0]
+    points = [
+        (p.revision_label, p.energy_mean_j[lead]) for p in series.points if lead in p.energy_mean_j
+    ]
+    return _Evolution(series.test, lead, points)
+
+
+def _evolution_term_line(evolution: _Evolution, bucket: int, no_color: bool) -> str:
+    revisions, energies = zip(*evolution.points)
     spark = _colorize(sparkline(list(energies)), _BUCKET_COLORS[bucket], no_color)
     arrow = _colorize(*_arrow(energies), no_color)
     change = _last_change(energies)
@@ -548,15 +542,15 @@ def _evolution_term_line(
         step = "n/a last step"  # a step from 0 J has no relative change
     else:
         step = f"{change * 100:+.0f}% last step"
-    revisions = " -> ".join(p.revision_label for p in series.points)
     return (
-        f"{str(series.test):<28} {spark:<12} {arrow}  {step:<16} "
-        f"latest {format_sig(energies[-1])} J  ({revisions})"
+        f"{str(evolution.test):<28} {spark:<12} {arrow}  {step:<16} "
+        f"latest {format_sig(energies[-1])} J  ({' -> '.join(revisions)})"
     )
 
 
-def _evolution_svg(series: HistorySeries, energies: tuple[float, ...]) -> str:
+def _evolution_svg(evolution: _Evolution) -> str:
     width, height, pad = 320, 64, 6
+    revisions, energies = zip(*evolution.points)
     lo, hi = min(energies), max(energies)
     span = (hi - lo) or 1.0
     step = (width - 2 * pad) / max(len(energies) - 1, 1)
@@ -564,32 +558,12 @@ def _evolution_svg(series: HistorySeries, energies: tuple[float, ...]) -> str:
         f"{pad + i * step:.1f},{height - pad - (v - lo) / span * (height - 2 * pad):.1f}"
         for i, v in enumerate(energies)
     )
-    labels = html.escape(" -> ".join(p.revision_label for p in series.points))
+    labels = html.escape(" -> ".join(revisions))
     return (
         f"<svg width='{width}' height='{height + 18}' xmlns='http://www.w3.org/2000/svg'>"
         f"<polyline fill='none' stroke='#1565c0' stroke-width='2' points='{points}'/>"
         f"<text x='{pad}' y='{height + 14}' font-size='11'>{labels}</text></svg>"
     )
-
-
-def _history_series(
-    store: Store, request: ReportRequest
-) -> tuple[list[HistorySeries], list[list[_Row]]]:
-    """Each requested test's history, and its rows in the test's lead domain."""
-    series_list = list(store.history(request.tests, request.limit))
-    rows = []
-    for series in series_list:
-        if not series.points:
-            raise NoHistory(f"no stored history for {series.test}")
-        latest = series.points[-1].energy_mean_j
-        lead = _select_domains(latest, request, f"the latest record of {series.test}")[0]
-        rows.append([
-            _Row(series.test, lead, f"energy_mean@{point.revision_label}",
-                 point.energy_mean_j[lead], "J")
-            for point in series.points
-            if lead in point.energy_mean_j
-        ])
-    return series_list, rows
 
 
 def render_history(store: Store, request: ReportRequest) -> str:
@@ -600,57 +574,57 @@ def render_history(store: Store, request: ReportRequest) -> str:
         EmptyScope: The domain filter selects none of the domains of a
             test's latest record.
     """
-    series_list, rows = _history_series(store, request)
+    histories = store.history(request.tests, request.limit)
+    evolutions = [_evolution(series, request) for series in histories]
     if request.fmt is ReportFormat.CSV:
-        return _as_csv([row for series_rows in rows for row in series_rows])
+        return _as_csv([
+            _Row(e.test, e.lead, f"energy_mean@{revision}", energy, "J")
+            for e in evolutions for revision, energy in e.points
+        ])
     if request.fmt is ReportFormat.MACHINE:
+        # Every point of each series, with the selected ones of its domains.
         doc = [
-            {
-                "test": str(series.test),
-                "points": [
-                    {
-                        "revision_label": p.revision_label,
-                        "created_at": p.created_at,
-                        "energy_mean_j": {
-                            str(d): mean for d, mean in p.energy_mean_j.items()
-                            if not request.domains or d in request.domains
-                        },
-                    }
-                    for p in series.points
-                ],
-            }
-            for series in series_list
+            {"test": str(series.test), "points": [
+                {"revision_label": p.revision_label, "created_at": p.created_at, "energy_mean_j": {
+                    str(d): mean for d, mean in p.energy_mean_j.items()
+                    if not request.domains or d in request.domains
+                }}
+                for p in series.points
+            ]}
+            for series in histories
         ]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    energies = [tuple(row.value for row in series_rows) for series_rows in rows]
     if request.fmt is ReportFormat.HTML:
         fragments = "".join(
-            f"<h2>{html.escape(str(s.test))}</h2>{_evolution_svg(s, e)}"
-            for s, e in zip(series_list, energies)
+            f"<h2>{html.escape(str(e.test))}</h2>{_evolution_svg(e)}" for e in evolutions
         )
         return _html_page("energy evolution", fragments)
-    buckets = _buckets([e[-1] for e in energies])
-    lines = [
-        _evolution_term_line(s, e, bucket, request.no_color)
-        for s, e, bucket in zip(series_list, energies, buckets)
-    ]
+    buckets = _buckets([e.points[-1][1] for e in evolutions])
+    lines = [_evolution_term_line(e, b, request.no_color) for e, b in zip(evolutions, buckets)]
     return "\n".join(lines) + "\n"
 
 
-# --------------------------------------------------------------------------
-# export
-# --------------------------------------------------------------------------
+# --- export -------------------------------------------------------------
+
+
+def write_document(path: Path, text: str) -> None:
+    """Write a rendered document to ``path``, making its directories; a
+    path that cannot be written raises ``StorageError`` naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
 def export(store: Store, request: ReportRequest) -> str:
     """Render a request with the renderer of its scope and, when an output
-    path is set, write the document.
+    path is set, write the document (see ``write_document``).
 
     Returns the rendered text either way.
     """
     render = {"revision": render_summary, "compare": render_compare}.get(request.scope, render_history)
     text = render(store, request)
     if request.output_path is not None:
-        request.output_path.parent.mkdir(parents=True, exist_ok=True)
-        request.output_path.write_text(text, encoding="utf-8")
+        write_document(request.output_path, text)
     return text

@@ -696,6 +696,31 @@ class TestExitCodes:
         assert len(opened) == 2
         assert [p for p in (tmp_path / "data").rglob("*") if p.is_file() and p.name != "lock"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--revision", "r2"],
+        ["compare", "r1", "r2"],
+        ["baseline", "--duration", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    def test_unwritable_out_path_is_env_error(self, workspace, capsys, argv, where):
+        tmp_path, _, _, config, _ = workspace
+        for revision in ("r1", "r2"):
+            assert main(["run", "--config", str(config), "--revision", revision]) == 0
+        blocker = tmp_path / "blocker"
+        if where == "under-a-file":
+            blocker.write_text("")
+            out, reason = blocker / "out.txt", f"[Errno 17] File exists: {str(blocker)!r}"
+        else:
+            blocker.mkdir()
+            out, reason = blocker, f"[Errno 21] Is a directory: {str(blocker)!r}"
+        capsys.readouterr()
+        code = main([*argv, "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: cannot write {out}: {reason}\n")
+        assert "internal error" not in captured.err
+
     @pytest.mark.parametrize("power", ["NaN", "sNaN", "inf", "1e400000000"])
     def test_non_finite_scenario_power_is_user_error(self, tmp_path, capsys, power):
         bad = tmp_path / "nan.txt"

@@ -29,7 +29,7 @@ from manai.report import (
 )
 from manai.store import Store, record_to_doc
 
-from conftest import DRAM, PKG, make_record
+from conftest import DRAM, PKG, make_record, make_result
 
 
 def ts(i: int) -> str:
@@ -350,6 +350,7 @@ GOLDEN_CASES = {
     "compare.machine": dict(scope="compare", revisions=("r1", "r2"), fmt=ReportFormat.MACHINE),
     "compare.term": dict(scope="compare", revisions=("r1", "r2"), no_color=True),
     "compare.term-color": dict(scope="compare", revisions=("r1", "r2")),
+    "compare.html": dict(scope="compare", revisions=("r1", "r2"), fmt=ReportFormat.HTML),
     "history.csv": dict(scope="history", tests=GOLDEN_TESTS, fmt=ReportFormat.CSV),
     "history.machine": dict(scope="history", tests=GOLDEN_TESTS, fmt=ReportFormat.MACHINE),
     "history.term": dict(scope="history", tests=GOLDEN_TESTS, no_color=True),
@@ -385,6 +386,42 @@ def render_golden(store: Store, name: str) -> str:
 def test_output_is_byte_identical_to_golden(tmp_path, name):
     expected = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
     assert render_golden(build_golden_store(tmp_path), name) == expected
+
+
+# A two-domain record in which ``demo::pkg`` holds package:0 only: its
+# rows and lines leave dram:0 out, in the summary as in the comparison.
+PARTIAL_CASES = {
+    "partial.term": dict(scope="revision", revisions=("p2",), no_color=True),
+    "partial.csv": dict(scope="revision", revisions=("p2",), fmt=ReportFormat.CSV),
+    "partial-compare.term": dict(scope="compare", revisions=("p1", "p2"), no_color=True),
+    "partial-compare.csv": dict(scope="compare", revisions=("p1", "p2"), fmt=ReportFormat.CSV),
+}
+
+
+def make_partial_record(label, created_at, both_package_uj, pkg_uj):
+    """``demo::both`` over package:0 and dram:0, and ``demo::pkg`` over
+    package:0 only, in one package:0 + dram:0 record."""
+    from manai.results import summarize
+
+    record = make_two_domain_record(
+        label, created_at, {"demo::both": (both_package_uj, 1_200_000, 500_000_000)}
+    )
+    test = TestId("demo", "pkg")
+    runs = (make_result(test, energy_uj=pkg_uj),)
+    return replace(
+        record,
+        summaries={**record.summaries, test: summarize(runs)},
+        results={**record.results, test: runs},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_CASES))
+def test_domain_a_test_lacks_is_left_out_of_its_lines(tmp_path, name):
+    store = Store(tmp_path)
+    store.save(make_partial_record("p1", ts(0), 5_000_000, 3_000_000))
+    store.save(make_partial_record("p2", ts(1), 6_000_000, 2_000_000))
+    text = export(store, ReportRequest(width=120, **PARTIAL_CASES[name]))
+    assert text == (GOLDEN_DIR / name).read_bytes().decode("utf-8")
 
 
 def refuse(*args):
@@ -441,6 +478,34 @@ class TestDomainFilter:
         assert "↑" in line
         assert "+200% last step" in line
         assert "latest 3 J" in line
+
+    @pytest.fixture
+    def store_dram_added(self, tmp_path):
+        """r1 holds package:0 only; r2 holds package:0 and dram:0."""
+        store = Store(tmp_path)
+        store.save(make_record("r1", ts(0), {"demo::t": 4_000_000}))
+        store.save(make_two_domain_record(
+            "r2", ts(1), {"demo::t": (2_000_000, 3_000_000, 500_000_000)}, iterations=1
+        ))
+        return store
+
+    def test_history_shows_only_the_points_it_draws(self, store_dram_added):
+        request = ReportRequest(
+            scope="history", tests=(TestId("demo", "t"),), domains=(DRAM,), no_color=True
+        )
+        csv = render_history(store_dram_added, replace(request, fmt=ReportFormat.CSV))
+        assert csv.splitlines()[1:] == ["demo::t,dram:0,energy_mean@r2,3.0,J"]
+        line = render_history(store_dram_added, request)
+        assert "single point" in line
+        assert line.endswith("latest 3 J  (r2)\n")
+        page = render_history(store_dram_added, replace(request, fmt=ReportFormat.HTML))
+        assert "font-size='11'>r2</text>" in page
+        assert "r1" not in page
+        # The machine export keeps every point, each with the selected domains.
+        doc = json.loads(render_history(store_dram_added, replace(request, fmt=ReportFormat.MACHINE)))
+        assert [(p["revision_label"], p["energy_mean_j"]) for p in doc[0]["points"]] == [
+            ("r1", {}), ("r2", {"dram:0": 3.0}),
+        ]
 
     def test_history_machine_lists_selected_domains(self, store_dram_rising):
         request = ReportRequest(

@@ -775,3 +775,85 @@ class TestFormatVersion1:
         assert series.points[0].energy_mean_j == series.points[1].energy_mean_j == means
         text = render_history(v1_store, ReportRequest(scope="history", tests=(test,), no_color=True))
         assert "(v1/fixture -> v2)" in text
+
+
+V2_DIR = Path(__file__).parent / "v2"
+V2_LABEL = "v2/fixture"
+V2_RECORD = V2_DIR / "20260901T090000.654321Z.record"
+
+
+def v2_fixture_record() -> RevisionRecord:
+    """The record that ``V2_RECORD`` and its sidecar were saved from by the
+    format 2 writer: two domains, two iterations per test, a low-confidence
+    pass and a failure with an error."""
+    steady, flaky = TestId("demo", "steady"), TestId("demo", "flaky")
+
+    def samples(first_uj):
+        return [
+            EnergySample(k * MS, (k + 1) * MS, {PKG: first_uj + 13 * k, DRAM: 1_199 + k})
+            for k in range(5)
+        ]
+
+    def result(test, iteration, begin_ns, end_ns, status=TestStatus.PASS, error=None):
+        return TestExecutionResult.build(
+            test=test, iteration=iteration, samples=samples(10_009 + iteration), begin_ns=begin_ns,
+            end_ns=end_ns, status=status, update_interval_ns=MS, error=error, domains=(PKG, DRAM),
+        )
+
+    results = {
+        steady: tuple(result(steady, i, MS // 3, 4 * MS + MS // 7) for i in range(2)),
+        flaky: (
+            # Shorter than the counter refresh: low confidence.
+            result(flaky, 0, MS + MS // 5, MS + 9 * MS // 10),
+            result(flaky, 1, MS // 2, 3 * MS, TestStatus.FAIL, "AssertionError: expected 3, got 4"),
+        ),
+    }
+    return RevisionRecord(
+        revision_label=V2_LABEL,
+        created_at="2026-09-01T09:00:00.654321+00:00",
+        config_digest="sha256:0123456789abcdef0123456789abcdef",
+        probe_backend="simulated",
+        probe_update_interval_ns=MS,
+        probe_domains=(PKG, DRAM),
+        config={"experiment.iterations": "2", "probe.backend": "simulated"},
+        summaries={test: summarize(rs) for test, rs in results.items()},
+        results=results,
+    )
+
+
+class TestFormatVersion2:
+    """``tests/v2`` holds a record saved by the format 2 writer, with that
+    writer's CSV, term and machine reports of it."""
+
+    @pytest.fixture
+    def v2_store(self, tmp_path):
+        store = Store(tmp_path)
+        label_dir = store.revisions_dir / "v2_fixture"
+        label_dir.mkdir(parents=True)
+        shutil.copy(V2_RECORD, label_dir)
+        shutil.copy(V2_RECORD.with_suffix(".samples"), label_dir)
+        return store
+
+    def test_loads_bit_exactly(self, v2_store):
+        (loaded,) = v2_store.load(V2_LABEL)
+        assert loaded == v2_fixture_record()
+        assert v2_store.latest(V2_LABEL) == loaded
+        assert list(v2_store.iter_records()) == [loaded]
+        doc = json.loads(V2_RECORD.read_text())
+        assert doc["format_version"] == 2
+        assert {test: len(results) for test, results in doc["results"].items()} == {
+            "demo::flaky": 2, "demo::steady": 2,
+        }
+
+    @pytest.mark.parametrize("fmt", [ReportFormat.CSV, ReportFormat.TERM])
+    def test_reports_are_byte_identical(self, v2_store, fmt):
+        request = ReportRequest(
+            scope="revision", revisions=(V2_LABEL,), fmt=fmt, no_color=True, width=120
+        )
+        expected = (V2_DIR / f"revision.{fmt.value}").read_text()
+        assert render_summary(v2_store, request) == expected
+
+    def test_machine_export_is_the_file(self, v2_store):
+        request = ReportRequest(scope="revision", revisions=(V2_LABEL,), fmt=ReportFormat.MACHINE)
+        text = render_summary(v2_store, request)
+        assert text == V2_RECORD.read_text() == (V2_DIR / "revision.machine").read_text()

@@ -62,10 +62,6 @@ DEFAULT_POWERCAP_ROOT = Path("/sys/class/powercap")
 # that config may override.
 DEFAULT_RAPL_UPDATE_INTERVAL_NS = 1_000_000
 
-# Fallback when a zone has no readable max_energy_range_uj. Large enough
-# that wrap correction degenerates to plain subtraction.
-_FALLBACK_MAX_RANGE_UJ = 2**60
-
 _FEMTOJOULE_PER_MICROJOULE = 1_000_000_000
 _MICROWATT_PER_WATT = 1_000_000
 
@@ -283,7 +279,7 @@ class RaplProbe(Probe):
             raise NoProbeAvailable(f"no powercap zones under {self._root}")
 
         zones: list[_RaplZone] = []
-        unreadable = 0
+        unreadable = no_range = 0
         psys_count = 0
         socket_by_top: dict[Path, int] = {}
         for zone_dir in zone_dirs:
@@ -308,6 +304,14 @@ class RaplProbe(Probe):
                 logger.info("ignoring powercap zone %s with unknown name %r", zone_dir, name)
                 continue
 
+            # Without its range a wrap cannot be corrected; the zone is
+            # skipped before its counter is opened, so it holds no fd.
+            max_range_uj = self._read_max_range(zone_dir)
+            if max_range_uj is None:
+                logger.warning("skipping powercap zone %s: no readable positive "
+                               "max_energy_range_uj", zone_dir)
+                no_range += 1
+                continue
             energy_path = zone_dir / "energy_uj"
             try:
                 fd = os.open(energy_path, os.O_RDONLY)
@@ -319,13 +323,7 @@ class RaplProbe(Probe):
                 continue
             self._fds.append(fd)
 
-            zones.append(
-                _RaplZone(
-                    domain=EnergyDomain(kind, socket),
-                    fd=fd,
-                    max_range_uj=self._read_max_range(zone_dir),
-                )
-            )
+            zones.append(_RaplZone(domain=EnergyDomain(kind, socket), fd=fd, max_range_uj=max_range_uj))
 
         if not zones:
             if unreadable:
@@ -333,7 +331,8 @@ class RaplProbe(Probe):
                     f"{unreadable} powercap zone(s) under {self._root} exist but are "
                     "unreadable; grant read access to energy_uj files"
                 )
-            raise NoProbeAvailable(f"no usable powercap zones under {self._root}")
+            why = f" ({no_range} without a readable positive max_energy_range_uj)" if no_range else ""
+            raise NoProbeAvailable(f"no usable powercap zones under {self._root}{why}")
 
         zones.sort(key=lambda z: domain_sort_key(z.domain))
         return zones
@@ -346,11 +345,14 @@ class RaplProbe(Probe):
             return None
 
     @staticmethod
-    def _read_max_range(zone_dir: Path) -> int:
+    def _read_max_range(zone_dir: Path) -> int | None:
+        """The zone's counter range; None when it is missing, unreadable,
+        unparsable or not positive."""
         try:
-            return int((zone_dir / "max_energy_range_uj").read_text().strip())
+            max_range_uj = int((zone_dir / "max_energy_range_uj").read_text().strip())
         except (OSError, ValueError):
-            return _FALLBACK_MAX_RANGE_UJ
+            return None
+        return max_range_uj if max_range_uj > 0 else None
 
     def describe(self) -> ProbeDescriptor:
         return self._descriptor

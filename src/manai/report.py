@@ -36,9 +36,7 @@ from typing import Callable, Iterable, NamedTuple
 from manai.errors import EmptyScope, NoHistory, StorageError
 from manai.harness import TestId
 from manai.probe import EnergyDomain, domain_sort_key
-from manai.store import (
-    HistorySeries, RevisionHead, Store, head_from_doc, record_from_doc, record_to_doc,
-)
+from manai.store import HistorySeries, RevisionHead, Store, head_from_doc, record_to_doc
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 CSV_HEADER = "test,domain,statistic,value,unit"
@@ -155,12 +153,12 @@ def _require_tests(summaries, revision: str) -> None:
         raise EmptyScope(f"revision {revision!r} holds no test data")
 
 
-def _latest_head(store: Store, revision: str) -> tuple[RevisionHead, str]:
-    """The head of the newest record of ``revision``, and its file's text;
-    views show no results or samples, so none are decoded or read."""
-    head, text = store.latest_text(revision, head_from_doc)
+def _latest_head(store: Store, revision: str) -> RevisionHead:
+    """The head of the newest record of ``revision``; views show no
+    results or samples, so no sidecar is read."""
+    head = store.latest_text(revision, head_from_doc)[0]
     _require_tests(head.summaries, revision)
-    return head, text
+    return head
 
 
 class _Row(NamedTuple):
@@ -408,7 +406,7 @@ def render_summary(store: Store, request: ReportRequest) -> str:
             _select_domains(map(EnergyDomain.parse, doc["probe"]["domains"]), request, f"revision {revision!r}")
 
         return store.latest_text(revision, check)[1]
-    return render_head(_latest_head(store, revision)[0], request)
+    return render_head(_latest_head(store, revision), request)
 
 
 def render_head(head: RevisionHead, request: ReportRequest) -> str:
@@ -486,14 +484,12 @@ def render_compare(store: Store, request: ReportRequest) -> str:
         EmptyScope: A revision holds no test data, or the domain filter
             selects none of a revision's domains.
     """
-    (a, text_a), (b, text_b) = (_latest_head(store, revision) for revision in request.revisions)
+    a, b = (_latest_head(store, revision) for revision in request.revisions)
     # The filter must select a domain of each record; the rows follow B's.
     _select_domains(a.probe_domains, request, f"revision {a.revision_label!r}")
     domains = _select_domains(b.probe_domains, request, f"revision {b.revision_label!r}")
     if request.fmt is ReportFormat.MACHINE:
-        # Only this export holds the results, so only it decodes them.
-        sides = (("a", text_a), ("b", text_b))
-        doc = {side: record_to_doc(record_from_doc(json.loads(text))) for side, text in sides}
+        doc = {"a": record_to_doc(a), "b": record_to_doc(b)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     rows = _compare_rows(a, b, domains)
     if request.fmt is ReportFormat.CSV:
@@ -582,17 +578,19 @@ def render_history(store: Store, request: ReportRequest) -> str:
             for e in evolutions for revision, energy in e.points
         ])
     if request.fmt is ReportFormat.MACHINE:
-        # Every point of each series, with the selected ones of its domains.
-        doc = [
-            {"test": str(series.test), "points": [
-                {"revision_label": p.revision_label, "created_at": p.created_at, "energy_mean_j": {
+        # The points of each series that hold a selected domain, with those.
+        doc = []
+        for series in histories:
+            points = []
+            for p in series.points:
+                means = {
                     str(d): mean for d, mean in p.energy_mean_j.items()
                     if not request.domains or d in request.domains
-                }}
-                for p in series.points
-            ]}
-            for series in histories
-        ]
+                }
+                if means:
+                    points.append({"revision_label": p.revision_label, "created_at": p.created_at,
+                                   "energy_mean_j": means})
+            doc.append({"test": str(series.test), "points": points})
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if request.fmt is ReportFormat.HTML:
         fragments = "".join(

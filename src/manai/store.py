@@ -3,17 +3,18 @@
 Each record is a pair of files under ``<data_dir>/revisions/<label>/``:
 
 * ``<created_at>.record``, the head: an indented, key-sorted JSON
-  document with the config, the probe, the summaries and each
-  iteration's result fields (energy and power per domain, duration,
-  status, flags). It holds no samples, stays human-browsable and
-  diff-friendly, and is the machine export of the record.
-* ``<created_at>.samples``, the sidecar: every iteration's samples as one
-  compact columnar JSON block. ``start_ns`` holds each sample's start;
-  adjacent samples share their edges, so ``end_ns`` holds only the end
-  of each stretch of adjacent samples, and ``stretches`` gives, per test
-  and iteration, the lengths of those stretches in sample order.
-  ``energy_uj`` holds one integer array per domain, with ``null`` where
-  a sample lacks that domain.
+  document with what the views show: the config, the probe and each
+  test's summary. It stays human-browsable and diff-friendly, and is
+  the machine export of the record.
+* ``<created_at>.samples``, the sidecar: one compact JSON document with
+  each iteration's result fields under ``results`` (energy and power per
+  domain, duration, status, flags, error) and every iteration's samples
+  as columns. ``start_ns`` holds each sample's start; adjacent samples
+  share their edges, so ``end_ns`` holds only the end of each stretch of
+  adjacent samples, and ``stretches`` gives, per test and iteration, the
+  lengths of those stretches in sample order. ``energy_uj`` holds one
+  integer array per domain, with ``null`` where a sample lacks that
+  domain.
 
 A result's samples are already columns (:class:`SampleColumns`), so a
 save concatenates each iteration's columns and a load slices them back
@@ -26,7 +27,7 @@ Re-running a revision appends a new timestamped record instead of
 overwriting; a record saved with the same timestamp gets a ``-<n>``
 suffix and sorts after the ones before it. Each file is written to a
 dot-prefixed temporary, fsynced and renamed into place, the sidecar
-before the head, so a visible head always has its samples and readers
+before the head, so a visible head always has its sidecar and readers
 never observe a partial record; they skip temporaries, and a sidecar
 without its head is not a record.
 
@@ -44,24 +45,19 @@ once per call, for any number of tests, and builds only the label, the
 timestamp and the mean energies of the requested tests.
 
 Each query lists each directory it needs once, by entry name, without a
-stat per entry, and reads each head it needs in one bytes read. A
+stat per entry, and reads and decodes each head it needs once. A
 missing label directory, or a label path that is not a directory, holds
 no records; a directory that exists but cannot be listed raises
 ``StorageError``, as an unreadable record file does, and a head that
 lacks a field a query or a view reads, or holds it with the wrong type.
+Damage confined to a sidecar shows in ``load`` and ``latest`` only.
 
-Each query decodes each byte of a head at most once. A head as
-``render_record`` writes it is split at its top-level ``results``
-member, about half of it, before decoding. The views' queries,
-``latest_text`` and ``history``, decode the rest only; ``load``,
-``latest`` and ``iter_records`` decode the rest and then the results. So
-damage confined to a head's results is reported by ``load`` and
-``latest``, not by the views. A head in any other layout (heads may be
-edited by hand) is decoded whole.
-
-Format 1 records, a single document with every sample inline as an
-object, stay readable: they load to the same records, samples included.
-Every save writes format 2.
+Older records stay readable and load to the same records, samples
+included. Format 1 kept everything in one document, with every sample
+inline as an object; format 2 kept the result fields in the head and
+the samples in the sidecar. The views read their heads as they read a
+format 3 head, passing over the ``results`` member. Every save writes
+format 3.
 
 Floating-point fields are serialized in shortest round-trip decimal form
 (standard JSON float text), so save followed by load reproduces every
@@ -80,7 +76,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from manai.errors import StorageError, UnknownRevision
 from manai.harness import TestId, TestStatus
@@ -88,15 +84,14 @@ from manai.probe import EnergyDomain
 from manai.results import Stats, TestExecutionResult, TestSummary
 from manai.sampler import EnergySample, SampleColumns
 
-FORMAT_VERSION = 2
-# Format 1 kept every sample inline in the record; it is read, never written.
+FORMAT_VERSION = 3
+# Formats 1 and 2 kept the results in the head, format 1 with every
+# sample inline; they are read, never written.
 _INLINE_SAMPLES_VERSION = 1
+_HEAD_RESULTS_VERSION = 2
 
 _RECORD_SUFFIX = ".record"
 _SAMPLES_SUFFIX = ".samples"
-
-# The samples of every result decoded without its sidecar; frozen, so shared.
-_NO_SAMPLES = SampleColumns()
 
 
 @dataclass(frozen=True)
@@ -251,16 +246,18 @@ def _stretches(samples: SampleColumns) -> tuple[list[int], list[int]]:
     return [b - a for a, b in zip(bounds, bounds[1:])], [samples.ends_ns[b - 1] for b in bounds[1:]]
 
 
-def _samples_to_doc(record: RevisionRecord) -> dict:
-    """The sidecar document of ``record``."""
+def _sidecar_doc(record: RevisionRecord) -> dict:
+    """The sidecar document of ``record``: its result fields and samples."""
     starts: list[int] = []
     ends: list[int] = []
     columns: dict[EnergyDomain, list] = {}
+    result_docs = {}
     stretches = {}
     count = 0
     # Tests in key order: the dump sorts ``stretches``, and readers take
     # the columns in that order.
     for test, results in sorted(record.results.items(), key=lambda kv: str(kv[0])):
+        result_docs[str(test)] = [_result_to_doc(result) for result in results]
         stretches[str(test)] = per_iteration = []
         for result in results:
             samples = result.samples
@@ -278,6 +275,7 @@ def _samples_to_doc(record: RevisionRecord) -> dict:
                 if len(column) < count:
                     column += [None] * (count - len(column))
     return {
+        "results": result_docs,
         "start_ns": starts,
         "end_ns": ends,
         "stretches": stretches,
@@ -323,26 +321,38 @@ def _samples_from_doc(doc: dict) -> dict[str, list[SampleColumns]]:
     return runs
 
 
-def record_to_doc(record: RevisionRecord) -> dict:
-    """The head document of a record: everything but the samples."""
+def _results_and_samples(
+    doc: dict, read_sidecar: Callable[[], dict]
+) -> tuple[dict, dict[str, list[SampleColumns]]]:
+    """Per test, each iteration's result document and samples, from the
+    head document ``doc`` and the sidecar document ``read_sidecar``
+    returns: format 1 holds both in the head, format 2 the results in the
+    head and the samples in the sidecar, and format 3 both in the sidecar.
+    """
+    version = doc["format_version"]
+    if version == _INLINE_SAMPLES_VERSION:
+        return doc["results"], _inline_samples(doc)
+    sidecar = read_sidecar()
+    results = doc["results"] if version == _HEAD_RESULTS_VERSION else sidecar["results"]
+    return results, _samples_from_doc(sidecar)
+
+
+def record_to_doc(head: RevisionHead) -> dict:
+    """The head document of a record, or of a head: what the views show."""
     return {
         "format_version": FORMAT_VERSION,
-        "revision_label": record.revision_label,
-        "created_at": record.created_at,
-        "config_digest": record.config_digest,
+        "revision_label": head.revision_label,
+        "created_at": head.created_at,
+        "config_digest": head.config_digest,
         "probe": {
-            "backend": record.probe_backend,
-            "update_interval_ns": record.probe_update_interval_ns,
-            "domains": [str(d) for d in record.probe_domains],
+            "backend": head.probe_backend,
+            "update_interval_ns": head.probe_update_interval_ns,
+            "domains": [str(d) for d in head.probe_domains],
         },
-        "config": dict(sorted(record.config.items())),
+        "config": dict(sorted(head.config.items())),
         "summaries": {
             str(t): _summary_to_doc(s)
-            for t, s in sorted(record.summaries.items(), key=lambda kv: str(kv[0]))
-        },
-        "results": {
-            str(t): [_result_to_doc(r) for r in rs]
-            for t, rs in sorted(record.results.items(), key=lambda kv: str(kv[0]))
+            for t, s in sorted(head.summaries.items(), key=lambda kv: str(kv[0]))
         },
     }
 
@@ -366,83 +376,37 @@ def _head_fields(doc: dict, tests: Mapping[str, TestId]) -> dict:
 
 
 def head_from_doc(doc: dict) -> RevisionHead:
-    """The head a head document describes; its ``results``, if present,
-    are not read."""
+    """The head a head document of any format describes; the ``results``
+    of a format 1 or 2 head are not read."""
     return RevisionHead(**_head_fields(doc, {t: TestId.parse(t) for t in doc["summaries"]}))
 
 
-def record_from_doc(doc: dict, samples: dict | None = None) -> RevisionRecord:
-    """The record a head document describes.
-
-    ``samples`` is the record's sidecar document; without it the results
-    carry no samples. A format 1 document carries its samples inline and
-    always decodes with them.
+def record_from_doc(doc: dict, read_sidecar: Callable[[], dict]) -> RevisionRecord:
+    """The record a head document describes; ``read_sidecar`` returns the
+    record's sidecar document and is not called for a format 1 record,
+    whose samples are inline.
 
     Raises:
         StorageError: The samples do not match the results.
     """
-    if doc["format_version"] == _INLINE_SAMPLES_VERSION:
-        runs = _inline_samples(doc)
-    else:
-        runs = None if samples is None else _samples_from_doc(samples)
-    counts = {t: len(rs) for t, rs in doc["results"].items()}
-    if runs is not None and {t: len(rs) for t, rs in runs.items()} != counts:
+    results, runs = _results_and_samples(doc, read_sidecar)
+    if {t: len(rs) for t, rs in runs.items()} != {t: len(rs) for t, rs in results.items()}:
         raise StorageError("samples do not match the record's results")
-    tests = {t: TestId.parse(t) for t in doc["summaries"].keys() | counts.keys()}
-    results = {
-        tests[t]: tuple(
-            _result_from_doc(tests[t], r, _NO_SAMPLES if runs is None else runs[t][i])
-            for i, r in enumerate(rs)
-        )
-        for t, rs in doc["results"].items()
-    }
-    return RevisionRecord(**_head_fields(doc, tests), results=results)
+    tests = {t: TestId.parse(t) for t in doc["summaries"].keys() | results.keys()}
+    return RevisionRecord(**_head_fields(doc, tests), results={
+        tests[t]: tuple(_result_from_doc(tests[t], r, runs[t][i]) for i, r in enumerate(rs))
+        for t, rs in results.items()
+    })
 
 
-def render_record(record: RevisionRecord) -> str:
+def render_record(head: RevisionHead) -> str:
     """The canonical text of a record's head file (also the machine export)."""
-    return json.dumps(record_to_doc(record), indent=2, sort_keys=True) + "\n"
+    return json.dumps(record_to_doc(head), indent=2, sort_keys=True) + "\n"
 
 
-def _render_samples(record: RevisionRecord) -> str:
+def _render_sidecar(record: RevisionRecord) -> str:
     """The text of a record's sidecar; compact, so the C encoder renders it."""
-    return json.dumps(_samples_to_doc(record), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# ``render_record`` indents by two, sorts keys and escapes every string,
-# so a newline followed by two spaces and a quote starts a top-level key
-# and nothing else.
-_TOP_KEY = '\n  "'
-_RESULTS_KEY = _TOP_KEY + 'results": '
-
-
-def _split_results(text: str) -> tuple[str, str | None]:
-    """A head's text without its top-level ``results`` member, and that
-    member's value; ``(text, None)`` unless the text is laid out as
-    ``render_record`` lays it out and another key follows ``results``."""
-    if text.startswith("{" + _TOP_KEY):
-        start = text.find(_RESULTS_KEY)
-        end = text.find(_TOP_KEY, start + 1) if start > 0 else -1
-        if end > 0:
-            # The value ends at the comma before the next key.
-            return text[:start] + text[end:], text[start + len(_RESULTS_KEY):end - 1]
-    return text, None
-
-
-def _decode_head(text: str) -> tuple[dict, str | None]:
-    """A head's document without its ``results`` member and that member's
-    text, when the text splits and its rest decodes to a document that has
-    no other ``results``; otherwise the whole document and None. Either way
-    the document is ``json.loads(text)``'s, less what was split off."""
-    rest, results = _split_results(text)
-    if results is not None:
-        # Text only laid out like render_record's may split elsewhere: its
-        # rest then fails to decode or still holds the results.
-        with suppress(json.JSONDecodeError):
-            doc = json.loads(rest)
-            if "results" not in doc:
-                return doc, results
-    return json.loads(text), None
+    return json.dumps(_sidecar_doc(record), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @contextmanager
@@ -455,12 +419,9 @@ def _fields_of(path: str):
 
 
 class _Head(NamedTuple):
-    """One head file as read: its document, without the ``results``
-    member when the text split, that member's text (None when ``doc``
-    holds it), the file's text and its path."""
+    """One head file as read: its document, its text and its path."""
 
     doc: dict
-    results: str | None
     text: str
     path: str
 
@@ -557,16 +518,16 @@ class Store:
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
             head = render_record(record)
-            samples = _render_samples(record)
+            sidecar_text = _render_sidecar(record)
             stamp = _file_stamp(record.created_at)
             target = target_dir / f"{stamp}{_RECORD_SUFFIX}"
             counter = 1
             while target.exists():
                 target = target_dir / f"{stamp}-{counter}{_RECORD_SUFFIX}"
                 counter += 1
-            # The sidecar lands first: a visible head always has its samples.
+            # The sidecar lands first: a visible head always has its sidecar.
             sidecar = target.with_suffix(_SAMPLES_SUFFIX)
-            _write_file(sidecar, samples)
+            _write_file(sidecar, sidecar_text)
             try:
                 _write_file(target, head)
             except BaseException:
@@ -596,27 +557,27 @@ class Store:
             yield from self._record_files(os.path.join(root, name))
 
     def _read_doc(self, path: str) -> _Head:
-        """The head of one record file, split as ``_decode_head`` splits it,
-        its format version and text ``revision_label`` and ``created_at`` checked."""
+        """The head of one record file, its format version and text
+        ``revision_label`` and ``created_at`` checked."""
         try:
             with open(path, "rb") as handle:
                 text = handle.read().decode("utf-8")
             if "\r" in text:
                 # Universal newlines, as a text-mode read gives them.
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
-            doc, results = _decode_head(text)
+            doc = json.loads(text)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"unreadable record {path}: {exc}") from exc
         with _fields_of(path):
             version = doc.get("format_version")
-            if version not in (FORMAT_VERSION, _INLINE_SAMPLES_VERSION):
+            if version not in (_INLINE_SAMPLES_VERSION, _HEAD_RESULTS_VERSION, FORMAT_VERSION):
                 raise StorageError(f"unsupported record format_version {version!r}")
             if not all(isinstance(doc[key], str) for key in ("revision_label", "created_at")):
                 raise TypeError("revision_label and created_at must be strings")
-        return _Head(doc, results, text, path)
+        return _Head(doc, text, path)
 
     def _read_samples(self, path: str) -> dict:
-        """The sidecar document of the format 2 record file ``path``."""
+        """The sidecar document of the record file ``path``."""
         sidecar = path[:-len(_RECORD_SUFFIX)] + _SAMPLES_SUFFIX
         try:
             with open(sidecar, "rb") as handle:
@@ -625,17 +586,9 @@ class Store:
             raise StorageError(f"unreadable samples {sidecar}: {exc}") from exc
 
     def _record(self, head: _Head) -> RevisionRecord:
-        """The full record of ``head``: its results decoded, and its
-        sidecar read unless it is a format 1 record."""
-        doc = head.doc
-        if head.results is not None:
-            try:
-                doc = dict(doc, results=json.loads(head.results))
-            except json.JSONDecodeError as exc:
-                raise StorageError(f"unreadable record {head.path}: results: {exc}") from exc
-        samples = None if doc["format_version"] == _INLINE_SAMPLES_VERSION else self._read_samples(head.path)
+        """The full record of ``head``, its sidecar read if it has one."""
         with _fields_of(head.path):
-            return record_from_doc(doc, samples)
+            return record_from_doc(head.doc, lambda: self._read_samples(head.path))
 
     def iter_records(self) -> Iterator[RevisionRecord]:
         for path in self._iter_record_files():
@@ -678,12 +631,10 @@ class Store:
         return self._record(next(self._label_heads(revision_label, newest_first=True)))
 
     def latest_text(self, revision_label: str, decode=lambda doc: doc) -> tuple[object, str]:
-        """The head document of the record ``latest`` returns, without its
-        ``results`` member when the file is laid out as ``render_record``
-        lays it out, passed through ``decode``, and the file's exact text,
-        which is the machine export of that record. Reads no sidecar and
-        decodes no results, so damage confined to the results shows only
-        in ``latest`` and ``load``.
+        """The head document of the record ``latest`` returns, passed
+        through ``decode``, and the file's exact text, which is the machine
+        export of that record. Reads no sidecar, so damage confined to the
+        sidecar shows only in ``latest`` and ``load``.
 
         Raises:
             UnknownRevision: Nothing is stored under that label.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import math
+import os
 import random
 import shutil
 import signal
@@ -783,6 +785,40 @@ class TestRevisionLabel:
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
         with pytest.raises(InvalidConfig, match="pass --revision"):
             resolve_revision_label(None, cwd=tmp_path)
+
+
+class TestFailingSystemCalls:
+    """The revision label when ``git`` fails, and the data directory lock
+    when ``flock`` fails other than by contention."""
+
+    @pytest.mark.parametrize("failure", [
+        OSError(2, "No such file or directory: 'git'"),
+        subprocess.TimeoutExpired(["git", "rev-parse", "--short", "HEAD"], 10),
+    ], ids=["cannot-start", "timeout"])
+    def test_revision_label_needs_a_running_git(self, tmp_path, monkeypatch, failure):
+        def run(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(experiment.subprocess, "run", run)
+        with pytest.raises(InvalidConfig, match="pass --revision"):
+            experiment.resolve_revision_label(None, cwd=tmp_path)
+        assert experiment.resolve_revision_label("mine", cwd=tmp_path) == "mine"
+
+    def test_failed_flock_closes_the_lock_file(self, tmp_path, monkeypatch):
+        locked = []
+
+        def flock(fd, operation):
+            locked.append(fd)
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(experiment.fcntl, "flock", flock)
+        with pytest.raises(OSError) as raised:
+            experiment._DataDirLock(tmp_path / "data").acquire()
+        assert raised.value.errno == errno.ENOLCK
+        (fd,) = locked
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
 
 
 class TestConfigValidation:

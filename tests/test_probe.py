@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manai import probe as probe_module
+from manai.sampler import _columns as sampler_columns
 from manai.errors import MalformedScenario, NoProbeAvailable, PermissionDenied, ReadFailed
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
@@ -168,6 +169,68 @@ class TestRaplDiscovery:
             del probe
         gc.collect()
         assert len(os.listdir(fd_dir)) == before
+
+    def test_zones_that_cannot_be_used_are_skipped(self, tmp_path, caplog):
+        root = tmp_path / "powercap"
+        usable = {"energy_uj": 7, "max_energy_range_uj": 10**6}
+        make_powercap_tree(root, {
+            "intel-rapl:0": {"name": "package-0", **usable},
+            "intel-rapl:0:0": usable,  # its name is made unreadable below
+            "intel-rapl:0:1": {"name": "gpu", **usable},
+            "intel-rapl:0:2": {"name": "core", "max_energy_range_uj": 10**6},  # no energy_uj
+            "intel-rapl:1": {"name": "dram", **usable},
+        })
+        (root / "intel-rapl:0" / "intel-rapl:0:0" / "name").mkdir()
+        with caplog.at_level("INFO", logger="manai.probe"):
+            probe = RaplProbe(powercap_root=root)
+        assert "with unknown name 'gpu'" in caplog.text
+        # A known zone outside any package zone is counted on socket 0.
+        assert probe.describe().domains == (PKG, DRAM)
+        assert len(probe._fds) == 2
+
+    # Every way a zone can lack a usable counter range: the file is
+    # missing, is a directory, does not parse, or is not positive.
+    NO_RANGE = {
+        "missing": lambda path: None,
+        "unreadable": lambda path: path.mkdir(),
+        "garbage": lambda path: path.write_text("n/a\n"),
+        "zero": lambda path: path.write_text("0\n"),
+        "negative": lambda path: path.write_text("-262143328850\n"),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(NO_RANGE))
+    def test_zone_without_range_is_skipped(self, tmp_path, caplog, layout):
+        # A package counter read at 262,143,328,000 and then at 500 stepped
+        # 1,350 uJ across a wrap of its 262,143,328,850 uJ range. The dram
+        # zone steps alike, but its range is unknown: a made-up range of
+        # 2^60 uJ would bill it about 1.15e12 J.
+        root = tmp_path / "powercap"
+        zones = {
+            "intel-rapl:0": {"name": "package-0", "energy_uj": 262143328000,
+                             "max_energy_range_uj": 262143328850},
+            "intel-rapl:0:0": {"name": "dram", "energy_uj": 262143328000},
+        }
+        make_powercap_tree(root, zones)
+        dram_dir = root / "intel-rapl:0" / "intel-rapl:0:0"
+        self.NO_RANGE[layout](dram_dir / "max_energy_range_uj")
+        with caplog.at_level("WARNING", logger="manai.probe"):
+            probe = RaplProbe(powercap_root=root)
+        assert f"skipping powercap zone {dram_dir}: no readable positive max_energy_range_uj" in caplog.text
+        # The skipped zone's counter was never opened.
+        assert len(probe._fds) == 1
+        descriptor = probe.describe()
+        assert descriptor.domains == (PKG,)
+        before = probe.read()
+        for zone_dir in (root / "intel-rapl:0", dram_dir):
+            (zone_dir / "energy_uj").write_text("500\n")
+        columns = sampler_columns([before, probe.read()], descriptor)
+        assert columns.energy_uj == {PKG: (1350,)}
+
+    def test_only_zone_without_range_is_no_probe(self, tmp_path):
+        root = tmp_path / "powercap"
+        make_powercap_tree(root, {"intel-rapl:0": {"name": "package-0", "energy_uj": 1}})
+        with pytest.raises(NoProbeAvailable, match=r"\(1 without a readable positive max_energy_range_uj\)$"):
+            RaplProbe(powercap_root=root)
 
     def test_multi_socket_and_psys(self, tmp_path):
         root = tmp_path / "powercap"

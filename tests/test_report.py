@@ -501,10 +501,10 @@ class TestDomainFilter:
         page = render_history(store_dram_added, replace(request, fmt=ReportFormat.HTML))
         assert "font-size='11'>r2</text>" in page
         assert "r1" not in page
-        # The machine export keeps every point, each with the selected domains.
+        # The machine export keeps the points that hold a selected domain.
         doc = json.loads(render_history(store_dram_added, replace(request, fmt=ReportFormat.MACHINE)))
         assert [(p["revision_label"], p["energy_mean_j"]) for p in doc[0]["points"]] == [
-            ("r1", {}), ("r2", {"dram:0": 3.0}),
+            ("r2", {"dram:0": 3.0}),
         ]
 
     def test_history_machine_lists_selected_domains(self, store_dram_rising):

@@ -13,8 +13,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import manai.store
 from manai.errors import StorageError, UnknownRevision
@@ -22,7 +20,7 @@ from manai.harness import TestId, TestStatus
 from manai.report import ReportFormat, ReportRequest, render_history, render_summary
 from manai.results import Stats, TestExecutionResult, TestSummary, summarize
 from manai.sampler import EnergySample
-from manai.store import RevisionRecord, Store, record_from_doc, record_to_doc, render_record
+from manai.store import RevisionRecord, Store, head_from_doc, record_from_doc, record_to_doc
 
 from conftest import DRAM, PKG, fill_device_at_head, make_record, refuse_listing
 
@@ -101,11 +99,11 @@ class TestSaveLoad:
     def test_unsupported_format_version_is_reported(self, tmp_path):
         store = Store(tmp_path)
         path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
-        path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 3'))
+        path.write_text(path.read_text().replace('"format_version": 3', '"format_version": 4'))
         for query in (store.load, store.latest):
-            with pytest.raises(StorageError, match="format_version 3"):
+            with pytest.raises(StorageError, match="format_version 4"):
                 query("abc")
-        with pytest.raises(StorageError, match="format_version 3"):
+        with pytest.raises(StorageError, match="format_version 4"):
             store.history((TestId("demo", "a"),))
 
     @pytest.mark.parametrize("doc", [
@@ -154,6 +152,10 @@ class TestSaveLoad:
         # history reads every record, so it still reports the damage.
         with pytest.raises(StorageError, match="unreadable record"):
             store.history((TestId("demo", "a"),))
+
+    def test_empty_label_is_refused(self):
+        with pytest.raises(ValueError, match="^revision label must be non-empty$"):
+            make_record("", ts(0), {"demo::a": 1})
 
     def test_awkward_labels_are_stored_and_found(self, tmp_path):
         store = Store(tmp_path)
@@ -233,9 +235,9 @@ def test_randomized_round_trip_is_bit_exact(tmp_path):
         path = store.save(record)
         loaded_doc = json.loads(path.read_text())
         assert loaded_doc == record_to_doc(record)
-        assert record_to_doc(record_from_doc(loaded_doc)) == record_to_doc(record)
-        samples_doc = json.loads(path.with_suffix(".samples").read_text())
-        assert record_from_doc(loaded_doc, samples_doc) == record
+        assert record_to_doc(head_from_doc(loaded_doc)) == record_to_doc(record)
+        sidecar_doc = json.loads(path.with_suffix(".samples").read_text())
+        assert record_from_doc(loaded_doc, lambda: sidecar_doc) == record
 
 
 class TestHistory:
@@ -275,90 +277,12 @@ class TestHistory:
             series = store.history((test,))[0]
             assert [(p.created_at, p.revision_label) for p in series.points] == expected
             for p in series.points:
-                stored = record_from_doc(json.loads(paths[p.created_at].read_text()))
+                stored = head_from_doc(json.loads(paths[p.created_at].read_text()))
                 energy = stored.summaries[test].energy_stats
                 assert p.energy_mean_j == {d: stats.mean for d, stats in energy.items()}
 
         tests = sorted(all_tests, key=str)
         assert list(store.history(tests)) == [store.history((t,))[0] for t in tests]
-
-
-def without_results(doc: dict) -> dict:
-    return {key: value for key, value in doc.items() if key != "results"}
-
-
-class TestHeadSplit:
-    """A head laid out as ``render_record`` lays it out splits at its
-    top-level ``results`` member; any other text decodes whole."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        label=st.text(min_size=1),
-        config=st.dictionaries(st.text(), st.text(), max_size=3),
-    )
-    @example(seed=0, label='\n  "results": ', config={"results": '\n  "results": {},\n  "'})
-    def test_rendered_heads_split_at_results(self, seed, label, config):
-        record = dataclasses.replace(
-            random_record(random.Random(seed), 0), revision_label=label, config=config
-        )
-        text = render_record(record)
-        doc = json.loads(text)
-        rest, results = manai.store._split_results(text)
-        assert json.loads(rest) == without_results(doc)
-        assert json.loads(results) == doc["results"]
-        assert manai.store._decode_head(text) == (without_results(doc), results)
-
-    def test_v1_fixture_splits(self):
-        text = V1_RECORD.read_text()
-        doc = json.loads(text)
-        rest, results = manai.store._split_results(text)
-        assert json.loads(rest) == without_results(doc)
-        assert json.loads(results) == doc["results"]
-
-    LAYOUTS = {
-        "compact": lambda doc: json.dumps(doc, sort_keys=True),
-        "indent-1": lambda doc: json.dumps(doc, indent=1, sort_keys=True),
-        "indent-4": lambda doc: json.dumps(doc, indent=4, sort_keys=True),
-        "results-last": lambda doc: json.dumps(
-            {**without_results(doc), "results": doc["results"]}, indent=2),
-    }
-
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_other_layouts_decode_whole(self, tmp_path, layout):
-        store = Store(tmp_path)
-        record = make_record("edited", ts(0), {"demo::a": 1_000_000, "demo::b": 2_000_000})
-        doc = record_to_doc(record)
-        text = self.LAYOUTS[layout](doc)
-        assert manai.store._split_results(text) == (text, None)
-        store.save(record).write_text(text)
-        assert store.latest("edited") == record
-        assert store.latest_text("edited") == (doc, text)
-
-    def test_a_split_that_does_not_decode_decodes_whole(self, tmp_path):
-        # Every line indented by two: the split ends inside the results.
-        store = Store(tmp_path)
-        record = make_record("flat", ts(0), {"demo::a": 1_000_000})
-        doc = record_to_doc(record)
-        text = re.sub(r"\n +", "\n  ", render_record(record))
-        assert manai.store._split_results(text)[1] is not None
-        assert manai.store._decode_head(text) == (doc, None)
-        store.save(record).write_text(text)
-        assert store.load("flat") == [record]
-
-    def test_damaged_results_show_only_in_full_reads(self, tmp_path):
-        store = Store(tmp_path)
-        test = TestId("demo", "a")
-        path = store.save(make_record("dmg", ts(0), {str(test): 1_000_000}))
-        text = path.read_text()
-        assert text.count('"iteration": 0') == 1
-        path.write_text(text.replace('"iteration": 0', '"iteration": ?'))
-        request = ReportRequest(scope="revision", revisions=("dmg",))
-        assert "demo::a" in render_summary(store, request)
-        assert [p.created_at for p in store.history((test,)).points] == [ts(0)]
-        for query in (store.latest, store.load):
-            with pytest.raises(StorageError, match="unreadable record .*results"):
-                query("dmg")
 
 
 class TestReadScope:
@@ -414,8 +338,7 @@ class TestReadScope:
         assert reads == {str(newest): 1}
         docs = [json.loads(Path(path).read_text()) for path in store._record_files(newest.parent)]
         newest_doc = sorted(docs, key=lambda d: d["created_at"])[-1]
-        # The view's document leaves the results undecoded.
-        assert doc == {key: value for key, value in newest_doc.items() if key != "results"}
+        assert doc == newest_doc
 
     def test_evolution_reads_each_record_once(self, store_twelve_labels, reads):
         request = ReportRequest(scope="history", tests=self.TESTS, no_color=True)
@@ -509,7 +432,7 @@ class TestListing:
         path = store.save(make_record("abc", ts(0), {"demo::a": 1}))
         text = path.read_text()
         path.write_bytes(text.replace("\n", "\r\n").encode())
-        assert store.latest_text("abc") == (without_results(json.loads(text)), text)
+        assert store.latest_text("abc") == (json.loads(text), text)
         assert store.load("abc") == [make_record("abc", ts(0), {"demo::a": 1})]
 
 
@@ -567,6 +490,12 @@ SAMPLE_CASES = {
 }
 
 
+def rename_sidecar_test(doc: dict) -> None:
+    """Results and samples that agree, but name a test the head lacks."""
+    for key in ("results", "stretches"):
+        doc[key]["demo::b"] = doc[key].pop("demo::a")
+
+
 class TestSampleSidecar:
     @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
     def test_round_trip_is_bit_exact(self, tmp_path, case):
@@ -581,12 +510,20 @@ class TestSampleSidecar:
     def test_layout_is_columnar(self, tmp_path):
         path = Store(tmp_path).save(sampled_record("abc", SAMPLE_CASES["non-adjacent"]))
         sidecar = path.with_suffix(".samples")
+        results = [{
+            "baseline_applied": False, "crashed": False, "duration_ns": 6 * MS,
+            "energy_j": {"dram:0": 0.25, "package:0": 0.5}, "error": None, "iteration": i,
+            "low_confidence": False, "mean_power_w": {"dram:0": 0.1, "package:0": 1 / 3},
+            "status": "PASS",
+        } for i in range(2)]
         assert sidecar.read_text() == json.dumps({
             "end_ns": [MS, 5 * MS, 6 * MS],
             "energy_uj": {"dram:0": [1, 2, 3, 4], "package:0": [5, 7, 9, 11]},
+            "results": {"demo::sampled": results},
             "start_ns": [0, 2 * MS, 3 * MS, 5 * MS],
             "stretches": {"demo::sampled": [[1, 2], [1]]},
         }, separators=(",", ":")) + "\n"
+        assert "results" not in json.loads(path.read_text())
 
     def test_failed_head_rename_leaves_no_record(self, tmp_path, monkeypatch):
         store = Store(tmp_path)
@@ -646,6 +583,7 @@ class TestSampleSidecar:
     @pytest.mark.parametrize("damage, message", [
         (lambda doc: doc["start_ns"].append(0), "sample columns do not match their stretches"),
         (lambda doc: doc["stretches"]["demo::a"].append([]), "samples do not match the record's results"),
+        (rename_sidecar_test, "summaries and results must cover the same tests"),
     ])
     def test_sidecar_that_does_not_match_is_reported(self, tmp_path, damage, message):
         store = Store(tmp_path)
@@ -660,6 +598,21 @@ class TestSampleSidecar:
         # The views read no sidecar.
         assert "demo::a" in render_summary(store, ReportRequest(scope="revision", revisions=("abc",)))
         assert len(store.history((TestId("demo", "a"),))[0].points) == 1
+
+    def test_damaged_results_show_only_in_full_reads(self, tmp_path):
+        store = Store(tmp_path)
+        test = TestId("demo", "a")
+        path = store.save(make_record("dmg", ts(0), {str(test): 1_000_000}))
+        sidecar = path.with_suffix(".samples")
+        text = sidecar.read_text()
+        assert text.count('"iteration":0') == 1
+        sidecar.write_text(text.replace('"iteration":0', '"iteration":?'))
+        request = ReportRequest(scope="revision", revisions=("dmg",))
+        assert "demo::a" in render_summary(store, request)
+        assert [p.created_at for p in store.history((test,)).points] == [ts(0)]
+        for query in (store.latest, store.load):
+            with pytest.raises(StorageError, match=f"^unreadable samples {re.escape(str(sidecar))}: "):
+                query("dmg")
 
 
 V1_LABEL = "v1/fixture"
@@ -716,10 +669,13 @@ def v1_fixture_record() -> RevisionRecord:
 
 
 def format1_text(record: RevisionRecord) -> str:
-    """``record`` as the format 1 writer rendered it: samples inline."""
+    """``record`` as the format 1 writer rendered it: results in the
+    head, each with its samples inline."""
     doc = record_to_doc(record)
     doc["format_version"] = 1
+    doc["results"] = {}
     for test, results in record.results.items():
+        doc["results"][str(test)] = [manai.store._result_to_doc(result) for result in results]
         for result_doc, result in zip(doc["results"][str(test)], results):
             result_doc["samples"] = [
                 {
@@ -762,19 +718,6 @@ class TestFormatVersion1:
     def test_machine_export_is_the_file(self, v1_store):
         request = ReportRequest(scope="revision", revisions=(V1_LABEL,), fmt=ReportFormat.MACHINE)
         assert render_summary(v1_store, request) == V1_RECORD.read_text()
-
-    def test_evolution_lists_both_formats(self, v1_store):
-        record = dataclasses.replace(v1_fixture_record(), revision_label="v2", created_at=ts(0))
-        path = v1_store.save(record)
-        assert json.loads(path.read_text())["format_version"] == 2
-        assert v1_store.load("v2") == [record]
-        test = TestId("demo", "steady")
-        (series,) = v1_store.history((test,))
-        assert [p.revision_label for p in series.points] == [V1_LABEL, "v2"]
-        means = {d: stats.mean for d, stats in record.summaries[test].energy_stats.items()}
-        assert series.points[0].energy_mean_j == series.points[1].energy_mean_j == means
-        text = render_history(v1_store, ReportRequest(scope="history", tests=(test,), no_color=True))
-        assert "(v1/fixture -> v2)" in text
 
 
 V2_DIR = Path(__file__).parent / "v2"
@@ -857,3 +800,20 @@ class TestFormatVersion2:
         request = ReportRequest(scope="revision", revisions=(V2_LABEL,), fmt=ReportFormat.MACHINE)
         text = render_summary(v2_store, request)
         assert text == V2_RECORD.read_text() == (V2_DIR / "revision.machine").read_text()
+
+    def test_evolution_lists_all_three_formats(self, v2_store):
+        shutil.copy(V1_RECORD, v2_store.revisions_dir / "v2_fixture")
+        record = dataclasses.replace(
+            v2_fixture_record(), revision_label="v3", created_at="2026-10-01T09:00:00.000000+00:00"
+        )
+        path = v2_store.save(record)
+        assert json.loads(path.read_text())["format_version"] == 3
+        assert v2_store.load("v3") == [record]
+        test = TestId("demo", "steady")
+        (series,) = v2_store.history((test,))
+        assert [p.revision_label for p in series.points] == [V1_LABEL, V2_LABEL, "v3"]
+        for point, source in zip(series.points, (v1_fixture_record(), v2_fixture_record(), record)):
+            means = {d: stats.mean for d, stats in source.summaries[test].energy_stats.items()}
+            assert point.energy_mean_j == means
+        text = render_history(v2_store, ReportRequest(scope="history", tests=(test,), no_color=True))
+        assert "(v1/fixture -> v2/fixture -> v3)" in text

@@ -682,17 +682,15 @@ def load_scenario(path: Path | str) -> SimulationScenario:
         raise MalformedScenario(f"missing header key(s): {', '.join(sorted(missing))}")
     if not durations_ns:
         raise MalformedScenario("scenario has no segments")
-    if header["update_interval_ns"] <= 0:
-        raise MalformedScenario("update_interval_ns must be positive")
-    if header["max_range_uj"] <= 0:
-        raise MalformedScenario("max_range_uj must be positive")
-
-    return SimulationScenario(
-        durations_ns=tuple(durations_ns),
-        powers_uw={_SCENARIO_DOMAIN_KEYS[key]: tuple(column) for key, column in powers_uw.items()},
-        max_range_uj=header["max_range_uj"],
-        update_interval_ns=header["update_interval_ns"],
-    )
+    try:
+        return SimulationScenario(
+            durations_ns=tuple(durations_ns),
+            powers_uw={_SCENARIO_DOMAIN_KEYS[key]: tuple(column) for key, column in powers_uw.items()},
+            max_range_uj=header["max_range_uj"],
+            update_interval_ns=header["update_interval_ns"],
+        )
+    except ValueError as exc:
+        raise MalformedScenario(str(exc)) from exc
 
 
 def create_probe(

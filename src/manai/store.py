@@ -26,10 +26,11 @@ The directory name is the label with every character outside
 Re-running a revision appends a new timestamped record instead of
 overwriting; a record saved with the same timestamp gets a ``-<n>``
 suffix and sorts after the ones before it. Each file is written to a
-dot-prefixed temporary, fsynced and renamed into place, the sidecar
-before the head, so a visible head always has its sidecar and readers
-never observe a partial record; they skip temporaries, and a sidecar
-without its head is not a record.
+dot-prefixed temporary of mode 0o666 less the umask, fsynced, renamed
+into place and its directory fsynced, so the rename outlasts a power
+loss; the sidecar before the head, so a visible head always has its
+sidecar and readers never observe a partial record. Readers skip
+temporaries, and a sidecar without its head is not a record.
 
 Each query reads only what it returns. ``load``, ``latest`` and
 ``latest_text`` list the one directory their label sanitizes to and keep
@@ -70,7 +71,6 @@ import errno
 import json
 import os
 import re
-import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import compress
@@ -464,18 +464,25 @@ def _list_dir(path: str) -> list[str]:
 
 
 def _write_file(target: Path, text: str) -> None:
-    """Write ``text`` to a fsynced temporary beside ``target``, then rename
-    it into place."""
-    fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=target.parent)
+    """Write ``text`` to a fsynced temporary beside ``target``, rename it
+    into place and fsync the directory; a file not made durable is removed."""
+    path = target.parent / f".tmp-{os.urandom(8).hex()}"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
+        os.replace(path, target)
+        path = target  # a failure from here on removes the renamed file
+        directory = os.open(target.parent, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         with suppress(OSError):
-            os.unlink(tmp_name)
+            os.unlink(path)
         raise
 
 

@@ -266,6 +266,8 @@ class TestSummarize:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             summarize([])
+        with pytest.raises(EmptyInput, match="^no values to summarize$"):
+            compute_stats([])
 
     def test_mixed_tests_rejected(self):
         with pytest.raises(ValueError):
@@ -836,6 +838,10 @@ class TestConfigValidation:
                 revision_label="r",
                 probe_backend=ProbeBackend.SIMULATED,
             )
+        with pytest.raises(InvalidConfig, match="^unknown baseline mode 'sometimes'$"):
+            BaselineSetting(mode="sometimes")
+        with pytest.raises(InvalidConfig, match="^fixed baseline requires a profile$"):
+            BaselineSetting(mode="fixed")
 
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
     def test_timeout_must_be_positive_and_finite(self, tmp_path, timeout_s):

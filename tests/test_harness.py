@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manai import harness
+from manai import fixture_harness, harness
 from manai.errors import HarnessSpawnFailed, ProtocolViolation
 from manai.harness import HarnessCommand, HarnessRun, TestId, TestStatus, discover, run_one
 
@@ -101,6 +101,10 @@ class TestDiscover:
         cmd = fixture_harness_command(plan)
         assert discover(cmd) == discover(cmd)
 
+    def test_empty_program_rejected(self):
+        with pytest.raises(ValueError, match="^harness program must be non-empty$"):
+            HarnessCommand(program="")
+
     def test_missing_program_fails_to_spawn(self):
         cmd = HarnessCommand(program="/nonexistent/harness", list_args=("--list",))
         with pytest.raises(HarnessSpawnFailed):
@@ -174,6 +178,28 @@ class TestDiscover:
         with pytest.raises(HarnessSpawnFailed, match="discovery timed out after 1 s"):
             discover(cmd, timeout_s=1.0)
         assert time.monotonic() - started < 2.0
+
+
+class TestFixtureHarness:
+    """The reference harness's own input checks, in-process."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("tset demo::b", "expected 'test <id> [options]'"),
+        ("test", "expected 'test <id> [options]'"),
+        ("test demo::b sleep_ms", "expected key=value, got 'sleep_ms'"),
+        ("test demo::b speed=2", "unknown option 'speed'"),
+    ])
+    def test_bad_plan_line_is_named(self, tmp_path, line, message):
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a", line])
+        with pytest.raises(SystemExit) as refusal:
+            fixture_harness.parse_plan(plan)
+        assert refusal.value.code == f"plan line 2: {message}"
+
+    def test_run_without_a_filter_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(fixture_harness.FILTER_ENV, raising=False)
+        plan = write_plan(tmp_path / "plan.txt", ["test demo::a"])
+        assert fixture_harness.main(["--plan", str(plan)]) == 2
+        assert capsys.readouterr() == ("", "fixture harness: set MANAI_FILTER or pass --list\n")
 
 
 class TestRunOne:
@@ -423,10 +449,13 @@ class TestRunOneOutcomes:
     def test_timeout_stamps_the_deadline_once(self, tmp_path):
         cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
         clock = EdgeClock()
+        # The deadline runs from the spawn, not from BEGIN.
+        before = time.monotonic_ns()
         run = run_one(cmd, A, timeout_s=0.5, clock=clock)
         assert run.error == "test demo::a timed out after 0.5 s"
         assert (run.begin_ns, run.end_ns) == tuple(clock.stamps)
-        assert run.end_ns - run.begin_ns >= 0.4e9
+        assert run.end_ns >= before + 0.5e9
+        assert run.begin_ns < run.end_ns
         _assert_reaped(pid_file)
 
     def test_clock_failure_kills_the_child(self, tmp_path):

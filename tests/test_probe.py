@@ -30,6 +30,7 @@ from manai.probe import (
     DomainKind,
     EnergyDomain,
     ProbeBackend,
+    ProbeDescriptor,
     RaplProbe,
     SimulatedProbe,
     SimulationScenario,
@@ -471,6 +472,14 @@ class TestScenarioColumns:
     def test_invalid_columns_rejected(self, durations_ns, powers_uw, message):
         with pytest.raises(ValueError, match=message):
             SimulationScenario(durations_ns, powers_uw, max_range_uj=10, update_interval_ns=1)
+
+    @pytest.mark.parametrize("domains, update_interval_ns, message", [
+        ((), 1, "a probe must expose at least one domain"),
+        ((PKG,), 0, "update_interval_ns must be positive"),
+    ])
+    def test_invalid_descriptor_rejected(self, domains, update_interval_ns, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProbeDescriptor(ProbeBackend.SIMULATED, domains, update_interval_ns, {PKG: 10}, {PKG: 1.0})
 
 
 class TestScenarioFile:

@@ -293,6 +293,10 @@ class TestCompare:
         with pytest.raises(ValueError):
             ReportRequest(scope="compare", revisions=("A", "A"))
 
+    def test_revision_scope_needs_one_revision(self):
+        with pytest.raises(ValueError, match="^revision scope needs exactly one revision$"):
+            ReportRequest(scope="revision", revisions=("A", "B"))
+
 
 def make_two_domain_record(label, created_at, tests, iterations=2):
     """A package:0 + dram:0 record.

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import shutil
+import stat
 from collections import Counter
 from pathlib import Path
 
@@ -69,6 +70,28 @@ class TestSaveLoad:
         (label_dir / ".tmp-killed").write_text('{"format_version": 1, "partial')
         loaded = store.load("abc")
         assert len(loaded) == 1
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_files_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            path = Store(tmp_path).save(make_record("abc", ts(0), {"demo::a": 1}))
+        finally:
+            os.umask(previous)
+        for saved in (path, path.with_suffix(".samples")):
+            assert oct(stat.S_IMODE(saved.stat().st_mode)) == oct(mode)
+
+    def test_each_rename_is_followed_by_a_directory_fsync(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def record_kind(fd):
+            synced.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        monkeypatch.setattr(manai.store.os, "fsync", record_kind)
+        Store(tmp_path).save(make_record("abc", ts(0), {"demo::a": 1}))
+        assert synced == ["file", "directory", "file", "directory"]
 
     def test_saved_records_never_mutate(self, tmp_path):
         store = Store(tmp_path)
@@ -544,6 +567,26 @@ class TestSampleSidecar:
         with pytest.raises(UnknownRevision):
             store.load("abc")
         assert store.history((TestId("demo", "a"),))[0].points == ()
+
+    def test_failed_directory_fsync_at_the_head_leaves_no_file(self, tmp_path, monkeypatch):
+        store = Store(tmp_path)
+        directories = []
+        fsync = os.fsync
+
+        def fail_on_second_directory(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                directories.append(fd)
+                if len(directories) == 2:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        monkeypatch.setattr(manai.store.os, "fsync", fail_on_second_directory)
+        with pytest.raises(StorageError, match="^cannot save record: .*Input/output error$"):
+            store.save(make_record("abc", ts(0), {"demo::a": 1}))
+        # The head was renamed into place, so it is removed as well as the sidecar.
+        assert list((store.revisions_dir / "abc").iterdir()) == []
+        with pytest.raises(UnknownRevision):
+            store.load("abc")
 
     def test_full_device_at_the_head_leaves_no_file(self, tmp_path, monkeypatch):
         store = Store(tmp_path)

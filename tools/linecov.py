@@ -4,10 +4,11 @@
 The suite runs under a ``sys.settrace`` line tracer, in the pytest
 process and in every child Python that it starts: a generated
 ``sitecustomize.py``, first on ``PYTHONPATH``, installs the tracer in
-each of them, and each writes the lines it ran when it exits, to a file
-of its own that appears whole or not at all. A child that is killed, or
-that leaves through ``os._exit``, writes nothing. The executable lines
-of a module are the lines its code objects map instructions to
+each of them. Each process appends every line to a file of its own the
+first time the line runs, one short write a line, so a child that is
+killed, or that leaves through ``os._exit``, has recorded every line it
+ran; the reader skips an incomplete last line. The executable lines of
+a module are the lines its code objects map instructions to
 (``co_lines``).
 
 Usage, from anywhere (stdlib only):
@@ -21,7 +22,6 @@ the suite slower, so this is a development check, not a Tier-1 step.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -35,42 +35,39 @@ PACKAGE = SRC / "manai"
 
 # Loaded at start-up by every traced Python; the format fields are filled in.
 _SITECUSTOMIZE = """\
-import atexit, json, os, sys, threading
+import os, sys, threading
 
 _package = {package!r} + os.sep
-_out = {out!r}
+# A pid can be reused, so the file name is unique. A forked child
+# appends to its parent's file, whole lines at a time.
+_out = os.open(
+    os.path.join({out!r}, "%d-%s.lines" % (os.getpid(), os.urandom(8).hex())),
+    os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND | os.O_CLOEXEC,
+)
 _hits = {{}}
 _mine = {{}}
 
 
 def _line(frame, event, arg):
     if event == "line":
-        _hits[frame.f_code.co_filename].add(frame.f_lineno)
+        name = frame.f_code.co_filename
+        lines = _hits[name]
+        if frame.f_lineno not in lines:
+            lines.add(frame.f_lineno)
+            os.write(_out, b"%d %s\\n" % (frame.f_lineno, _mine[name]))
     return _line
 
 
 def _call(frame, event, arg):
     name = frame.f_code.co_filename
     if name not in _mine:
-        _mine[name] = os.path.realpath(name).startswith(_package)
+        path = os.path.realpath(name)
+        _mine[name] = os.fsencode(path) if path.startswith(_package) else None
         if _mine[name]:
             _hits[name] = set()
     return _line if _mine[name] else None
 
 
-def _dump():
-    sys.settrace(None)
-    hits = {{os.path.realpath(name): sorted(lines) for name, lines in _hits.items()}}
-    # A pid can be reused, and a process killed mid-dump must leave no
-    # partial file: a unique name, written whole under a dot-name first.
-    name = "%d-%s.json" % (os.getpid(), os.urandom(8).hex())
-    temporary = os.path.join(_out, "." + name + ".tmp")
-    with open(temporary, "w") as handle:
-        json.dump(hits, handle)
-    os.replace(temporary, os.path.join(_out, name))
-
-
-atexit.register(_dump)
 threading.settrace(_call)
 sys.settrace(_call)
 """
@@ -112,9 +109,11 @@ def main(pytest_args: list[str]) -> int:
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
         status = subprocess.run([*argv, *pytest_args], cwd=ROOT, env=env).returncode
         hits: dict[str, set[int]] = {}
-        for dump in out_dir.glob("*.json"):
-            for name, lines in json.loads(dump.read_text()).items():
-                hits.setdefault(name, set()).update(lines)
+        for dump in out_dir.glob("*.lines"):
+            # The last item is empty, or the incomplete line of a killed writer.
+            for entry in dump.read_bytes().split(b"\n")[:-1]:
+                line, _, name = entry.partition(b" ")
+                hits.setdefault(os.fsdecode(name), set()).add(int(line))
 
     missed_total = executable_total = 0
     for path in sorted(PACKAGE.glob("*.py")):

@@ -680,8 +680,6 @@ def load_scenario(path: Path | str) -> SimulationScenario:
     missing = _HEADER_KEYS - set(header)
     if missing:
         raise MalformedScenario(f"missing header key(s): {', '.join(sorted(missing))}")
-    if not durations_ns:
-        raise MalformedScenario("scenario has no segments")
     try:
         return SimulationScenario(
             durations_ns=tuple(durations_ns),

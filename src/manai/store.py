@@ -20,6 +20,10 @@ A result's samples are already columns (:class:`SampleColumns`), so a
 save concatenates each iteration's columns and a load slices them back
 out, per iteration and per stretch, never per sample.
 
+Each stored field is declared once, as an entry of its record part's
+field table (``_HEAD``, ``_PROBE``, ``_SUMMARY``, ``_STATS`` or
+``_RESULT``), which both writes and reads it.
+
 The directory name is the label with every character outside
 ``[A-Za-z0-9._-]`` replaced by ``_``; the labels ``.`` and ``..`` become
 ``_`` and ``__``, so every record lies under ``revisions/<label>/``.
@@ -74,7 +78,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter, ne
+from operator import attrgetter, itemgetter, ne
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -154,18 +158,47 @@ class Histories(tuple):
 # --- document (de)serialization -------------------------------------------
 
 
-def _stats_to_doc(stats: Stats) -> dict:
-    return {
-        "mean": stats.mean,
-        "median": stats.median,
-        "min": stats.min,
-        "max": stats.max,
-        "stddev": stats.stddev,
-    }
+class _Field(NamedTuple):
+    """One stored field of a record part: the attribute that holds it, its
+    key in the part's document, and how its value is encoded and decoded
+    (``None``: stored as it is)."""
+
+    attr: str
+    key: str
+    encode: Callable | None = None
+    decode: Callable | None = None
 
 
-def _stats_from_doc(doc: dict) -> Stats:
-    return Stats(doc["mean"], doc["median"], doc["min"], doc["max"], doc["stddev"])
+class _Table:
+    """A record part's field table: each entry a ``_Field``, or the name of
+    an attribute stored as it is under that key. ``args`` returns the
+    values in table order, which is the order the part's constructor
+    takes them in."""
+
+    def __init__(self, *fields: _Field | str):
+        fields = [_Field(f, f) if isinstance(f, str) else f for f in fields]
+        self.attrs, self.keys = [f.attr for f in fields], [f.key for f in fields]
+        self._get_attrs, self._get_keys = attrgetter(*self.attrs), itemgetter(*self.keys)
+        self._encoders = [(f.key, f.encode) for f in fields if f.encode]
+        self._decoders = [(i, f.decode) for i, f in enumerate(fields) if f.decode]
+
+    def to_doc(self, part) -> dict:
+        """The document of the record part ``part``."""
+        doc = dict(zip(self.keys, self._get_attrs(part)))
+        for key, encode in self._encoders:
+            doc[key] = encode(doc[key])
+        return doc
+
+    def args(self, doc: dict) -> list:
+        """The values that the document ``doc`` of a record part holds."""
+        values = list(self._get_keys(doc))
+        for i, decode in self._decoders:
+            values[i] = decode(values[i])
+        return values
+
+    def kwargs(self, doc: dict) -> dict:
+        """The values that ``doc`` holds, by attribute name."""
+        return dict(zip(self.attrs, self.args(doc)))
 
 
 def _domain_map_to_doc(mapping: Mapping[EnergyDomain, object], value_fn=lambda v: v) -> dict:
@@ -176,61 +209,44 @@ def _domain_map_from_doc(doc: dict, value_fn=lambda v: v) -> dict:
     return {EnergyDomain.parse(k): value_fn(v) for k, v in doc.items()}
 
 
-def _result_to_doc(result: TestExecutionResult) -> dict:
-    return {
-        "iteration": result.iteration,
-        "duration_ns": result.duration_ns,
-        "status": result.status.value,
-        "low_confidence": result.low_confidence,
-        "baseline_applied": result.baseline_applied,
-        "crashed": result.crashed,
-        "error": result.error,
-        "energy_j": _domain_map_to_doc(result.energy_j),
-        "mean_power_w": _domain_map_to_doc(result.mean_power_w),
-    }
+def _stats_from_doc(doc: dict) -> Stats:
+    return Stats(*_STATS.args(doc))
 
 
 def _result_from_doc(test: TestId, doc: dict, samples: SampleColumns) -> TestExecutionResult:
-    return TestExecutionResult(
-        test=test,
-        iteration=doc["iteration"],
-        duration_ns=doc["duration_ns"],
-        energy_j=_domain_map_from_doc(doc["energy_j"]),
-        mean_power_w=_domain_map_from_doc(doc["mean_power_w"]),
-        samples=samples,
-        status=TestStatus(doc["status"]),
-        low_confidence=doc["low_confidence"],
-        baseline_applied=doc["baseline_applied"],
-        crashed=doc["crashed"],
-        error=doc["error"],
-    )
+    return TestExecutionResult(test=test, samples=samples, **_RESULT.kwargs(doc))
 
 
-def _summary_to_doc(summary: TestSummary) -> dict:
-    return {
-        "iterations": summary.iterations,
-        "mean_duration_s": summary.mean_duration_s,
-        "any_low_confidence": summary.any_low_confidence,
-        "pass_count": summary.pass_count,
-        "fail_count": summary.fail_count,
-        "skip_count": summary.skip_count,
-        "energy_j": _domain_map_to_doc(summary.energy_stats, _stats_to_doc),
-        "power_w": _domain_map_to_doc(summary.power_stats, _stats_to_doc),
-    }
-
-
-def _summary_from_doc(test: TestId, doc: dict) -> TestSummary:
-    return TestSummary(
-        test=test,
-        iterations=doc["iterations"],
-        energy_stats=_domain_map_from_doc(doc["energy_j"], _stats_from_doc),
-        power_stats=_domain_map_from_doc(doc["power_w"], _stats_from_doc),
-        mean_duration_s=doc["mean_duration_s"],
-        any_low_confidence=doc["any_low_confidence"],
-        pass_count=doc["pass_count"],
-        fail_count=doc["fail_count"],
-        skip_count=doc["skip_count"],
-    )
+# The stats maps look ``_stats_from_doc`` up at each call, so replacing it
+# replaces every stats decode.
+_STATS = _Table("mean", "median", "min", "max", "stddev")
+_STATS_MAP = (
+    lambda stats: _domain_map_to_doc(stats, _STATS.to_doc),
+    lambda doc: _domain_map_from_doc(doc, _stats_from_doc),
+)
+# Each iteration's result, in the sidecar (in the head in format 2).
+_RESULT = _Table(
+    "iteration", "duration_ns", "low_confidence", "baseline_applied", "crashed", "error",
+    _Field("status", "status", lambda status: status.value, TestStatus),
+    _Field("energy_j", "energy_j", _domain_map_to_doc, _domain_map_from_doc),
+    _Field("mean_power_w", "mean_power_w", _domain_map_to_doc, _domain_map_from_doc),
+)
+# Each test's summary, under the head's ``summaries``; its test comes first.
+_SUMMARY = _Table(
+    "iterations",
+    _Field("energy_stats", "energy_j", *_STATS_MAP),
+    _Field("power_stats", "power_w", *_STATS_MAP),
+    "mean_duration_s", "any_low_confidence", "pass_count", "fail_count", "skip_count",
+)
+# The head's top level beside ``format_version`` and ``summaries``, and
+# its ``probe`` member.
+_HEAD = _Table("revision_label", "created_at", "config_digest", _Field("config", "config", dict))
+_PROBE = _Table(
+    _Field("probe_backend", "backend"),
+    _Field("probe_update_interval_ns", "update_interval_ns"),
+    _Field("probe_domains", "domains", lambda domains: list(map(str, domains)),
+           lambda domains: tuple(map(EnergyDomain.parse, domains))),
+)
 
 
 def _stretches(samples: SampleColumns) -> tuple[list[int], list[int]]:
@@ -257,7 +273,7 @@ def _sidecar_doc(record: RevisionRecord) -> dict:
     # Tests in key order: the dump sorts ``stretches``, and readers take
     # the columns in that order.
     for test, results in sorted(record.results.items(), key=lambda kv: str(kv[0])):
-        result_docs[str(test)] = [_result_to_doc(result) for result in results]
+        result_docs[str(test)] = [_RESULT.to_doc(result) for result in results]
         stretches[str(test)] = per_iteration = []
         for result in results:
             samples = result.samples
@@ -341,37 +357,19 @@ def record_to_doc(head: RevisionHead) -> dict:
     """The head document of a record, or of a head: what the views show."""
     return {
         "format_version": FORMAT_VERSION,
-        "revision_label": head.revision_label,
-        "created_at": head.created_at,
-        "config_digest": head.config_digest,
-        "probe": {
-            "backend": head.probe_backend,
-            "update_interval_ns": head.probe_update_interval_ns,
-            "domains": [str(d) for d in head.probe_domains],
-        },
-        "config": dict(sorted(head.config.items())),
-        "summaries": {
-            str(t): _summary_to_doc(s)
-            for t, s in sorted(head.summaries.items(), key=lambda kv: str(kv[0]))
-        },
+        **_HEAD.to_doc(head),
+        "probe": _PROBE.to_doc(head),
+        "summaries": {str(t): _SUMMARY.to_doc(s) for t, s in head.summaries.items()},
     }
 
 
 def _head_fields(doc: dict, tests: Mapping[str, TestId]) -> dict:
     """The ``RevisionHead`` fields of a head document; ``tests`` maps each
     summary key to its test."""
-    probe = doc["probe"]
     return {
-        "revision_label": doc["revision_label"],
-        "created_at": doc["created_at"],
-        "config_digest": doc["config_digest"],
-        "probe_backend": probe["backend"],
-        "probe_update_interval_ns": probe["update_interval_ns"],
-        "probe_domains": tuple(EnergyDomain.parse(d) for d in probe["domains"]),
-        "config": doc["config"],
-        "summaries": {
-            tests[t]: _summary_from_doc(tests[t], s) for t, s in doc["summaries"].items()
-        },
+        **_HEAD.kwargs(doc),
+        **_PROBE.kwargs(doc["probe"]),
+        "summaries": {tests[t]: TestSummary(tests[t], *_SUMMARY.args(s)) for t, s in doc["summaries"].items()},
     }
 
 

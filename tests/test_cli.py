@@ -291,6 +291,33 @@ class TestRun:
         assert "config harness.env = MANAI_PROBE_VAR=x\n" in capsys.readouterr().out
         assert seen.read_text() == "x"
 
+    def test_working_dir_is_the_harness_cwd(self, tmp_path, monkeypatch, capsys):
+        # The plan is named relative to [harness] working_dir, and manai
+        # runs elsewhere, so only a child started there finds it.
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        write_plan(suite / "plan.txt", ["test demo::a sleep_ms=5"])
+        scenario = write_scenario(tmp_path / "scenario.txt", [(3600 * NS, {"package": "10"})])
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "[harness]\n"
+            "program = python3\n"
+            "args = -m manai.fixture_harness --plan plan.txt\n"
+            "list_args = -m manai.fixture_harness --plan plan.txt --list\n"
+            f"working_dir = {suite}\n"
+            "[probe]\n"
+            "backend = simulated\n"
+            f"scenario = {scenario}\n"
+            "[experiment]\n"
+            "revision = rev-cwd\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config), "--data-dir", str(tmp_path / "data")]) == 0
+        assert f"config harness.working_dir = {suite}\n" in capsys.readouterr().out
+        (record,) = Store(tmp_path / "data").load("rev-cwd")
+        assert record.config["harness.working_dir"] == str(suite)
+        assert [r.status for r in record.results[TestId("demo", "a")]] == [TestStatus.PASS]
+
     def test_no_revision_outside_a_repository_exits_1(self, tmp_path, monkeypatch, capsys):
         # The harness cannot be launched: a refusal that came only after a
         # spawn would exit 2 instead.

@@ -715,7 +715,7 @@ def previous_load(text: str):
     if missing:
         raise MalformedScenario(f"missing header key(s): {', '.join(sorted(missing))}")
     if not segments:
-        raise MalformedScenario("scenario has no segments")
+        raise MalformedScenario("scenario needs at least one segment")
     if header["update_interval_ns"] <= 0:
         raise MalformedScenario("update_interval_ns must be positive")
     if header["max_range_uj"] <= 0:

@@ -200,7 +200,9 @@ def random_float(rng: random.Random) -> float:
 
 
 def random_record(rng: random.Random, index: int) -> RevisionRecord:
-    """Up to three samples; a sample may follow a gap or lack a domain."""
+    """Up to three samples; a sample may follow a gap or lack a domain.
+    Every stored field is drawn on its own, so a field stored under
+    another field's key does not read back."""
     test = TestId("suite", f"case_{rng.randint(0, 5)}")
     n_samples = rng.randint(0, 3)
     samples = []
@@ -214,7 +216,7 @@ def random_record(rng: random.Random, index: int) -> RevisionRecord:
         cursor += length
     result = TestExecutionResult(
         test=test,
-        iteration=0,
+        iteration=rng.randint(0, 99),
         duration_ns=rng.randint(1, 10**10),
         energy_j={PKG: random_float(rng)},
         mean_power_w={PKG: random_float(rng)},
@@ -225,12 +227,11 @@ def random_record(rng: random.Random, index: int) -> RevisionRecord:
         crashed=rng.random() < 0.1,
         error=None if rng.random() < 0.8 else "synthetic failure",
     )
-    stats = Stats(*(random_float(rng) for _ in range(5)))
     summary = TestSummary(
         test=test,
-        iterations=1,
-        energy_stats={PKG: stats},
-        power_stats={PKG: stats},
+        iterations=rng.randint(1, 100),
+        energy_stats={PKG: Stats(*(random_float(rng) for _ in range(5)))},
+        power_stats={PKG: Stats(*(random_float(rng) for _ in range(5)))},
         mean_duration_s=random_float(rng),
         any_low_confidence=result.low_confidence,
         pass_count=1 if result.status is TestStatus.PASS else 0,
@@ -718,7 +719,7 @@ def format1_text(record: RevisionRecord) -> str:
     doc["format_version"] = 1
     doc["results"] = {}
     for test, results in record.results.items():
-        doc["results"][str(test)] = [manai.store._result_to_doc(result) for result in results]
+        doc["results"][str(test)] = [manai.store._RESULT.to_doc(result) for result in results]
         for result_doc, result in zip(doc["results"][str(test)], results):
             result_doc["samples"] = [
                 {

@@ -41,7 +41,6 @@ so results carry the probe backend used.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import logging
 import math
 import os
@@ -77,6 +76,16 @@ from manai.sampler import (
 # the replay grid under the name ``experiment.sample_stream``.
 from manai.sampler import sample_stream  # noqa: F401
 from manai.store import RevisionRecord, Store
+
+# The interpreter's built-in SHA-256, taken the way random.py takes SHA-512,
+# so that no manai process loads OpenSSL to hash one short text.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # built without the built-in hashes
 
 __all__ = [
     "BaselineSetting",
@@ -182,7 +191,7 @@ def effective_config_items(config: ExperimentConfig, data_dir: Path | None = Non
 
 def config_digest(config: ExperimentConfig) -> str:
     text = "\n".join(f"{k}={v}" for k, v in effective_config_items(config))
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(text.encode("utf-8")).hexdigest()
 
 
 def resolve_revision_label(explicit: str | None, cwd: Path | None = None) -> str:

@@ -529,7 +529,8 @@ def _evolution(series: HistorySeries, request: ReportRequest) -> _Evolution:
 
 def _evolution_term_line(evolution: _Evolution, bucket: int, no_color: bool) -> str:
     revisions, energies = zip(*evolution.points)
-    spark = _colorize(sparkline(list(energies)), _BUCKET_COLORS[bucket], no_color)
+    # Padded before colouring, so the escape codes take no column.
+    spark = _colorize(f"{sparkline(list(energies)):<12}", _BUCKET_COLORS[bucket], no_color)
     arrow = _colorize(*_arrow(energies), no_color)
     change = _last_change(energies)
     if len(energies) == 1:
@@ -539,7 +540,7 @@ def _evolution_term_line(evolution: _Evolution, bucket: int, no_color: bool) -> 
     else:
         step = f"{change * 100:+.0f}% last step"
     return (
-        f"{str(evolution.test):<28} {spark:<12} {arrow}  {step:<16} "
+        f"{str(evolution.test):<28} {spark} {arrow}  {step:<16} "
         f"latest {format_sig(energies[-1])} J  ({' -> '.join(revisions)})"
     )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import fcntl
+import hashlib
 import math
 import os
 import random
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +29,11 @@ from manai.experiment import (
     _meter,
     _quantize_duration_ns,
     config_digest,
+    effective_config_items,
     resolve_revision_label,
     run_experiment,
 )
-from manai.harness import TestId, TestStatus
+from manai.harness import HarnessCommand, TestId, TestStatus
 from manai.probe import ProbeBackend, SimulatedProbe
 from manai.results import attribute, compute_stats, summarize
 from manai.sampler import EnergySample, SamplerConfig, calibrate_baseline, sample_stream
@@ -737,7 +740,6 @@ class TestRunExperiment:
     def test_spawn_failure_aborts_without_persisting(self, sim_experiment):
         tmp_path, _, scenario, build = sim_experiment
         from manai.errors import HarnessSpawnFailed
-        from manai.harness import HarnessCommand
 
         config = build(
             harness=HarnessCommand(program="/nonexistent/harness", list_args=("--list",)),
@@ -766,6 +768,27 @@ class TestRunExperiment:
         _, _, _, build = sim_experiment
         assert config_digest(build()) == config_digest(build())
         assert config_digest(build()) != config_digest(build(iterations=5))
+
+    def test_config_digest_is_pinned(self):
+        # Stored records carry this digest: how it is hashed may change,
+        # its value may not.
+        config = ExperimentConfig(
+            harness=HarnessCommand(
+                program="/opt/demo/harness", args=("--run", "two words"), working_dir=Path("/srv/demo"),
+                env={"B": "2", "A": "1"}, list_args=("--list",),
+            ),
+            iterations=5,
+            revision_label="v1.2",
+            selection=(TestId("demo", "slow"), TestId("demo", "fast")),
+            probe_backend=ProbeBackend.SIMULATED,
+            scenario_path=Path("/srv/demo/scenario.txt"),
+            baseline=BaselineSetting(mode="calibrate", calibrate_duration_s=2.0),
+            update_interval_ns=1_000_000,
+            test_timeout_s=30.0,
+        )
+        text = "\n".join(f"{k}={v}" for k, v in effective_config_items(config))
+        assert config_digest(config) == "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert config_digest(config) == "sha256:9ddc63c46e382663a0dc2844ad243b7d0855379048782bf2746ee308d4d308f9"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -200,6 +200,21 @@ class TestEvolution:
         assert len(levels) == 3
         assert levels[0] > levels[1] > levels[2]
 
+    def test_colour_keeps_the_columns_of_series_of_any_length(self, tmp_path):
+        store = Store(tmp_path)
+        for i, uj in enumerate([4_000_000, 3_000_000, 2_000_000, 5_000_000]):
+            tests = {"demo::long": uj}
+            if i >= 2:
+                tests["demo::short"] = 1_000_000 * (i + 1)
+            store.save(make_record(f"r{i + 1}", ts(i), tests))
+        request = ReportRequest(scope="history", tests=(TestId("demo", "long"), TestId("demo", "short")))
+        coloured = render_history(store, request)
+        plain = re.sub(r"\x1b\[[0-9;]*m", "", coloured)
+        assert plain != coloured
+        assert plain == render_history(store, replace(request, no_color=True))
+        arrows = [re.search("[↑↓→]", line).start() for line in plain.splitlines()]
+        assert len(arrows) == 2 and arrows[0] == arrows[1]
+
     def test_no_history_raises(self, tmp_path):
         with pytest.raises(NoHistory):
             render_history(

@@ -1,16 +1,21 @@
 """The runtime imports nothing outside the standard library, importing one
-manai module imports no other that it does not use, no manai module
-imports ``threading``, and every name the benchmark hooks into resolves."""
+manai module imports no other that it does not use, no manai process loads
+OpenSSL, no manai module imports ``threading``, and every name the
+benchmark hooks into resolves."""
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from manai.experiment import ExperimentConfig, effective_config_items
+from manai.harness import HarnessCommand
 
 _LOADED_OUTSIDE_STDLIB = (
     "import json, sys, manai.cli, manai.fixture_harness\n"
@@ -47,6 +52,48 @@ def test_importing_a_module_loads_no_other_manai_module(module, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
+
+
+_DIGEST_AND_OPENSSL_MODULES = (
+    "import json, sys\n"
+    "{preamble}"
+    "import manai.cli\n"
+    "from manai.experiment import ExperimentConfig, config_digest\n"
+    "from manai.harness import HarnessCommand\n"
+    "config = ExperimentConfig(harness=HarnessCommand(program='harness'), iterations=1, revision_label='r')\n"
+    "loaded = [name for name in ('hashlib', '_hashlib', '_ssl') if name in sys.modules]\n"
+    "print(json.dumps([config_digest(config), loaded]))\n"
+)
+
+
+def _digest_in_child(*options: str, preamble: str = "") -> list:
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", _DIGEST_AND_OPENSSL_MODULES.format(preamble=preamble)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _hashlib_digest() -> str:
+    config = ExperimentConfig(harness=HarnessCommand(program="harness"), iterations=1, revision_label="r")
+    text = "\n".join(f"{k}={v}" for k, v in effective_config_items(config))
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cli_and_config_digest_load_no_openssl():
+    # The digest is hashed with the interpreter's built-in SHA-256, so no
+    # command pays for loading libcrypto.
+    assert _digest_in_child("-S") == [_hashlib_digest(), []]
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_hash():
+    # As on an interpreter built without the built-in hashes. Started
+    # without -S, so a site-installed line tracer sees the fallback run.
+    blocked = "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    digest, loaded = _digest_in_child(preamble=blocked)
+    assert digest == _hashlib_digest()
+    assert "hashlib" in loaded
 
 
 def test_no_module_imports_threading():

@@ -10,12 +10,14 @@ output can be profiled. The protocol (UTF-8, one marker per line):
 The harness is told which single test to execute through the
 ``MANAI_FILTER`` environment variable. One owner of a harness process,
 ``_Child``, spawns it, reads its pipe and reaps it, for discovery and for
-runs alike. A run stamps each BEGIN and END as it handles it, with a clock
-the caller passes in (the monotonic clock, or a probe reading on a live
-run), so no clock agreement with the child is needed. Handling lags the
-child's write by what the child does next. On a 2-vCPU host, with
-children that slept and printed their own ``CLOCK_MONOTONIC`` reading
-before each marker, BEGIN was handled about 0.08 ms late. END was
+runs alike, and waits on the pipe and the child's pidfd in one
+``select.poll`` for whole milliseconds rounded up, so that no wait ends
+before its deadline. A run stamps each BEGIN and END as it handles it,
+with a clock the caller passes in (the monotonic clock, or a probe
+reading on a live run), so no clock agreement with the child is needed.
+Handling lags the child's write by what the child does next. On a 2-vCPU
+host, with children that slept and printed their own ``CLOCK_MONOTONIC``
+reading before each marker, BEGIN was handled about 0.08 ms late. END was
 handled 2.5-2.8 ms late (p50) when the child exited right after END, as
 most harnesses do, but 0.13 ms late when it stayed alive 50 ms longer,
 with or without a sampling thread in the parent. A CPU-bound child
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import os
-import selectors
+import select
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -131,6 +133,13 @@ def _parse_marker(line: str) -> tuple[str, TestId, TestStatus | None] | None:
     raise ProtocolViolation(f"unknown marker line {line!r}")
 
 
+def _conforming_lines(test: TestId) -> dict[str, tuple[str, TestId, TestStatus | None]]:
+    """The lines a conforming run of ``test`` sends, as ``_parse_marker`` reads them."""
+    lines = {f"{MARKER_PREFIX}BEGIN {test}\n": ("BEGIN", test, None)}
+    lines.update((f"{MARKER_PREFIX}END {test} {s.value}\n", ("END", test, s)) for s in TestStatus)
+    return lines
+
+
 class _Child:
     """The one owner of a harness process, as a context manager: it spawns
     the child, reads its stdout, and at the end kills it if it still runs
@@ -138,11 +147,13 @@ class _Child:
     cannot be watched (``os.pidfd_open`` needs Linux 5.3) and is killed."""
 
     def __init__(self, cmd: HarnessCommand, argv_tail: tuple[str, ...], extra_env: dict[str, str]):
+        env = dict(os.environb)  # bytes: Popen need not encode each variable again
+        env.update((os.fsencode(k), os.fsencode(v)) for k, v in (*cmd.env.items(), *extra_env.items()))
         try:
             self.proc = subprocess.Popen(
                 [cmd.program, *argv_tail],
                 cwd=str(cmd.working_dir) if cmd.working_dir else None,
-                env={**os.environ, **cmd.env, **extra_env},
+                env=env,
                 stdout=subprocess.PIPE,
             )
         except OSError as exc:
@@ -157,9 +168,9 @@ class _Child:
                 f"cannot watch harness pid {self.proc.pid} (needs Linux 5.3 or later): {exc}"
             ) from exc
         self.exited = False
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(self.proc.stdout.fileno(), selectors.EVENT_READ)
-        self.selector.register(self.pidfd, selectors.EVENT_READ)
+        self.poller = select.poll()
+        self.poller.register(self.proc.stdout.fileno(), select.POLLIN)
+        self.poller.register(self.pidfd, select.POLLIN)
 
     def __enter__(self) -> "_Child":
         return self
@@ -169,7 +180,6 @@ class _Child:
             self.proc.kill()
         # No timeout: Popen.wait(timeout) polls with sleeps of up to 50 ms.
         self.proc.wait()
-        self.selector.close()
         os.close(self.pidfd)
         self.proc.stdout.close()
 
@@ -188,8 +198,8 @@ class _Child:
         linger_ns = None  # when a child that closed its stdout is killed
         while True:
             wake_ns = min((t for t in (wake(), linger_ns) if t is not None), default=None)
-            wait_s = None if wake_ns is None else max(0.0, (wake_ns - time.monotonic_ns()) / 1e9)
-            ready = {key.fd for key, _ in self.selector.select(0.0 if self.exited else wait_s)}
+            wait_ms = None if wake_ns is None else max(0, (wake_ns - time.monotonic_ns() + 999_999) // 1_000_000)
+            ready = dict(self.poller.poll(0 if self.exited else wait_ms))
             if not ready and self.exited:
                 # The exited child's output is all read.
                 if tail:
@@ -197,17 +207,18 @@ class _Child:
                 return
             if self.pidfd in ready:
                 # Read what the child wrote before it exited, then stop.
-                self.selector.unregister(self.pidfd)
+                self.poller.unregister(self.pidfd)
                 self.exited = True
             if fd in ready:
-                # Not proc.stdout.read*: its buffer would hide data from select.
-                chunk = os.read(fd, 65536)
+                # Not proc.stdout.read*: its buffer would hide data from poll.
+                # POLLHUP or POLLERR alone: the pipe holds no more data.
+                chunk = os.read(fd, 65536) if ready[fd] & select.POLLIN else b""
                 lines = (tail + chunk).splitlines(keepends=True)
                 tail = lines.pop() if chunk and not lines[-1].endswith(b"\n") else b""
                 for line in lines:
                     yield line.decode("utf-8", "replace")
                 if not chunk:
-                    self.selector.unregister(fd)
+                    self.poller.unregister(fd)
                     linger_ns = time.monotonic_ns() + round(_EXIT_GRACE_S * 1e9)
             if self.exited:
                 continue
@@ -303,6 +314,7 @@ def run_one(
     def wake():
         return min((t for t in (deadline_ns, guard_at_ns) if t is not None), default=None)
 
+    verbatim = _conforming_lines(test)
     with _Child(cmd, cmd.args, {FILTER_ENV: str(test)}) as child:
         for line in child.lines(wake):
             if line is None:
@@ -314,7 +326,7 @@ def run_one(
                 clock()  # the guard reading that is due
                 guard_at_ns = time.monotonic_ns() + guard_ns
                 continue
-            marker = _parse_marker(line)
+            marker = verbatim.get(line) or _parse_marker(line)
             if marker is None or marker[0] == "TEST":
                 continue
             word, seen, seen_status = marker

@@ -306,7 +306,11 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Row]:
+def _summary_rows(record: RevisionHead, domains: list[EnergyDomain], names=None) -> list[_Row]:
+    """The summary rows of the statistics in ``names``, or of all for None."""
+    per_domain = [(kind == "power", stat, f"{kind}_{stat}", unit)
+                  for kind, unit in (("energy", "J"), ("power", "W"))
+                  for stat in _SUMMARY_STATISTICS if names is None or f"{kind}_{stat}" in names]
     rows = []
     for test in sorted(record.summaries, key=str):
         summary = record.summaries[test]
@@ -315,10 +319,9 @@ def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Ro
             power = summary.power_stats.get(domain)
             if energy is None or power is None:
                 continue
-            for name, stats, unit in (("energy", energy, "J"), ("power", power, "W")):
-                for stat in _SUMMARY_STATISTICS:
-                    rows.append(_Row(test, domain, f"{name}_{stat}", getattr(stats, stat), unit))
-        rows += [
+            for is_power, stat, name, unit in per_domain:
+                rows.append(_Row(test, domain, name, getattr(power if is_power else energy, stat), unit))
+        per_test = [
             _Row(test, None, "duration_mean", summary.mean_duration_s, "s"),
             _Row(test, None, "iterations", summary.iterations, "count"),
             _Row(test, None, "pass_count", summary.pass_count, "count"),
@@ -326,6 +329,7 @@ def _summary_rows(record: RevisionHead, domains: list[EnergyDomain]) -> list[_Ro
             _Row(test, None, "skip_count", summary.skip_count, "count"),
             _Row(test, None, "low_confidence", int(summary.any_low_confidence), "flag"),
         ]
+        rows += [row for row in per_test if names is None or row.statistic in names]
     return rows
 
 
@@ -456,11 +460,11 @@ _COMPARED = ("energy_mean", "power_mean", "duration_mean")
 def _compare_rows(a: RevisionHead, b: RevisionHead, domains: list[EnergyDomain]) -> list[_Row]:
     """B's summary rows of the compared statistics, joined with A's on
     (test, domain, statistic) and split into ``_a``, ``_b`` and ``_delta``."""
-    rows_a = {(r.test, r.domain, r.statistic): r.value for r in _summary_rows(a, domains)}
+    rows_a = {(r.test, r.domain, r.statistic): r.value for r in _summary_rows(a, domains, _COMPARED)}
     rows = []
-    for row in _summary_rows(b, domains):
+    for row in _summary_rows(b, domains, _COMPARED):
         value_a = rows_a.get((row.test, row.domain, row.statistic))
-        if value_a is None or row.statistic not in _COMPARED:
+        if value_a is None:
             continue
         for suffix, value in (("a", value_a), ("b", row.value), ("delta", row.value - value_a)):
             rows.append(row._replace(statistic=f"{row.statistic}_{suffix}", value=value))

@@ -14,7 +14,7 @@ is materialized.
 
 from __future__ import annotations
 
-import statistics
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,20 +158,38 @@ class Stats:
 
 
 def compute_stats(values: Sequence[float]) -> Stats:
-    """Iteration statistics.
+    """Iteration statistics of finite values, as Python 3.11's ``statistics``.
 
     Median is the lower-middle element for even counts; stddev is the
     sample standard deviation (n-1 denominator), zero for one value.
     """
     if not values:
         raise EmptyInput("no values to summarize")
+    # Each value is an integer over a power of two, so over the largest one.
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(d for _, d in ratios)
+    exact = [n * (scale // d) for n, d in ratios]
+    count, total = len(exact), sum(exact)
+    ordered = sorted(values)
+    # The sum of squared deviations, times count * scale**2.
+    squares = count * sum(x * x for x in exact) - total * total
     return Stats(
-        mean=statistics.mean(values),
-        median=statistics.median_low(values),
-        min=min(values),
-        max=max(values),
-        stddev=statistics.stdev(values) if len(values) > 1 else 0.0,
+        mean=total / (count * scale),
+        median=ordered[(count - 1) // 2],
+        min=ordered[0],
+        max=max(values),  # not ordered[-1]: of equal maxima, as 0.0 and -0.0, the first
+        stddev=_sqrt_of_ratio(squares, count * (count - 1) * scale * scale) if count > 1 else 0.0,
     )
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """The float nearest sqrt(n / m), rounded as ``statistics`` rounds it."""
+    # A root of 2 * 53 + 3 bits, rounded to odd, rounds correctly to a float.
+    shift = (n.bit_length() - m.bit_length() - (2 * 53 + 3)) // 2
+    n, m = (n, m << 2 * shift) if shift >= 0 else (n << -2 * shift, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 @dataclass(frozen=True)
@@ -202,23 +220,19 @@ def summarize(results: Sequence[TestExecutionResult]) -> TestSummary:
     if any(r.test != test for r in results):
         raise ValueError("summarize expects results for exactly one test")
 
-    domains = sorted(
-        {d for r in results for d in r.energy_j},
-        key=domain_sort_key,
-    )
-    energy_stats = {
-        d: compute_stats([r.energy_j.get(d, 0.0) for r in results]) for d in domains
-    }
-    power_stats = {
-        d: compute_stats([r.mean_power_w.get(d, 0.0) for r in results]) for d in domains
-    }
+    domains = sorted({d for r in results for d in r.energy_j}, key=domain_sort_key)
+    energy_stats = {d: compute_stats([r.energy_j.get(d, 0.0) for r in results]) for d in domains}
+    power_stats = {d: compute_stats([r.mean_power_w.get(d, 0.0) for r in results]) for d in domains}
     statuses = [r.status for r in results]
+    total_ns, count = sum(r.duration_ns for r in results), len(results)
+    # An int when the count divides the total, as statistics.mean gives it.
+    mean_ns = total_ns / count if total_ns % count else total_ns // count
     return TestSummary(
         test=test,
-        iterations=len(results),
+        iterations=count,
         energy_stats=energy_stats,
         power_stats=power_stats,
-        mean_duration_s=statistics.mean(r.duration_ns for r in results) / _NS_PER_S,
+        mean_duration_s=mean_ns / _NS_PER_S,
         any_low_confidence=any(r.low_confidence for r in results),
         pass_count=statuses.count(TestStatus.PASS),
         fail_count=statuses.count(TestStatus.FAIL),

@@ -10,6 +10,7 @@ import os
 import random
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -253,6 +254,49 @@ class TestSummarize:
         variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         assert stats.mean == pytest.approx(mean, rel=1e-9)
         assert stats.stddev == pytest.approx(math.sqrt(variance), rel=1e-9)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11")
+    def test_matches_the_statistics_module(self):
+        # Bit for bit, on one value, equal values, zeros of both signs and
+        # magnitudes from the smallest subnormal to 1e6.
+        rng = random.Random(3511)
+        draws = [
+            lambda: rng.choice([0.0, -0.0]),
+            lambda: 5e-324 * rng.randint(1, 2**20),
+            lambda: 10 ** rng.uniform(-320, 6),
+            lambda: rng.uniform(0.0, 1e6),
+            lambda: rng.choice([-1, 1]) * rng.lognormvariate(0, 4),
+        ]
+        for _ in range(3000):
+            count = rng.choice([1, 1, 2, 3, 4, 8, 9, 30])
+            if rng.random() < 0.15:
+                values = [rng.choice(draws)()] * count
+            else:
+                values = [rng.choice(draws)() for _ in range(count)]
+            stats = compute_stats(values)
+            expected = (
+                statistics.mean(values), statistics.median_low(values), min(values), max(values),
+                statistics.stdev(values) if count > 1 else 0.0,
+            )
+            got = (stats.mean, stats.median, stats.min, stats.max, stats.stddev)
+            assert list(map(repr, got)) == list(map(repr, expected)), values
+
+    def test_mean_duration_divides_the_int_mean_when_it_is_one(self):
+        # statistics.mean of ints is an int when the count divides their
+        # sum, and the int is what is divided by 10**9: dividing its float
+        # instead rounds twice, and differs for some of these durations.
+        rng = random.Random(3512)
+        test = TestId("demo", "case")
+        differs = 0
+        for _ in range(300):
+            durations = [rng.randint(2**53, 2**60) for _ in range(rng.choice([1, 2, 3]))]
+            if rng.random() < 0.5:
+                durations.append(len(durations) * 2**61 - sum(durations))  # the count divides the sum
+            mean = statistics.mean(durations)
+            summary = summarize([make_result(test, i, duration_ns=d) for i, d in enumerate(durations)])
+            assert repr(summary.mean_duration_s) == repr(mean / 10**9)
+            differs += isinstance(mean, int) and float(mean) / 10**9 != mean / 10**9
+        assert differs
 
     def test_status_counts(self):
         test = TestId("demo", "case")

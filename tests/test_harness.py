@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import gc
 import logging
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -621,6 +623,140 @@ class TestReadLoop:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         run = self._run(tmp_path, "m('BEGIN demo::a'); m('END demo::a PASS')\n")
         assert run.status is TestStatus.PASS and run.error is None
+
+
+class TestConformingLines:
+    """run_one looks up the four lines a conforming child sends for its test
+    and parses only other lines: every outcome is the one that parsing each
+    line gives."""
+
+    def test_each_line_reads_as_parsed(self):
+        lines = harness._conforming_lines(A)
+        assert sorted(lines) == [
+            "##MANAI:BEGIN demo::a\n", "##MANAI:END demo::a FAIL\n",
+            "##MANAI:END demo::a PASS\n", "##MANAI:END demo::a SKIP\n",
+        ]
+        assert all(harness._parse_marker(line) == marker for line, marker in lines.items())
+
+    def test_conforming_lines_are_not_parsed(self, tmp_path, monkeypatch):
+        parsed = []
+        parse = harness._parse_marker
+        monkeypatch.setattr(harness, "_parse_marker", lambda line: parsed.append(line) or parse(line))
+        cmd, _ = _inline_harness(tmp_path, "print('noise'); m('BEGIN demo::a'); m('END demo::a SKIP')\n")
+        assert run_one(cmd, A, timeout_s=20).status is TestStatus.SKIP
+        assert parsed == ["noise\n"]
+
+    @pytest.mark.parametrize("data, outcome", [
+        (b"##MANAI:BEGIN demo::a\r\n##MANAI:END demo::a PASS\r\n", HarnessRun(0, 1, TestStatus.PASS)),
+        (b"##MANAI:BEGIN demo::a \n##MANAI:END demo::a FAIL \n", HarnessRun(0, 1, TestStatus.FAIL)),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a SKIP", HarnessRun(0, 1, TestStatus.SKIP)),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a pass\n",
+         "bad marker line '##MANAI:END demo::a pass\\n': 'pass' is not a valid TestStatus"),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a DONE\n",
+         "bad marker line '##MANAI:END demo::a DONE\\n': 'DONE' is not a valid TestStatus"),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::b PASS\n", "END for demo::b, expected demo::a"),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:BEGIN demo::a\n", "duplicate BEGIN for demo::a"),
+        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a PASS\n##MANAI:END demo::a FAIL\n",
+         "duplicate END for demo::a"),
+        (b"##MANAI:END demo::a PASS\n##MANAI:BEGIN demo::a\n", "END without BEGIN for demo::a"),
+    ])
+    def test_outcome_equals_parsing_every_line(self, tmp_path, monkeypatch, data, outcome):
+        cmd, _ = _inline_harness(tmp_path, f"sys.stdout.buffer.write({data!r})\n")
+
+        def run():
+            try:
+                return run_one(cmd, A, timeout_s=20, clock=iter(range(10)).__next__)
+            except ProtocolViolation as exc:
+                return str(exc)
+
+        assert run() == outcome
+        monkeypatch.setattr(harness, "_conforming_lines", lambda test: {})
+        assert run() == outcome
+
+
+class _RecordingPoll:
+    """A ``select.poll`` object that keeps each ``poll`` call's timeout and
+    events; ``rewrite`` may replace the events of the first fd registered,
+    the child's pipe."""
+
+    _new = staticmethod(select.poll)  # the real one, before a test patches it
+
+    def __init__(self, calls: list, rewrite=None):
+        self._poll, self._calls, self._rewrite, self.pipe = self._new(), calls, rewrite, None
+
+    def register(self, fd, mask):
+        self.pipe = fd if self.pipe is None else self.pipe
+        self._poll.register(fd, mask)
+
+    def unregister(self, fd):
+        self._poll.unregister(fd)
+
+    def poll(self, timeout=None):
+        events = self._poll.poll(timeout)
+        if self._rewrite:
+            events = [(fd, self._rewrite if fd == self.pipe else flags) for fd, flags in events]
+        self._calls.append((timeout, events))
+        return events
+
+
+class TestPollWait:
+    def test_waits_round_up_so_none_ends_before_its_wake_time(self, tmp_path, monkeypatch):
+        # A guard every 1.5 ms: a wait rounded down to whole milliseconds
+        # would end early and poll again before each guard reading.
+        calls = []
+        monkeypatch.setattr(select, "poll", lambda: _RecordingPoll(calls))
+        cmd, _ = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(0.1); m('END demo::a PASS')\n")
+        clock = EdgeClock()
+        run = run_one(cmd, A, timeout_s=20, clock=clock, guard_ns=3 * MS // 2)
+        assert run.status is TestStatus.PASS
+        assert all(timeout is None or type(timeout) is int and timeout >= 0 for timeout, _ in calls)
+        timed_out = [timeout for timeout, events in calls if not events and timeout]
+        assert len(clock.stamps) - 2 == len(timed_out) >= 20
+        assert all(b - a >= 3 * MS // 2 for a, b in zip(clock.stamps, clock.stamps[1:-1]))
+
+    @pytest.mark.parametrize("flag", ["POLLHUP", "POLLERR"])
+    def test_hangup_or_error_on_the_pipe_reads_as_eof(self, tmp_path, monkeypatch, flag):
+        # The pipe still holds a line, but the flag alone ends its reading:
+        # nothing is read, and the child, still running, is killed after
+        # the grace period as one that closed its stdout.
+        monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
+        pollers, reads = [], []
+
+        def new_poll():
+            pollers.append(_RecordingPoll([], getattr(select, flag)))
+            return pollers[-1]
+
+        monkeypatch.setattr(select, "poll", new_poll)
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: reads.append(fd) or read(fd, size))
+        cmd, pid_file = _inline_harness(tmp_path, "m('TEST a::b'); time.sleep(30)\n")
+        with pytest.raises(HarnessSpawnFailed, match="^discovery process exited with status -9$"):
+            discover(HarnessCommand(program=cmd.program, list_args=cmd.args), timeout_s=20.0)
+        poller, = pollers
+        assert poller.pipe not in reads
+        _assert_reaped(pid_file)
+
+
+def test_child_environment(tmp_path, monkeypatch):
+    # The child gets os.environ byte for byte, a surrogate-escaped value
+    # too, with cmd.env over it and MANAI_FILTER naming the test.
+    monkeypatch.setenv("MANAI_T_KEPT", "parent")
+    monkeypatch.setenv("MANAI_T_SHADOWED", "parent")
+    monkeypatch.setenv("MANAI_T_RAW", "caf\udce9")
+    out = tmp_path / "env"
+    script = (
+        "import os, sys\n"
+        "names = [n for n in os.environb if n.startswith(b'MANAI_T_') or n == b'MANAI_FILTER']\n"
+        "open(sys.argv[1], 'w').write(repr(sorted((n, os.environb[n]) for n in names)))\n"
+        "print('##MANAI:BEGIN demo::a'); print('##MANAI:END demo::a PASS')\n"
+    )
+    env = {"MANAI_T_SHADOWED": "cmd", "MANAI_T_ADDED": "\udcff"}
+    cmd = HarnessCommand(program=sys.executable, args=("-c", script, str(out)), env=env)
+    assert run_one(cmd, A, timeout_s=20).status is TestStatus.PASS
+    assert ast.literal_eval(out.read_text()) == [
+        (b"MANAI_FILTER", b"demo::a"), (b"MANAI_T_ADDED", b"\xff"), (b"MANAI_T_KEPT", b"parent"),
+        (b"MANAI_T_RAW", b"caf\xe9"), (b"MANAI_T_SHADOWED", b"cmd"),
+    ]
 
 
 def _noise_lines():

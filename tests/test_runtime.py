@@ -1,6 +1,6 @@
 """The runtime imports nothing outside the standard library, importing one
 manai module imports no other that it does not use, no manai process loads
-OpenSSL, no manai module imports ``threading``, and every name the
+OpenSSL or ``statistics``, no manai module imports ``threading``, and every name the
 benchmark hooks into resolves."""
 
 from __future__ import annotations
@@ -94,6 +94,28 @@ def test_digest_falls_back_to_hashlib_without_the_builtin_hash():
     digest, loaded = _digest_in_child(preamble=blocked)
     assert digest == _hashlib_digest()
     assert "hashlib" in loaded
+
+
+_SUMMARIZE = (
+    "import json, sys, manai.cli\n"
+    "from manai.harness import TestId, TestStatus\n"
+    "from manai.probe import DomainKind, EnergyDomain\n"
+    "from manai.results import TestExecutionResult, summarize\n"
+    "from manai.sampler import EnergySample\n"
+    "domain = EnergyDomain(DomainKind.PACKAGE, 0)\n"
+    "results = [TestExecutionResult.build(TestId('a', 'b'), i, [EnergySample(0, 10**9, {domain: 5 + i})],\n"
+    "                                     0, 10**9, TestStatus.PASS, 10**6) for i in range(3)]\n"
+    "assert summarize(results).energy_stats[domain].stddev > 0\n"
+    "print(json.dumps('statistics' in sys.modules))\n"
+)
+
+
+def test_cli_and_summarize_load_no_statistics_module():
+    # Iteration statistics are exact integer arithmetic: no manai process
+    # pays for importing statistics.
+    proc = subprocess.run([sys.executable, "-S", "-c", _SUMMARIZE], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is False
 
 
 def test_no_module_imports_threading():

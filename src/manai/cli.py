@@ -29,8 +29,9 @@ from manai.experiment import (
     resolve_revision_label,
     run_experiment,
 )
-from manai.harness import HarnessCommand, TestId, discover
+from manai.harness import HarnessCommand, discover
 from manai.probe import EnergyDomain, ProbeBackend, create_probe
+from manai.protocol import TestId
 from manai.report import ReportFormat, ReportRequest, export, render_head, write_document
 from manai.sampler import BaselineProfile, calibrate_baseline
 from manai.store import Store

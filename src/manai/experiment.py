@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Mapping
 
 from manai.errors import InvalidConfig, LockHeld, ProbeLost, ProtocolViolation, ReadFailed
-from manai.harness import HarnessCommand, TestId, TestStatus, discover, run_one
+from manai.harness import HarnessCommand, discover, run_one
 from manai.probe import (
     Probe,
     ProbeBackend,
@@ -63,6 +63,7 @@ from manai.probe import (
     SimulationScenario,
     create_probe,
 )
+from manai.protocol import TestId, TestStatus
 from manai.results import TestExecutionResult, TestSummary, summarize
 from manai.sampler import (
     BaselineProfile,

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-FILTER_ENV = "MANAI_FILTER"
+from manai.protocol import FILTER_ENV, format_marker
 
 
 @dataclass
@@ -90,9 +90,9 @@ def run_test(planned: PlannedTest, noise: list[str]) -> int:
     for i in range(planned.noise_before):
         emit(noise[i % len(noise)] if noise else f"building module {i}...")
     if not planned.no_begin:
-        emit(f"##MANAI:BEGIN {planned.test_id}")
+        emit(format_marker("BEGIN", planned.test_id))
         if planned.begin_twice:
-            emit(f"##MANAI:BEGIN {planned.test_id}")
+            emit(format_marker("BEGIN", planned.test_id))
     if planned.sleep_ms:
         time.sleep(planned.sleep_ms / 1000.0)
     if planned.busy_ms:
@@ -101,7 +101,7 @@ def run_test(planned: PlannedTest, noise: list[str]) -> int:
         time.sleep(3600)
     if planned.crash_after_begin:
         return 3
-    emit(f"##MANAI:END {planned.test_id} {planned.status}")
+    emit(format_marker("END", planned.test_id, planned.status))
     for i in range(planned.noise_after):
         emit(noise[i % len(noise)] if noise else "cleaning up...")
     return 0
@@ -122,14 +122,14 @@ def main(argv: list[str] | None = None) -> int:
         for index, planned in enumerate(tests):
             if noise:
                 emit(noise[index % len(noise)])
-            emit(f"##MANAI:TEST {planned.test_id}")
+            emit(format_marker("TEST", planned.test_id))
         for extra in noise[len(tests):]:
             emit(extra)
         return 0
 
     wanted = os.environ.get(FILTER_ENV)
     if wanted is None:
-        print("fixture harness: set MANAI_FILTER or pass --list", file=sys.stderr)
+        print(f"fixture harness: set {FILTER_ENV} or pass --list", file=sys.stderr)
         return 2
     for planned in tests:
         if planned.test_id == wanted:

@@ -1,31 +1,16 @@
 """Language-neutral test harness adapter.
 
-Any executable that speaks the line-oriented marker protocol on standard
-output can be profiled. The protocol (UTF-8, one marker per line):
-
-    ##MANAI:TEST <suite>::<name>          declared during discovery
-    ##MANAI:BEGIN <suite>::<name>         test body is starting
-    ##MANAI:END <suite>::<name> <STATUS>  test finished; STATUS is PASS, FAIL or SKIP
-
-The harness is told which single test to execute through the
-``MANAI_FILTER`` environment variable. One owner of a harness process,
+Any executable that speaks the marker protocol of ``manai.protocol`` on
+standard output can be profiled. One owner of a harness process,
 ``_Child``, spawns it, reads its pipe and reaps it, for discovery and for
 runs alike, and waits on the pipe and the child's pidfd in one
 ``select.poll`` for whole milliseconds rounded up, so that no wait ends
 before its deadline. A run stamps each BEGIN and END as it handles it,
 with a clock the caller passes in (the monotonic clock, or a probe
 reading on a live run), so no clock agreement with the child is needed.
-Handling lags the child's write by what the child does next. On a 2-vCPU
-host, with children that slept and printed their own ``CLOCK_MONOTONIC``
-reading before each marker, BEGIN was handled about 0.08 ms late. END was
-handled 2.5-2.8 ms late (p50) when the child exited right after END, as
-most harnesses do, but 0.13 ms late when it stayed alive 50 ms longer,
-with or without a sampling thread in the parent. A CPU-bound child
-delays BEGIN instead: of 200 children that busy-looped 0.5 ms, BEGIN was
-handled 3.7 ms (p50; max 7.9 ms) after the child wrote it, and the
-median window read 0.045 ms. Lines may end in CRLF; undecodable bytes
-are replaced. Standard error passes through untouched. All other stdout
-lines are ignored.
+Handling lags the child's write by what the child does next; the README's
+"Harness protocol" gives the lags measured on a 2-vCPU host. Undecodable
+bytes are replaced. Standard error passes through untouched.
 """
 
 from __future__ import annotations
@@ -36,51 +21,18 @@ import select
 import subprocess
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
+from manai import protocol
 from manai.errors import HarnessSpawnFailed, ProtocolViolation
+from manai.protocol import FILTER_ENV, TestId, TestStatus
 
 logger = logging.getLogger(__name__)
-
-MARKER_PREFIX = "##MANAI:"
-FILTER_ENV = "MANAI_FILTER"
 
 # Grace period for the child to exit after its END marker, or after it
 # closed its stdout.
 _EXIT_GRACE_S = 5.0
-
-
-class TestStatus(Enum):
-    PASS = "PASS"
-    FAIL = "FAIL"
-    SKIP = "SKIP"
-
-
-@dataclass(frozen=True)
-class TestId:
-    """Identity of one test case, rendered ``suite::name``."""
-
-    suite: str
-    name: str
-
-    def __post_init__(self):
-        for part in (self.suite, self.name):
-            if not part:
-                raise ValueError("test id parts must be non-empty")
-            if "::" in part or any(c.isspace() for c in part):
-                raise ValueError(f"test id part {part!r} contains whitespace or '::'")
-
-    def __str__(self) -> str:
-        return f"{self.suite}::{self.name}"
-
-    @classmethod
-    def parse(cls, text: str) -> "TestId":
-        suite, sep, name = text.partition("::")
-        if not sep:
-            raise ValueError(f"test id {text!r} is missing the '::' separator")
-        return cls(suite, name)
 
 
 @dataclass(frozen=True)
@@ -108,36 +60,6 @@ class HarnessRun(NamedTuple):
     end_ns: int
     status: TestStatus
     error: str | None = None
-
-
-def _parse_marker(line: str) -> tuple[str, TestId, TestStatus | None] | None:
-    """``(word, test, status)`` of one stdout line, status only on END;
-    None for non-protocol lines.
-
-    Raises:
-        ProtocolViolation: The line carries the marker prefix but does not
-            parse as a valid marker.
-    """
-    if not line.startswith(MARKER_PREFIX):
-        return None
-    word, _, rest = line[len(MARKER_PREFIX):].rstrip("\n").partition(" ")
-    try:
-        if word in ("TEST", "BEGIN"):
-            return word, TestId.parse(rest.strip()), None
-        if word == "END":
-            id_text, _, status_text = rest.strip().rpartition(" ")
-            status = TestStatus(status_text)
-            return word, TestId.parse(id_text), status
-    except ValueError as exc:
-        raise ProtocolViolation(f"bad marker line {line!r}: {exc}") from exc
-    raise ProtocolViolation(f"unknown marker line {line!r}")
-
-
-def _conforming_lines(test: TestId) -> dict[str, tuple[str, TestId, TestStatus | None]]:
-    """The lines a conforming run of ``test`` sends, as ``_parse_marker`` reads them."""
-    lines = {f"{MARKER_PREFIX}BEGIN {test}\n": ("BEGIN", test, None)}
-    lines.update((f"{MARKER_PREFIX}END {test} {s.value}\n", ("END", test, s)) for s in TestStatus)
-    return lines
 
 
 class _Child:
@@ -254,7 +176,7 @@ def discover(cmd: HarnessCommand, timeout_s: float = 60.0) -> list[TestId]:
         for line in child.lines(lambda: deadline_ns):
             if line is None:
                 raise HarnessSpawnFailed(f"discovery timed out after {timeout_s:.0f} s")
-            marker = _parse_marker(line)
+            marker = protocol.parse_marker(line)
             if marker is None or marker[0] != "TEST":
                 continue
             test = marker[1]
@@ -275,7 +197,7 @@ def run_one(
 ) -> HarnessRun:
     """Execute exactly one test under the marker protocol.
 
-    Launches ``program args`` with ``MANAI_FILTER`` naming the test and
+    Launches ``program args`` with ``FILTER_ENV`` naming the test and
     expects exactly one BEGIN/END pair for it. Every outcome of the test
     is a :class:`HarnessRun`: the status END reported, or a FAIL with an
     ``error`` when the child exited before END (the window ends at its
@@ -314,7 +236,7 @@ def run_one(
     def wake():
         return min((t for t in (deadline_ns, guard_at_ns) if t is not None), default=None)
 
-    verbatim = _conforming_lines(test)
+    verbatim = protocol.conforming_lines(test)
     with _Child(cmd, cmd.args, {FILTER_ENV: str(test)}) as child:
         for line in child.lines(wake):
             if line is None:
@@ -326,7 +248,7 @@ def run_one(
                 clock()  # the guard reading that is due
                 guard_at_ns = time.monotonic_ns() + guard_ns
                 continue
-            marker = verbatim.get(line) or _parse_marker(line)
+            marker = verbatim.get(line) or protocol.parse_marker(line)
             if marker is None or marker[0] == "TEST":
                 continue
             word, seen, seen_status = marker

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from manai.errors import EmptyScope, NoHistory, StorageError
-from manai.harness import TestId
+from manai.protocol import TestId
 from manai.probe import EnergyDomain, domain_sort_key
 from manai.store import HistorySeries, RevisionHead, Store, head_from_doc, record_to_doc
 

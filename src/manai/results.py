@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from manai.errors import EmptyInput
-from manai.harness import TestId, TestStatus
+from manai.protocol import TestId, TestStatus
 from manai.probe import EnergyDomain, domain_sort_key
 from manai.sampler import EnergySample, SampleColumns
 

@@ -83,7 +83,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from manai.errors import StorageError, UnknownRevision
-from manai.harness import TestId, TestStatus
+from manai.protocol import TestId, TestStatus
 from manai.probe import EnergyDomain
 from manai.results import Stats, TestExecutionResult, TestSummary
 from manai.sampler import EnergySample, SampleColumns

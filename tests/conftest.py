@@ -176,10 +176,26 @@ def fixture_harness_command(plan_path: Path, data_dir: Path | None = None):
     )
 
 
+def inline_harness(tmp_path: Path, body: str):
+    """A ``python -c`` harness that records its pid, then runs ``body``
+    with ``m(text)`` printing one marker line; returns the HarnessCommand
+    and the pid file."""
+    from manai.harness import HarnessCommand
+
+    pid_file = tmp_path / "pid"
+    script = (
+        "import os, sys, time\n"
+        "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+        "def m(text): print('##MANAI:' + text, flush=True)\n"
+        + body
+    )
+    return HarnessCommand(program=sys.executable, args=("-c", script, str(pid_file))), pid_file
+
+
 def make_result(test, iteration=0, duration_ns=500_000_000, energy_uj=5_000_000,
                 status=None, low_confidence=False):
     """One synthetic iteration result backed by a single sample."""
-    from manai.harness import TestStatus
+    from manai.protocol import TestStatus
     from manai.results import TestExecutionResult
     from manai.sampler import EnergySample
 
@@ -198,7 +214,7 @@ def make_result(test, iteration=0, duration_ns=500_000_000, energy_uj=5_000_000,
 
 def make_record(label, created_at, tests_energies_uj, iterations=1, digest="sha256:test"):
     """A full revision record with one test per (id, energy) pair."""
-    from manai.harness import TestId
+    from manai.protocol import TestId
     from manai.results import summarize
     from manai.store import RevisionRecord
 

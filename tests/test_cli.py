@@ -20,8 +20,9 @@ import pytest
 
 from manai import errors, experiment
 from manai.cli import _COMMANDS, _SETTINGS, main
-from manai.harness import TestId, TestStatus
+from manai.harness import HarnessCommand, run_one
 from manai.probe import SimulatedProbe
+from manai.protocol import TestId, TestStatus
 from manai.results import attribute
 from manai.store import Store
 
@@ -1302,7 +1303,10 @@ class TestDocs:
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         spans = re.findall(r"`([^`\n]+)`", readme)
         paths = {path for span in spans for path in re.findall(r"\bmanai(?:\.\w+)+", span)}
-        assert {"manai.fixture_harness", "manai.store.Store.load"} <= paths
+        assert {
+            "manai.fixture_harness", "manai.store.Store.load", "manai.protocol.FILTER_ENV",
+            "manai.protocol.format_marker", "manai.protocol.parse_marker",
+        } <= paths
         for path in sorted(paths):
             parts = path.split(".")
             target = importlib.import_module(parts[0])
@@ -1311,3 +1315,16 @@ class TestDocs:
                     importlib.import_module(".".join(parts[:depth]))
                 assert hasattr(target, name), f"README names {path}, which does not resolve"
                 target = getattr(target, name)
+
+    def test_readme_example_harness_lists_its_tests(self, tmp_path):
+        """The README's example harness, saved to a file, declares its two
+        tests to ``manai list`` and passes a run of each."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Harness protocol", 1)[1].split("\n## ", 1)[0]
+        harness = tmp_path / "my_harness.py"
+        harness.write_text(section.split("```python\n", 1)[1].split("```", 1)[0])
+        child = run_manai(["list", "--harness", f"{sys.executable} {harness}", "--list-args", f"{harness} --list"])
+        assert (child.returncode, child.stdout.splitlines()) == (0, ["demo::sleep", "demo::sum"]), child.stderr
+        cmd = HarnessCommand(program=sys.executable, args=(str(harness),))
+        for test in ("demo::sleep", "demo::sum"):
+            assert run_one(cmd, TestId.parse(test), timeout_s=CHILD_TIMEOUT_S).status is TestStatus.PASS

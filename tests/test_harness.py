@@ -23,21 +23,9 @@ from manai import fixture_harness, harness
 from manai.errors import HarnessSpawnFailed, ProtocolViolation
 from manai.harness import HarnessCommand, HarnessRun, TestId, TestStatus, discover, run_one
 
-from conftest import fixture_harness_command, write_plan
+from conftest import fixture_harness_command, inline_harness, write_plan
 
 MS = 10**6
-
-
-class TestTestId:
-    def test_render_and_parse(self):
-        test = TestId("demo", "sort_naive")
-        assert str(test) == "demo::sort_naive"
-        assert TestId.parse("demo::sort_naive") == test
-
-    @pytest.mark.parametrize("bad", ["", "no_separator", "a::", "::b", "a b::c", "a::b::c"])
-    def test_invalid_ids_rejected(self, bad):
-        with pytest.raises(ValueError):
-            TestId.parse(bad)
 
 
 class TestDiscover:
@@ -166,7 +154,7 @@ class TestDiscover:
 
     def test_harness_that_closes_stdout_and_lingers_is_killed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
-        cmd, pid_file = _inline_harness(tmp_path, f"m('TEST a::b')\n{_CLOSE_STDOUT_AND_SLEEP}")
+        cmd, pid_file = inline_harness(tmp_path, f"m('TEST a::b')\n{_CLOSE_STDOUT_AND_SLEEP}")
         started = time.monotonic()
         with pytest.raises(HarnessSpawnFailed, match="^discovery process exited with status -9$"):
             discover(HarnessCommand(program=cmd.program, list_args=cmd.args), timeout_s=20.0)
@@ -295,19 +283,6 @@ class TestRunOne:
         assert after == before
 
 
-def _inline_harness(tmp_path, body: str) -> tuple[HarnessCommand, Path]:
-    """A ``python -c`` harness that records its pid, then runs ``body``
-    with ``m(text)`` printing one marker line."""
-    pid_file = tmp_path / "pid"
-    script = (
-        "import os, sys, time\n"
-        "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
-        "def m(text): print('##MANAI:' + text, flush=True)\n"
-        + body
-    )
-    return HarnessCommand(program=sys.executable, args=("-c", script, str(pid_file))), pid_file
-
-
 def _assert_reaped(pid_file: Path) -> None:
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid_file.read_text()), 0)
@@ -363,7 +338,7 @@ class TestRunOneOutcomes:
          "bad marker line '##MANAI:END demo::a MAYBE\\n': 'MAYBE' is not a valid TestStatus"),
     ])
     def test_protocol_violation_kills_the_child(self, tmp_path, body, message):
-        cmd, pid_file = _inline_harness(tmp_path, body + "; time.sleep(30)\n")
+        cmd, pid_file = inline_harness(tmp_path, body + "; time.sleep(30)\n")
         started = time.monotonic()
         with pytest.raises(ProtocolViolation) as exc_info:
             run_one(cmd, A, timeout_s=20)
@@ -372,7 +347,7 @@ class TestRunOneOutcomes:
         _assert_reaped(pid_file)
 
     def test_timeout_before_begin(self, tmp_path):
-        cmd, pid_file = _inline_harness(tmp_path, "time.sleep(30)\n")
+        cmd, pid_file = inline_harness(tmp_path, "time.sleep(30)\n")
         run = run_one(cmd, A, timeout_s=0.5)
         assert run.status is TestStatus.FAIL
         assert run.error == "test demo::a timed out after 0.5 s"
@@ -380,7 +355,7 @@ class TestRunOneOutcomes:
         _assert_reaped(pid_file)
 
     def test_exit_before_end(self, tmp_path):
-        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); sys.exit(3)\n")
+        cmd, pid_file = inline_harness(tmp_path, "m('BEGIN demo::a'); sys.exit(3)\n")
         run = run_one(cmd, A, timeout_s=20)
         assert run.status is TestStatus.FAIL
         assert run.error == "harness exited (status 3) before END for demo::a"
@@ -392,7 +367,7 @@ class TestRunOneOutcomes:
         # to be reported as timed out, with a window up to the deadline.
         monkeypatch.setattr(harness, "_EXIT_GRACE_S", 1.0)
         sleeper_file = tmp_path / "sleeper"
-        cmd, pid_file = _inline_harness(
+        cmd, pid_file = inline_harness(
             tmp_path, f"sleeper = {str(sleeper_file)!r}\nm('BEGIN demo::a')\n{_FORK_SLEEPER}sys.exit(3)\n"
         )
         clock = EdgeClock()
@@ -422,7 +397,7 @@ class TestRunOneOutcomes:
 
         monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
         monkeypatch.setattr(os, "pidfd_open", no_pidfd)
-        cmd, _ = _inline_harness(tmp_path, "time.sleep(30)\n")
+        cmd, _ = inline_harness(tmp_path, "time.sleep(30)\n")
         with pytest.raises(HarnessSpawnFailed, match="needs Linux 5.3 or later"):
             run_one(cmd, A, timeout_s=20)
         proc, = spawned
@@ -430,7 +405,7 @@ class TestRunOneOutcomes:
 
     def test_child_that_closes_stdout_and_lingers_is_killed_after_grace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
-        cmd, pid_file = _inline_harness(tmp_path, f"m('BEGIN demo::a')\n{_CLOSE_STDOUT_AND_SLEEP}")
+        cmd, pid_file = inline_harness(tmp_path, f"m('BEGIN demo::a')\n{_CLOSE_STDOUT_AND_SLEEP}")
         started = time.monotonic()
         run = run_one(cmd, A, timeout_s=20)
         elapsed_s = time.monotonic() - started
@@ -440,7 +415,7 @@ class TestRunOneOutcomes:
         _assert_reaped(pid_file)
 
     def test_edges_alone_call_the_clock(self, tmp_path):
-        cmd, pid_file = _inline_harness(
+        cmd, pid_file = inline_harness(
             tmp_path, "print('noise', flush=True); m('BEGIN demo::a'); m('END demo::a PASS')\n"
         )
         clock = EdgeClock()
@@ -449,7 +424,7 @@ class TestRunOneOutcomes:
         _assert_reaped(pid_file)
 
     def test_timeout_stamps_the_deadline_once(self, tmp_path):
-        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
+        cmd, pid_file = inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
         clock = EdgeClock()
         # The deadline runs from the spawn, not from BEGIN.
         before = time.monotonic_ns()
@@ -461,7 +436,7 @@ class TestRunOneOutcomes:
         _assert_reaped(pid_file)
 
     def test_clock_failure_kills_the_child(self, tmp_path):
-        cmd, pid_file = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
+        cmd, pid_file = inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(30)\n")
 
         def failing_clock():
             raise OSError("no counters")
@@ -479,7 +454,7 @@ class TestRunOneOutcomes:
         "for _ in range(100): print('working', flush=True); time.sleep(0.003)\n",
     ])
     def test_guard_reads_while_the_window_is_open(self, tmp_path, body):
-        cmd, pid_file = _inline_harness(
+        cmd, pid_file = inline_harness(
             tmp_path, "m('BEGIN demo::a')\n" + body + "m('END demo::a PASS'); time.sleep(0.2)\n"
         )
         clock = EdgeClock()
@@ -493,7 +468,7 @@ class TestRunOneOutcomes:
 
     def test_lingering_child_is_killed_after_grace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_EXIT_GRACE_S", 0.3)
-        cmd, pid_file = _inline_harness(
+        cmd, pid_file = inline_harness(
             tmp_path, "m('BEGIN demo::a'); m('END demo::a PASS'); time.sleep(30)\n"
         )
         started = time.monotonic()
@@ -512,7 +487,7 @@ class TestReadLoop:
     @staticmethod
     def _run(tmp_path, body: str) -> HarnessRun:
         # w(data) writes raw bytes to stdout at once.
-        cmd, pid_file = _inline_harness(
+        cmd, pid_file = inline_harness(
             tmp_path,
             "def w(data): sys.stdout.buffer.write(data); sys.stdout.buffer.flush()\n" + body,
         )
@@ -553,7 +528,7 @@ class TestReadLoop:
     def test_grandchild_holding_stdout_costs_one_grace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_EXIT_GRACE_S", 1.0)
         sleeper_file = tmp_path / "sleeper"
-        cmd, pid_file = _inline_harness(tmp_path, (
+        cmd, pid_file = inline_harness(tmp_path, (
             "m('BEGIN demo::a'); m('END demo::a PASS')\n"
             "pid = os.fork()\n"
             "if pid == 0: time.sleep(30); os._exit(0)\n"
@@ -580,7 +555,7 @@ class TestReadLoop:
             time.sleep(0.3)
             return time.monotonic_ns()
 
-        cmd, pid_file = _inline_harness(tmp_path, (
+        cmd, pid_file = inline_harness(tmp_path, (
             f"sleeper = {str(sleeper_file)!r}\nm('BEGIN demo::a'); time.sleep(0.05)\n"
             f"m('END demo::a SKIP')\n{_FORK_SLEEPER}"
         ))
@@ -625,55 +600,6 @@ class TestReadLoop:
         assert run.status is TestStatus.PASS and run.error is None
 
 
-class TestConformingLines:
-    """run_one looks up the four lines a conforming child sends for its test
-    and parses only other lines: every outcome is the one that parsing each
-    line gives."""
-
-    def test_each_line_reads_as_parsed(self):
-        lines = harness._conforming_lines(A)
-        assert sorted(lines) == [
-            "##MANAI:BEGIN demo::a\n", "##MANAI:END demo::a FAIL\n",
-            "##MANAI:END demo::a PASS\n", "##MANAI:END demo::a SKIP\n",
-        ]
-        assert all(harness._parse_marker(line) == marker for line, marker in lines.items())
-
-    def test_conforming_lines_are_not_parsed(self, tmp_path, monkeypatch):
-        parsed = []
-        parse = harness._parse_marker
-        monkeypatch.setattr(harness, "_parse_marker", lambda line: parsed.append(line) or parse(line))
-        cmd, _ = _inline_harness(tmp_path, "print('noise'); m('BEGIN demo::a'); m('END demo::a SKIP')\n")
-        assert run_one(cmd, A, timeout_s=20).status is TestStatus.SKIP
-        assert parsed == ["noise\n"]
-
-    @pytest.mark.parametrize("data, outcome", [
-        (b"##MANAI:BEGIN demo::a\r\n##MANAI:END demo::a PASS\r\n", HarnessRun(0, 1, TestStatus.PASS)),
-        (b"##MANAI:BEGIN demo::a \n##MANAI:END demo::a FAIL \n", HarnessRun(0, 1, TestStatus.FAIL)),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a SKIP", HarnessRun(0, 1, TestStatus.SKIP)),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a pass\n",
-         "bad marker line '##MANAI:END demo::a pass\\n': 'pass' is not a valid TestStatus"),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a DONE\n",
-         "bad marker line '##MANAI:END demo::a DONE\\n': 'DONE' is not a valid TestStatus"),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::b PASS\n", "END for demo::b, expected demo::a"),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:BEGIN demo::a\n", "duplicate BEGIN for demo::a"),
-        (b"##MANAI:BEGIN demo::a\n##MANAI:END demo::a PASS\n##MANAI:END demo::a FAIL\n",
-         "duplicate END for demo::a"),
-        (b"##MANAI:END demo::a PASS\n##MANAI:BEGIN demo::a\n", "END without BEGIN for demo::a"),
-    ])
-    def test_outcome_equals_parsing_every_line(self, tmp_path, monkeypatch, data, outcome):
-        cmd, _ = _inline_harness(tmp_path, f"sys.stdout.buffer.write({data!r})\n")
-
-        def run():
-            try:
-                return run_one(cmd, A, timeout_s=20, clock=iter(range(10)).__next__)
-            except ProtocolViolation as exc:
-                return str(exc)
-
-        assert run() == outcome
-        monkeypatch.setattr(harness, "_conforming_lines", lambda test: {})
-        assert run() == outcome
-
-
 class _RecordingPoll:
     """A ``select.poll`` object that keeps each ``poll`` call's timeout and
     events; ``rewrite`` may replace the events of the first fd registered,
@@ -705,7 +631,7 @@ class TestPollWait:
         # would end early and poll again before each guard reading.
         calls = []
         monkeypatch.setattr(select, "poll", lambda: _RecordingPoll(calls))
-        cmd, _ = _inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(0.1); m('END demo::a PASS')\n")
+        cmd, _ = inline_harness(tmp_path, "m('BEGIN demo::a'); time.sleep(0.1); m('END demo::a PASS')\n")
         clock = EdgeClock()
         run = run_one(cmd, A, timeout_s=20, clock=clock, guard_ns=3 * MS // 2)
         assert run.status is TestStatus.PASS
@@ -729,7 +655,7 @@ class TestPollWait:
         monkeypatch.setattr(select, "poll", new_poll)
         read = os.read
         monkeypatch.setattr(os, "read", lambda fd, size: reads.append(fd) or read(fd, size))
-        cmd, pid_file = _inline_harness(tmp_path, "m('TEST a::b'); time.sleep(30)\n")
+        cmd, pid_file = inline_harness(tmp_path, "m('TEST a::b'); time.sleep(30)\n")
         with pytest.raises(HarnessSpawnFailed, match="^discovery process exited with status -9$"):
             discover(HarnessCommand(program=cmd.program, list_args=cmd.args), timeout_s=20.0)
         poller, = pollers

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import manai.store
 from manai.cli import main
 from manai.errors import EmptyScope, NoHistory, UnknownRevision
-from manai.harness import TestId
+from manai.protocol import TestId
 from manai.report import (
     CSV_HEADER,
     ReportFormat,
@@ -320,7 +320,7 @@ def make_two_domain_record(label, created_at, tests, iterations=2):
     iteration ``i`` adds ``i * 123_457`` µJ to both domains and
     ``i * 7`` ms to the duration.
     """
-    from manai.harness import TestStatus
+    from manai.protocol import TestStatus
     from manai.results import TestExecutionResult, summarize
     from manai.sampler import EnergySample
     from manai.store import RevisionRecord

@@ -1,7 +1,8 @@
 """The runtime imports nothing outside the standard library, importing one
-manai module imports no other that it does not use, no manai process loads
-OpenSSL or ``statistics``, no manai module imports ``threading``, and every name the
-benchmark hooks into resolves."""
+manai module imports no other that it does not use, records and views load
+no process layer, no manai process loads OpenSSL or ``statistics``, no
+manai module imports ``threading``, and every name the benchmark hooks
+into resolves."""
 
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ def test_cli_and_fixture_harness_load_only_stdlib_modules():
 
 @pytest.mark.parametrize(("module", "loaded"), [
     ("manai", ["manai"]),
-    ("manai.fixture_harness", ["manai", "manai.fixture_harness"]),
+    ("manai.protocol", ["manai", "manai.errors", "manai.protocol"]),
+    ("manai.fixture_harness", ["manai", "manai.errors", "manai.fixture_harness", "manai.protocol"]),
 ])
 def test_importing_a_module_loads_no_other_manai_module(module, loaded):
     # The package re-exports nothing, so a harness child does not import
@@ -52,6 +54,24 @@ def test_importing_a_module_loads_no_other_manai_module(module, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
+
+
+_LOADED_PROCESS_LAYER = (
+    "import json, sys, {module}\n"
+    "print(json.dumps([n for n in ('manai.harness', 'manai.experiment', 'subprocess') if n in sys.modules]))\n"
+)
+
+
+@pytest.mark.parametrize("module", ["manai.report", "manai.store"])
+def test_records_and_views_load_no_process_layer(module):
+    # Records and views take TestId and TestStatus from manai.protocol, so
+    # reading a store spawns nothing and loads nothing that could.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_PROCESS_LAYER.format(module=module)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 _DIGEST_AND_OPENSSL_MODULES = (
@@ -98,7 +118,7 @@ def test_digest_falls_back_to_hashlib_without_the_builtin_hash():
 
 _SUMMARIZE = (
     "import json, sys, manai.cli\n"
-    "from manai.harness import TestId, TestStatus\n"
+    "from manai.protocol import TestId, TestStatus\n"
     "from manai.probe import DomainKind, EnergyDomain\n"
     "from manai.results import TestExecutionResult, summarize\n"
     "from manai.sampler import EnergySample\n"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from manai.errors import InvalidConfig, ProbeLost, ReadFailed
 from manai.experiment import _LiveMeter
-from manai.harness import TestId, TestStatus
 from manai.probe import (
     MAX_PLAUSIBLE_POWER_W,
     ProbeBackend,
@@ -21,6 +20,7 @@ from manai.probe import (
     RaplProbe,
     SimulatedProbe,
 )
+from manai.protocol import TestId, TestStatus
 from manai.results import TestExecutionResult, attribute
 from manai.sampler import (
     BaselineProfile,

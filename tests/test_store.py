@@ -17,7 +17,7 @@ import pytest
 
 import manai.store
 from manai.errors import StorageError, UnknownRevision
-from manai.harness import TestId, TestStatus
+from manai.protocol import TestId, TestStatus
 from manai.report import ReportFormat, ReportRequest, render_history, render_summary
 from manai.results import Stats, TestExecutionResult, TestSummary, summarize
 from manai.sampler import EnergySample
